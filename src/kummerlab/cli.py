@@ -74,11 +74,15 @@ def _build_group(ctx, spec: ConstructionSpec):
 def verify(ctx, spec_path):
     """Run the full pipeline on a construction spec."""
     spec = _load(spec_path)
-    report = pipeline.run_all(
-        spec,
-        tolerance_scale=ctx.obj["tolerance_scale"],
-        max_group_order=ctx.obj["max_group_order"],
-    )
+    try:
+        report = pipeline.run_all(
+            spec,
+            tolerance_scale=ctx.obj["tolerance_scale"],
+            max_group_order=ctx.obj["max_group_order"],
+        )
+    except torus.GroupClosureError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     for c in report.claims:
         extra = []
         if c.value is not None:

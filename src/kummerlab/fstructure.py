@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .torus import AffineIsometry, GroupTable, fixed_locus
+# fixed_locus stays bound here for perfbench/tracing.py, which wraps it;
+# the checks read each element's fixed loci from GroupTable.fixed_loci.
+from .torus import AffineIsometry, GroupTable, fixed_locus  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -402,10 +404,8 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
         return CheckResult(label, True, "trivial covering")
     by_name = {c.name: c for c in atlas}
     removed = [by_name[n] for n in chart.complement_of] if chart.kind == "complement" else []
-    for gi, el in enumerate(group.elements):
-        if gi == 0:
-            continue
-        for comp in fixed_locus(el):
+    for gi in range(1, group.order):
+        for comp in group.fixed_loci[gi]:
             if chart.kind == "full":
                 return CheckResult(label, False, f"{group.names[gi]} has fixed points")
             inside = False

@@ -174,22 +174,6 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return [[int(x) for x in row] for row in inv]
 
 
-def lattice_adapted_basis(rows: list[list[int]]) -> IntMatrix:
-    """Unimodular matrix whose first columns span the given saturated lattice.
-
-    rows must be a basis of a saturated (primitive) sublattice of Z^n; the
-    returned n x n matrix v has its first len(rows) columns spanning that
-    lattice and determinant ±1.
-    """
-    n = len(rows[0])
-    cols = [[rows[j][i] for j in range(len(rows))] for i in range(n)]
-    d, u, _v = smith_normal_form(cols)
-    for k in range(len(rows)):
-        if d[k][k] != 1:
-            raise ValueError("direction lattice is not saturated")
-    return unimodular_inverse(u)
-
-
 def hermite_row_basis(rows: list[list[int]]) -> list[list[int]]:
     """Canonical (row-style Hermite) basis of the lattice spanned by rows.
 

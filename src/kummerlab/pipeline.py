@@ -127,14 +127,14 @@ def run_group_stage(spec: ConstructionSpec, report: Report, max_group_order: int
         "exponent": group.exponent,
         "elements": group.names,
     }
-    loci = {i: torus.fixed_locus(el) for i, el in enumerate(group.elements)}
+    loci = group.fixed_loci
     report.sections["fixed_loci"] = {
         "per_element": {group.names[i]: len(loci[i]) for i in range(group.order)},
         "fixed_point_free": [
             group.names[i] for i in range(1, group.order) if not loci[i]
         ],
     }
-    return group, loci
+    return group
 
 
 def run_census_stage(group, report: Report):
@@ -193,6 +193,15 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         rep = clifford.spin_obstruction(mats, square_sign=square_sign)
     except ValueError as exc:
         report.sections["spin"] = {"error": str(exc)}
+        return None
+    if 2 % group.exponent:
+        # The commutator/square criterion is valid only when every element
+        # squares to the identity, i.e. for elementary abelian 2-groups.
+        report.sections["spin"] = {
+            "verdict": "UNSUPPORTED",
+            "reason": f"group has exponent {group.exponent}; the lifting criterion "
+            "holds for elementary abelian 2-groups (exponent 1 or 2)",
+        }
         return None
     names = spec.generator_names
     section = {
@@ -455,7 +464,7 @@ def run_all(
     if workers is None:
         workers = thread_count()
 
-    group, _loci = run_group_stage(spec, report, max_group_order)
+    group = run_group_stage(spec, report, max_group_order)
     census = run_census_stage(group, report)
     cert = run_pi1_stage(group, report)
     spin_rep = run_spin_stage(spec, group, report)

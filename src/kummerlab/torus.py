@@ -2,9 +2,11 @@
 
 An isometry is stored as an integer signed-permutation matrix plus a
 rational translation reduced mod 1.  Everything in this module is exact:
-fixed loci are solved through the integer Smith normal form, components
-are canonicalized to a unique rational representative, and orbit /
-stabilizer bookkeeping runs over the finite group table.
+the group closure and its product table run on an integer encoding of the
+isometries, fixed loci are solved through the integer Smith normal form
+(once per group element), components are canonicalized to a unique
+rational representative by a Hermite reduction, and census orbits are
+traced through the generators' permutations of the components.
 """
 
 from __future__ import annotations
@@ -12,20 +14,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .intlinalg import (
     hermite_row_basis,
-    lattice_adapted_basis,
     mat_vec,
     smith_normal_form,
     unimodular_inverse,
 )
 
 Vector = tuple[Fraction, ...]
-
-# Cap on basepoint canonicalization work (candidates = denominator^dim).
-_CANON_CAP = 1 << 20
 
 LOCAL_MODEL_PRODUCT = "S¹×(ℂ²/±1)"
 LOCAL_MODEL_HALF_TURN = "(ℂ²/±1 × S¹)/ℤ₂"
@@ -89,7 +88,7 @@ class AffineIsometry:
         """Evaluate at a rational point, reduced into [0,1)^n."""
         pt = [Fraction(x) for x in point]
         return tuple(
-            _mod1(sum((Fraction(v) * pt[j] for j, v in enumerate(row)), self.translation[i]))
+            _mod1(sum((v * pt[j] for j, v in enumerate(row) if v), self.translation[i]))
             for i, row in enumerate(self.linear)
         )
 
@@ -127,16 +126,21 @@ class GroupClosureError(RuntimeError):
 
 @dataclass
 class GroupTable:
-    """Closure of a generator list, with names and a product index table."""
+    """Closure of a generator list, with names and a product index table.
+
+    factors[p] = (i, g) records the closure's spanning tree: element p is
+    element i composed with the generator element g (factors[0] = (0, 0)).
+    """
 
     elements: list[AffineIsometry]
     names: list[str]
     product: list[list[int]]
     abelian: bool
     exponent: int
+    factors: list[tuple[int, int]]
 
     def __post_init__(self):
-        self._index = {el: i for i, el in enumerate(self.elements)}
+        self._frames: dict = {}  # direction lattice -> _LatticeFrame
 
     @property
     def order(self) -> int:
@@ -146,8 +150,10 @@ class GroupTable:
     def dim(self) -> int:
         return self.elements[0].dim
 
-    def index_of(self, el: AffineIsometry) -> int:
-        return self._index[el]
+    @cached_property
+    def fixed_loci(self) -> list[list[FixedComponent]]:
+        """The fixed components of every element, by index, computed on first use."""
+        return [fixed_locus(el, self._frames) for el in self.elements]
 
     def inverse_index(self, i: int) -> int:
         return self.product[i].index(0)
@@ -168,6 +174,31 @@ class GroupTable:
         return frozenset(closed)
 
 
+# Integer code of an isometry: (permutation, signs, translation numerators
+# over a common denominator N), flattened into one tuple.  Row i of the
+# linear part has the entry signs[i] in column perm[i].
+
+
+def _encode(f: AffineIsometry, denom: int) -> tuple[int, ...]:
+    perm = [next(j for j, v in enumerate(row) if v) for row in f.linear]
+    signs = [row[j] for row, j in zip(f.linear, perm)]
+    return (*perm, *signs, *(int(t * denom) for t in f.translation))
+
+
+def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
+    perm, signs = code[:n], code[n : 2 * n]
+    linear = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
+    return AffineIsometry(linear, tuple(Fraction(t, denom) for t in code[2 * n :]))
+
+
+def _compose_codes(f: tuple[int, ...], g: tuple[int, ...], n: int, denom: int) -> tuple[int, ...]:
+    """Code of f∘g: (f∘g)(x)_i = s_f[i] (s_g[p] x[p_g[p]] + t_g[p]) + t_f[i], p = p_f[i]."""
+    perm = tuple(g[f[i]] for i in range(n))
+    signs = tuple(f[n + i] * g[n + f[i]] for i in range(n))
+    trans = tuple((f[n + i] * g[2 * n + f[i]] + f[2 * n + i]) % denom for i in range(n))
+    return perm + signs + trans
+
+
 def generate_group(
     generators: list[AffineIsometry],
     names: list[str] | None = None,
@@ -177,6 +208,8 @@ def generate_group(
 
     Element 0 is the identity; generators follow in the declared order,
     then products by BFS level, which makes the ordering deterministic.
+    The closure runs on integer codes; the product table is filled from
+    the closure's right multiplications by generators, a∘(b∘g) = (a∘b)∘g.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -186,29 +219,41 @@ def generate_group(
     if names is None:
         names = [f"g{i+1}" for i in range(len(generators))]
 
-    ident = AffineIsometry.identity(n)
-    elements = [ident]
+    denom = lcm(1, *(t.denominator for g in generators for t in g.translation))
+    gen_codes = [_encode(g, denom) for g in generators]
+    ident = _encode(AffineIsometry.identity(n), denom)
+    codes = [ident]
     elt_names = ["e"]
     index = {ident: 0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, gname in zip(generators, names):
-                p = compose(elements[i], g)
-                if p not in index:
-                    if len(elements) >= max_order:
-                        raise GroupClosureError(
-                            f"group closure exceeded the cap of {max_order} elements"
-                        )
-                    index[p] = len(elements)
-                    elements.append(p)
-                    elt_names.append(gname if i == 0 else elt_names[i] + "*" + gname)
-                    nxt.append(index[p])
-        frontier = nxt
+    steps: list[tuple[int, int]] = []  # element p = element i ∘ generator k, for p >= 1
+    right: list[list[int]] = []  # right[i][k]: index of element i composed with generator k
+    # Elements are visited in index order, which is BFS-level order.
+    i = 0
+    while i < len(codes):
+        row = []
+        for k, g in enumerate(gen_codes):
+            p = _compose_codes(codes[i], g, n, denom)
+            j = index.get(p)
+            if j is None:
+                if len(codes) >= max_order:
+                    raise GroupClosureError(
+                        f"group closure exceeded the cap of {max_order} elements"
+                    )
+                j = index[p] = len(codes)
+                codes.append(p)
+                elt_names.append(names[k] if i == 0 else elt_names[i] + "*" + names[k])
+                steps.append((i, k))
+            row.append(j)
+        right.append(row)
+        i += 1
 
-    order = len(elements)
-    product = [[index[compose(a, b)] for b in elements] for a in elements]
+    order = len(codes)
+    product = []
+    for a in range(order):
+        row = [a]
+        for i, k in steps:
+            row.append(right[row[i]][k])
+        product.append(row)
     abelian = all(
         product[i][j] == product[j][i] for i in range(order) for j in range(i + 1, order)
     )
@@ -219,7 +264,9 @@ def generate_group(
             j = product[j][i]
             k += 1
         exponent = lcm(exponent, k)
-    return GroupTable(elements, elt_names, product, abelian, exponent)
+    elements = [_decode(c, n, denom) for c in codes]
+    factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
+    return GroupTable(elements, elt_names, product, abelian, exponent, factors)
 
 
 @dataclass(frozen=True)
@@ -243,50 +290,66 @@ class FixedComponent:
     def key(self):
         return (self.basepoint, self.directions)
 
-    def denominator(self) -> int:
-        return lcm(1, *(x.denominator for x in self.basepoint))
+
+class _LatticeFrame:
+    """Integer data of one saturated direction lattice D in Z^n.
+
+    The rows of annihilator are a basis of the integer functionals that
+    vanish on D; the columns of complement extend a basis of D to a basis
+    of Z^n, dual to those rows.  hermite caches, per denominator q, the
+    Hermite basis of D + qZ^n.
+    """
+
+    def __init__(self, directions: tuple[tuple[int, ...], ...]):
+        n, dim = len(directions[0]), len(directions)
+        cols = [[d[i] for d in directions] for i in range(n)]
+        d, u, _v = smith_normal_form(cols)
+        if any(d[k][k] != 1 for k in range(dim)):
+            raise ValueError("direction lattice is not saturated")
+        self.annihilator = u[dim:]
+        self.complement = [row[dim:] for row in unimodular_inverse(u)]
+        self.hermite: dict[int, list[list[int]]] = {}
 
 
-def _canonical_basepoint(point: Vector, directions: list[list[int]]) -> Vector:
+def _canonical_basepoint(point, directions, frames: dict | None = None) -> Vector:
     """Lexicographic minimum of the component's rational points mod 1.
 
-    The component is rewritten in lattice-adapted unimodular coordinates
-    where its free directions come first; the constrained coordinates fix
-    the intrinsic denominator q of the component, and the candidates
-    enumerated are exactly the points whose coordinates have denominator
-    dividing q.  The result therefore depends only on the component, not
-    on which representative point was handed in.
+    The component is point + R·D with D the saturated lattice spanned by
+    directions.  The annihilating functionals of D take fixed values on
+    it; their denominators fix the intrinsic denominator q, and the points
+    z of the component with qz integral are (w + D + qZ^n)/q for any
+    integral w on q·point + R·D.  Reducing w column by column against the
+    Hermite basis of D + qZ^n yields the lexicographic minimum in
+    [0, q)^n, so the result depends only on the component.  The work runs
+    on integer numerators over the point's common denominator; frames
+    caches the lattice data per direction lattice.
     """
-    point = tuple(_mod1(x) for x in point)
     if not directions:
-        return point
-    n = len(point)
-    dim = len(directions)
-    v0 = lattice_adapted_basis(directions)
-    v0_inv = unimodular_inverse(v0)
-    y = [sum(Fraction(v0_inv[i][j]) * point[j] for j in range(n)) for i in range(n)]
-    tail = y[dim:]
-    q = lcm(1, *(t.denominator for t in tail))
-    if q**dim > _CANON_CAP:
-        raise ValueError("basepoint canonicalization cap exceeded")
-    best = None
-    for ks in itertools.product(range(q), repeat=dim):
-        yc = [Fraction(k, q) for k in ks] + tail
-        cand = tuple(
-            _mod1(sum(Fraction(v0[i][j]) * yc[j] for j in range(n))) for i in range(n)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+        return tuple(x % 1 for x in point)
+    key = tuple(tuple(d) for d in directions)
+    frames = {} if frames is None else frames
+    frame = frames.get(key)
+    if frame is None:
+        frame = frames[key] = _LatticeFrame(key)
+    m = lcm(1, *(x.denominator for x in point))
+    nums = [x.numerator * (m // x.denominator) for x in point]
+    tail = [sum(a * x for a, x in zip(row, nums) if a) for row in frame.annihilator]
+    q = m // gcd(m, *tail)
+    q_tail = [t // (m // q) for t in tail]
+    w = [sum(c * t for c, t in zip(row, q_tail) if c) for row in frame.complement]
+    basis = frame.hermite.get(q)
+    if basis is None:
+        n = len(w)
+        scaled = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+        basis = frame.hermite[q] = hermite_row_basis([list(d) for d in key] + scaled)
+    for j, row in enumerate(basis):
+        k = w[j] // row[j]
+        if k:
+            w = [x - k * y for x, y in zip(w, row)]
+    return tuple(Fraction(x, q) for x in w)
 
 
-def _make_component(point, directions: list[list[int]]) -> FixedComponent:
-    dirs = hermite_row_basis([list(d) for d in directions])
-    base = _canonical_basepoint(tuple(Fraction(x) for x in point), dirs)
-    return FixedComponent(base, tuple(tuple(r) for r in dirs))
-
-
-def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
+def fixed_locus(f: AffineIsometry, frames: dict | None = None) -> list[FixedComponent]:
     """All connected components of {x : f(x) = x mod Z^n}, sorted.
 
     Solves (L - I) x = -t mod Z^n by Smith decomposition U (L-I) V = D:
@@ -296,9 +359,7 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
     n = f.dim
     m = [[f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     d, u, v = smith_normal_form(m)
-    c = [
-        sum(Fraction(u[i][j]) * (-f.translation[j]) for j in range(n)) for i in range(n)
-    ]
+    c = [-sum((a * t for a, t in zip(row, f.translation) if a), Fraction(0)) for row in u]
     choices: list[list[Fraction]] = []
     free_idx: list[int] = []
     for i in range(n):
@@ -310,36 +371,25 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
             choices.append([Fraction(0)])
         else:
             choices.append([_mod1(Fraction(c[i] + k, di)) for k in range(abs(di))])
-    directions = [[v[r][i] for r in range(n)] for i in free_idx]
+    directions = tuple(
+        tuple(r) for r in hermite_row_basis([[v[r][i] for r in range(n)] for i in free_idx])
+    )
+    frames = {} if frames is None else frames
     components = []
     for combo in itertools.product(*choices):
-        x = [sum(Fraction(v[r][i]) * combo[i] for i in range(n)) for r in range(n)]
-        components.append(_make_component(x, directions))
+        x = [sum((a * y for a, y in zip(row, combo) if a), Fraction(0)) for row in v]
+        components.append(FixedComponent(_canonical_basepoint(x, directions, frames), directions))
     components.sort(key=lambda comp: comp.key)
     return components
 
 
-def transform_component(g: AffineIsometry, comp: FixedComponent) -> FixedComponent:
-    image_dirs = [g.apply_linear(list(dv)) for dv in comp.directions]
-    return _make_component(g.apply(comp.basepoint), image_dirs)
-
-
-def _fixes_pointwise(g: AffineIsometry, comp: FixedComponent) -> bool:
-    for dv in comp.directions:
-        if g.apply_linear(list(dv)) != list(dv):
-            return False
-    image = g.apply(comp.basepoint)
-    return image == comp.basepoint
-
-
-def _acts_as_translation(g: AffineIsometry, comp: FixedComponent) -> bool:
-    """True when g maps the component to itself shifting along it."""
-    for dv in comp.directions:
-        if g.apply_linear(list(dv)) != list(dv):
-            return False
-    if transform_component(g, comp) != comp:
-        return False
-    return g.apply(comp.basepoint) != comp.basepoint
+def transform_component(
+    g: AffineIsometry, comp: FixedComponent, frames: dict | None = None
+) -> FixedComponent:
+    """The image g(comp), canonicalized."""
+    dirs = hermite_row_basis([g.apply_linear(list(dv)) for dv in comp.directions])
+    directions = tuple(tuple(r) for r in dirs)
+    return FixedComponent(_canonical_basepoint(g.apply(comp.basepoint), directions, frames), directions)
 
 
 @dataclass
@@ -371,6 +421,29 @@ class SingularCensus:
         return len(self.orbits)
 
 
+def _component_permutations(group: GroupTable, components: list[FixedComponent]) -> list[list[int]]:
+    """perms[p][c]: index of the image of component c under element p.
+
+    Only the generators are applied to components; every other element's
+    permutation follows from the closure's spanning tree, since
+    p = e_i∘g gives perm_p = perm_i∘perm_g.
+    """
+    position = {comp.key: k for k, comp in enumerate(components)}
+    by_generator = {}
+    for g in sorted({g for _i, g in group.factors[1:]}):
+        images = []
+        for comp in components:
+            key = transform_component(group.elements[g], comp, group._frames).key
+            if key not in position:
+                raise AssertionError("orbit left the census component set")
+            images.append(position[key])
+        by_generator[g] = images
+    perms = [list(range(len(components)))]
+    for i, g in group.factors[1:]:
+        perms.append([perms[i][c] for c in by_generator[g]])
+    return perms
+
+
 def singular_census(group: GroupTable, require_circles: bool = True) -> SingularCensus:
     """Union of all fixed components of non-identity elements, by orbit.
 
@@ -381,10 +454,8 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
     type otherwise).
     """
     seen: dict = {}
-    for i, el in enumerate(group.elements):
-        if i == 0:
-            continue
-        for comp in fixed_locus(el):
+    for loci in group.fixed_loci[1:]:
+        for comp in loci:
             seen.setdefault(comp.key, comp)
     components = sorted(seen.values(), key=lambda comp: comp.key)
     if require_circles:
@@ -395,51 +466,38 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
                 f"dimension {bad[0].dimension}"
             )
 
-    unassigned = {c.key: c for c in components}
+    perms = _component_permutations(group, components)
+    assigned = [False] * len(components)
     orbits = []
-    while unassigned:
-        start_key = min(unassigned)
-        orbit_map = {start_key: unassigned[start_key]}
-        frontier = [unassigned[start_key]]
-        while frontier:
-            nxt = []
-            for comp in frontier:
-                for el in group.elements:
-                    image = transform_component(el, comp)
-                    if image.key not in orbit_map:
-                        orbit_map[image.key] = image
-                        nxt.append(image)
-            frontier = nxt
-        for key in orbit_map:
-            if key not in unassigned:
-                raise AssertionError("orbit left the census component set")
-            del unassigned[key]
-        rep = orbit_map[min(orbit_map)]
-        setwise = [
-            i for i, el in enumerate(group.elements) if transform_component(el, rep) == rep
-        ]
-        pointwise = [i for i in setwise if _fixes_pointwise(group.elements[i], rep)]
-        translations = [
+    for r, rep in enumerate(components):
+        if assigned[r]:
+            continue
+        members = sorted({perm[r] for perm in perms})
+        for k in members:
+            assigned[k] = True
+        setwise = [i for i, perm in enumerate(perms) if perm[r] == r]
+        # Elements preserving the component and its directions move it along itself.
+        along = [
             i
             for i in setwise
-            if i not in pointwise and _acts_as_translation(group.elements[i], rep)
+            if all(group.elements[i].apply_linear(list(dv)) == list(dv) for dv in rep.directions)
         ]
-        factor = Fraction(len(pointwise), len(setwise))
+        pointwise = [i for i in along if group.elements[i].apply(rep.basepoint) == rep.basepoint]
+        translations = [i for i in along if i not in pointwise]
         model = None
         if rep.dimension == 1:
             model = LOCAL_MODEL_HALF_TURN if translations else LOCAL_MODEL_PRODUCT
         orbits.append(
             CensusOrbit(
                 representative=rep,
-                components=sorted(orbit_map.values(), key=lambda comp: comp.key),
+                components=[components[k] for k in members],
                 setwise_stabilizer=setwise,
                 pointwise_stabilizer=pointwise,
                 translation_elements=translations,
-                quotient_length_factor=factor,
+                quotient_length_factor=Fraction(len(pointwise), len(setwise)),
                 local_model=model,
             )
         )
-    orbits.sort(key=lambda orb: orb.representative.key)
     return SingularCensus(components, orbits)
 
 
@@ -469,7 +527,7 @@ class Pi1Certificate:
 
 def pi1_certificate(group: GroupTable) -> Pi1Certificate:
     n = group.dim
-    loci = {i: fixed_locus(el) for i, el in enumerate(group.elements)}
+    loci = group.fixed_loci
     fixed_elements = [i for i in range(group.order) if loci[i]]
 
     witnesses: dict[int, int | None] = {}

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from kummerlab.cli import bundled_examples
+from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
 from kummerlab.specfile import parse_construction
 from kummerlab.torus import AffineIsometry, compose, generate_group
 
@@ -140,6 +141,26 @@ def component_grid_points(comp, q: int = 8) -> set:
         if all(x.denominator <= q and q % x.denominator == 0 for x in pt):
             out.add(pt)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Lattice-adapted basis, used by the enumerating basepoint oracle.
+
+
+def lattice_adapted_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Unimodular matrix whose first columns span the given saturated lattice.
+
+    rows must be a basis of a saturated (primitive) sublattice of Z^n; the
+    returned n x n matrix v has its first len(rows) columns spanning that
+    lattice and determinant ±1.
+    """
+    n = len(rows[0])
+    cols = [[rows[j][i] for j in range(len(rows))] for i in range(n)]
+    d, u, _v = smith_normal_form(cols)
+    for k in range(len(rows)):
+        if d[k][k] != 1:
+            raise ValueError("direction lattice is not saturated")
+    return unimodular_inverse(u)
 
 
 # ---------------------------------------------------------------------------

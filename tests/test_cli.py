@@ -56,6 +56,13 @@ def test_verify_json_report_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_group_cap_is_input_error():
+    result = CliRunner().invoke(main, ["--max-group-order", "4", "verify", EXAMPLE_A])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: group closure exceeded the cap of 4 elements" in result.output
+
+
 def test_fixed_locus_command():
     result = CliRunner().invoke(main, ["fixed-locus", EXAMPLE_A, "--element", "alpha"])
     assert result.exit_code == 0

@@ -1,10 +1,10 @@
 import random
 
+from conftest import lattice_adapted_basis
 from kummerlab.intlinalg import (
     hermite_row_basis,
     int_det,
     kernel_basis,
-    lattice_adapted_basis,
     mat_mul,
     smith_normal_form,
     unimodular_inverse,

@@ -106,6 +106,30 @@ def test_group_cap_propagates(spec_a):
         pipeline.run_all(spec_a, max_group_order=4)
 
 
+def test_spin_unsupported_beyond_elementary_abelian_groups():
+    # s squares to the translation by 1/2 along e3: an element of order 4.
+    text = """
+version 1
+dimension 3
+
+[generator s]
+diag -1 -1 1
+translation 0 0 1/4
+
+[expected]
+spin nonspin
+"""
+    report = pipeline.run_all(parse_construction_text(text))
+    assert report.sections["group"]["exponent"] == 4
+    spin = report.sections["spin"]
+    assert spin["verdict"] == "UNSUPPORTED"
+    assert "exponent 4" in spin["reason"]
+    assert set(spin) == {"verdict", "reason"}
+    rows = {c.name: c for c in report.claims}
+    assert rows["expected.spin"].status == "FAIL"
+    assert rows["expected.spin"].value is None
+
+
 def test_non_orientable_quotient_handled():
     text = """
 version 1

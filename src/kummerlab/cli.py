@@ -1,18 +1,25 @@
 """Command-line interface.
 
+`verify` runs the whole pipeline; `fixed-locus`, `census`, `spin`, `betti`
+and `f-structure` run the pipeline stages they need and print their
+report sections, so they show the same values as `verify`.
+
 Exit codes: 0 when everything checked PASSes, 1 when any claim FAILs,
-2 on input errors (unreadable or invalid spec files).
+2 on input errors (unreadable or invalid spec files, a group closure
+beyond --max-group-order, a stage that reports an error).
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import sys
+from typing import NoReturn
 
 import click
 
-from . import clifford, curvature, forms, pipeline, torus
+from . import curvature, pipeline
 from .specfile import ConstructionSpec, SpecParseError, parse_construction
+from .torus import GroupClosureError
 
 
 def bundled_examples() -> dict[str, str]:
@@ -20,16 +27,34 @@ def bundled_examples() -> dict[str, str]:
     return {p.name: str(p) for p in sorted(base.iterdir()) if p.name.endswith(".spec")}
 
 
+def _fail(message) -> NoReturn:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
+
+
 def _load(path: str) -> ConstructionSpec:
     try:
         return parse_construction(path)
     except FileNotFoundError:
-        click.echo(f"error: cannot read {path}", err=True)
-        sys.exit(2)
+        _fail(f"cannot read {path}")
     except SpecParseError as exc:
         for ln, fld, why in exc.errors:
             click.echo(f"error: {path}:{ln} [{fld}] {why}", err=True)
         sys.exit(2)
+
+
+def _capped(run, *args, **kwargs):
+    """Call a pipeline entry point; a closure beyond the group cap is an input error."""
+    try:
+        return run(*args, **kwargs)
+    except GroupClosureError as exc:
+        _fail(exc)
+
+
+def _group_stage(ctx, spec: ConstructionSpec):
+    """Run the group stage into a fresh report; returns (group, report)."""
+    report = pipeline.Report()
+    return _capped(pipeline.run_group_stage, spec, report, ctx.obj["max_group_order"]), report
 
 
 def _write_json(ctx, payload: str) -> None:
@@ -58,31 +83,18 @@ def main(ctx, json_path, tolerance_scale, max_group_order):
     )
 
 
-def _build_group(ctx, spec: ConstructionSpec):
-    try:
-        return torus.generate_group(
-            spec.generators, spec.generator_names, max_order=ctx.obj["max_group_order"]
-        )
-    except torus.GroupClosureError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-
-
 @main.command()
 @click.argument("spec_path", type=click.Path())
 @click.pass_context
 def verify(ctx, spec_path):
     """Run the full pipeline on a construction spec."""
     spec = _load(spec_path)
-    try:
-        report = pipeline.run_all(
-            spec,
-            tolerance_scale=ctx.obj["tolerance_scale"],
-            max_group_order=ctx.obj["max_group_order"],
-        )
-    except torus.GroupClosureError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    report = _capped(
+        pipeline.run_all,
+        spec,
+        tolerance_scale=ctx.obj["tolerance_scale"],
+        max_group_order=ctx.obj["max_group_order"],
+    )
     for c in report.claims:
         extra = []
         if c.value is not None:
@@ -106,13 +118,11 @@ def verify(ctx, spec_path):
 def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
-    group = _build_group(ctx, spec)
-    names = [element] if element else spec.generator_names
-    for name in names:
+    group, _ = _group_stage(ctx, spec)
+    for name in [element] if element else spec.generator_names:
         if name not in group.names:
-            click.echo(f"error: unknown element {name!r}; known: {', '.join(group.names)}", err=True)
-            sys.exit(2)
-        comps = torus.fixed_locus(group.elements[group.names.index(name)])
+            _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")
+        comps = group.fixed_loci[group.names.index(name)]
         click.echo(f"{name}: {len(comps)} component(s)")
         for comp in comps:
             base = ", ".join(str(x) for x in comp.basepoint)
@@ -125,23 +135,21 @@ def fixed_locus_cmd(ctx, spec_path, element):
 @click.pass_context
 def census(ctx, spec_path):
     """Print the singular-locus census."""
-    spec = _load(spec_path)
-    group = _build_group(ctx, spec)
-    try:
-        cen = torus.singular_census(group)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    group, report = _group_stage(ctx, _load(spec_path))
+    pipeline.run_census_stage(group, report)
+    sec = report.sections["census"]
+    if "error" in sec:
+        _fail(sec["error"])
     click.echo(
-        f"{cen.total_components} components in {cen.orbit_count} orbits "
-        f"(sizes {sorted(o.size for o in cen.orbits)})"
+        f"{sec['total_components']} components in {sec['orbit_count']} orbits "
+        f"(sizes {sorted(sec['orbit_sizes'])})"
     )
-    for o in cen.orbits:
-        base = ", ".join(str(x) for x in o.representative.basepoint)
-        trans = ", ".join(group.names[i] for i in o.translation_elements) or "none"
+    for o in sec["orbits"]:
+        base = ", ".join(o["representative"]["basepoint"])
+        trans = ", ".join(o["translation_elements"]) or "none"
         click.echo(
-            f"  orbit size {o.size}  rep ({base})  model {o.local_model}  "
-            f"length factor {o.quotient_length_factor}  translations: {trans}"
+            f"  orbit size {o['size']}  rep ({base})  model {o['local_model']}  "
+            f"length factor {o['quotient_length_factor']}  translations: {trans}"
         )
 
 
@@ -152,23 +160,22 @@ def census(ctx, spec_path):
 def spin(ctx, spec_path, square_plus):
     """Print the spin lifting obstruction of the generator family."""
     spec = _load(spec_path)
-    sign = 1 if square_plus else -1
-    try:
-        rep = clifford.spin_obstruction(
-            [[list(r) for r in g.linear] for g in spec.generators], square_sign=sign
-        )
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    for name, pair in zip(spec.generator_names, rep.lifts):
-        click.echo(f"lift({name}) = ±({pair.lift})")
-    click.echo(f"squares (e_i^2 = {sign:+d}): {rep.squares}")
-    click.echo(f"commutator signs: {rep.commutator_signs}")
-    witness = ""
-    if rep.witness is not None:
-        i, j = rep.witness
-        witness = f"  witness: ({spec.generator_names[i]}, {spec.generator_names[j]})"
-    click.echo(f"verdict: {rep.verdict}{witness}")
+    group, report = _group_stage(ctx, spec)
+    pipeline.run_spin_stage(spec, group, report, square_sign=1 if square_plus else -1)
+    sec = report.sections["spin"]
+    if "error" in sec:
+        _fail(sec["error"])
+    if "lifts" in sec:
+        for name, lift in sec["lifts"].items():
+            click.echo(f"lift({name}) = ±({lift})")
+        click.echo(f"squares ({sec['square_convention']}): {sec['squares']}")
+        click.echo(f"commutator signs: {sec['commutator_signs']}")
+    tail = ""
+    if "witness" in sec:
+        tail = f"  witness: ({', '.join(sec['witness'])})"
+    elif "reason" in sec:
+        tail = f"  reason: {sec['reason']}"
+    click.echo(f"verdict: {sec['verdict']}{tail}")
 
 
 @main.command()
@@ -176,19 +183,18 @@ def spin(ctx, spec_path, square_plus):
 @click.pass_context
 def betti(ctx, spec_path):
     """Print orbifold and resolved Betti numbers."""
-    spec = _load(spec_path)
-    group = _build_group(ctx, spec)
-    table = forms.orbifold_betti(group)
-    inv2 = forms.invariant_forms(group, 2)
-    click.echo(f"orbifold betti: {table.b}")
-    click.echo(f"invariant 2-forms: {inv2.basis_strings() or ['none']}")
-    try:
-        cen = torus.singular_census(group)
-        cert = torus.pi1_certificate(group)
-        res = forms.resolved_betti(table, cen, cert)
-        click.echo(f"resolved: b2 = {res.b2_resolved}, b3 = {res.b3_resolved}, euler = {res.euler}")
-    except ValueError as exc:
-        click.echo(f"resolved: refused ({exc})")
+    group, report = _group_stage(ctx, _load(spec_path))
+    census = pipeline.run_census_stage(group, report)
+    cert = pipeline.run_pi1_stage(group, report)
+    pipeline.run_betti_stage(group, census, cert, report)
+    sec = report.sections["betti"]
+    click.echo(f"orbifold betti: {sec['orbifold']}")
+    click.echo(f"invariant 2-forms: {sec['invariant_two_forms'] or ['none']}")
+    res = sec["resolved"]
+    if "refused" in res:
+        click.echo(f"resolved: refused ({res['refused']})")
+    else:
+        click.echo(f"resolved: b2 = {res['b2']}, b3 = {res['b3']}, euler = {res['euler']}")
 
 
 @main.command("curvature-scan")
@@ -200,12 +206,9 @@ def curvature_scan(ctx, spec_path, csv_path):
     """Run the gluing curvature scans and write the CSV tables."""
     spec = _load(spec_path)
     if spec.gluing is None:
-        click.echo("error: spec has no gluing block", err=True)
-        sys.exit(2)
+        _fail("spec has no gluing block")
     glue = spec.gluing
-    gscan = curvature.glue_ricci_scan(
-        glue.d_values, glue.annulus_grid, workers=pipeline.thread_count()
-    )
+    gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan, glue.d_values)
     files = pipeline.write_scan_csv(gscan, mu, csv_path)
     click.echo(
@@ -223,20 +226,16 @@ def f_structure(ctx, spec_path):
     """Run the F-structure checks of the bundled atlas."""
     spec = _load(spec_path)
     if not spec.atlas:
-        click.echo("error: spec has no atlas", err=True)
-        sys.exit(2)
-    group = _build_group(ctx, spec)
-    report = pipeline.Report()
-    frep = pipeline.run_fstructure_stage(spec, group, report)
-    for row in report.sections["f_structure"]["checks"]:
+        _fail("spec has no atlas")
+    group, report = _group_stage(ctx, spec)
+    pipeline.run_fstructure_stage(spec, group, report)
+    sec = report.sections["f_structure"]
+    for row in sec["checks"]:
         detail = f"  ({row['detail']})" if row["detail"] else ""
         click.echo(f"{row['status']:4s}  {row['name']}{detail}")
-    click.echo(
-        f"polarized: {frep.polarized}  rank: {frep.rank}  overall: "
-        f"{report.sections['f_structure']['overall']}"
-    )
-    _write_json(ctx, pipeline.Report(sections=report.sections, claims=report.claims).to_json())
-    sys.exit(0 if report.sections["f_structure"]["overall"] == "PASS" else 1)
+    click.echo(f"polarized: {sec['polarized']}  rank: {sec['rank']}  overall: {sec['overall']}")
+    _write_json(ctx, pipeline.Report(sections={"f_structure": sec}, claims=report.claims).to_json())
+    sys.exit(0 if sec["overall"] == "PASS" else 1)
 
 
 @main.command()

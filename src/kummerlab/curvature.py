@@ -154,6 +154,25 @@ def christoffel(chart: MetricChart, x, halve_step: float = 1.0) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
 
 
+def _riemann_tensor(chart: MetricChart, x: np.ndarray) -> np.ndarray:
+    """R^l_{ijk} in the module convention, from differenced Christoffel symbols.
+
+    Shared by riemann() and calibration(), so it must not read the
+    calibration record.
+    """
+    h = chart.steps(x)
+    gamma = christoffel(chart, x)
+    dgamma = np.stack(
+        [_richardson_derivative(lambda p: christoffel(chart, p), x, j, h[j]) for j in range(chart.dim)]
+    )  # dgamma[j, l, i, k] = d_j G^l_{ik}
+    return (
+        -np.einsum("jlik->lijk", dgamma)
+        + np.einsum("iljk->lijk", dgamma)
+        - np.einsum("mik,ljm->lijk", gamma, gamma)
+        + np.einsum("mjk,lim->lijk", gamma, gamma)
+    )
+
+
 def riemann(
     chart: MetricChart,
     x,
@@ -171,18 +190,8 @@ def riemann(
     g(x) is used.
     """
     x = np.asarray(x, dtype=float)
-    h = chart.steps(x)
+    riem = _riemann_tensor(chart, x)
     g0 = chart.metric(x)
-    gamma = christoffel(chart, x)
-    dgamma = np.stack(
-        [_richardson_derivative(lambda p: christoffel(chart, p), x, j, h[j]) for j in range(chart.dim)]
-    )  # dgamma[j, l, i, k] = d_j G^l_{ik}
-    riem = (
-        -np.einsum("jlik->lijk", dgamma)
-        + np.einsum("iljk->lijk", dgamma)
-        - np.einsum("mik,ljm->lijk", gamma, gamma)
-        + np.einsum("mjk,lim->lijk", gamma, gamma)
-    )
     lowered = np.einsum("lm,mijk->lijk", g0, riem)
     if frame is None:
         chol = np.linalg.cholesky(g0)
@@ -293,11 +302,11 @@ class Cutoff:
 
     d: float
 
-    def jet(self, r: float) -> Jet:
-        seed = Jet.seed(r) * (1.0 / self.d)
-        num = _bump(2.0 - seed)
-        den = num + _bump(seed - 1.0)
-        return num / den
+    def jet(self, r: float | Jet) -> Jet:
+        """Cutoff jet at a radius, or composed with a radius jet."""
+        scaled = (r if isinstance(r, Jet) else Jet.seed(r)) * (1.0 / self.d)
+        num = _bump(2.0 - scaled)
+        return num / (num + _bump(scaled - 1.0))
 
     def value(self, r: float) -> float:
         return self.jet(r).value
@@ -331,12 +340,7 @@ def glued_profile(d: float) -> RadialProfile:
     """
     if d < 4:
         raise ValueError("gluing requires d >= 4 so the bolt sits inside the plateau")
-    cut = Cutoff(d=float(d))
-
-    def rho(r: Jet) -> Jet:
-        scaled = r * (1.0 / d)
-        num = _bump(2.0 - scaled)
-        return num / (num + _bump(scaled - 1.0))
+    rho = Cutoff(d=float(d)).jet
 
     def drop(r: Jet) -> Jet:
         return 1.0 - r ** (-4)
@@ -352,9 +356,7 @@ def glued_profile(d: float) -> RadialProfile:
     def C(r: Jet) -> Jet:
         return r**2
 
-    prof = RadialProfile(name=f"glued(d={d:g})", A=A, B=B, C=C, domain=(1.0, math.inf))
-    prof.cutoff = cut
-    return prof
+    return RadialProfile(name=f"glued(d={d:g})", A=A, B=B, C=C, domain=(1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,8 @@ def glued_profile(d: float) -> RadialProfile:
 
 
 def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarray:
-    """Frame curvature of the profile metric with structure constant n.
+    """Frame curvature tensor, in the module convention, of the profile
+    metric with structure constant n.
 
     The coframe is (sqrt(A) dr, sqrt(C) s1, sqrt(C) s2, sqrt(B) s3) with
     ds1 = n s2^s3 (cyclic).  Connection coefficients follow the standard
@@ -417,19 +420,18 @@ def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarr
     put(2, 3, 0, 1, N[0]); put(2, 3, 2, 3, P[0])
     put(3, 1, 0, 2, N[1]); put(3, 1, 3, 1, P[1])
     put(1, 2, 0, 3, N[2]); put(1, 2, 1, 2, P[2])
-    return w
+    # Reindex the Cartan tensor into the module convention (pair first).
+    return np.einsum("lkij->lijk", w)
 
 
 def cohomo_curvature(
     profile: RadialProfile, r: float, structure_constant: float | None = None, tol: float = 1e-6
 ) -> CurvatureSample:
     """Orthonormal-frame curvature sample of the profile metric at radius r."""
-    n = structure_constant if structure_constant is not None else calibration().structure_constant
-    w = _cohomo_frame_tensor(profile, r, n)
-    # Reindex the Cartan tensor into the module convention (pair first).
-    rm = np.einsum("lkij->lijk", w)
+    cal = calibration()
+    n = structure_constant if structure_constant is not None else cal.structure_constant
     return _sample_from_frame_tensor(
-        r, rm, tol, ric_sign=calibration().contraction_sign
+        r, _cohomo_frame_tensor(profile, r, n), tol, ric_sign=cal.contraction_sign
     )
 
 
@@ -578,11 +580,11 @@ def calibration() -> CalibrationRecord:
     ric_res = math.inf
     for n in (-2.0, -1.0):
         fr = max(
-            _sample_from_frame_tensor(r, np.einsum("lkij->lijk", _cohomo_frame_tensor(flat, r, n)), 1e-6).rm_norm
+            _sample_from_frame_tensor(r, _cohomo_frame_tensor(flat, r, n), 1e-6).rm_norm
             for r in (0.7, 2.0, 11.0)
         )
         rr = max(
-            _sample_from_frame_tensor(r, np.einsum("lkij->lijk", _cohomo_frame_tensor(ale, r, n)), 1e-6).ric_norm
+            _sample_from_frame_tensor(r, _cohomo_frame_tensor(ale, r, n), 1e-6).ric_norm
             for r in (1.5, 3.0, 9.0)
         )
         if fr < 1e-6 and rr < 1e-6:
@@ -591,20 +593,7 @@ def calibration() -> CalibrationRecord:
     if chosen is None:
         raise RuntimeError("coframe calibration failed: no candidate normalization passed")
 
-    chart = sphere_chart(2.0)
-    x = np.array([1.0, 0.3])
-    gamma = christoffel(chart, x)
-    h = chart.steps(x)
-    dgamma = np.stack(
-        [_richardson_derivative(lambda p: christoffel(chart, p), x, j, h[j]) for j in range(chart.dim)]
-    )
-    riem = (
-        -np.einsum("jlik->lijk", dgamma)
-        + np.einsum("iljk->lijk", dgamma)
-        - np.einsum("mik,ljm->lijk", gamma, gamma)
-        + np.einsum("mjk,lim->lijk", gamma, gamma)
-    )
-    ric = np.einsum("llik->ik", riem)
+    ric = np.einsum("llik->ik", _riemann_tensor(sphere_chart(2.0), np.array([1.0, 0.3])))
     positive = bool(ric[0, 0] > 0 and ric[1, 1] > 0)
     sign = 1 if positive else -1
     return CalibrationRecord(
@@ -702,25 +691,18 @@ def _annulus_sup(d: float, grid_points: int) -> tuple[float, float, float]:
     return best_r, best_ric, best_rm
 
 
-def glue_ricci_scan(d_values, grid_points: int = 512, workers: int | None = None) -> ScanResult:
+def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     """Sup of |Ric| (and |Rm|) of the glued profile over the annulus [d, 2d].
 
     The sup is taken on a geometric r-grid per d; the argmax radius is
-    reported alongside.  workers > 1 fans the d values out to a thread
-    pool; assembly stays ordered, so the result is identical either way.
+    reported alongside.  The scan runs serially: it is pure-Python jet
+    arithmetic that holds the GIL, so threads only add overhead.
     """
     d_values = [float(d) for d in d_values]
     _require_geometric(d_values, "gluing scan d values")
     if any(d < 4 for d in d_values):
         raise ValueError("gluing requires d >= 4")
-    calibration()  # pin the cached record before any worker needs it
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda d: _annulus_sup(d, grid_points), d_values))
-    else:
-        rows = [_annulus_sup(d, grid_points) for d in d_values]
+    rows = [_annulus_sup(d, grid_points) for d in d_values]
     out = ScanResult(parameter_name="d", parameters=d_values)
     out.add("r_sup", [r[0] for r in rows], fit=False)
     out.add("sup_ric_annulus", [r[1] for r in rows])

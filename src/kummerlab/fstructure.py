@@ -92,7 +92,7 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _torus_dist_sq(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> Fraction:
+def _torus_dist_sq(p, q) -> Fraction:
     total = Fraction(0)
     for a, b in zip(p, q):
         d = abs((a - b) % 1)
@@ -324,12 +324,25 @@ def actions_commute(a: TorusActionSymbol, b: TorusActionSymbol) -> bool:
 
 
 def _overlap_nonempty(c1: ChartSpec, c2: ChartSpec) -> bool:
+    """Whether two charts meet, decided exactly for two ball charts.
+
+    A ball chart's tube constrains only its two coordinates, so two tubes
+    meet iff some pair of centers, projected to the coordinates the two
+    pairs share, are closer than the radius sum: in the plane when the
+    pairs agree (in either order), in the one shared coordinate, or
+    always when no coordinate is shared.
+    """
     if c1.kind != "ball" or c2.kind != "ball":
         return True  # complement/full charts meet everything in our atlases
-    if c1.constrained != c2.constrained:
-        return True  # different planes: tubes generically intersect
+    shared = [a for a in c1.constrained if a in c2.constrained]
+    if not shared:
+        return True
+    at1 = [c1.constrained.index(a) for a in shared]
+    at2 = [c2.constrained.index(a) for a in shared]
     mind = min(
-        _torus_dist_sq(p, q) for p in c1.centers for q in c2.centers
+        _torus_dist_sq([p[k] for k in at1], [q[k] for k in at2])
+        for p in c1.centers
+        for q in c2.centers
     )
     return mind < (c1.epsilon + c2.epsilon) ** 2
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -98,17 +97,6 @@ def _normalize(obj):
     if isinstance(obj, float):
         return _round_sig(obj)
     return str(obj)
-
-
-def thread_count() -> int | None:
-    """Optional worker override via KUMMERLAB_THREADS; absence means auto."""
-    raw = os.environ.get("KUMMERLAB_THREADS")
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _component_dict(comp: torus.FixedComponent) -> dict:
@@ -252,7 +240,7 @@ def run_betti_stage(group, census, cert, report: Report):
         except ValueError as exc:
             section["resolved"] = {"refused": str(exc)}
     elif census is None:
-        section["resolved"] = {"refused": "census unavailable"}
+        section["resolved"] = {"refused": f"census unavailable: {report.sections['census']['error']}"}
     if resolved is not None:
         section["resolved"] = {
             "b2": resolved.b2_resolved,
@@ -265,7 +253,7 @@ def run_betti_stage(group, census, cert, report: Report):
     return table, resolved
 
 
-def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale: float, workers=None):
+def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale: float):
     glue = spec.gluing
     cal = curvature.calibration()
     section: dict = {
@@ -309,7 +297,7 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
         value=rm.slope, expected=t, tolerance=w * tolerance_scale,
     )
 
-    gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid, workers=workers)
+    gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan, glue.d_values)
     sup_ric = gscan.series["sup_ric_annulus"]
     resc = mu.series["rescaled_sup_ric"]
@@ -443,8 +431,6 @@ def run_all(
     spec: ConstructionSpec,
     tolerance_scale: float = 1.0,
     max_group_order: int = 1024,
-    workers: int | None = None,
-    include_curvature: bool = True,
 ) -> Report:
     """Execute every stage the spec enables and return the report."""
     report = Report()
@@ -461,16 +447,14 @@ def run_all(
         },
         "tolerance_scale": tolerance_scale,
     }
-    if workers is None:
-        workers = thread_count()
 
     group = run_group_stage(spec, report, max_group_order)
     census = run_census_stage(group, report)
     cert = run_pi1_stage(group, report)
     spin_rep = run_spin_stage(spec, group, report)
     _table, resolved = run_betti_stage(group, census, cert, report)
-    if spec.gluing is not None and include_curvature:
-        run_curvature_stage(spec, report, tolerance_scale, workers=workers)
+    if spec.gluing is not None:
+        run_curvature_stage(spec, report, tolerance_scale)
     frep = None
     if spec.atlas:
         frep = run_fstructure_stage(spec, group, report)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from kummerlab.cli import bundled_examples, main
 
 EXAMPLE_A = bundled_examples()["example-a.spec"]
 EXAMPLE_B = bundled_examples()["example-b.spec"]
+FOUR_CHART = str(Path(__file__).resolve().parent / "data" / "example-b-four-chart.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -103,6 +106,15 @@ def test_betti_command():
     assert "b2 = 17" in result.output
 
 
+def test_betti_refusal_carries_the_census_error(tmp_path):
+    spec = tmp_path / "tori.spec"
+    spec.write_text("version 1\ndimension 5\n\n[generator s]\ndiag -1 -1 1 1 1\ntranslation 0 0 0 0 0\n")
+    result = CliRunner().invoke(main, ["betti", str(spec)])
+    assert result.exit_code == 0, result.output
+    assert "orbifold betti: [1, 3, 4, 4, 3, 1]" in result.output
+    assert "resolved: refused (census unavailable: circles-only census requested" in result.output
+
+
 def test_curvature_scan_writes_both_tables(tmp_path):
     spec = trimmed_spec(tmp_path)
     target = tmp_path / "scan.csv"
@@ -139,3 +151,72 @@ def test_parse_errors_exit_two(tmp_path):
     assert "not a flat-torus isometry" in result.output
     missing = CliRunner().invoke(main, ["verify", str(tmp_path / "nope.spec")])
     assert missing.exit_code == 2
+
+
+def order32_spec(tmp_path: Path) -> str:
+    """example-a's generators plus a quarter translation along alpha's circle: exponent 4."""
+    text = Path(EXAMPLE_A).read_text().split("[gluing]")[0]
+    target = tmp_path / "order32.spec"
+    target.write_text(text + "[generator tau]\ndiag 1 1 1 1 1\ntranslation 1/4 0 0 0 0\n")
+    return str(target)
+
+
+def test_spin_unsupported_beyond_elementary_abelian_groups(tmp_path):
+    # s squares to the translation by 1/2 along e3: an element of order 4.
+    spec = tmp_path / "order4.spec"
+    spec.write_text("version 1\ndimension 3\n\n[generator s]\ndiag -1 -1 1\ntranslation 0 0 1/4\n")
+    result = CliRunner().invoke(main, ["spin", str(spec)])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("verdict: UNSUPPORTED  reason: group has exponent 4;")
+    assert "lift(" not in result.output
+
+
+def test_spin_non_diagonal_generator_is_input_error(tmp_path):
+    spec = tmp_path / "swap.spec"
+    spec.write_text("version 1\ndimension 2\n\n[generator s]\nrow 0 1\nrow 1 0\ntranslation 0 0\n")
+    result = CliRunner().invoke(main, ["spin", str(spec)])
+    assert result.exit_code == 2
+    assert result.output == "error: diagonal entries must be +1 or -1\n"
+
+
+@pytest.mark.parametrize("command", ["fixed-locus", "census", "spin", "betti", "f-structure"])
+def test_subcommand_group_cap_is_input_error(command):
+    result = CliRunner().invoke(main, ["--max-group-order", "4", command, EXAMPLE_A])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "error: group closure exceeded the cap of 4 elements" in result.output
+
+
+@pytest.mark.parametrize("which", ["example-a", "example-b", "four-chart", "order32"])
+def test_subcommands_print_the_verify_sections(which, tmp_path):
+    spec = {"example-a": EXAMPLE_A, "example-b": EXAMPLE_B, "four-chart": FOUR_CHART}.get(which)
+    spec = spec or order32_spec(tmp_path)
+    runner = CliRunner()
+    out = tmp_path / "report.json"
+    runner.invoke(main, ["--json", str(out), "verify", spec])
+    report = json.loads(out.read_text())
+
+    def lines(command):
+        result = runner.invoke(main, [command, spec])
+        assert result.exit_code in (0, 1), result.output
+        return result.output.splitlines()
+
+    assert lines("spin")[-1].split()[:2] == ["verdict:", report["spin"]["verdict"]]
+
+    census, section = lines("census"), report["census"]
+    assert census[0] == (
+        f"{section['total_components']} components in {section['orbit_count']} orbits "
+        f"(sizes {sorted(section['orbit_sizes'])})"
+    )
+    assert [int(row.split()[2]) for row in census[1:]] == section["orbit_sizes"]
+
+    betti, section = lines("betti"), report["betti"]
+    resolved = section["resolved"]
+    assert betti[0] == f"orbifold betti: {section['orbifold']}"
+    assert betti[2] == (
+        f"resolved: b2 = {resolved['b2']}, b3 = {resolved['b3']}, euler = {resolved['euler']}"
+    )
+
+    if "f_structure" in report:
+        rows = [row.split()[:2] for row in lines("f-structure")[:-1]]
+        assert rows == [[c["status"], c["name"]] for c in report["f_structure"]["checks"]]

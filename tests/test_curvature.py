@@ -213,12 +213,6 @@ def test_glue_scan_grid_doubling_stability():
         assert abs(a - b) / b < 0.01
 
 
-def test_glue_scan_workers_deterministic():
-    seq = glue_ricci_scan([10, 20, 40, 80], grid_points=128)
-    par = glue_ricci_scan([10, 20, 40, 80], grid_points=128, workers=4)
-    assert seq.series["sup_ric_annulus"].values == par.series["sup_ric_annulus"].values
-
-
 def test_glued_metric_euclidean_outside():
     prof = glued_profile(40.0)
     for r in np.geomspace(2.5 * 40.0, 3 * 40.0, 16):

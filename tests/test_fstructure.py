@@ -12,6 +12,7 @@ from kummerlab.fstructure import (
     check_locally_free,
     extend_rule,
     verify_f_structure,
+    _overlap_nonempty,
     _torus_dist_sq,
 )
 from kummerlab.torus import AffineIsometry, generate_group
@@ -159,3 +160,37 @@ def test_extend_rule_requires_generating_set(group_a):
         extend_rule(group_a, {"alpha": (1,)})
     with pytest.raises(ValueError, match="unknown"):
         extend_rule(group_a, {"nope": (1,)})
+
+
+def ball(pair, *centers):
+    return ChartSpec(
+        name=f"W{pair}",
+        action=TorusActionSymbol((1,)),
+        constrained=pair,
+        centers=tuple(tuple(Fraction(x) for x in c) for c in centers),
+        epsilon=Fraction(1, 128),
+    )
+
+
+def test_overlap_decided_exactly_across_planes():
+    w = ball((3, 5), (0, "1/4"))
+    # Same pair in either order: compare the centers after aligning coordinates.
+    assert _overlap_nonempty(w, ball((5, 3), ("1/4", "1/128")))
+    assert _overlap_nonempty(w, ball((3, 5), ("127/128", "1/4")))  # across the seam
+    assert not _overlap_nonempty(w, ball((5, 3), (0, "1/4")))
+    assert not _overlap_nonempty(w, ball((3, 5), ("1/64", "1/4")))  # tangent open tubes
+    # One shared coordinate: only x3 constrains both tubes.
+    assert _overlap_nonempty(w, ball((4, 3), ("1/2", "1/100")))
+    assert not _overlap_nonempty(w, ball((3, 4), ("1/4", 0), ("3/4", "1/2")))
+    assert not _overlap_nonempty(w, ball((3, 4), ("1/64", 0)))
+    # No shared coordinate: the tubes always meet.
+    assert _overlap_nonempty(w, ball((1, 2), ("1/2", "1/2")))
+
+
+def test_four_chart_atlas_overlap_rows(spec_b_four_chart, group_b):
+    rep = verify_f_structure(
+        spec_b_four_chart.atlas, group_b, rules_for(spec_b_four_chart, group_b)
+    )
+    # W_a and W_b (on x3, x5) have x3 centers 1/4 away from W_c's (on x3, x4).
+    assert [c.name for c in rep.overlap] == ["overlap[W_a&V]", "overlap[W_b&V]", "overlap[W_c&V]"]
+    assert rep.passed

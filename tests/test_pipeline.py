@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,7 @@ translation 0 0 0 0 0
 
 
 def test_run_all_first_example(spec_a):
-    report = pipeline.run_all(spec_a, include_curvature=False)
+    report = pipeline.run_all(dataclasses.replace(spec_a, gluing=None))
     assert report.overall == "PASS"
     census = report.sections["census"]
     assert census["total_components"] == 48
@@ -31,7 +32,7 @@ def test_run_all_first_example(spec_a):
 
 
 def test_run_all_second_example_documents_atlas_defect(spec_b):
-    report = pipeline.run_all(spec_b, include_curvature=False)
+    report = pipeline.run_all(dataclasses.replace(spec_b, gluing=None))
     assert report.overall == "FAIL"
     failing = [c.name for c in report.claims if not c.passed]
     assert failing == ["f_structure.conditions"]
@@ -63,8 +64,8 @@ def test_expected_mismatch_fails():
 
 
 def test_report_json_deterministic(spec_a):
-    r1 = pipeline.run_all(spec_a, include_curvature=False).to_json()
-    r2 = pipeline.run_all(spec_a, include_curvature=False).to_json()
+    r1 = pipeline.run_all(dataclasses.replace(spec_a, gluing=None)).to_json()
+    r2 = pipeline.run_all(dataclasses.replace(spec_a, gluing=None)).to_json()
     assert r1 == r2
     payload = json.loads(r1)
     assert payload["overall"] == "PASS"
@@ -72,17 +73,8 @@ def test_report_json_deterministic(spec_a):
 
 
 def test_tolerance_scale_widens_windows(spec_a):
-    report = pipeline.run_all(spec_a, include_curvature=False, tolerance_scale=2.0)
+    report = pipeline.run_all(dataclasses.replace(spec_a, gluing=None), tolerance_scale=2.0)
     assert report.sections["spec"]["tolerance_scale"] == 2.0
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("KUMMERLAB_THREADS", raising=False)
-    assert pipeline.thread_count() is None
-    monkeypatch.setenv("KUMMERLAB_THREADS", "3")
-    assert pipeline.thread_count() == 3
-    monkeypatch.setenv("KUMMERLAB_THREADS", "junk")
-    assert pipeline.thread_count() is None
 
 
 def test_write_scan_csv(tmp_path):

@@ -117,20 +117,6 @@ def invariant_forms(group: GroupTable, k: int) -> InvariantSubspace:
     return InvariantSubspace(k, len(vectors), vectors, basis)
 
 
-def averaging_projector(group: GroupTable, k: int) -> list[list[Fraction]]:
-    """P = (1/|G|) sum of induced actions; exact rational entries."""
-    n = group.dim
-    size = len(form_basis(n, k))
-    total = [[0] * size for _ in range(size)]
-    for el in group.elements:
-        rho = induced_action(el.linear, k)
-        for r in range(size):
-            for c in range(size):
-                total[r][c] += rho[r][c]
-    order = group.order
-    return [[Fraction(total[r][c], order) for c in range(size)] for r in range(size)]
-
-
 def burnside_dimension(group: GroupTable, k: int) -> Fraction:
     """Average of the induced-action traces; must equal the fixed dimension."""
     tot = 0

@@ -487,29 +487,29 @@ def verify_f_structure(
     report.polarized = lf_all
     report.rank = min(dims) if dims else None
 
-    for i, c1 in enumerate(atlas):
-        for c2 in atlas[i + 1 :]:
-            if _overlap_nonempty(c1, c2):
-                ok = actions_commute(c1.action, c2.action)
-                report.overlap.append(
-                    CheckResult(
-                        f"overlap[{c1.name}&{c2.name}]",
-                        ok,
-                        "lifted translation actions commute" if ok else "actions do not commute",
-                    )
-                )
+    meeting = [
+        (c1, c2) for i, c1 in enumerate(atlas) for c2 in atlas[i + 1 :] if _overlap_nonempty(c1, c2)
+    ]
+    for c1, c2 in meeting:
+        ok = actions_commute(c1.action, c2.action)
+        report.overlap.append(
+            CheckResult(
+                f"overlap[{c1.name}&{c2.name}]",
+                ok,
+                "lifted translation actions commute" if ok else "actions do not commute",
+            )
+        )
 
-    balls = [c for c in atlas if c.kind == "ball"]
-    dis_ok, detail = True, "pairwise center distance exceeds the radius sum"
-    for i, c1 in enumerate(balls):
-        for c2 in balls[i + 1 :]:
-            if c1.constrained == c2.constrained:
-                mind = min(_torus_dist_sq(p, q) for p in c1.centers for q in c2.centers)
-                if mind <= (c1.epsilon + c2.epsilon) ** 2:
-                    dis_ok, detail = False, f"{c1.name} and {c2.name} overlap"
-    report.disjointness = CheckResult("disjointness", dis_ok, detail)
+    clash = next(((c1, c2) for c1, c2 in meeting if c1.kind == c2.kind == "ball"), None)
+    report.disjointness = CheckResult(
+        "disjointness",
+        clash is None,
+        "pairwise center distance exceeds the radius sum"
+        if clash is None
+        else f"{clash[0].name} and {clash[1].name} overlap",
+    )
 
-    for chart in balls:
+    for chart in (c for c in atlas if c.kind == "ball"):
         clash = [i for i in chart.action.directions if i in (chart.constrained or ())]
         report.surgery_flags.append(
             CheckResult(

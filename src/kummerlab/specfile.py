@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from .fstructure import ChartSpec, TorusActionSymbol
 from .torus import AffineIsometry
@@ -293,6 +294,10 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
 
 
 def parse_construction(path) -> ConstructionSpec:
-    """Parse and validate a construction spec file."""
+    """Parse and validate a construction spec file.
+
+    The spec's source is the file name, so a report does not depend on the
+    directory the file was named from.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_construction_text(fh.read(), source=str(path))
+        return parse_construction_text(fh.read(), source=Path(path).name)

@@ -3,21 +3,27 @@
 The oracle functions here deliberately avoid the library's own solution
 paths: fixed points are found by exhaustive rational-grid scanning with
 union-find connectivity, Clifford products by one-transposition bubbling,
-and group closures by repeated multiplication until stable.
+group closures by repeated multiplication until stable, Euler-chart
+Christoffel symbols from analytic derivatives, and invariant forms through
+the averaging projector.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import itertools
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kummerlab.cli import bundled_examples
+from kummerlab.curvature import Cutoff, RadialProfile
+from kummerlab.forms import form_basis, induced_action
 from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
 from kummerlab.specfile import parse_construction
-from kummerlab.torus import AffineIsometry, compose, generate_group
+from kummerlab.torus import AffineIsometry, GroupTable, compose, generate_group
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -244,3 +250,77 @@ def random_involution(rng, n: int, denominators=(2, 4)) -> AffineIsometry:
         f = AffineIsometry(tuple(tuple(r) for r in linear), trans)
         if compose(f, f).is_identity() and not f.is_identity():
             return f
+
+
+# ---------------------------------------------------------------------------
+# Curvature oracles: analytic Euler-chart Christoffel symbols, constant
+# rescaling of a profile, and the measured cutoff derivative constants.
+
+
+def euler_chart_christoffel_exact(profile: RadialProfile, x) -> np.ndarray:
+    """Christoffel symbols of the Euler chart from analytic derivatives.
+
+    Radial derivatives come from profile jets and angular derivatives from
+    the explicit trigonometric dependence; no finite differencing, so this
+    is an independent oracle for the chart engine.
+    """
+    r_, th = float(x[0]), float(x[1])
+    Aj, Bj, Cj = profile.at(r_)
+    a, b, c = Aj.value, Bj.value, Cj.value
+    da, db, dc = Aj.derivative(1), Bj.derivative(1), Cj.derivative(1)
+    st, ct = math.sin(th), math.cos(th)
+
+    g = np.zeros((4, 4))
+    g[0, 0] = a
+    g[1, 1] = c / 4.0
+    g[2, 2] = (c * st * st + b * ct * ct) / 4.0
+    g[2, 3] = g[3, 2] = b * ct / 4.0
+    g[3, 3] = b / 4.0
+
+    dg = np.zeros((4, 4, 4))  # dg[l, i, j] = d_l g_ij
+    dg[0, 0, 0] = da
+    dg[0, 1, 1] = dc / 4.0
+    dg[0, 2, 2] = (dc * st * st + db * ct * ct) / 4.0
+    dg[0, 2, 3] = dg[0, 3, 2] = db * ct / 4.0
+    dg[0, 3, 3] = db / 4.0
+    dg[1, 2, 2] = (c - b) * 2.0 * st * ct / 4.0
+    dg[1, 2, 3] = dg[1, 3, 2] = -b * st / 4.0
+
+    sym = dg + np.einsum("jil->ijl", dg) - np.einsum("lij->ijl", dg)
+    ginv = np.linalg.inv(g)
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
+
+
+def scale_profile(profile: RadialProfile, c2: float, name: str | None = None) -> RadialProfile:
+    """Profile of the metric multiplied by the constant factor c2."""
+    return RadialProfile(
+        name=name or f"{profile.name}*{c2}",
+        A=lambda r: profile.A(r) * c2,
+        B=lambda r: profile.B(r) * c2,
+        C=lambda r: profile.C(r) * c2,
+        domain=profile.domain,
+    )
+
+
+def cutoff_derivative_bounds(cut: Cutoff, samples: int = 2048) -> dict[int, float]:
+    """Measured constants c_m = sup |D^m rho_d| * d^m over the ramp, m = 1..4."""
+    jet = cut.jet(np.linspace(cut.d, 2.0 * cut.d, samples))
+    return {m: float(np.max(np.abs(jet.derivative(m)))) * cut.d**m for m in range(1, 5)}
+
+
+# ---------------------------------------------------------------------------
+# Averaging projector on constant k-forms.
+
+
+def averaging_projector(group: GroupTable, k: int) -> list[list[Fraction]]:
+    """P = (1/|G|) sum of induced actions; exact rational entries."""
+    n = group.dim
+    size = len(form_basis(n, k))
+    total = [[0] * size for _ in range(size)]
+    for el in group.elements:
+        rho = induced_action(el.linear, k)
+        for r in range(size):
+            for c in range(size):
+                total[r][c] += rho[r][c]
+    order = group.order
+    return [[Fraction(total[r][c], order) for c in range(size)] for r in range(size)]

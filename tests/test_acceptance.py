@@ -19,11 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import naive_clifford_product
+from conftest import averaging_projector, naive_clifford_product
 from kummerlab import curvature as curv
 from kummerlab.clifford import all_monomials, clifford_mul, lift_diagonal
 from kummerlab.forms import (
-    averaging_projector,
     burnside_dimension,
     invariant_forms,
     orbifold_betti,

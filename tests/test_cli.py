@@ -59,6 +59,18 @@ def test_verify_json_report_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_verify_json_report_independent_of_working_directory(tmp_path, monkeypatch):
+    spec = Path(trimmed_spec(tmp_path))
+    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
+    monkeypatch.chdir(tmp_path)
+    r1 = CliRunner().invoke(main, ["--json", str(out1), "verify", spec.name])
+    monkeypatch.chdir(tmp_path.parent)
+    r2 = CliRunner().invoke(main, ["--json", str(out2), "verify", str(Path(tmp_path.name) / spec.name)])
+    assert r1.exit_code == 0 and r2.exit_code == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["spec"]["source"] == "trimmed.spec"
+
+
 def test_verify_group_cap_is_input_error():
     result = CliRunner().invoke(main, ["--max-group-order", "4", "verify", EXAMPLE_A])
     assert result.exit_code == 2

@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from conftest import cutoff_derivative_bounds, euler_chart_christoffel_exact, scale_profile
+from kummerlab import curvature
 from kummerlab.curvature import (
     DIAM_BOUND_FORMULA,
     MetricChart,
     NotPositiveDefinite,
+    RadialProfile,
     calibration,
     christoffel,
     cohomo_curvature,
@@ -16,7 +19,6 @@ from kummerlab.curvature import (
     euclidean_chart,
     euclidean_profile,
     euler_chart,
-    euler_chart_christoffel_exact,
     euler_coframe,
     fit_loglog,
     glue_ricci_scan,
@@ -24,10 +26,12 @@ from kummerlab.curvature import (
     make_cutoff,
     mu_report,
     riemann,
-    scale_profile,
     sphere_chart,
+    _annulus_sup,
+    _frame_norms,
     _richardson_derivative,
 )
+from kummerlab.jets import Jet
 
 EH_POINT = [3.0, 1.0, 0.7, 0.9]
 
@@ -117,9 +121,9 @@ def test_eh_profile_ricci_flat():
 
 def test_cutoff_plateaus_and_monotone():
     cut = make_cutoff(7.0)
-    assert cut.value(3.5) == 1.0
-    assert cut.value(21.0) == 0.0
-    values = [cut.value(r) for r in np.linspace(7.0, 14.0, 100)]
+    assert cut.jet(3.5).value == 1.0
+    assert cut.jet(21.0).value == 0.0
+    values = [cut.jet(float(r)).value for r in np.linspace(7.0, 14.0, 100)]
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert 0.0 <= min(values) and max(values) <= 1.0
 
@@ -129,9 +133,9 @@ def test_cutoff_derivative_bound_scales():
     for d in (10.0, 40.0, 160.0):
         cut = make_cutoff(d)
         rs = np.linspace(d, 2 * d, 400)
-        sups.append(max(abs(cut.derivative(float(r), 1)) for r in rs) * d)
+        sups.append(max(abs(cut.jet(float(r)).derivative(1)) for r in rs) * d)
     assert max(sups) / min(sups) < 1.01
-    bounds = make_cutoff(5.0).derivative_bounds(samples=256)
+    bounds = cutoff_derivative_bounds(make_cutoff(5.0), samples=256)
     assert set(bounds) == {1, 2, 3, 4}
     assert all(v > 0 for v in bounds.values())
 
@@ -279,3 +283,78 @@ def test_fit_loglog_validation():
     slope, intercept, residual = fit_loglog([1, 2, 4, 8], [2.0, 1.0, 0.5, 0.25])
     assert abs(slope - (-1.0)) < 1e-12
     assert residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The array-jet annulus scan against the per-radius scalar reference.
+
+
+def annulus_sup_reference(d, grid_points):
+    """The per-radius scalar-jet loop: one dense curvature sample per radius."""
+    prof = glued_profile(d)
+    grid = np.geomspace(d, 2.0 * d, grid_points)
+    best_r, best_ric, best_rm = float(grid[0]), -1.0, -1.0
+    for r in grid:
+        sample = cohomo_curvature(prof, float(r))
+        if sample.ric_norm > best_ric:
+            best_ric, best_r = sample.ric_norm, float(r)
+        best_rm = max(best_rm, sample.rm_norm)
+    return best_r, best_ric, best_rm
+
+
+@pytest.mark.parametrize("grid_points", [64, 512, 2048])
+@pytest.mark.parametrize("d", [4.0, 5.25, 10.0, 160.0])
+def test_annulus_sup_matches_per_radius_reference(d, grid_points):
+    r_sup, ric, rm = _annulus_sup(d, grid_points)
+    ref_r, ref_ric, ref_rm = annulus_sup_reference(d, grid_points)
+    assert r_sup == ref_r
+    assert abs(ric - ref_ric) <= 1e-12 * ref_ric
+    assert abs(rm - ref_rm) <= 1e-12 * ref_rm
+
+
+@pytest.mark.parametrize(
+    "prof", [eh_profile(), glued_profile(10.0), glued_profile(6.5), euclidean_profile()],
+    ids=lambda p: p.name,
+)
+def test_closed_form_norms_match_dense_samples(prof):
+    radii = np.sort(np.random.default_rng(7).uniform(1.2, 40.0, 96))
+    ric, rm = _frame_norms(prof, radii)
+    samples = [cohomo_curvature(prof, float(r)) for r in radii]
+    scale = max(max(s.rm_norm for s in samples), 1.0)
+    for i, s in enumerate(samples):
+        assert abs(ric[i] - s.ric_norm) <= 1e-12 * scale
+        assert abs(rm[i] - s.rm_norm) <= 1e-12 * scale
+
+
+def test_frame_norms_name_the_bad_radius():
+    radii = np.array([2.0, 3.0, 0.5, 0.25])
+    with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
+        _frame_norms(eh_profile(), radii)
+    with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
+        cohomo_curvature(eh_profile(), 0.5)
+    negative = RadialProfile("dented", lambda r: Jet.const(1.0), lambda r: 7.0 - r, lambda r: r**2, (0.0, math.inf))
+    with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
+        _frame_norms(negative, np.array([1.0, 6.5, 7.5, 8.0]))
+    with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
+        cohomo_curvature(negative, 7.5)
+
+
+@pytest.mark.parametrize("grid_points", [64, 2048])
+def test_glue_scan_evaluates_each_annulus_in_one_pass(grid_points, monkeypatch):
+    calibration()  # cached; its scalar samples must not count below
+    calls = []
+
+    def counting(attr):
+        original = getattr(curvature, attr)
+
+        def counted(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(curvature, attr, counted)
+
+    counting("cohomo_curvature")
+    counting("_cartan_coefficients")
+    glue_ricci_scan([10, 20, 40, 80, 160], grid_points=grid_points)
+    assert calls.count("cohomo_curvature") == 0
+    assert calls.count("_cartan_coefficients") == 5

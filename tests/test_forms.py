@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import averaging_projector
 from kummerlab.forms import (
     BettiTable,
-    averaging_projector,
     burnside_dimension,
     form_basis,
     induced_action,

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,21 @@ def test_four_chart_atlas_overlap_rows(spec_b_four_chart, group_b):
     # W_a and W_b (on x3, x5) have x3 centers 1/4 away from W_c's (on x3, x4).
     assert [c.name for c in rep.overlap] == ["overlap[W_a&V]", "overlap[W_b&V]", "overlap[W_c&V]"]
     assert rep.passed
+
+
+def named(chart, name):
+    return dataclasses.replace(chart, name=name)
+
+
+def test_disjointness_fails_iff_some_ball_pair_overlaps(group_a):
+    # Tubes on disjoint coordinate pairs always meet.
+    rep = verify_f_structure(
+        [named(ball((2, 3), (0, 0)), "W1"), named(ball((4, 5), ("1/2", "1/2")), "W2")], group_a
+    )
+    assert not rep.disjointness.passed
+    assert rep.disjointness.detail == "W1 and W2 overlap"
+    # Tangent open tubes do not meet: disjointness agrees with the overlap rows.
+    w = ball((3, 5), (0, "1/4"))
+    for other in (ball((3, 5), ("1/64", "1/4")), ball((5, 3), ("1/4", "1/128")), ball((3, 4), ("1/64", 0))):
+        rep = verify_f_structure([named(w, "W1"), named(other, "W2")], group_a)
+        assert rep.disjointness.passed == (not rep.overlap) == (not _overlap_nonempty(w, other))

@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+import pytest
+
 from kummerlab.jets import Jet
 
 
@@ -62,3 +65,58 @@ def test_composite_matches_finite_differences():
     jet = build(x)
     assert abs(jet.derivative(1) - fd_derivative(f, x, 1)) < 1e-7
     assert abs(jet.derivative(2) - fd_derivative(f, x, 2, h=1e-3)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# Array-valued jets: entry i of an array result is the float result at i.
+
+
+def seeded_points(n=257, lo=0.3, hi=7.0, seed=11):
+    return np.random.default_rng(seed).uniform(lo, hi, n)
+
+
+def assert_entrywise_bitwise(array_jet, scalar_jets):
+    for k in range(5):
+        coeff = np.broadcast_to(array_jet.coeffs[k], (len(scalar_jets),))
+        expected = np.array([j.coeffs[k] for j in scalar_jets])
+        assert np.array_equal(coeff, expected), f"coefficient {k}"
+        assert all(type(j.coeffs[k]) is float for j in scalar_jets)
+
+
+OPERATIONS = {
+    "add": lambda x, y: x + y + 1.5,
+    "sub": lambda x, y: 2.0 - x - y,
+    "mul": lambda x, y: x * y * 0.7,
+    "div": lambda x, y: (1.0 + x) / y / 3.0,
+    "pow": lambda x, y: x**3 - y ** (-4),
+    "sqrt": lambda x, y: (x * y + 1.0).sqrt(),
+    "exp": lambda x, y: (-1.0 / x).exp() + (y * 0.1).exp(),
+    "deriv_jet": lambda x, y: ((1.0 + x**2) / y).deriv_jet(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_array_jet_matches_scalar_jets_bitwise(name):
+    op = OPERATIONS[name]
+    xs, ys = seeded_points(seed=11), seeded_points(seed=12)
+    # y carries array coefficients beyond the value too.
+    y_arr = (Jet.seed(ys) * 0.5).exp() + Jet.seed(ys)
+    got = op(Jet.seed(xs), y_arr)
+    want = [op(Jet.seed(x), (Jet.seed(y) * 0.5).exp() + Jet.seed(y)) for x, y in zip(xs, ys)]
+    assert_entrywise_bitwise(got, want)
+
+
+def test_array_jet_error_paths_match_scalar():
+    xs = np.array([2.0, 1.0, -3.0, 1.0])
+    with pytest.raises(ZeroDivisionError, match="jet division by zero value at entry 1"):
+        Jet.const(1.0) / (Jet.seed(xs) - 1.0)
+    with pytest.raises(ZeroDivisionError, match="jet division by zero value$"):
+        Jet.const(1.0) / (Jet.seed(1.0) - 1.0)
+    with pytest.raises(ValueError, match="jet sqrt of a nonpositive value at entry 2"):
+        Jet.seed(xs).sqrt()
+    with pytest.raises(ValueError, match="jet sqrt of a nonpositive value$"):
+        Jet.seed(-3.0).sqrt()
+    with pytest.raises(OverflowError):
+        Jet.seed(np.array([1.0, 800.0])).exp()
+    with pytest.raises(OverflowError):
+        Jet.seed(800.0).exp()

@@ -10,10 +10,10 @@ add one 2-class per grafted singular circle orbit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import kernel_basis
+from .intlinalg import hermite_row_basis, kernel_basis
 from .torus import GroupTable, Pi1Certificate, SingularCensus
 
 MultiIndex = tuple[int, ...]
@@ -95,17 +95,17 @@ def form_to_string(coeffs, basis: list[MultiIndex]) -> str:
 def invariant_forms(group: GroupTable, k: int) -> InvariantSubspace:
     """Simultaneous fixed subspace of the induced actions of all elements.
 
-    Solved as one integer kernel: stack rho(g) - I over the non-identity
-    elements and take the saturated kernel basis.
+    A form fixed by the generators is fixed by the group, so this is one
+    integer kernel: stack rho(g) - I over the distinct generator elements
+    and take the saturated kernel.  Its basis is returned in Hermite form,
+    which depends only on the kernel lattice, not on the stack.
     """
     n = group.dim
     basis = form_basis(n, k)
     size = len(basis)
     stacked: list[list[int]] = []
-    for i, el in enumerate(group.elements):
-        if i == 0:
-            continue
-        rho = induced_action(el.linear, k)
+    for g in group.generator_indices:
+        rho = induced_action(group.elements[g].linear, k)
         for r in range(size):
             row = [rho[r][c] - (1 if r == c else 0) for c in range(size)]
             if any(row):
@@ -113,16 +113,23 @@ def invariant_forms(group: GroupTable, k: int) -> InvariantSubspace:
     if not stacked:
         vectors = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     else:
-        vectors = kernel_basis(stacked)
+        vectors = hermite_row_basis(kernel_basis(stacked))
     return InvariantSubspace(k, len(vectors), vectors, basis)
 
 
 def burnside_dimension(group: GroupTable, k: int) -> Fraction:
-    """Average of the induced-action traces; must equal the fixed dimension."""
+    """Average of the induced-action traces; must equal the fixed dimension.
+
+    The sum runs over every element; a trace depends only on the linear
+    part, so each distinct linear part's trace is computed once.
+    """
+    traces: dict = {}
     tot = 0
     for el in group.elements:
-        rho = induced_action(el.linear, k)
-        tot += sum(rho[i][i] for i in range(len(rho)))
+        if el.linear not in traces:
+            rho = induced_action(el.linear, k)
+            traces[el.linear] = sum(rho[i][i] for i in range(len(rho)))
+        tot += traces[el.linear]
     return Fraction(tot, group.order)
 
 
@@ -132,6 +139,7 @@ class BettiTable:
     b2_resolved: int | None = None
     b3_resolved: int | None = None
     euler: int | None = None
+    invariant: list[InvariantSubspace] = field(default_factory=list, repr=False)  # by degree
 
     @property
     def n(self) -> int:
@@ -147,8 +155,8 @@ class BettiTable:
 
 
 def orbifold_betti(group: GroupTable) -> BettiTable:
-    n = group.dim
-    return BettiTable(b=[invariant_forms(group, k).dimension for k in range(n + 1)])
+    spaces = [invariant_forms(group, k) for k in range(group.dim + 1)]
+    return BettiTable(b=[s.dimension for s in spaces], invariant=spaces)
 
 
 def resolved_betti(

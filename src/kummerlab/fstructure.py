@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 # fixed_locus stays bound here for perfbench/tracing.py, which wraps it;
 # the checks read each element's fixed loci from GroupTable.fixed_loci.
@@ -93,12 +94,13 @@ class CheckResult:
 
 
 def _torus_dist_sq(p, q) -> Fraction:
-    total = Fraction(0)
+    """Squared flat-torus distance of two rational points, on integer numerators."""
+    den = lcm(1, *(x.denominator for x in (*p, *q)))
+    total = 0
     for a, b in zip(p, q):
-        d = abs((a - b) % 1)
-        d = min(d, 1 - d)
-        total += d * d
-    return total
+        d = (a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)) % den
+        total += min(d, den - d) ** 2
+    return Fraction(total, den * den)
 
 
 def _axis_sign(g: AffineIsometry, axis: int) -> int | None:
@@ -203,16 +205,23 @@ def check_covariance(
     affine maps is the exact condition L_g e_i = Psi(g)_j e_i.  Trivially
     covered circle actions with component signs check that every group
     element maps a component's signed action to the image component's.
+
+    Each condition holds for a composite when it holds for the factors,
+    so only the identity and the generators are tested; they come first in
+    index order, so the first failing element is the one a test of every
+    element would name.
     """
     label = f"covariance[{chart.name}]"
     action = chart.action
+    tested = [0, *group.generator_indices]
     if chart.covering == "group":
         if rule is None:
             return CheckResult(label, False, "no covariance rule declared")
         homo_fail = _homomorphism_failure(group, rule)
         if homo_fail:
             return CheckResult(label, False, f"rule is not a homomorphism: {homo_fail}")
-        for gi, el in enumerate(group.elements):
+        for gi in tested:
+            el = group.elements[gi]
             signs = rule.signs.get(gi)
             if signs is None or len(signs) != action.rank:
                 return CheckResult(label, False, f"rule missing for element {group.names[gi]}")
@@ -231,7 +240,8 @@ def check_covariance(
         if action.rank == 0:
             return CheckResult(label, False, "empty action")
         # A global action must strictly commute with every element.
-        for gi, el in enumerate(group.elements):
+        for gi in tested:
+            el = group.elements[gi]
             for axis in action.directions:
                 if _axis_sign(el, axis) != 1:
                     return CheckResult(
@@ -244,7 +254,8 @@ def check_covariance(
         return CheckResult(label, False, "one sign per component required")
     axis = action.directions[0]
     index = {c: m for m, c in enumerate(chart.centers)}
-    for gi, el in enumerate(group.elements):
+    for gi in tested:
+        el = group.elements[gi]
         eps = _axis_sign(el, axis)
         if eps is None:
             return CheckResult(label, False, f"{group.names[gi]} moves the acting axis e{axis}")
@@ -263,11 +274,18 @@ def check_covariance(
 
 
 def _homomorphism_failure(group: GroupTable, rule: CovarianceRule) -> str | None:
+    """A witness that Psi is not a homomorphism into signed diagonals, or None.
+
+    Psi(i)Psi(g) = Psi(i∘g) for every element i and g the identity or a
+    generator makes Psi(e) the identity, forces equal lengths (following
+    i's inverse along generators lands on e) and, by induction along the
+    spanning tree, gives Psi(i)Psi(j) = Psi(i∘j) for all pairs.
+    """
     for i in range(group.order):
         if i not in rule.signs:
             return f"no value on {group.names[i]}"
     for i in range(group.order):
-        for j in range(group.order):
+        for j in [0, *group.generator_indices]:
             k = group.product[i][j]
             prod = tuple(a * b for a, b in zip(rule.signs[i], rule.signs[j]))
             if prod != rule.signs[k]:
@@ -417,21 +435,26 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
         return CheckResult(label, True, "trivial covering")
     by_name = {c.name: c for c in atlas}
     removed = [by_name[n] for n in chart.complement_of] if chart.kind == "complement" else []
+
+    def inside_removed(comp) -> bool:
+        for w in removed:
+            a, b = w.constrained
+            if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
+                continue  # component sweeps the pair plane; not contained
+            cpair = (comp.basepoint[a - 1], comp.basepoint[b - 1])
+            bound = (w.epsilon * chart.shrink) ** 2
+            if any(_torus_dist_sq(cpair, ctr) <= bound for ctr in w.centers):
+                return True
+        return False
+
+    inside: dict = {}  # component key -> inside_removed, each component tested once
     for gi in range(1, group.order):
         for comp in group.fixed_loci[gi]:
             if chart.kind == "full":
                 return CheckResult(label, False, f"{group.names[gi]} has fixed points")
-            inside = False
-            for w in removed:
-                a, b = w.constrained
-                if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
-                    continue  # component sweeps the pair plane; not contained
-                cpair = (comp.basepoint[a - 1], comp.basepoint[b - 1])
-                bound = (w.epsilon * chart.shrink) ** 2
-                if any(_torus_dist_sq(cpair, ctr) <= bound for ctr in w.centers):
-                    inside = True
-                    break
-            if not inside:
+            if comp.key not in inside:
+                inside[comp.key] = inside_removed(comp)
+            if not inside[comp.key]:
                 return CheckResult(
                     label,
                     False,
@@ -453,6 +476,9 @@ def verify_f_structure(
     (4) lifted actions commute on overlaps.  Also reported: ball-chart
     disjointness, surgery-compatibility flags, the polarized flag (all
     local-freeness checks pass) and the rank (minimum orbit dimension).
+    Invariance under the generators is invariance under the group, and the
+    generators come first in index order, so the invariance row tests the
+    generators only and names the same first failing element.
     """
     if not atlas:
         raise ValueError("empty atlas")
@@ -463,10 +489,8 @@ def verify_f_structure(
 
     for chart in atlas:
         report.covering_data.append(_check_free_action(chart, group, atlas))
-        for gi, el in enumerate(group.elements):
-            if gi == 0:
-                continue
-            res = check_invariance(chart, el, atlas)
+        for gi in group.generator_indices:
+            res = check_invariance(chart, group.elements[gi], atlas)
             if not res.passed:
                 res.name = f"invariance[{chart.name}/{group.names[gi]}]"
                 report.checks.append(res)

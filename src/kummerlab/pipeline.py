@@ -209,13 +209,12 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
 
 def run_betti_stage(group, census, cert, report: Report):
     table = forms.orbifold_betti(group)
-    inv2 = forms.invariant_forms(group, 2)
     orientable = all(
         int_det([list(r) for r in el.linear]) == 1 for el in group.elements
     )
     section = {
         "orbifold": list(table.b),
-        "invariant_two_forms": inv2.basis_strings(),
+        "invariant_two_forms": table.invariant[2].basis_strings() if group.dim >= 2 else [],
         "duality": table.duality_holds(),
         "orientation_preserving": orientable,
     }

@@ -5,8 +5,9 @@ rational translation reduced mod 1.  Everything in this module is exact:
 the group closure and its product table run on an integer encoding of the
 isometries, fixed loci are solved through the integer Smith normal form
 (once per group element), components are canonicalized to a unique
-rational representative by a Hermite reduction, and census orbits are
-traced through the generators' permutations of the components.
+rational representative by a Hermite reduction on integer numerators, and
+census orbits are traced through the generators' permutations of the
+components, computed on the same integer codes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
+
+import numpy as np
 
 from .intlinalg import (
     hermite_row_basis,
@@ -154,6 +157,22 @@ class GroupTable:
     def fixed_loci(self) -> list[list[FixedComponent]]:
         """The fixed components of every element, by index, computed on first use."""
         return [fixed_locus(el, self._frames) for el in self.elements]
+
+    @cached_property
+    def generator_indices(self) -> list[int]:
+        """Indices of the distinct non-identity generator elements, ascending.
+
+        In BFS order these are 1..k, ahead of every other element, so a
+        check that holds for the generators holds for the group and the
+        first element failing it is always a generator.
+        """
+        return sorted({g for _i, g in self.factors[1:]})
+
+    @cached_property
+    def codes(self) -> tuple[int, list[tuple[int, ...]]]:
+        """(N, codes): every element's integer code over the common denominator N."""
+        denom = lcm(1, *(t.denominator for el in self.elements for t in el.translation))
+        return denom, [_encode(el, denom) for el in self.elements]
 
     def inverse_index(self, i: int) -> int:
         return self.product[i].index(0)
@@ -297,7 +316,7 @@ class _LatticeFrame:
     The rows of annihilator are a basis of the integer functionals that
     vanish on D; the columns of complement extend a basis of D to a basis
     of Z^n, dual to those rows.  hermite caches, per denominator q, the
-    Hermite basis of D + qZ^n.
+    Hermite basis of D + qZ^n.  All are object arrays of Python ints.
     """
 
     def __init__(self, directions: tuple[tuple[int, ...], ...]):
@@ -306,47 +325,59 @@ class _LatticeFrame:
         d, u, _v = smith_normal_form(cols)
         if any(d[k][k] != 1 for k in range(dim)):
             raise ValueError("direction lattice is not saturated")
-        self.annihilator = u[dim:]
-        self.complement = [row[dim:] for row in unimodular_inverse(u)]
-        self.hermite: dict[int, list[list[int]]] = {}
+        self.directions = directions
+        self.annihilator = np.array(u[dim:], dtype=object).reshape(n - dim, n)
+        self.complement = np.array(
+            [row[dim:] for row in unimodular_inverse(u)], dtype=object
+        ).reshape(n, n - dim)
+        self.hermite: dict[int, np.ndarray] = {}
+
+    def hermite_basis(self, q: int) -> np.ndarray:
+        basis = self.hermite.get(q)
+        if basis is None:
+            n = len(self.complement)
+            scaled = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+            rows = hermite_row_basis([list(d) for d in self.directions] + scaled)
+            basis = self.hermite[q] = np.array(rows, dtype=object)
+        return basis
 
 
-def _canonical_basepoint(point, directions, frames: dict | None = None) -> Vector:
-    """Lexicographic minimum of the component's rational points mod 1.
+def _canonical_codes(nums, m, directions, frames: dict) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(q, w) per row: w[r]/q[r] is the canonical basepoint of the component
+    through the point nums[r]/m[r] along the directions.
 
     The component is point + R·D with D the saturated lattice spanned by
-    directions.  The annihilating functionals of D take fixed values on
-    it; their denominators fix the intrinsic denominator q, and the points
-    z of the component with qz integral are (w + D + qZ^n)/q for any
-    integral w on q·point + R·D.  Reducing w column by column against the
-    Hermite basis of D + qZ^n yields the lexicographic minimum in
-    [0, q)^n, so the result depends only on the component.  The work runs
-    on integer numerators over the point's common denominator; frames
-    caches the lattice data per direction lattice.
+    directions, and the canonical basepoint is the lexicographic minimum of
+    its rational points mod 1.  The annihilating functionals of D take
+    fixed values on it; their denominators fix the intrinsic denominator q,
+    and the points z of the component with qz integral are
+    (w + D + qZ^n)/q for any integral w on q·point + R·D.  Reducing w column
+    by column against the Hermite basis of D + qZ^n yields the lexicographic
+    minimum in [0, q)^n, so (q, w) depends only on the component, not on
+    the point or on m.  Rows are processed together on object arrays of
+    Python ints, so the arithmetic stays exact; frames caches the lattice
+    data per direction lattice.
     """
+    m = np.array(m, dtype=object)
+    nums = np.array(nums, dtype=object).reshape(len(m), -1)
     if not directions:
-        return tuple(x % 1 for x in point)
-    key = tuple(tuple(d) for d in directions)
-    frames = {} if frames is None else frames
-    frame = frames.get(key)
+        q = m // np.gcd(m, np.gcd.reduce(nums, axis=1))
+        w = nums // (m // q)[:, None] % q[:, None]
+        return q.tolist(), [tuple(row) for row in w.tolist()]
+    frame = frames.get(directions)
     if frame is None:
-        frame = frames[key] = _LatticeFrame(key)
-    m = lcm(1, *(x.denominator for x in point))
-    nums = [x.numerator * (m // x.denominator) for x in point]
-    tail = [sum(a * x for a, x in zip(row, nums) if a) for row in frame.annihilator]
-    q = m // gcd(m, *tail)
-    q_tail = [t // (m // q) for t in tail]
-    w = [sum(c * t for c, t in zip(row, q_tail) if c) for row in frame.complement]
-    basis = frame.hermite.get(q)
-    if basis is None:
-        n = len(w)
-        scaled = [[q if i == j else 0 for j in range(n)] for i in range(n)]
-        basis = frame.hermite[q] = hermite_row_basis([list(d) for d in key] + scaled)
-    for j, row in enumerate(basis):
-        k = w[j] // row[j]
-        if k:
-            w = [x - k * y for x, y in zip(w, row)]
-    return tuple(Fraction(x, q) for x in w)
+        frame = frames[directions] = _LatticeFrame(directions)
+    tail = nums.dot(frame.annihilator.T)
+    q = m // np.gcd(m, np.gcd.reduce(tail, axis=1))
+    w = (tail // (m // q)[:, None]).dot(frame.complement.T)
+    q = q.tolist()
+    for qv in set(q):
+        rows = [r for r, x in enumerate(q) if x == qv]
+        block = w[rows]
+        for j, row in enumerate(frame.hermite_basis(qv)):
+            block -= (block[:, j] // row[j])[:, None] * row
+        w[rows] = block
+    return q, [tuple(row) for row in w.tolist()]
 
 
 def fixed_locus(f: AffineIsometry, frames: dict | None = None) -> list[FixedComponent]:
@@ -355,41 +386,92 @@ def fixed_locus(f: AffineIsometry, frames: dict | None = None) -> list[FixedComp
     Solves (L - I) x = -t mod Z^n by Smith decomposition U (L-I) V = D:
     in y = V^{-1} x coordinates each constrained row gives finitely many
     rational values, each zero row either obstructs or frees a direction.
+    The solutions are integer numerators over the common denominator
+    N·d_last, where N is the translation's denominator and d_last the last
+    nonzero Smith entry, which every nonzero entry divides.
     """
     n = f.dim
+    denom = lcm(1, *(t.denominator for t in f.translation))
+    t_nums = [int(t * denom) for t in f.translation]
     m = [[f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     d, u, v = smith_normal_form(m)
-    c = [-sum((a * t for a, t in zip(row, f.translation) if a), Fraction(0)) for row in u]
-    choices: list[list[Fraction]] = []
+    c = [-sum(a * t for a, t in zip(row, t_nums) if a) for row in u]
+    scale = max(d[i][i] for i in range(n)) or 1
+    choices: list[list[int]] = []
     free_idx: list[int] = []
     for i in range(n):
         di = d[i][i]
         if di == 0:
-            if c[i].denominator != 1:
+            if c[i] % denom:
                 return []
             free_idx.append(i)
-            choices.append([Fraction(0)])
+            choices.append([0])
         else:
-            choices.append([_mod1(Fraction(c[i] + k, di)) for k in range(abs(di))])
+            choices.append([(c[i] + k * denom) * (scale // di) for k in range(di)])
     directions = tuple(
         tuple(r) for r in hermite_row_basis([[v[r][i] for r in range(n)] for i in free_idx])
     )
-    frames = {} if frames is None else frames
-    components = []
-    for combo in itertools.product(*choices):
-        x = [sum((a * y for a, y in zip(row, combo) if a), Fraction(0)) for row in v]
-        components.append(FixedComponent(_canonical_basepoint(x, directions, frames), directions))
-    components.sort(key=lambda comp: comp.key)
-    return components
+    combos = np.array(list(itertools.product(*choices)), dtype=object)
+    points = combos.dot(np.array(v, dtype=object).T)
+    q, w = _canonical_codes(points, [denom * scale] * len(points), directions,
+                            {} if frames is None else frames)
+    common = lcm(*q)
+    order = sorted(range(len(q)), key=lambda r: _lex_key(q[r], w[r], common))
+    return [FixedComponent(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
+
+
+def _lex_key(q: int, w, scale: int) -> tuple[int, ...]:
+    """The point w/q as numerators over the common denominator scale, so
+    that integer tuples compare as the rational points do."""
+    return tuple(x * (scale // q) for x in w)
+
+
+# Integer form of a component: (directions, q, w), its canonical basepoint
+# being w/q with q the intrinsic denominator.
+
+
+def _component_code(comp: FixedComponent) -> tuple:
+    q = lcm(1, *(x.denominator for x in comp.basepoint))
+    return comp.directions, q, tuple(x.numerator * (q // x.denominator) for x in comp.basepoint)
+
+
+def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.ndarray]:
+    """(m, image): the image of the point w[r]/q[r] under the isometry of
+    code g is image[r]/m[r].  q and w are object arrays of Python ints."""
+    n = w.shape[1]
+    perm, signs, trans = list(g[:n]), np.array(g[n : 2 * n], dtype=object), np.array(g[2 * n :], dtype=object)
+    m = np.lcm(q, denom)
+    return m, w[:, perm] * signs * (m // q)[:, None] + trans * (m // denom)[:, None]
+
+
+def _image_codes(g: tuple[int, ...], denom: int, directions, q, w, frames: dict) -> tuple:
+    """(image directions, q, w): integer forms of the images, under the
+    isometry of code g, of the components with these directions through
+    the points w[r]/q[r]."""
+    n = w.shape[1]
+    image_dirs = tuple(
+        tuple(r)
+        for r in hermite_row_basis([[g[n + i] * dv[g[i]] for i in range(n)] for dv in directions])
+    )
+    m, image = _apply_codes(g, denom, q, w)
+    return (image_dirs, *_canonical_codes(image, m, image_dirs, frames))
+
+
+def _point_arrays(q: list[int], w: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(q, dtype=object), np.array(w, dtype=object).reshape(len(q), -1)
 
 
 def transform_component(
     g: AffineIsometry, comp: FixedComponent, frames: dict | None = None
 ) -> FixedComponent:
     """The image g(comp), canonicalized."""
-    dirs = hermite_row_basis([g.apply_linear(list(dv)) for dv in comp.directions])
-    directions = tuple(tuple(r) for r in dirs)
-    return FixedComponent(_canonical_basepoint(g.apply(comp.basepoint), directions, frames), directions)
+    denom = lcm(1, *(t.denominator for t in g.translation))
+    directions, q, w = _component_code(comp)
+    image_dirs, (q,), (w,) = _image_codes(
+        _encode(g, denom), denom, directions, *_point_arrays([q], [w]),
+        {} if frames is None else frames,
+    )
+    return FixedComponent(tuple(Fraction(k, q) for k in w), image_dirs)
 
 
 @dataclass
@@ -421,26 +503,36 @@ class SingularCensus:
         return len(self.orbits)
 
 
-def _component_permutations(group: GroupTable, components: list[FixedComponent]) -> list[list[int]]:
-    """perms[p][c]: index of the image of component c under element p.
+def _component_permutations(group: GroupTable, codes: list[tuple]) -> np.ndarray:
+    """perms[p, c]: index of the image of component c under element p.
 
-    Only the generators are applied to components; every other element's
-    permutation follows from the closure's spanning tree, since
+    codes are the components' integer forms.  Only the generators are
+    applied to components, one batch per direction lattice; every other
+    element's permutation follows from the closure's spanning tree, since
     p = e_i∘g gives perm_p = perm_i∘perm_g.
     """
-    position = {comp.key: k for k, comp in enumerate(components)}
-    by_generator = {}
-    for g in sorted({g for _i, g in group.factors[1:]}):
-        images = []
-        for comp in components:
-            key = transform_component(group.elements[g], comp, group._frames).key
-            if key not in position:
+    position = {code: k for k, code in enumerate(codes)}
+    batches: dict = {}  # directions -> component indices
+    for k, code in enumerate(codes):
+        batches.setdefault(code[0], []).append(k)
+    points = {
+        directions: _point_arrays([codes[k][1] for k in ks], [codes[k][2] for k in ks])
+        for directions, ks in batches.items()
+    }
+    denom, elt_codes = group.codes
+    perms = np.empty((group.order, len(codes)), dtype=np.intp)
+    perms[0] = np.arange(len(codes))
+    for g in group.generator_indices:
+        for directions, ks in batches.items():
+            image_dirs, q, w = _image_codes(
+                elt_codes[g], denom, directions, *points[directions], group._frames
+            )
+            images = [position.get((image_dirs, *qw)) for qw in zip(q, w)]
+            if None in images:
                 raise AssertionError("orbit left the census component set")
-            images.append(position[key])
-        by_generator[g] = images
-    perms = [list(range(len(components)))]
-    for i, g in group.factors[1:]:
-        perms.append([perms[i][c] for c in by_generator[g]])
+            perms[g, ks] = images
+    for p, (i, g) in enumerate(group.factors[1:], start=1):
+        perms[p] = perms[i][perms[g]]
     return perms
 
 
@@ -457,7 +549,13 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
     for loci in group.fixed_loci[1:]:
         for comp in loci:
             seen.setdefault(comp.key, comp)
-    components = sorted(seen.values(), key=lambda comp: comp.key)
+    unsorted = list(seen.values())
+    codes = [_component_code(comp) for comp in unsorted]
+    scale = lcm(1, *(q for _dirs, q, _w in codes))
+    # Sorted as by comp.key = (basepoint, directions), on integers.
+    order = sorted(range(len(codes)), key=lambda k: (_lex_key(*codes[k][1:], scale), codes[k][0]))
+    codes = [codes[k] for k in order]
+    components = [unsorted[k] for k in order]
     if require_circles:
         bad = [c for c in components if c.dimension != 1]
         if bad:
@@ -466,23 +564,38 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
                 f"dimension {bad[0].dimension}"
             )
 
-    perms = _component_permutations(group, components)
-    assigned = [False] * len(components)
+    perms = _component_permutations(group, codes)
+    denom, elt_codes = group.codes
+    n = group.dim
+    assigned = np.zeros(len(components), dtype=bool)
     orbits = []
     for r, rep in enumerate(components):
         if assigned[r]:
             continue
-        members = sorted({perm[r] for perm in perms})
-        for k in members:
-            assigned[k] = True
-        setwise = [i for i, perm in enumerate(perms) if perm[r] == r]
+        in_orbit = np.zeros(len(components), dtype=bool)
+        in_orbit[perms[:, r]] = True
+        members = np.flatnonzero(in_orbit).tolist()
+        assigned |= in_orbit
+        setwise = np.flatnonzero(perms[:, r] == r).tolist()
+        directions, q, w = codes[r]
         # Elements preserving the component and its directions move it along itself.
         along = [
             i
             for i in setwise
-            if all(group.elements[i].apply_linear(list(dv)) == list(dv) for dv in rep.directions)
+            if all(
+                elt_codes[i][n + j] * dv[elt_codes[i][j]] == dv[j]
+                for dv in directions
+                for j in range(n)
+            )
         ]
-        pointwise = [i for i in along if group.elements[i].apply(rep.basepoint) == rep.basepoint]
+        # g(w/q) = w/q mod 1, compared over the common denominator m.
+        m = lcm(q, denom)
+        a, b = m // q, m // denom
+        pointwise = []
+        for i in along:
+            g = elt_codes[i]
+            if all((g[n + j] * w[g[j]] * a + g[2 * n + j] * b - w[j] * a) % m == 0 for j in range(n)):
+                pointwise.append(i)
         translations = [i for i in along if i not in pointwise]
         model = None
         if rep.dimension == 1:

@@ -8,10 +8,12 @@ failing, so a bad file reports everything wrong with it at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
+from .curvature import _require_geometric, eh_profile
 from .fstructure import ChartSpec, TorusActionSymbol
 from .torus import AffineIsometry
 
@@ -48,7 +50,30 @@ class ConstructionSpec:
 
 
 def _parse_fraction(tok: str) -> Fraction:
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {tok!r}") from None
+
+
+def _check_gluing_values(key: str, values: list[float]) -> None:
+    """The domains the curvature stage needs, so that a bad block is an input error."""
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("values must be finite")
+    lo, hi = eh_profile().domain
+    if key == "d_values":
+        if any(d < 4 for d in values):
+            raise ValueError("gluing requires d >= 4 so the bolt sits inside the plateau")
+        _require_geometric(values, "gluing scan d values")
+    elif key == "decay_radii":
+        if not all(lo < r < hi for r in values):
+            raise ValueError(f"radii must lie in the open domain ({lo}, {hi}) of the instanton profile")
+        _require_geometric(values, "decay scan radii")
+    elif key == "ricci_flat_radii":
+        if not values or not all(lo < r < hi for r in values):
+            raise ValueError(
+                f"at least one radius, each in the open domain ({lo}, {hi}) of the instanton profile"
+            )
 
 
 def _parse_signs(tokens: list[str]) -> tuple[int, ...]:
@@ -74,6 +99,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
     psi: dict[str, dict[str, tuple[int, ...]]] = {}
     expected: dict[str, object] = {}
 
+    references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
     section: tuple[str, str, int] | None = None  # (kind, name, start line)
     body: list[tuple[int, list[str]]] = []
 
@@ -143,7 +169,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             trans = [_parse_fraction(t) for t in toks]
             if len(trans) != n:
                 raise ValueError(f"expected {n} entries")
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             fail(ln, "translation", str(exc))
             return
         try:
@@ -156,33 +182,57 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
 
     def _close_gluing(start, fields) -> GluingParams | None:
         params = GluingParams()
-        try:
-            if "d_values" in fields:
-                params.d_values = [float(t) for t in fields["d_values"][1]]
-            if "annulus_grid" in fields:
-                params.annulus_grid = int(fields["annulus_grid"][1][0])
-            if "decay_radii" in fields:
-                params.decay_radii = [float(t) for t in fields["decay_radii"][1]]
-            if "ricci_flat_radii" in fields:
-                params.ricci_flat_radii = [float(t) for t in fields["ricci_flat_radii"][1]]
-            if "ricci_flat_tol" in fields:
-                params.ricci_flat_tol = float(fields["ricci_flat_tol"][1][0])
-        except (ValueError, IndexError) as exc:
-            fail(start, "gluing", str(exc))
-            return None
-        return params
+        clean = True
+        for key in ("d_values", "decay_radii", "ricci_flat_radii"):
+            if key in fields:
+                ln, toks = fields[key]
+                try:
+                    values = [float(t) for t in toks]
+                    _check_gluing_values(key, values)
+                except ValueError as exc:
+                    fail(ln, key, str(exc))
+                    clean = False
+                    continue
+                setattr(params, key, values)
+        if "annulus_grid" in fields:
+            ln, toks = fields["annulus_grid"]
+            try:
+                params.annulus_grid = int(toks[0])
+                if params.annulus_grid < 2:
+                    raise ValueError
+            except (IndexError, ValueError):
+                fail(ln, "annulus_grid", "annulus_grid must be an integer >= 2")
+                clean = False
+        if "ricci_flat_tol" in fields:
+            ln, toks = fields["ricci_flat_tol"]
+            try:
+                params.ricci_flat_tol = float(toks[0])
+                if not (math.isfinite(params.ricci_flat_tol) and params.ricci_flat_tol > 0):
+                    raise ValueError
+            except (IndexError, ValueError):
+                fail(ln, "ricci_flat_tol", "ricci_flat_tol must be a positive number")
+                clean = False
+        return params if clean else None
+
+    def _axes(fld: str, toks: list[str]) -> tuple[int, ...]:
+        axes = tuple(int(t) for t in toks)
+        if dimension is not None and not all(1 <= a <= dimension for a in axes):
+            raise ValueError(f"{fld} axes must lie in 1..{dimension}")
+        return axes
 
     def _close_chart(name, start, fields, multi) -> None:
         kind = fields.get("kind", (start, ["ball"]))[1][0]
         try:
-            directions = tuple(int(t) for t in fields["action"][1]) if "action" in fields else ()
+            directions = _axes("action", fields["action"][1]) if "action" in fields else ()
             comp_signs = None
             if "component_signs" in fields:
                 comp_signs = _parse_signs(fields["component_signs"][1])
             action = TorusActionSymbol(directions, comp_signs)
             covering = fields.get("covering", (start, ["trivial"]))[1][0]
             if kind == "ball":
-                a, b = (int(t) for t in fields["constrained"][1])
+                a, b = _axes("constrained", fields["constrained"][1])
+                if a == b:
+                    raise ValueError("constrained pair needs two different axes")
                 centers = []
                 for tok in fields["centers"][1]:
                     x, y = tok.split(",")
@@ -193,6 +243,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                 )
             elif kind == "complement":
                 refs = tuple(fields["of"][1])
+                references.append((fields["of"][0], name, refs))
                 shrink = _parse_fraction(fields.get("shrink", (start, ["1/2"]))[1][0])
                 chart = ChartSpec(
                     name, action, "complement", covering=covering,
@@ -271,6 +322,12 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         else:
             body.append((lineno, toks))
     close_section()
+
+    balls = {c.name for c in atlas if c.kind == "ball"}
+    for ln, name, refs in references:
+        unknown = [r for r in refs if r not in balls]
+        if unknown:
+            fail(ln, f"chart {name}", f"of names no ball chart of the atlas: {', '.join(unknown)}")
 
     if version is None:
         errors.insert(0, (1, "version", "missing version line"))

@@ -165,6 +165,37 @@ def test_parse_errors_exit_two(tmp_path):
     assert missing.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "d_values 2 20",
+        "d_values nan 20 40 80",
+        "d_values 10 20 40 inf",
+        "d_values 10",
+        "d_values",
+        "annulus_grid 0",
+        "ricci_flat_radii 0.5 2",
+        "decay_radii -1 20",
+        "constrained 6 7",
+        "constrained 2 2",
+        "action 9",
+        "centers 1/0,0 0,1/2 1/2,0 1/2,1/2",
+        "of W_alpha W_zzz",
+    ],
+)
+def test_out_of_domain_spec_values_exit_two(tmp_path, line):
+    """Each line replaces the first line of example-a with the same key."""
+    key = line.split()[0]
+    lines = Path(EXAMPLE_A).read_text().splitlines()
+    lines[next(i for i, ln in enumerate(lines) if ln.split()[:1] == [key])] = line
+    spec = tmp_path / "bad.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["verify", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {spec}:")
+
+
 def order32_spec(tmp_path: Path) -> str:
     """example-a's generators plus a quarter translation along alpha's circle: exponent 4."""
     text = Path(EXAMPLE_A).read_text().split("[gluing]")[0]

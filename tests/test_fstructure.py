@@ -1,12 +1,18 @@
 import dataclasses
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from kummerlab import fstructure
 from kummerlab.fstructure import (
     ChartSpec,
+    CheckResult,
     CovarianceRule,
     TorusActionSymbol,
+    _axis_sign,
+    _pair_image,
     check_action_invariance,
     check_covariance,
     check_invariance,
@@ -16,7 +22,7 @@ from kummerlab.fstructure import (
     _overlap_nonempty,
     _torus_dist_sq,
 )
-from kummerlab.torus import AffineIsometry, generate_group
+from kummerlab.torus import AffineIsometry, GroupClosureError, generate_group
 
 HALF = Fraction(1, 2)
 
@@ -213,3 +219,225 @@ def test_disjointness_fails_iff_some_ball_pair_overlaps(group_a):
     for other in (ball((3, 5), ("1/64", "1/4")), ball((5, 3), ("1/4", "1/128")), ball((3, 4), ("1/64", 0))):
         rep = verify_f_structure([named(w, "W1"), named(other, "W2")], group_a)
         assert rep.disjointness.passed == (not rep.overlap) == (not _overlap_nonempty(w, other))
+
+
+# ---------------------------------------------------------------------------
+# Generator-only rows against the all-element loops they replaced.
+
+
+def reference_homomorphism_failure(group, rule):
+    for i in range(group.order):
+        if i not in rule.signs:
+            return f"no value on {group.names[i]}"
+    for i in range(group.order):
+        for j in range(group.order):
+            k = group.product[i][j]
+            if tuple(a * b for a, b in zip(rule.signs[i], rule.signs[j])) != rule.signs[k]:
+                return f"Psi({group.names[i]})Psi({group.names[j]}) != Psi({group.names[k]})"
+    return None
+
+
+def reference_covariance(chart, group, rule):
+    """Covariance tested on every element, the homomorphism on every pair."""
+    label = f"covariance[{chart.name}]"
+    action = chart.action
+    if chart.covering == "group":
+        if rule is None:
+            return CheckResult(label, False, "no covariance rule declared")
+        homo_fail = reference_homomorphism_failure(group, rule)
+        if homo_fail:
+            return CheckResult(label, False, f"rule is not a homomorphism: {homo_fail}")
+        for gi, el in enumerate(group.elements):
+            signs = rule.signs.get(gi)
+            if signs is None or len(signs) != action.rank:
+                return CheckResult(label, False, f"rule missing for element {group.names[gi]}")
+            for j, axis in enumerate(action.directions):
+                actual = _axis_sign(el, axis)
+                if actual is None or actual != signs[j]:
+                    moved = "a moved axis" if actual is None else f"{actual}*e{axis}"
+                    return CheckResult(
+                        label, False, f"{group.names[gi]} sends e{axis} to {moved}, rule says {signs[j]}"
+                    )
+        return CheckResult(label, True)
+    if action.component_signs is None:
+        if action.rank == 0:
+            return CheckResult(label, False, "empty action")
+        for gi, el in enumerate(group.elements):
+            for axis in action.directions:
+                if _axis_sign(el, axis) != 1:
+                    return CheckResult(
+                        label, False, f"{group.names[gi]} does not commute with the x{axis} action"
+                    )
+        return CheckResult(label, True)
+    if chart.kind != "ball":
+        return CheckResult(label, False, "component signs need a ball chart")
+    if len(action.component_signs) != len(chart.centers):
+        return CheckResult(label, False, "one sign per component required")
+    axis = action.directions[0]
+    index = {c: m for m, c in enumerate(chart.centers)}
+    for gi, el in enumerate(group.elements):
+        eps = _axis_sign(el, axis)
+        if eps is None:
+            return CheckResult(label, False, f"{group.names[gi]} moves the acting axis e{axis}")
+        for m, c in enumerate(chart.centers):
+            img = _pair_image(el, chart.constrained, c)
+            if img is None or img not in index:
+                return CheckResult(label, False, f"{group.names[gi]} does not permute the components")
+            if eps * action.component_signs[m] != action.component_signs[index[img]]:
+                return CheckResult(
+                    label,
+                    False,
+                    f"component {tuple(str(x) for x in c)} under {group.names[gi]}: "
+                    f"axis sign {eps} conflicts with the component signs",
+                )
+    return CheckResult(label, True)
+
+
+def reference_invariance(chart, group, atlas):
+    for gi, el in enumerate(group.elements):
+        if gi == 0:
+            continue
+        res = check_invariance(chart, el, atlas)
+        if not res.passed:
+            res.name = f"invariance[{chart.name}/{group.names[gi]}]"
+            return res
+    return CheckResult(f"invariance[{chart.name}]", True)
+
+
+def reference_free_action(chart, group, atlas):
+    """Every fixed component of every element tested, with no memo."""
+    label = f"free-action[{chart.name}]"
+    if chart.covering != "group":
+        return CheckResult(label, True, "trivial covering")
+    by_name = {c.name: c for c in atlas}
+    removed = [by_name[n] for n in chart.complement_of] if chart.kind == "complement" else []
+    for gi in range(1, group.order):
+        for comp in group.fixed_loci[gi]:
+            if chart.kind == "full":
+                return CheckResult(label, False, f"{group.names[gi]} has fixed points")
+            inside = False
+            for w in removed:
+                a, b = w.constrained
+                if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
+                    continue
+                cpair = (comp.basepoint[a - 1], comp.basepoint[b - 1])
+                if any(_torus_dist_sq(cpair, ctr) <= (w.epsilon * chart.shrink) ** 2 for ctr in w.centers):
+                    inside = True
+                    break
+            if not inside:
+                return CheckResult(
+                    label,
+                    False,
+                    f"fixed component of {group.names[gi]} at {tuple(str(x) for x in comp.basepoint)} "
+                    "meets the chart",
+                )
+    return CheckResult(label, True, "group acts freely on the chart")
+
+
+def seeded_groups(spec_a, spec_b):
+    """Both bundled groups, example-a with a 1/4 translation, and random 5-dimensional groups."""
+    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    groups = [
+        generate_group(spec_a.generators, spec_a.generator_names),
+        generate_group(spec_b.generators, spec_b.generator_names),
+        generate_group(spec_a.generators + [tau], spec_a.generator_names + ["tau"]),
+    ]
+    rng = random.Random(31)
+    while len(groups) < 12:
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            perm = rng.sample(range(5), 5)
+            linear = tuple(tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(5)) for i in range(5))
+            gens.append(AffineIsometry(linear, tuple(Fraction(rng.randrange(4), 4) for _ in range(5))))
+        try:
+            groups.append(generate_group(gens, [f"s{k}" for k in range(len(gens))], max_order=32))
+        except GroupClosureError:
+            pass
+    return groups
+
+
+def seeded_atlas(rng, group):
+    """Ball charts (centers often an orbit, so often invariant), a group-covered complement, rules."""
+    n = group.dim
+    balls = []
+    for c in range(rng.randint(1, 3)):
+        pair = tuple(rng.sample(range(1, n + 1), 2))
+        seed = (Fraction(rng.randrange(4), 4), Fraction(rng.randrange(4), 4))
+        centers = {seed}
+        if rng.random() < 0.7:
+            centers |= {img for el in group.elements if (img := _pair_image(el, pair, seed)) is not None}
+        else:
+            centers |= {(Fraction(rng.randrange(4), 4), Fraction(rng.randrange(4), 4)) for _ in range(3)}
+        centers = tuple(sorted(centers))
+        signs = tuple(rng.choice((1, -1)) for _ in centers) if rng.random() < 0.6 else None
+        action = TorusActionSymbol((rng.randrange(1, n + 1),), signs)
+        balls.append(ChartSpec(f"W{c}", action, "ball", pair, centers, Fraction(1, 512)))
+    v_action = TorusActionSymbol(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(1, 2)))))
+    v = ChartSpec("V", v_action, "complement", covering="group",
+                  complement_of=tuple(b.name for b in balls), shrink=Fraction(1, 2))
+    full = ChartSpec("T", TorusActionSymbol((rng.randrange(1, n + 1),)), "full",
+                     covering=rng.choice(("trivial", "group")))
+    choice = rng.random()
+    if choice < 0.4:  # the rule of the axis signs, a homomorphism whenever the axes stay put
+        rule = CovarianceRule({i: tuple(_axis_sign(el, a) or 1 for a in v_action.directions)
+                               for i, el in enumerate(group.elements)})
+    elif choice < 0.7:  # generator signs extended along the table
+        rule = extend_rule(group, {group.names[g]: tuple(rng.choice((1, -1)) for _ in v_action.directions)
+                                   for g in group.generator_indices})
+    else:  # arbitrary signs, almost never a homomorphism
+        rule = CovarianceRule({i: tuple(rng.choice((1, -1)) for _ in v_action.directions)
+                               for i in range(group.order)})
+    return balls + [v, full], {"V": rule, "T": rule}
+
+
+def row(res):
+    return (res.name, res.passed, res.detail)
+
+
+def test_generator_rows_match_all_element_loops(spec_a, spec_b):
+    rng = random.Random(2718)
+    outcomes = set()
+    for group in seeded_groups(spec_a, spec_b):
+        for _ in range(6):
+            atlas, rules = seeded_atlas(rng, group)
+            rep = verify_f_structure(atlas, group, rules)
+            for k, chart in enumerate(atlas):
+                free = reference_free_action(chart, group, atlas)
+                inv = reference_invariance(chart, group, atlas)
+                cov = reference_covariance(chart, group, rules.get(chart.name))
+                assert row(rep.covering_data[k]) == row(free)
+                got_inv, got_action, got_cov = rep.checks[3 * k : 3 * k + 3]
+                assert row(got_inv) == row(inv)
+                assert row(got_action) == row(check_action_invariance(chart, chart.action, atlas))
+                if cov.detail.startswith("rule is not a homomorphism"):
+                    # Only the witness pair may differ: the rule is checked on generators.
+                    assert (got_cov.passed, got_cov.detail[:27]) == (False, cov.detail[:27])
+                else:
+                    assert row(got_cov) == row(cov)
+                for res in (free, inv, cov):
+                    outcomes.add((res.name.split("[")[0], res.passed, "Psi" in res.detail))
+    # The seeded atlases reach each row kind both passing and failing, and
+    # rules that are and are not homomorphisms.
+    kinds = {(kind, passed) for kind, passed, _psi in outcomes}
+    assert kinds == {(k, p) for k in ("free-action", "invariance", "covariance") for p in (True, False)}
+    assert ("covariance", False, True) in outcomes and ("covariance", True, False) in outcomes
+
+
+def test_invariance_is_checked_on_generators_only(spec_a, monkeypatch):
+    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    group = generate_group(spec_a.generators + [tau], spec_a.generator_names + ["tau"])
+    calls = Counter()
+    original = fstructure.check_invariance
+
+    def counted(chart, g, atlas=None):
+        if atlas is not None:  # the rows' own calls, not a complement's look at its balls
+            calls[chart.name] += 1
+        return original(chart, g, atlas)
+
+    monkeypatch.setattr(fstructure, "check_invariance", counted)
+    rep = verify_f_structure(spec_a.atlas, group, rules_for(spec_a, generate_group(
+        spec_a.generators, spec_a.generator_names)))
+    assert group.order == 32
+    assert set(calls) == {c.name for c in spec_a.atlas}
+    assert max(calls.values()) <= len(group.generator_indices) == 4
+    assert [c.passed for c in rep.checks if c.name.startswith("invariance")] == [True] * 4

@@ -1,17 +1,21 @@
 """The integer group core against the direct algorithms it replaced.
 
-Three references are kept here verbatim in spirit: the BFS closure with a
+The references are kept here verbatim in spirit: the BFS closure with a
 product table built by `compose`, the canonical basepoint by enumerating
-all q^dim candidates, and the census orbit search that applies every
-group element to every component with per-element stabilizer tests.
-The fast paths must reproduce them exactly on seeded random groups whose
-linear parts are non-diagonal signed permutations.  Call counts taken
-through the module bindings guard the work the fast paths save.
+all q^dim candidates, the image of a component computed in `Fraction`s,
+the generators' component permutations from that image, the census orbit
+search that applies every group element to every component with
+per-element stabilizer tests, and the invariant forms as the kernel of
+the induced actions of every element.  The fast paths must reproduce
+them exactly on seeded random groups whose linear parts are non-diagonal
+signed permutations.  Call counts taken through the module bindings
+guard the work the fast paths save.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,11 +23,13 @@ from math import lcm
 import pytest
 
 from conftest import lattice_adapted_basis
-from kummerlab import fstructure, pipeline, torus
-from kummerlab.intlinalg import hermite_row_basis, unimodular_inverse
+from kummerlab import forms, fstructure, pipeline, torus
+from kummerlab.forms import form_basis, induced_action, invariant_forms
+from kummerlab.intlinalg import hermite_row_basis, kernel_basis, unimodular_inverse
 from kummerlab.torus import (
     AffineIsometry,
     CensusOrbit,
+    FixedComponent,
     GroupClosureError,
     SingularCensus,
     compose,
@@ -94,6 +100,42 @@ def reference_basepoint(point, directions, cap=1024):
     return best
 
 
+def reference_transform(el, comp):
+    """g(comp) in Fractions: the image point and directions, canonicalized by enumeration."""
+    dirs = tuple(
+        tuple(r) for r in hermite_row_basis([el.apply_linear(list(dv)) for dv in comp.directions])
+    )
+    base = reference_basepoint(el.apply(comp.basepoint), dirs)
+    assert base is not None, "too many candidates for the enumeration"
+    return FixedComponent(base, dirs)
+
+
+def reference_permutations(group, components):
+    """Each generator's image of each component, composed along the spanning tree as lists."""
+    position = {comp.key: k for k, comp in enumerate(components)}
+    by_generator = {
+        g: [position[reference_transform(group.elements[g], comp).key] for comp in components]
+        for g in sorted({g for _i, g in group.factors[1:]})
+    }
+    perms = [list(range(len(components)))]
+    for i, g in group.factors[1:]:
+        perms.append([perms[i][c] for c in by_generator[g]])
+    return perms
+
+
+def reference_invariant_basis(group, k):
+    """Hermite basis of the kernel of rho(g) - I stacked over every non-identity element."""
+    size = len(form_basis(group.dim, k))
+    stacked = []
+    for el in group.elements[1:]:
+        rho = induced_action(el.linear, k)
+        stacked += [[rho[r][c] - (r == c) for c in range(size)] for r in range(size)]
+    stacked = [row for row in stacked if any(row)]
+    if not stacked:
+        return [[int(i == j) for j in range(size)] for i in range(size)]
+    return hermite_row_basis(kernel_basis(stacked))
+
+
 def reference_census(group):
     """Orbits by applying every element; stabilizers tested element by element."""
     seen = {}
@@ -111,7 +153,7 @@ def reference_census(group):
             nxt = []
             for comp in frontier:
                 for el in group.elements:
-                    image = transform_component(el, comp)
+                    image = reference_transform(el, comp)
                     if image.key not in orbit:
                         orbit[image.key] = image
                         nxt.append(image)
@@ -123,7 +165,7 @@ def reference_census(group):
         def keeps_directions(el):
             return all(el.apply_linear(list(dv)) == list(dv) for dv in rep.directions)
 
-        setwise = [i for i, el in enumerate(group.elements) if transform_component(el, rep) == rep]
+        setwise = [i for i, el in enumerate(group.elements) if reference_transform(el, rep) == rep]
         pointwise = [
             i for i in setwise
             if keeps_directions(group.elements[i])
@@ -245,6 +287,35 @@ def test_generator_orbits_match_all_element_search(case):
         assert images == [census.components[k] for k in perm]
 
 
+@pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
+def test_integer_permutations_match_fraction_reference(case):
+    gens, names = RANDOM_GROUPS[case]
+    table = generate_group(gens, names, max_order=16)
+    components = singular_census(table, require_circles=False).components
+    perms = torus._component_permutations(table, [torus._component_code(c) for c in components])
+    assert perms.tolist() == reference_permutations(table, components)
+    for g in table.generator_indices:
+        for comp in components:
+            assert transform_component(table.elements[g], comp) == reference_transform(table.elements[g], comp)
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
+def test_generator_kernel_matches_all_element_kernel(case):
+    gens, names = RANDOM_GROUPS[case]
+    table = generate_group(gens, names, max_order=16)
+    for k in range(6):
+        inv = invariant_forms(table, k)
+        assert inv.basis == reference_invariant_basis(table, k)
+        assert inv.dimension == forms.burnside_dimension(table, k)
+
+
+def test_random_groups_have_several_generators_and_partial_kernels():
+    tables = [generate_group(g, n, max_order=16) for g, n in RANDOM_GROUPS]
+    assert sum(len(t.generator_indices) >= 2 for t in tables) >= 15
+    dims = [invariant_forms(t, k).dimension for t in tables for k in range(1, t.dim)]
+    assert any(0 < d < 10 for d in dims)
+
+
 def test_random_censuses_are_not_trivial():
     censuses = [singular_census(generate_group(g, n, max_order=16), require_circles=False)
                 for g, n in RANDOM_GROUPS]
@@ -344,6 +415,23 @@ def test_run_all_computes_each_fixed_locus_once(spec_a, monkeypatch):
     assert report.overall == "PASS"
     assert report.sections["group"]["order"] == 8
     assert len(calls) == 8
+
+
+def test_invariant_forms_stack_generators_only(spec_a, monkeypatch):
+    group = translated_example_a(spec_a, "1/4")
+    rows = []
+    original = forms.kernel_basis
+
+    def counted(a):
+        rows.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(forms, "kernel_basis", counted)
+    for k in range(6):
+        rows.clear()
+        invariant_forms(group, k)
+        assert sum(rows) <= len(group.generator_indices) * math.comb(5, k)
+    assert (group.order, len(group.generator_indices)) == (32, 4)
 
 
 def test_order32_census_images_components_under_generators_only(spec_a, monkeypatch):

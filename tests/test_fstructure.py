@@ -357,15 +357,20 @@ def seeded_groups(spec_a, spec_b):
 
 
 def seeded_atlas(rng, group):
-    """Ball charts (centers often an orbit, so often invariant), a group-covered complement, rules."""
+    """Ball charts (centers often an orbit of the group or of one generator), a group-covered
+    complement, a whole-torus chart, and covariance rules."""
     n = group.dim
     balls = []
     for c in range(rng.randint(1, 3)):
         pair = tuple(rng.sample(range(1, n + 1), 2))
         seed = (Fraction(rng.randrange(4), 4), Fraction(rng.randrange(4), 4))
         centers = {seed}
-        if rng.random() < 0.7:
-            centers |= {img for el in group.elements if (img := _pair_image(el, pair, seed)) is not None}
+        draw = rng.random()
+        if draw < 0.7:  # an orbit under the group, or under a subgroup of one generator
+            gens = group.generator_indices if draw < 0.4 else rng.sample(group.generator_indices, 1)
+            for i in group.subgroup_generated(gens):
+                if (img := _pair_image(group.elements[i], pair, seed)) is not None:
+                    centers.add(img)
         else:
             centers |= {(Fraction(rng.randrange(4), 4), Fraction(rng.randrange(4), 4)) for _ in range(3)}
         centers = tuple(sorted(centers))

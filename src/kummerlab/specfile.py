@@ -194,24 +194,21 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                     clean = False
                     continue
                 setattr(params, key, values)
-        if "annulus_grid" in fields:
-            ln, toks = fields["annulus_grid"]
-            try:
-                params.annulus_grid = int(toks[0])
-                if params.annulus_grid < 2:
-                    raise ValueError
-            except (IndexError, ValueError):
-                fail(ln, "annulus_grid", "annulus_grid must be an integer >= 2")
-                clean = False
-        if "ricci_flat_tol" in fields:
-            ln, toks = fields["ricci_flat_tol"]
-            try:
-                params.ricci_flat_tol = float(toks[0])
-                if not (math.isfinite(params.ricci_flat_tol) and params.ricci_flat_tol > 0):
-                    raise ValueError
-            except (IndexError, ValueError):
-                fail(ln, "ricci_flat_tol", "ricci_flat_tol must be a positive number")
-                clean = False
+        for key, parse, ok, what in (
+            ("annulus_grid", int, lambda v: v >= 2, "an integer >= 2"),
+            ("ricci_flat_tol", float, lambda v: math.isfinite(v) and v > 0, "a positive number"),
+        ):
+            if key in fields:
+                ln, toks = fields[key]
+                try:
+                    value = parse(toks[0])
+                    if not ok(value):
+                        raise ValueError
+                except (IndexError, ValueError):
+                    fail(ln, key, f"{key} must be {what}")
+                    clean = False
+                    continue
+                setattr(params, key, value)
         return params if clean else None
 
     def _axes(fld: str, toks: list[str]) -> tuple[int, ...]:

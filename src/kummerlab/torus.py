@@ -439,9 +439,9 @@ def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.n
     """(m, image): the image of the point w[r]/q[r] under the isometry of
     code g is image[r]/m[r].  q and w are object arrays of Python ints."""
     n = w.shape[1]
-    perm, signs, trans = list(g[:n]), np.array(g[n : 2 * n], dtype=object), np.array(g[2 * n :], dtype=object)
+    signs, trans = np.array(g[n : 2 * n], dtype=object), np.array(g[2 * n :], dtype=object)
     m = np.lcm(q, denom)
-    return m, w[:, perm] * signs * (m // q)[:, None] + trans * (m // denom)[:, None]
+    return m, w[:, list(g[:n])] * signs * (m // q)[:, None] + trans * (m // denom)[:, None]
 
 
 def _image_codes(g: tuple[int, ...], denom: int, directions, q, w, frames: dict) -> tuple:

@@ -5,13 +5,15 @@ and `f-structure` run the pipeline stages they need and print their
 report sections, so they show the same values as `verify`.
 
 Exit codes: 0 when everything checked PASSes, 1 when any claim FAILs,
-2 on input errors (unreadable or invalid spec files, a group closure
-beyond --max-group-order, a stage that reports an error).
+2 on input errors (unreadable or invalid spec files, unwritable output
+paths, out-of-range options, a group closure beyond --max-group-order,
+a stage that reports an error).
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 import sys
 from typing import NoReturn
 
@@ -32,11 +34,15 @@ def _fail(message) -> NoReturn:
     sys.exit(2)
 
 
+def _io_fail(verb: str, path, exc: Exception) -> NoReturn:
+    _fail(f"cannot {verb} {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _load(path: str) -> ConstructionSpec:
     try:
         return parse_construction(path)
-    except FileNotFoundError:
-        _fail(f"cannot read {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _io_fail("read", path, exc)
     except SpecParseError as exc:
         for ln, fld, why in exc.errors:
             click.echo(f"error: {path}:{ln} [{fld}] {why}", err=True)
@@ -60,8 +66,11 @@ def _group_stage(ctx, spec: ConstructionSpec):
 def _write_json(ctx, payload: str) -> None:
     path = ctx.obj.get("json_path")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            _io_fail("write", path, exc)
         click.echo(f"wrote {path}")
 
 
@@ -75,6 +84,10 @@ def _write_json(ctx, payload: str) -> None:
 @click.pass_context
 def main(ctx, json_path, tolerance_scale, max_group_order):
     """Verify Kummer-type torus-quotient constructions claim by claim."""
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0):
+        _fail(f"--tolerance-scale must be finite and > 0, got {tolerance_scale}")
+    if max_group_order < 1:
+        _fail(f"--max-group-order must be at least 1, got {max_group_order}")
     ctx.ensure_object(dict)
     ctx.obj.update(
         json_path=json_path,
@@ -210,7 +223,10 @@ def curvature_scan(ctx, spec_path, csv_path):
     glue = spec.gluing
     gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan, glue.d_values)
-    files = pipeline.write_scan_csv(gscan, mu, csv_path)
+    try:
+        files = pipeline.write_scan_csv(gscan, mu, csv_path)
+    except OSError as exc:
+        _io_fail("write", exc.filename, exc)
     click.echo(
         f"sup|Ric| slope {gscan.series['sup_ric_annulus'].slope:.4f}, "
         f"rescaled slope {mu.series['rescaled_sup_ric'].slope:.4f}"

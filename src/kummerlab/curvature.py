@@ -52,12 +52,9 @@ class CurvatureSample:
     ric_norm: float
     pair_residual: float
     bianchi_residual: float
-    tolerance: float = 1e-6
 
 
-def _sample_from_frame_tensor(
-    location, rm_frame: np.ndarray, tol: float, ric_sign: int = 1
-) -> CurvatureSample:
+def _sample_from_frame_tensor(location, rm_frame: np.ndarray, ric_sign: int = 1) -> CurvatureSample:
     ric = ric_sign * np.einsum("llik->ik", rm_frame)
     pair = float(np.max(np.abs(rm_frame - np.einsum("jkli->lijk", rm_frame))))
     bianchi = float(
@@ -77,7 +74,6 @@ def _sample_from_frame_tensor(
         ric_norm=float(np.sqrt(np.sum(ric**2))),
         pair_residual=pair,
         bianchi_residual=bianchi,
-        tolerance=tol,
     )
 
 
@@ -140,10 +136,10 @@ def _richardson_derivative(f, x: np.ndarray, i: int, h: float):
     return (16.0 * fine - coarse) / 15.0
 
 
-def christoffel(chart: MetricChart, x, halve_step: float = 1.0) -> np.ndarray:
+def christoffel(chart: MetricChart, x) -> np.ndarray:
     """Christoffel symbols G[k, i, j] = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
     x = np.asarray(x, dtype=float)
-    h = chart.steps(x) * halve_step
+    h = chart.steps(x)
     g0 = chart.metric(x)
     ginv = np.linalg.inv(g0)
     dg = np.stack(
@@ -173,12 +169,7 @@ def _riemann_tensor(chart: MetricChart, x: np.ndarray) -> np.ndarray:
     )
 
 
-def riemann(
-    chart: MetricChart,
-    x,
-    frame: np.ndarray | None = None,
-    tol: float = 1e-6,
-) -> tuple[np.ndarray, CurvatureSample]:
+def riemann(chart: MetricChart, x, frame: np.ndarray | None = None) -> tuple[np.ndarray, CurvatureSample]:
     """Curvature tensor R^l_{ijk} on the chart plus a frame sample.
 
     The returned array uses the module convention (derivative pair (i, j)
@@ -200,9 +191,7 @@ def riemann(
     rm_frame = np.einsum(
         "lijk,la,ib,jc,kd->abcd", lowered, vectors, vectors, vectors, vectors
     )
-    sample = _sample_from_frame_tensor(
-        tuple(x), rm_frame, tol, ric_sign=calibration().contraction_sign
-    )
+    sample = _sample_from_frame_tensor(tuple(x), rm_frame, ric_sign=calibration().contraction_sign)
     return riem, sample
 
 
@@ -425,14 +414,11 @@ def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarr
     return np.einsum("lkij->lijk", w)
 
 
-def cohomo_curvature(
-    profile: RadialProfile, r: float, structure_constant: float | None = None, tol: float = 1e-6
-) -> CurvatureSample:
+def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
     """Orthonormal-frame curvature sample of the profile metric at radius r."""
     cal = calibration()
-    n = structure_constant if structure_constant is not None else cal.structure_constant
     return _sample_from_frame_tensor(
-        r, _cohomo_frame_tensor(profile, r, n), tol, ric_sign=cal.contraction_sign
+        r, _cohomo_frame_tensor(profile, r, cal.structure_constant), ric_sign=cal.contraction_sign
     )
 
 
@@ -547,11 +533,11 @@ def calibration() -> CalibrationRecord:
     ric_res = math.inf
     for n in (-2.0, -1.0):
         fr = max(
-            _sample_from_frame_tensor(r, _cohomo_frame_tensor(flat, r, n), 1e-6).rm_norm
+            _sample_from_frame_tensor(r, _cohomo_frame_tensor(flat, r, n)).rm_norm
             for r in (0.7, 2.0, 11.0)
         )
         rr = max(
-            _sample_from_frame_tensor(r, _cohomo_frame_tensor(ale, r, n), 1e-6).ric_norm
+            _sample_from_frame_tensor(r, _cohomo_frame_tensor(ale, r, n)).ric_norm
             for r in (1.5, 3.0, 9.0)
         )
         if fr < 1e-6 and rr < 1e-6:

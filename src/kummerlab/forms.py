@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .intlinalg import hermite_row_basis, kernel_basis
-from .torus import GroupTable, Pi1Certificate, SingularCensus
+from .torus import GroupTable, Pi1Certificate, SingularCensus, _signed_permutation
 
 MultiIndex = tuple[int, ...]
 
@@ -30,22 +30,15 @@ def induced_action(linear, k: int) -> list[list[int]]:
     For a signed permutation sending axis i to sign s_i times axis p(i),
     dx_I maps to (prod of s_i) * (parity of sorting p(I)) * dx_{sorted p(I)}.
     """
-    rows = [tuple(r) for r in linear]
-    n = len(rows)
-    image = {}
-    sign_of = {}
-    for i, row in enumerate(rows):
-        j, v = next((j, v) for j, v in enumerate(row) if v != 0)
-        image[i + 1] = j + 1
-        sign_of[i + 1] = v
-    basis = form_basis(n, k)
+    image, sign_of = _signed_permutation(linear)
+    basis = form_basis(len(image), k)
     index = {b: i for i, b in enumerate(basis)}
     mat = [[0] * len(basis) for _ in range(len(basis))]
     for col, subset in enumerate(basis):
-        mapped = [image[i] for i in subset]
+        mapped = [image[i - 1] + 1 for i in subset]
         sign = 1
         for i in subset:
-            sign *= sign_of[i]
+            sign *= sign_of[i - 1]
         # Parity of the permutation sorting the mapped tuple.
         perm = sorted(range(len(mapped)), key=lambda t: mapped[t])
         inversions = sum(

@@ -105,34 +105,21 @@ def _torus_dist_sq(p, q) -> Fraction:
 
 def _axis_sign(g: AffineIsometry, axis: int) -> int | None:
     """Sign s with L_g e_axis = s e_axis, or None when the axis moves."""
-    n = g.dim
-    col = [g.linear[k][axis - 1] for k in range(n)]
-    if col == [1 if k == axis - 1 else 0 for k in range(n)]:
-        return 1
-    if col == [-1 if k == axis - 1 else 0 for k in range(n)]:
-        return -1
-    return None
+    # Column axis holds its one nonzero entry in the row that reads it.
+    return g.signs[axis - 1] if g.perm[axis - 1] == axis - 1 else None
 
 
 def _pair_image(g: AffineIsometry, pair: tuple[int, int], point) -> tuple[Fraction, Fraction] | None:
-    """Image of a constrained-pair point under g, or None if the pair plane moves."""
+    """Image of a constrained-pair point under g, or None if the pair plane moves;
+    when both pair rows read from the plane no other row does, as perm is a bijection."""
     a, b = pair
     out = []
-    for i in (a, b):
-        row = g.linear[i - 1]
-        j = next(k for k, v in enumerate(row) if v != 0)
-        if j + 1 not in (a, b):
+    for i in (a - 1, b - 1):
+        j = g.perm[i] + 1
+        if j not in (a, b):
             return None
-        src = point[0] if j + 1 == a else point[1]
-        out.append((row[j] * src + g.translation[i - 1]) % 1)
-    # Also require that no other coordinate reads from the pair plane.
-    for i in range(g.dim):
-        if i + 1 in (a, b):
-            continue
-        row = g.linear[i]
-        j = next(k for k, v in enumerate(row) if v != 0)
-        if j + 1 in (a, b):
-            return None
+        src = point[0] if j == a else point[1]
+        out.append((g.signs[i] * src + g.translation[i]) % 1)
     return (out[0], out[1])
 
 

@@ -209,8 +209,9 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
 
 def run_betti_stage(group, census, cert, report: Report):
     table = forms.orbifold_betti(group)
+    # det is multiplicative, so the generators decide orientation.
     orientable = all(
-        int_det([list(r) for r in el.linear]) == 1 for el in group.elements
+        int_det([list(r) for r in group.elements[g].linear]) == 1 for g in group.generator_indices
     )
     section = {
         "orbifold": list(table.b),

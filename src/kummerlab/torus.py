@@ -13,7 +13,7 @@ components, computed on the same integer codes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -31,37 +31,45 @@ Vector = tuple[Fraction, ...]
 
 LOCAL_MODEL_PRODUCT = "S¹×(ℂ²/±1)"
 LOCAL_MODEL_HALF_TURN = "(ℂ²/±1 × S¹)/ℤ₂"
+NOT_AN_ISOMETRY = "not a flat-torus isometry: linear part must be a signed permutation matrix"
 
 
 def _mod1(x: Fraction) -> Fraction:
     return x % 1
 
 
-def _is_signed_permutation(linear: tuple[tuple[int, ...], ...]) -> bool:
+def _signed_permutation(linear) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, signs) of a signed permutation matrix: row i holds the
+    entry signs[i] in column perm[i].  Raises ValueError on any other matrix."""
     n = len(linear)
-    col_seen = [0] * n
+    perm, signs = [], []
     for row in linear:
-        if len(row) != n:
-            return False
         nonzero = [(j, v) for j, v in enumerate(row) if v != 0]
-        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
-            return False
-        col_seen[nonzero[0][0]] += 1
-    return all(c == 1 for c in col_seen)
+        if len(row) != n or len(nonzero) != 1 or nonzero[0][1] not in (1, -1):
+            raise ValueError(NOT_AN_ISOMETRY)
+        perm.append(nonzero[0][0])
+        signs.append(nonzero[0][1])
+    if sorted(perm) != list(range(n)):
+        raise ValueError(NOT_AN_ISOMETRY)
+    return tuple(perm), tuple(signs)
 
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """x -> linear @ x + translation on the torus R^n/Z^n."""
+    """x -> linear @ x + translation on the torus R^n/Z^n; perm and signs are
+    the linear part as _signed_permutation reads it, outside equality and repr."""
 
     linear: tuple[tuple[int, ...], ...]
     translation: Vector
+    perm: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    signs: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _is_signed_permutation(self.linear):
-            raise ValueError("not a flat-torus isometry: linear part must be a signed permutation matrix")
+        perm, signs = _signed_permutation(self.linear)
         if len(self.translation) != len(self.linear):
             raise ValueError("dimension mismatch between linear part and translation")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "signs", signs)
         object.__setattr__(
             self, "translation", tuple(_mod1(Fraction(t)) for t in self.translation)
         )
@@ -133,6 +141,7 @@ class GroupTable:
 
     factors[p] = (i, g) records the closure's spanning tree: element p is
     element i composed with the generator element g (factors[0] = (0, 0)).
+    codes = (N, codes): every element's integer code over the common denominator N.
     """
 
     elements: list[AffineIsometry]
@@ -141,6 +150,7 @@ class GroupTable:
     abelian: bool
     exponent: int
     factors: list[tuple[int, int]]
+    codes: tuple[int, list[tuple[int, ...]]]
 
     def __post_init__(self):
         self._frames: dict = {}  # direction lattice -> _LatticeFrame
@@ -168,12 +178,6 @@ class GroupTable:
         """
         return sorted({g for _i, g in self.factors[1:]})
 
-    @cached_property
-    def codes(self) -> tuple[int, list[tuple[int, ...]]]:
-        """(N, codes): every element's integer code over the common denominator N."""
-        denom = lcm(1, *(t.denominator for el in self.elements for t in el.translation))
-        return denom, [_encode(el, denom) for el in self.elements]
-
     def inverse_index(self, i: int) -> int:
         return self.product[i].index(0)
 
@@ -199,9 +203,7 @@ class GroupTable:
 
 
 def _encode(f: AffineIsometry, denom: int) -> tuple[int, ...]:
-    perm = [next(j for j, v in enumerate(row) if v) for row in f.linear]
-    signs = [row[j] for row, j in zip(f.linear, perm)]
-    return (*perm, *signs, *(int(t * denom) for t in f.translation))
+    return (*f.perm, *f.signs, *(int(t * denom) for t in f.translation))
 
 
 def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
@@ -229,6 +231,7 @@ def generate_group(
     then products by BFS level, which makes the ordering deterministic.
     The closure runs on integer codes; the product table is filled from
     the closure's right multiplications by generators, a∘(b∘g) = (a∘b)∘g.
+    The group is abelian iff its generators commute pairwise.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -273,9 +276,8 @@ def generate_group(
         for i, k in steps:
             row.append(right[row[i]][k])
         product.append(row)
-    abelian = all(
-        product[i][j] == product[j][i] for i in range(order) for j in range(i + 1, order)
-    )
+    gens = set(right[0])  # the generator elements
+    abelian = all(product[a][b] == product[b][a] for a in gens for b in gens)
     exponent = 1
     for i in range(order):
         k, j = 1, i
@@ -285,7 +287,7 @@ def generate_group(
         exponent = lcm(exponent, k)
     elements = [_decode(c, n, denom) for c in codes]
     factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
-    return GroupTable(elements, elt_names, product, abelian, exponent, factors)
+    return GroupTable(elements, elt_names, product, abelian, exponent, factors, (denom, codes))
 
 
 @dataclass(frozen=True)
@@ -643,15 +645,10 @@ def pi1_certificate(group: GroupTable) -> Pi1Certificate:
     loci = group.fixed_loci
     fixed_elements = [i for i in range(group.order) if loci[i]]
 
-    witnesses: dict[int, int | None] = {}
-    for j in range(n):
-        witnesses[j] = None
-        for i in fixed_elements:
-            el = group.elements[i]
-            col = [el.linear[k][j] for k in range(n)]
-            if col == [-1 if k == j else 0 for k in range(n)]:
-                witnesses[j] = i
-                break
+    els = group.elements
+    # L e_j = -e_j iff row j holds -1 in column j.
+    witnesses = {j: next((i for i in fixed_elements if (els[i].perm[j], els[i].signs[j]) == (j, -1)), None)
+                 for j in range(n)}
     generated = group.subgroup_generated(fixed_elements) == frozenset(range(group.order))
     ok = generated and all(w is not None for w in witnesses.values())
     return Pi1Certificate(

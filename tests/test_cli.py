@@ -26,6 +26,13 @@ def trimmed_spec(tmp_path: Path) -> str:
     return str(target)
 
 
+def bare_spec(tmp_path: Path) -> str:
+    """A two-dimensional spec with one generator and no gluing or atlas: fast to verify."""
+    bare = tmp_path / "bare.spec"
+    bare.write_text("version 1\ndimension 2\n\n[generator s]\ndiag -1 -1\ntranslation 0 0\n")
+    return str(bare)
+
+
 def test_examples_listing():
     result = CliRunner().invoke(main, ["examples"])
     assert result.exit_code == 0
@@ -138,10 +145,8 @@ def test_curvature_scan_writes_both_tables(tmp_path):
 
 
 def test_curvature_scan_requires_gluing(tmp_path):
-    bare = tmp_path / "bare.spec"
-    bare.write_text("version 1\ndimension 2\n\n[generator s]\ndiag -1 -1\ntranslation 0 0\n")
     result = CliRunner().invoke(
-        main, ["curvature-scan", str(bare), "--csv", str(tmp_path / "x.csv")]
+        main, ["curvature-scan", bare_spec(tmp_path), "--csv", str(tmp_path / "x.csv")]
     )
     assert result.exit_code == 2
 
@@ -194,6 +199,43 @@ def test_out_of_domain_spec_values_exit_two(tmp_path, line):
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: {spec}:")
+
+
+def undecodable_spec(tmp_path: Path) -> str:
+    target = tmp_path / "latin1.spec"
+    target.write_bytes(b"version 1\ndimension 2\n# caf\xe9\n")
+    return str(target)
+
+
+NO_DIR = "No such file or directory"
+SCALE = "--tolerance-scale must be finite and > 0"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        pytest.param(lambda t: ["verify", str(t)], "cannot read {t}: Is a directory", id="directory"),
+        pytest.param(lambda t: ["verify", undecodable_spec(t)],
+                     "cannot read {t}/latin1.spec: 'utf-8' codec can't decode", id="not-utf8"),
+        pytest.param(lambda t: ["--json", str(t / "no" / "x.json"), "verify", bare_spec(t)],
+                     f"cannot write {{t}}/no/x.json: {NO_DIR}", id="json-verify"),
+        pytest.param(lambda t: ["--json", str(t / "no" / "x.json"), "f-structure", EXAMPLE_A],
+                     f"cannot write {{t}}/no/x.json: {NO_DIR}", id="json-f-structure"),
+        pytest.param(lambda t: ["curvature-scan", trimmed_spec(t), "--csv", str(t / "no" / "x.csv")],
+                     f"cannot write {{t}}/no/x.csv: {NO_DIR}", id="csv"),
+        pytest.param(lambda t: ["--tolerance-scale", "inf", "verify", bare_spec(t)], SCALE, id="scale-inf"),
+        pytest.param(lambda t: ["--tolerance-scale", "nan", "verify", bare_spec(t)], SCALE, id="scale-nan"),
+        pytest.param(lambda t: ["--tolerance-scale", "0", "verify", bare_spec(t)], SCALE, id="scale-zero"),
+        pytest.param(lambda t: ["--tolerance-scale", "-1", "verify", bare_spec(t)], SCALE, id="scale-negative"),
+        pytest.param(lambda t: ["--max-group-order", "0", "verify", bare_spec(t)],
+                     "--max-group-order must be at least 1", id="cap-zero"),
+    ],
+)
+def test_file_and_option_errors_exit_two(tmp_path, args, message):
+    result = CliRunner().invoke(main, args(tmp_path))
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: " + message.format(t=tmp_path))
 
 
 def order32_spec(tmp_path: Path) -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -222,6 +223,65 @@ def test_disjointness_fails_iff_some_ball_pair_overlaps(group_a):
 
 
 # ---------------------------------------------------------------------------
+# The signed-permutation helpers against the matrix scans they replaced.
+
+
+def reference_axis_sign(g, axis):
+    """Sign s with L_g e_axis = s e_axis, read off column axis, or None."""
+    n = g.dim
+    col = [g.linear[k][axis - 1] for k in range(n)]
+    if col == [1 if k == axis - 1 else 0 for k in range(n)]:
+        return 1
+    if col == [-1 if k == axis - 1 else 0 for k in range(n)]:
+        return -1
+    return None
+
+
+def reference_pair_image(g, pair, point):
+    """Image of a pair point, scanning the rows; None if any row crosses the pair plane."""
+    a, b = pair
+    out = []
+    for i in (a, b):
+        row = g.linear[i - 1]
+        j = next(k for k, v in enumerate(row) if v != 0)
+        if j + 1 not in (a, b):
+            return None
+        src = point[0] if j + 1 == a else point[1]
+        out.append((row[j] * src + g.translation[i - 1]) % 1)
+    for i in range(g.dim):
+        if i + 1 in (a, b):
+            continue
+        row = g.linear[i]
+        j = next(k for k, v in enumerate(row) if v != 0)
+        if j + 1 in (a, b):
+            return None
+    return (out[0], out[1])
+
+
+def test_axis_sign_and_pair_image_match_matrix_scans():
+    rng = random.Random(1618)
+    outcomes = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        perm = list(range(n))
+        if rng.random() < 0.7:  # otherwise diagonal, so that many axes and planes stay put
+            rng.shuffle(perm)
+        linear = tuple(tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)) for i in range(n))
+        g = AffineIsometry(linear, tuple(Fraction(rng.randrange(4), 4) for _ in range(n)))
+        for axis in range(1, n + 1):
+            sign = _axis_sign(g, axis)
+            assert sign == reference_axis_sign(g, axis)
+            outcomes["axis", sign] += 1
+        for pair in itertools.permutations(range(1, n + 1), 2):
+            point = (Fraction(rng.randrange(8), 8), Fraction(rng.randrange(8), 8))
+            image = _pair_image(g, pair, point)
+            assert image == reference_pair_image(g, pair, point)
+            outcomes["pair", image is None, image is not None and image != point] += 1
+    assert set(outcomes) == {("axis", 1), ("axis", -1), ("axis", None), ("pair", True, False),
+                             ("pair", False, False), ("pair", False, True)}
+
+
+# ---------------------------------------------------------------------------
 # Generator-only rows against the all-element loops they replaced.
 
 
@@ -252,7 +312,7 @@ def reference_covariance(chart, group, rule):
             if signs is None or len(signs) != action.rank:
                 return CheckResult(label, False, f"rule missing for element {group.names[gi]}")
             for j, axis in enumerate(action.directions):
-                actual = _axis_sign(el, axis)
+                actual = reference_axis_sign(el, axis)
                 if actual is None or actual != signs[j]:
                     moved = "a moved axis" if actual is None else f"{actual}*e{axis}"
                     return CheckResult(
@@ -264,7 +324,7 @@ def reference_covariance(chart, group, rule):
             return CheckResult(label, False, "empty action")
         for gi, el in enumerate(group.elements):
             for axis in action.directions:
-                if _axis_sign(el, axis) != 1:
+                if reference_axis_sign(el, axis) != 1:
                     return CheckResult(
                         label, False, f"{group.names[gi]} does not commute with the x{axis} action"
                     )
@@ -276,11 +336,11 @@ def reference_covariance(chart, group, rule):
     axis = action.directions[0]
     index = {c: m for m, c in enumerate(chart.centers)}
     for gi, el in enumerate(group.elements):
-        eps = _axis_sign(el, axis)
+        eps = reference_axis_sign(el, axis)
         if eps is None:
             return CheckResult(label, False, f"{group.names[gi]} moves the acting axis e{axis}")
         for m, c in enumerate(chart.centers):
-            img = _pair_image(el, chart.constrained, c)
+            img = reference_pair_image(el, chart.constrained, c)
             if img is None or img not in index:
                 return CheckResult(label, False, f"{group.names[gi]} does not permute the components")
             if eps * action.component_signs[m] != action.component_signs[index[img]]:
@@ -369,7 +429,7 @@ def seeded_atlas(rng, group):
         if draw < 0.7:  # an orbit under the group, or under a subgroup of one generator
             gens = group.generator_indices if draw < 0.4 else rng.sample(group.generator_indices, 1)
             for i in group.subgroup_generated(gens):
-                if (img := _pair_image(group.elements[i], pair, seed)) is not None:
+                if (img := reference_pair_image(group.elements[i], pair, seed)) is not None:
                     centers.add(img)
         else:
             centers |= {(Fraction(rng.randrange(4), 4), Fraction(rng.randrange(4), 4)) for _ in range(3)}
@@ -384,7 +444,7 @@ def seeded_atlas(rng, group):
                      covering=rng.choice(("trivial", "group")))
     choice = rng.random()
     if choice < 0.4:  # the rule of the axis signs, a homomorphism whenever the axes stay put
-        rule = CovarianceRule({i: tuple(_axis_sign(el, a) or 1 for a in v_action.directions)
+        rule = CovarianceRule({i: tuple(reference_axis_sign(el, a) or 1 for a in v_action.directions)
                                for i, el in enumerate(group.elements)})
     elif choice < 0.7:  # generator signs extended along the table
         rule = extend_rule(group, {group.names[g]: tuple(rng.choice((1, -1)) for _ in v_action.directions)

@@ -25,7 +25,7 @@ import pytest
 from conftest import lattice_adapted_basis
 from kummerlab import forms, fstructure, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
-from kummerlab.intlinalg import hermite_row_basis, kernel_basis, unimodular_inverse
+from kummerlab.intlinalg import hermite_row_basis, int_det, kernel_basis, unimodular_inverse
 from kummerlab.torus import (
     AffineIsometry,
     CensusOrbit,
@@ -250,6 +250,46 @@ def test_integer_closure_matches_compose_closure(case):
     assert (table.abelian, table.exponent) == (abelian, exponent)
     for p, (i, g) in enumerate(table.factors):
         assert compose(table.elements[i], table.elements[g]) == table.elements[p]
+
+
+def reference_orientable(group):
+    return all(int_det([list(r) for r in el.linear]) == 1 for el in group.elements)
+
+
+def reference_witnesses(group, fixed_elements):
+    """Per axis j, the first fixed-point element whose linear part sends e_j to -e_j."""
+    n = group.dim
+    unit = [[int(k == j) for k in range(n)] for j in range(n)]
+    return {
+        j: next((i for i in fixed_elements
+                 if group.elements[i].apply_linear(unit[j]) == [-x for x in unit[j]]), None)
+        for j in range(n)
+    }
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
+def test_generators_decide_abelian_orientation_and_witnesses(case):
+    gens, names = RANDOM_GROUPS[case]
+    group = generate_group(gens, names, max_order=16)
+    everything = range(group.order)
+    assert group.abelian == all(group.product[i][j] == group.product[j][i]
+                                for i in everything for j in everything)
+    report = pipeline.Report()
+    census = pipeline.run_census_stage(group, report)
+    cert = pipeline.run_pi1_stage(group, report)
+    pipeline.run_betti_stage(group, census, cert, report)
+    assert report.sections["betti"]["orientation_preserving"] == reference_orientable(group)
+    assert cert.direction_witnesses == reference_witnesses(group, cert.fixed_point_elements)
+
+
+def test_random_groups_cover_abelian_orientation_and_witness_outcomes():
+    groups = [generate_group(g, n, max_order=16) for g, n in RANDOM_GROUPS]
+    assert {(t.abelian, reference_orientable(t)) for t in groups} == {
+        (a, o) for a in (True, False) for o in (True, False)
+    }
+    witnessed = [w is not None for t in groups
+                 for w in torus.pi1_certificate(t).direction_witnesses.values()]
+    assert any(witnessed) and not all(witnessed)
 
 
 def test_random_groups_cover_non_abelian_and_larger_orders():

@@ -13,6 +13,7 @@ from conftest import (
 )
 from kummerlab.torus import (
     AffineIsometry,
+    _signed_permutation,
     GroupClosureError,
     compose,
     fixed_locus,
@@ -22,6 +23,78 @@ from kummerlab.torus import (
 )
 
 HALF = Fraction(1, 2)
+NOT_AN_ISOMETRY = "not a flat-torus isometry: linear part must be a signed permutation matrix"
+
+
+def row_scan(linear):
+    """(perm, signs) by scanning each row for its nonzero entry, or None
+    when the matrix is not a signed permutation."""
+    n = len(linear)
+    perm, signs = [], []
+    for row in linear:
+        if len(row) != n:
+            return None
+        nonzero = [j for j in range(n) if row[j] != 0]
+        if len(nonzero) != 1 or row[nonzero[0]] not in (1, -1):
+            return None
+        perm.append(nonzero[0])
+        signs.append(row[nonzero[0]])
+    return (tuple(perm), tuple(signs)) if len(set(perm)) == n else None
+
+
+def test_reader_matches_row_scan_on_every_signed_permutation():
+    for n in range(5):
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((1, -1), repeat=n):
+                linear = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
+                assert _signed_permutation(linear) == row_scan(linear) == (perm, signs)
+                el = AffineIsometry(linear, (0,) * n)
+                assert (el.perm, el.signs) == (perm, signs)
+
+
+def test_reader_rejects_exactly_what_the_row_scan_rejects():
+    """Every matrix with entries in -1..1 up to 3x3, and in -2..2 up to 2x2."""
+    rejected = 0
+    for n, entries in ((1, range(-2, 3)), (2, range(-2, 3)), (3, range(-1, 2))):
+        for flat in itertools.product(entries, repeat=n * n):
+            linear = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+            expected = row_scan(linear)
+            if expected is None:
+                rejected += 1
+                with pytest.raises(ValueError) as err:
+                    _signed_permutation(linear)
+                assert str(err.value) == NOT_AN_ISOMETRY
+            else:
+                assert _signed_permutation(linear) == expected
+    assert rejected == (5 - 2) + (5**4 - 8) + (3**9 - 48)  # all but the signed permutations
+
+
+@pytest.mark.parametrize(
+    "linear",
+    [
+        ((1, 0), (0, 1), (0, 0)),  # not square
+        ((1, 0, 0), (0, 1)),  # ragged
+        ((1, 0), (0, 2)),  # an entry 2
+        ((1, 0), (0, 0)),  # a zero row
+        ((1, 1), (0, 1)),  # two nonzeros in a row
+        ((0, -1), (0, 1)),  # a repeated column
+    ],
+)
+def test_reader_and_isometry_reject_with_one_message(linear):
+    with pytest.raises(ValueError) as err:
+        _signed_permutation(linear)
+    assert str(err.value) == NOT_AN_ISOMETRY
+    with pytest.raises(ValueError) as err:
+        AffineIsometry(linear, (0,) * len(linear))
+    assert str(err.value) == NOT_AN_ISOMETRY
+
+
+def test_read_permutation_stays_out_of_equality_hash_and_repr():
+    swap = AffineIsometry(((0, -1), (1, 0)), (HALF, 0))
+    same = AffineIsometry(((0, -1), (1, 0)), (Fraction(3, 2), 0))
+    assert (swap.perm, swap.signs) == ((1, 0), (-1, 1))
+    assert swap == same and hash(swap) == hash(same)
+    assert repr(swap) == f"AffineIsometry(linear={swap.linear!r}, translation={swap.translation!r})"
 
 
 def test_compose_matches_displayed_product(group_a):

@@ -132,10 +132,13 @@ def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
     group, _ = _group_stage(ctx, spec)
+    # Declared generators resolve by element: a repeated one has no closure name.
+    known = dict(zip(group.names, range(group.order)))
+    known.update((n, group.elements.index(g)) for n, g in zip(spec.generator_names, spec.generators))
     for name in [element] if element else spec.generator_names:
-        if name not in group.names:
+        if name not in known:
             _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")
-        comps = group.fixed_loci[group.names.index(name)]
+        comps = group.fixed_loci[known[name]]
         click.echo(f"{name}: {len(comps)} component(s)")
         for comp in comps:
             base = ", ".join(str(x) for x in comp.basepoint)
@@ -217,10 +220,9 @@ def betti(ctx, spec_path):
 @click.pass_context
 def curvature_scan(ctx, spec_path, csv_path):
     """Run the gluing curvature scans and write the CSV tables."""
-    spec = _load(spec_path)
-    if spec.gluing is None:
+    glue = _load(spec_path).gluing
+    if glue is None:
         _fail("spec has no gluing block")
-    glue = spec.gluing
     gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan, glue.d_values)
     try:

@@ -1,9 +1,14 @@
-"""Order-4 truncated Taylor arithmetic in one variable.
+"""Truncated Taylor arithmetic in one variable.
 
-A Jet stores the Taylor coefficients (f, f', f''/2!, f'''/3!, f''''/4!) of a
-scalar function at a point.  Arithmetic on jets propagates derivatives
-exactly (to machine rounding), which keeps the radial curvature formulas
-free of finite-difference noise even deep in the power-law decay tails.
+A Jet stores the Taylor coefficients (f, f', f''/2!, ...) of a scalar
+function at a point; its order is their number less one.  Arithmetic on
+jets propagates derivatives exactly (to machine rounding), which keeps the
+radial curvature formulas free of finite-difference noise even deep in the
+power-law decay tails.  A coefficient depends only on coefficients of the
+same or lower order, so a lower-order jet holds the leading coefficients
+of a higher-order one bit for bit.  A constant is a one-coefficient jet,
+padded with zeros before it meets a longer jet; two longer jets meet at
+the lower order, and a derivative is one order lower.
 
 A coefficient is a float or a 1-D numpy array, all arrays of one jet (and
 of the jets it meets) having the same length: an array jet carries one
@@ -23,9 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORDER = 4
-_FACT = [1.0, 1.0, 2.0, 6.0, 24.0]
-
 
 def _refuse(bad, exc_type, message: str) -> None:
     """Raise exc_type(message) if bad holds, naming the first bad array entry."""
@@ -40,69 +42,62 @@ def _refuse(bad, exc_type, message: str) -> None:
 class Jet:
     coeffs: tuple
 
-    def __post_init__(self):
-        if len(self.coeffs) != ORDER + 1:
-            raise ValueError(f"jet must carry {ORDER + 1} coefficients")
-
     @staticmethod
     def seed(x) -> "Jet":
-        """Jet of the identity at a point, or at each entry of a 1-D array."""
-        return Jet((x if isinstance(x, np.ndarray) else float(x), 1.0, 0.0, 0.0, 0.0))
+        """Order-2 jet of the identity at a point, or at each entry of a 1-D array."""
+        return Jet((x if isinstance(x, np.ndarray) else float(x), 1.0, 0.0))
 
     @staticmethod
     def const(c: float) -> "Jet":
-        return Jet((float(c), 0.0, 0.0, 0.0, 0.0))
+        return Jet((float(c),))
 
     @property
     def value(self):
         return self.coeffs[0]
 
     def derivative(self, m: int):
-        """m-th derivative of the underlying function, m <= ORDER."""
-        return self.coeffs[m] * _FACT[m]
+        """m-th derivative of the underlying function, m at most the order."""
+        return self.coeffs[m] * math.factorial(m)
 
     def deriv_jet(self) -> "Jet":
-        """Jet of the first derivative (top coefficient padded with zero)."""
-        shifted = tuple((k + 1) * self.coeffs[k + 1] for k in range(ORDER)) + (0.0,)
-        return Jet(shifted)
+        """Jet of the first derivative, one order lower (a constant's is 0)."""
+        c = self.coeffs
+        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)) or (0.0,))
 
     def __add__(self, other):
-        o = _lift(other)
-        return Jet(tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        a, b = _operands(self, other)
+        return Jet(tuple(x + y for x, y in zip(a, b)))
 
     __radd__ = __add__
 
     def __neg__(self):
         return Jet(tuple(-a for a in self.coeffs))
 
+    # Negating after padding: a padded constant subtracts +0.0, as a jet would.
     def __sub__(self, other):
-        return self + (-_lift(other))
+        a, b = _operands(self, other)
+        return Jet(tuple(x + (-y) for x, y in zip(a, b)))
 
     def __rsub__(self, other):
-        return _lift(other) + (-self)
+        a, b = _operands(self, other)
+        return Jet(tuple(y + (-x) for x, y in zip(a, b)))
 
     def __mul__(self, other):
-        o = _lift(other)
-        a, b = self.coeffs, o.coeffs
-        return Jet(
-            tuple(
-                sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(ORDER + 1)
-            )
-        )
+        a, b = _operands(self, other)
+        return Jet(tuple(sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = _lift(other)
-        a, b = self.coeffs, o.coeffs
+        a, b = _operands(self, other)
         _refuse(b[0] == 0.0, ZeroDivisionError, "jet division by zero value")
-        q = [0.0] * (ORDER + 1)
-        for k in range(ORDER + 1):
+        q = [0.0] * len(a)
+        for k in range(len(a)):
             q[k] = (a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0]
         return Jet(tuple(q))
 
     def __rtruediv__(self, other):
-        return _lift(other) / self
+        return Jet.const(other) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -117,26 +112,34 @@ class Jet:
     def sqrt(self) -> "Jet":
         a = self.coeffs
         _refuse(a[0] <= 0.0, ValueError, "jet sqrt of a nonpositive value")
-        s = [0.0] * (ORDER + 1)
+        s = [0.0] * len(a)
         s[0] = np.sqrt(a[0]) if isinstance(a[0], np.ndarray) else math.sqrt(a[0])
-        for k in range(1, ORDER + 1):
+        for k in range(1, len(a)):
             s[k] = (a[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2.0 * s[0])
         return Jet(tuple(s))
 
     def exp(self) -> "Jet":
         a = self.coeffs
-        e = [0.0] * (ORDER + 1)
+        e = [0.0] * len(a)
         if isinstance(a[0], np.ndarray):
             # np.exp and libm exp differ in the last bit on some inputs.
             e[0] = np.fromiter(map(math.exp, a[0].tolist()), float, len(a[0]))
         else:
             e[0] = math.exp(a[0])
-        for k in range(1, ORDER + 1):
+        for k in range(1, len(a)):
             e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
         return Jet(tuple(e))
 
 
-def _lift(x) -> Jet:
-    if isinstance(x, Jet):
-        return x
-    return Jet.const(float(x))
+def _operands(a: Jet, b) -> tuple[tuple, tuple]:
+    """The coefficients of a and b (a jet or a number) at one order."""
+    x = a.coeffs
+    y = b.coeffs if isinstance(b, Jet) else (float(b),)
+    if len(x) == len(y):
+        return x, y
+    if len(y) == 1:
+        return x, y + (0.0,) * (len(x) - 1)
+    if len(x) == 1:
+        return x + (0.0,) * (len(y) - 1), y
+    n = min(len(x), len(y))
+    return x[:n], y[:n]

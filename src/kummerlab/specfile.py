@@ -218,6 +218,9 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         return axes
 
     def _close_chart(name, start, fields, multi) -> None:
+        for key in ("kind", "epsilon", "covering", "shrink"):
+            if key in fields and not fields[key][1]:
+                return fail(fields[key][0], key, f"{key} needs a value")
         kind = fields.get("kind", (start, ["ball"]))[1][0]
         try:
             directions = _axes("action", fields["action"][1]) if "action" in fields else ()

@@ -22,6 +22,7 @@ from kummerlab.cli import bundled_examples
 from kummerlab.curvature import Cutoff, RadialProfile
 from kummerlab.forms import form_basis, induced_action
 from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
+from kummerlab.jets import Jet
 from kummerlab.specfile import parse_construction
 from kummerlab.torus import AffineIsometry, GroupTable, compose, generate_group
 
@@ -295,16 +296,14 @@ def scale_profile(profile: RadialProfile, c2: float, name: str | None = None) ->
     """Profile of the metric multiplied by the constant factor c2."""
     return RadialProfile(
         name=name or f"{profile.name}*{c2}",
-        A=lambda r: profile.A(r) * c2,
-        B=lambda r: profile.B(r) * c2,
-        C=lambda r: profile.C(r) * c2,
+        jets=lambda r: tuple(q * c2 for q in profile.jets(r)),
         domain=profile.domain,
     )
 
 
 def cutoff_derivative_bounds(cut: Cutoff, samples: int = 2048) -> dict[int, float]:
     """Measured constants c_m = sup |D^m rho_d| * d^m over the ramp, m = 1..4."""
-    jet = cut.jet(np.linspace(cut.d, 2.0 * cut.d, samples))
+    jet = cut.jet(Jet((np.linspace(cut.d, 2.0 * cut.d, samples), 1.0, 0.0, 0.0, 0.0)))
     return {m: float(np.max(np.abs(jet.derivative(m)))) * cut.d**m for m in range(1, 5)}
 
 

@@ -66,6 +66,29 @@ def test_verify_json_report_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "spec, golden, code",
+    [(EXAMPLE_A, "example-a.json", 0), (EXAMPLE_B, "example-b.json", 1),
+     (FOUR_CHART, "example-b-four-chart.json", 0)],
+    ids=["example-a", "example-b", "four-chart"],
+)
+def test_verify_json_report_matches_golden(tmp_path, spec, golden, code):
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["--json", str(out), "verify", spec])
+    assert result.exit_code == code, result.output
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_curvature_scan_csvs_match_golden(tmp_path):
+    result = CliRunner().invoke(main, ["curvature-scan", EXAMPLE_A, "--csv", str(tmp_path / "scan.csv")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "scan.csv").read_bytes() == (GOLDEN / "example-a.scan.csv").read_bytes()
+    assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "example-a.scan.mu.csv").read_bytes()
+
+
 def test_verify_json_report_independent_of_working_directory(tmp_path, monkeypatch):
     spec = Path(trimmed_spec(tmp_path))
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -151,6 +174,23 @@ def test_curvature_scan_requires_gluing(tmp_path):
     assert result.exit_code == 2
 
 
+def test_fixed_locus_prints_repeated_and_identity_generators(tmp_path):
+    alpha = "diag 1 -1 -1 -1 -1\ntranslation 0 0 0 1/2 0\n"
+    spec = tmp_path / "repeated.spec"
+    spec.write_text(
+        "version 1\ndimension 5\n\n[generator s]\n" + alpha + "\n[generator t]\n" + alpha
+        + "\n[generator e1]\ndiag 1 1 1 1 1\ntranslation 0 0 0 0 0\n"
+    )
+    result = CliRunner().invoke(main, ["fixed-locus", str(spec)])
+    assert result.exit_code == 0, result.output
+    heads = [ln for ln in result.output.splitlines() if not ln.startswith(" ")]
+    assert heads == ["s: 16 component(s)", "t: 16 component(s)", "e1: 1 component(s)"]
+    blocks = result.output.split("t: 16 component(s)\n")
+    assert blocks[0].split("\n", 1)[1] == blocks[1].split("e1:")[0]
+    alone = CliRunner().invoke(main, ["fixed-locus", str(spec), "--element", "t"])
+    assert alone.exit_code == 0 and alone.output.startswith("t: 16 component(s)")
+
+
 def test_f_structure_command_exit_codes():
     ok = CliRunner().invoke(main, ["f-structure", EXAMPLE_A])
     assert ok.exit_code == 0, ok.output
@@ -186,6 +226,10 @@ def test_parse_errors_exit_two(tmp_path):
         "action 9",
         "centers 1/0,0 0,1/2 1/2,0 1/2,1/2",
         "of W_alpha W_zzz",
+        "kind",
+        "epsilon",
+        "covering",
+        "shrink",
     ],
 )
 def test_out_of_domain_spec_values_exit_two(tmp_path, line):

@@ -332,7 +332,7 @@ def test_frame_norms_name_the_bad_radius():
         _frame_norms(eh_profile(), radii)
     with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
         cohomo_curvature(eh_profile(), 0.5)
-    negative = RadialProfile("dented", lambda r: Jet.const(1.0), lambda r: 7.0 - r, lambda r: r**2, (0.0, math.inf))
+    negative = RadialProfile("dented", lambda r: (Jet.const(1.0), 7.0 - r, r**2), (0.0, math.inf))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
         _frame_norms(negative, np.array([1.0, 6.5, 7.5, 8.0]))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
@@ -358,3 +358,19 @@ def test_glue_scan_evaluates_each_annulus_in_one_pass(grid_points, monkeypatch):
     glue_ricci_scan([10, 20, 40, 80, 160], grid_points=grid_points)
     assert calls.count("cohomo_curvature") == 0
     assert calls.count("_cartan_coefficients") == 5
+
+
+def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
+    calls = []
+    original = curvature.Cutoff.jet
+
+    def counted(self, r):
+        calls.append(self.d)
+        return original(self, r)
+
+    monkeypatch.setattr(curvature.Cutoff, "jet", counted)
+    glue_ricci_scan([10, 20, 40, 80, 160], grid_points=64)
+    assert calls == [10.0, 20.0, 40.0, 80.0, 160.0]
+    calls.clear()
+    cohomo_curvature(glued_profile(10.0), 13.0)
+    assert calls == [10.0]

@@ -1,10 +1,10 @@
 """Seeded spec fuzzing through the CLI.
 
-Each mutant of a bundled spec drops, duplicates or garbles lines,
-perturbs its rationals, or gains random signed-permutation generators.
-Whatever the mutant says, `verify`, `census` and `f-structure` must end
-with a documented exit code (0 PASS, 1 FAIL, 2 input error) and never
-with an uncaught exception.
+Each mutant of a bundled spec drops, duplicates, garbles or truncates
+lines, perturbs its rationals, or gains random signed-permutation
+generators.  Whatever the mutant says, every subcommand that reads a spec
+must end with a documented exit code (0 PASS, 1 FAIL, 2 input error) and
+never with an uncaught exception.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def mutate(rng: random.Random, text: str) -> str:
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     for _ in range(rng.randint(1, 3)):
         k = rng.randrange(len(lines))
-        op = rng.randrange(5)
+        op = rng.randrange(6)
         if op == 0:
             del lines[k]
         elif op == 1:
@@ -52,8 +52,10 @@ def mutate(rng: random.Random, text: str) -> str:
             lines[k] = " ".join(toks)
         elif op == 3:
             lines[k] = RATIONAL.sub(lambda m: random_rational(rng) if rng.random() < 0.5 else m.group(0), lines[k])
+        elif op == 4:
+            lines[k] = (lines[k].split() or [""])[0]
         else:
-            at = next(i for i, ln in enumerate(lines) if ln.startswith("[gluing]"))
+            at = next((i for i, ln in enumerate(lines) if ln.startswith("[gluing]")), len(lines))
             lines[at:at] = random_generator(rng, k)
     return "\n".join(lines) + "\n"
 
@@ -65,8 +67,10 @@ MUTANTS = [mutate(random.Random(seed), SOURCES[seed % len(SOURCES)]) for seed in
 def test_mutated_spec_never_tracebacks(tmp_path, seed):
     spec = tmp_path / f"mutant{seed}.spec"
     spec.write_text(MUTANTS[seed])
-    for command in ("verify", "census", "f-structure"):
-        result = CliRunner().invoke(main, ["--max-group-order", "64", command, str(spec)])
+    csv = ["--csv", str(tmp_path / "scan.csv")]
+    for command in ("verify", "census", "f-structure", "spin", "betti", "fixed-locus", "curvature-scan"):
+        args = [command, str(spec)] + (csv if command == "curvature-scan" else [])
+        result = CliRunner().invoke(main, ["--max-group-order", "64"] + args)
         assert result.exit_code in (0, 1, 2), (command, result.output)
         assert result.exception is None or isinstance(result.exception, SystemExit), (
             command,

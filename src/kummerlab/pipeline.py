@@ -467,24 +467,17 @@ def write_scan_csv(gscan, mu, path) -> list[str]:
 
     Returns the list of files written.  Column schemas are fixed:
     (d, r_sup, sup_ric_annulus, sup_rm_annulus) and
-    (d, rescaled_sup_ric, diam_bound, mu_proxy), with a header row.
+    (d, rescaled_sup_ric, diam_bound, mu_proxy), with a header row; every
+    value is written to 12 significant digits.
     """
     path = str(path)
     mu_path = path[: -len(".csv")] + ".mu.csv" if path.endswith(".csv") else path + ".mu.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("d,r_sup,sup_ric_annulus,sup_rm_annulus\n")
-        for i, d in enumerate(gscan.parameters):
-            fh.write(
-                f"{_round_sig(d):g},{_round_sig(gscan.series['r_sup'].values[i]):.12g},"
-                f"{_round_sig(gscan.series['sup_ric_annulus'].values[i]):.12g},"
-                f"{_round_sig(gscan.series['sup_rm_annulus'].values[i]):.12g}\n"
-            )
-    with open(mu_path, "w", encoding="utf-8") as fh:
-        fh.write("d,rescaled_sup_ric,diam_bound,mu_proxy\n")
-        for i, d in enumerate(mu.parameters):
-            fh.write(
-                f"{_round_sig(d):g},{_round_sig(mu.series['rescaled_sup_ric'].values[i]):.12g},"
-                f"{_round_sig(mu.series['diam_bound'].values[i]):.12g},"
-                f"{_round_sig(mu.series['mu_proxy'].values[i]):.12g}\n"
-            )
+    tables = ((path, gscan, ("r_sup", "sup_ric_annulus", "sup_rm_annulus")),
+              (mu_path, mu, ("rescaled_sup_ric", "diam_bound", "mu_proxy")))
+    for target, scan, columns in tables:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(",".join(("d", *columns)) + "\n")
+            for i, d in enumerate(scan.parameters):
+                row = [d, *(scan.series[c].values[i] for c in columns)]
+                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
     return [path, mu_path]

@@ -18,6 +18,7 @@ from .fstructure import ChartSpec, TorusActionSymbol
 from .torus import AffineIsometry
 
 SUPPORTED_VERSIONS = (1,)
+MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~1.3 s, ~275 MiB (2-core Xeon VM)
 
 
 class SpecParseError(ValueError):
@@ -100,6 +101,8 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
     expected: dict[str, object] = {}
 
     references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
+    chart_kinds: dict[str, str] = {}  # declared kind of every [chart] section, valid or not
+    headers: set[tuple[str, str]] = set()  # (kind, name) of the sections read so far
     section: tuple[str, str, int] | None = None  # (kind, name, start line)
     body: list[tuple[int, list[str]]] = []
 
@@ -195,7 +198,8 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                     continue
                 setattr(params, key, values)
         for key, parse, ok, what in (
-            ("annulus_grid", int, lambda v: v >= 2, "an integer >= 2"),
+            ("annulus_grid", int, lambda v: 2 <= v <= MAX_ANNULUS_GRID,
+             f"an integer in 2..{MAX_ANNULUS_GRID}"),
             ("ricci_flat_tol", float, lambda v: math.isfinite(v) and v > 0, "a positive number"),
         ):
             if key in fields:
@@ -218,10 +222,11 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         return axes
 
     def _close_chart(name, start, fields, multi) -> None:
+        chart_kinds[name] = (fields.get("kind", (start, ["ball"]))[1] or ["ball"])[0]
         for key in ("kind", "epsilon", "covering", "shrink"):
             if key in fields and not fields[key][1]:
                 return fail(fields[key][0], key, f"{key} needs a value")
-        kind = fields.get("kind", (start, ["ball"]))[1][0]
+        kind = chart_kinds[name]
         try:
             directions = _axes("action", fields["action"][1]) if "action" in fields else ()
             comp_signs = None
@@ -297,6 +302,9 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                 section = (parts[0], parts[0], lineno)
             elif len(parts) == 2:
                 section = (parts[0], parts[1], lineno)
+                if parts[0] in ("generator", "chart") and tuple(parts) in headers:
+                    fail(lineno, "section", f"repeated {parts[0]} name {parts[1]!r}")
+                headers.add(tuple(parts))
             else:
                 fail(lineno, "section", f"malformed section header {line!r}")
                 section = None
@@ -323,9 +331,9 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             body.append((lineno, toks))
     close_section()
 
-    balls = {c.name for c in atlas if c.kind == "ball"}
+    # A ball chart rejected for its own lines is still declared, so it is no error here.
     for ln, name, refs in references:
-        unknown = [r for r in refs if r not in balls]
+        unknown = [r for r in refs if chart_kinds.get(r) != "ball"]
         if unknown:
             fail(ln, f"chart {name}", f"of names no ball chart of the atlas: {', '.join(unknown)}")
 

@@ -3,11 +3,11 @@
 An isometry is stored as an integer signed-permutation matrix plus a
 rational translation reduced mod 1.  Everything in this module is exact:
 the group closure and its product table run on an integer encoding of the
-isometries, fixed loci are solved through the integer Smith normal form
-(once per group element), components are canonicalized to a unique
-rational representative by a Hermite reduction on integer numerators, and
-census orbits are traced through the generators' permutations of the
-components, computed on the same integer codes.
+isometries; fixed loci are read off the cycles of each element's signed
+permutation (once per group element); a component is canonicalized to
+its lexicographically least rational point by subtracting its unit-pivot
+direction rows; and census orbits are traced through the generators'
+permutations of the components, computed on the same integer codes.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ from math import lcm
 
 import numpy as np
 
-from .intlinalg import (
-    hermite_row_basis,
-    mat_vec,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .intlinalg import hermite_row_basis, mat_vec
+
+# Bound here only for perfbench/tracing.py, which counts calls through them.
+from .intlinalg import smith_normal_form, unimodular_inverse  # noqa: F401
 
 Vector = tuple[Fraction, ...]
 
@@ -152,9 +150,6 @@ class GroupTable:
     factors: list[tuple[int, int]]
     codes: tuple[int, list[tuple[int, ...]]]
 
-    def __post_init__(self):
-        self._frames: dict = {}  # direction lattice -> _LatticeFrame
-
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -166,7 +161,7 @@ class GroupTable:
     @cached_property
     def fixed_loci(self) -> list[list[FixedComponent]]:
         """The fixed components of every element, by index, computed on first use."""
-        return [fixed_locus(el, self._frames) for el in self.elements]
+        return [fixed_locus(el) for el in self.elements]
 
     @cached_property
     def generator_indices(self) -> list[int]:
@@ -294,10 +289,9 @@ def generate_group(
 class FixedComponent:
     """One connected component of a fixed-point set: an affine subtorus.
 
-    basepoint is the canonical representative: reduced into [0,1)^n and
-    lexicographically smallest among the rational points of the component
-    sharing its denominator.  directions is the canonical (Hermite) basis
-    of the saturated integer direction lattice.
+    basepoint is the canonical representative: the lexicographically
+    smallest point of the component in [0,1)^n.  directions is the
+    canonical (Hermite) basis of the saturated integer direction lattice.
     """
 
     basepoint: Vector
@@ -312,111 +306,77 @@ class FixedComponent:
         return (self.basepoint, self.directions)
 
 
-class _LatticeFrame:
-    """Integer data of one saturated direction lattice D in Z^n.
-
-    The rows of annihilator are a basis of the integer functionals that
-    vanish on D; the columns of complement extend a basis of D to a basis
-    of Z^n, dual to those rows.  hermite caches, per denominator q, the
-    Hermite basis of D + qZ^n.  All are object arrays of Python ints.
-    """
-
-    def __init__(self, directions: tuple[tuple[int, ...], ...]):
-        n, dim = len(directions[0]), len(directions)
-        cols = [[d[i] for d in directions] for i in range(n)]
-        d, u, _v = smith_normal_form(cols)
-        if any(d[k][k] != 1 for k in range(dim)):
-            raise ValueError("direction lattice is not saturated")
-        self.directions = directions
-        self.annihilator = np.array(u[dim:], dtype=object).reshape(n - dim, n)
-        self.complement = np.array(
-            [row[dim:] for row in unimodular_inverse(u)], dtype=object
-        ).reshape(n, n - dim)
-        self.hermite: dict[int, np.ndarray] = {}
-
-    def hermite_basis(self, q: int) -> np.ndarray:
-        basis = self.hermite.get(q)
-        if basis is None:
-            n = len(self.complement)
-            scaled = [[q if i == j else 0 for j in range(n)] for i in range(n)]
-            rows = hermite_row_basis([list(d) for d in self.directions] + scaled)
-            basis = self.hermite[q] = np.array(rows, dtype=object)
-        return basis
-
-
-def _canonical_codes(nums, m, directions, frames: dict) -> tuple[list[int], list[tuple[int, ...]]]:
+def _canonical_codes(nums, m, directions) -> tuple[list[int], list[tuple[int, ...]]]:
     """(q, w) per row: w[r]/q[r] is the canonical basepoint of the component
     through the point nums[r]/m[r] along the directions.
 
-    The component is point + R·D with D the saturated lattice spanned by
-    directions, and the canonical basepoint is the lexicographic minimum of
-    its rational points mod 1.  The annihilating functionals of D take
-    fixed values on it; their denominators fix the intrinsic denominator q,
-    and the points z of the component with qz integral are
-    (w + D + qZ^n)/q for any integral w on q·point + R·D.  Reducing w column
-    by column against the Hermite basis of D + qZ^n yields the lexicographic
-    minimum in [0, q)^n, so (q, w) depends only on the component, not on
-    the point or on m.  Rows are processed together on object arrays of
-    Python ints, so the arithmetic stays exact; frames caches the lattice
-    data per direction lattice.
+    directions must be a Hermite basis with unit pivots, which every
+    direction lattice of a signed-permutation isometry has; any other
+    lattice raises ValueError.  The point moves to x - Σ x[p_k]·d_k, p_k
+    being the pivot of row d_k, and is reduced mod 1.  This is the
+    lexicographic minimum of the component mod 1:
+    - the rows vanish at each other's pivots, so the subtraction zeroes
+      every pivot coordinate, and coordinates before the first pivot are
+      fixed on the component;
+    - each pivot coordinate moves freely along its own row, and 0 is its
+      least value;
+    - once every pivot coordinate is 0 the point is fixed, and each other
+      coordinate is the value of x_j - Σ x[p_k]·d_k[j], a functional that
+      vanishes on the directions, so the denominator q left after
+      reduction is the component's intrinsic one.
+    Hence (q, w) depends only on the component, not on the point or on m.
+    Rows are processed together on object arrays of Python ints.
     """
     m = np.array(m, dtype=object)
     nums = np.array(nums, dtype=object).reshape(len(m), -1)
-    if not directions:
-        q = m // np.gcd(m, np.gcd.reduce(nums, axis=1))
-        w = nums // (m // q)[:, None] % q[:, None]
-        return q.tolist(), [tuple(row) for row in w.tolist()]
-    frame = frames.get(directions)
-    if frame is None:
-        frame = frames[directions] = _LatticeFrame(directions)
-    tail = nums.dot(frame.annihilator.T)
-    q = m // np.gcd(m, np.gcd.reduce(tail, axis=1))
-    w = (tail // (m // q)[:, None]).dot(frame.complement.T)
-    q = q.tolist()
-    for qv in set(q):
-        rows = [r for r, x in enumerate(q) if x == qv]
-        block = w[rows]
-        for j, row in enumerate(frame.hermite_basis(qv)):
-            block -= (block[:, j] // row[j])[:, None] * row
-        w[rows] = block
-    return q, [tuple(row) for row in w.tolist()]
+    if directions:
+        pivots = [next(j for j, x in enumerate(row) if x) for row in directions]
+        rows = np.array(directions, dtype=object)
+        if (rows[:, pivots] != np.eye(len(pivots), dtype=int)).any():
+            raise ValueError("direction lattice has no Hermite basis with unit pivots")
+        nums = nums - nums[:, pivots].dot(rows)
+    nums = nums % m[:, None]
+    q = m // np.gcd(m, np.gcd.reduce(nums, axis=1))
+    w = nums // (m // q)[:, None]
+    return q.tolist(), [tuple(row) for row in w.tolist()]
 
 
-def fixed_locus(f: AffineIsometry, frames: dict | None = None) -> list[FixedComponent]:
+def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
     """All connected components of {x : f(x) = x mod Z^n}, sorted.
 
-    Solves (L - I) x = -t mod Z^n by Smith decomposition U (L-I) V = D:
-    in y = V^{-1} x coordinates each constrained row gives finitely many
-    rational values, each zero row either obstructs or frees a direction.
-    The solutions are integer numerators over the common denominator
-    N·d_last, where N is the translation's denominator and d_last the last
-    nonzero Smith entry, which every nonzero entry divides.
+    Row i of x = Lx + t reads x_i = s_i·x_{p(i)} + t_i.  Along a cycle
+    c_0, c_1 = p(c_0), ... of the permutation, started at its smallest
+    coordinate, x_{c_{j+1}} = s_{c_j}(x_{c_j} - t_{c_j}), so every
+    coordinate is e_j·y + a_j in y = x_{c_0}, and closing the cycle gives
+    (1 - e)·y ≡ u (mod 1), e being the cycle's sign product.  A cycle with
+    e = +1 is a free direction (y = 0 at the basepoint), or the locus is
+    empty when u ≢ 0; one with e = -1 pins y to u/2 or u/2 + 1/2.  The
+    free directions are disjoint ±1 vectors led by +1 at their cycles'
+    smallest coordinates, a Hermite basis already.  Numerators are over
+    2N, N the translation's denominator.
     """
     n = f.dim
     denom = lcm(1, *(t.denominator for t in f.translation))
-    t_nums = [int(t * denom) for t in f.translation]
-    m = [[f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    d, u, v = smith_normal_form(m)
-    c = [-sum(a * t for a, t in zip(row, t_nums) if a) for row in u]
-    scale = max(d[i][i] for i in range(n)) or 1
-    choices: list[list[int]] = []
-    free_idx: list[int] = []
-    for i in range(n):
-        di = d[i][i]
-        if di == 0:
-            if c[i] % denom:
+    m = 2 * denom
+    t = [int(x * m) for x in f.translation]
+    cycle_of, sign, offset = [None] * n, [0] * n, [0] * n
+    pins, directions = [], []
+    for start in range(n):
+        if cycle_of[start] is not None:
+            continue
+        c, e, a = start, 1, 0
+        while cycle_of[c] is None:
+            cycle_of[c], sign[c], offset[c] = len(pins), e, a
+            e, a = f.signs[c] * e, f.signs[c] * (a - t[c])
+            c = f.perm[c]
+        if e == 1:
+            if a % m:
                 return []
-            free_idx.append(i)
-            choices.append([0])
-        else:
-            choices.append([(c[i] + k * denom) * (scale // di) for k in range(di)])
-    directions = tuple(
-        tuple(r) for r in hermite_row_basis([[v[r][i] for r in range(n)] for i in free_idx])
-    )
-    combos = np.array(list(itertools.product(*choices)), dtype=object)
-    points = combos.dot(np.array(v, dtype=object).T)
-    q, w = _canonical_codes(points, [denom * scale] * len(points), directions,
-                            {} if frames is None else frames)
+            directions.append(tuple(sign[i] if cycle_of[i] == len(pins) else 0 for i in range(n)))
+        pins.append([0] if e == 1 else [a // 2, a // 2 + denom])
+    ys = np.array(list(itertools.product(*pins)), dtype=object)
+    points, directions = ys[:, cycle_of] * sign + offset, tuple(directions)
+    q, w = _canonical_codes(points, [m] * len(points), directions)
     common = lcm(*q)
     order = sorted(range(len(q)), key=lambda r: _lex_key(q[r], w[r], common))
     return [FixedComponent(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
@@ -446,7 +406,7 @@ def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.n
     return m, w[:, list(g[:n])] * signs * (m // q)[:, None] + trans * (m // denom)[:, None]
 
 
-def _image_codes(g: tuple[int, ...], denom: int, directions, q, w, frames: dict) -> tuple:
+def _image_codes(g: tuple[int, ...], denom: int, directions, q, w) -> tuple:
     """(image directions, q, w): integer forms of the images, under the
     isometry of code g, of the components with these directions through
     the points w[r]/q[r]."""
@@ -456,22 +416,19 @@ def _image_codes(g: tuple[int, ...], denom: int, directions, q, w, frames: dict)
         for r in hermite_row_basis([[g[n + i] * dv[g[i]] for i in range(n)] for dv in directions])
     )
     m, image = _apply_codes(g, denom, q, w)
-    return (image_dirs, *_canonical_codes(image, m, image_dirs, frames))
+    return (image_dirs, *_canonical_codes(image, m, image_dirs))
 
 
 def _point_arrays(q: list[int], w: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     return np.array(q, dtype=object), np.array(w, dtype=object).reshape(len(q), -1)
 
 
-def transform_component(
-    g: AffineIsometry, comp: FixedComponent, frames: dict | None = None
-) -> FixedComponent:
+def transform_component(g: AffineIsometry, comp: FixedComponent) -> FixedComponent:
     """The image g(comp), canonicalized."""
     denom = lcm(1, *(t.denominator for t in g.translation))
     directions, q, w = _component_code(comp)
     image_dirs, (q,), (w,) = _image_codes(
-        _encode(g, denom), denom, directions, *_point_arrays([q], [w]),
-        {} if frames is None else frames,
+        _encode(g, denom), denom, directions, *_point_arrays([q], [w])
     )
     return FixedComponent(tuple(Fraction(k, q) for k in w), image_dirs)
 
@@ -527,7 +484,7 @@ def _component_permutations(group: GroupTable, codes: list[tuple]) -> np.ndarray
     for g in group.generator_indices:
         for directions, ks in batches.items():
             image_dirs, q, w = _image_codes(
-                elt_codes[g], denom, directions, *points[directions], group._frames
+                elt_codes[g], denom, directions, *points[directions]
             )
             images = [position.get((image_dirs, *qw)) for qw in zip(q, w)]
             if None in images:

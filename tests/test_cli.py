@@ -167,6 +167,17 @@ def test_curvature_scan_writes_both_tables(tmp_path):
     assert target.read_text().startswith("d,r_sup,sup_ric_annulus,sup_rm_annulus")
 
 
+def test_curvature_scan_csvs_keep_every_digit_of_d(tmp_path):
+    d_values = ["12.3456789", "24.6913578", "49.3827156", "98.7654312"]
+    spec = Path(trimmed_spec(tmp_path))
+    spec.write_text(spec.read_text().replace("d_values 10 20 40 80", "d_values " + " ".join(d_values)))
+    result = CliRunner().invoke(main, ["curvature-scan", str(spec), "--csv", str(tmp_path / "s.csv")])
+    assert result.exit_code == 0, result.output
+    for name in ("s.csv", "s.mu.csv"):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == d_values
+
+
 def test_curvature_scan_requires_gluing(tmp_path):
     result = CliRunner().invoke(
         main, ["curvature-scan", bare_spec(tmp_path), "--csv", str(tmp_path / "x.csv")]
@@ -230,19 +241,53 @@ def test_parse_errors_exit_two(tmp_path):
         "epsilon",
         "covering",
         "shrink",
+        "annulus_grid 3000000000",
+        ("epsilon 1/128", "epsilon"),
+        ("[generator beta]", "[generator alpha]"),
+        ("[chart W_beta]", "[chart W_alpha]"),
     ],
 )
 def test_out_of_domain_spec_values_exit_two(tmp_path, line):
-    """Each line replaces the first line of example-a with the same key."""
-    key = line.split()[0]
-    lines = Path(EXAMPLE_A).read_text().splitlines()
-    lines[next(i for i, ln in enumerate(lines) if ln.split()[:1] == [key])] = line
-    spec = tmp_path / "bad.spec"
-    spec.write_text("\n".join(lines) + "\n")
+    """A line replaces the first line of example-a with the same key; a pair
+    (old, new) replaces every line that reads old."""
+    spec = edited_example_a(tmp_path, line)
     result = CliRunner().invoke(main, ["verify", str(spec)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: {spec}:")
+
+
+def edited_example_a(tmp_path: Path, line) -> Path:
+    lines = Path(EXAMPLE_A).read_text().splitlines()
+    if isinstance(line, tuple):
+        lines = [line[1] if ln == line[0] else ln for ln in lines]
+    else:
+        key = line.split()[0]
+        lines[next(i for i, ln in enumerate(lines) if ln.split()[:1] == [key])] = line
+    spec = tmp_path / "bad.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    return spec
+
+
+@pytest.mark.parametrize(
+    "edit, errors",
+    [
+        (("epsilon 1/128", "epsilon"), ["30 [epsilon] epsilon needs a value",
+                                        "38 [epsilon] epsilon needs a value",
+                                        "46 [epsilon] epsilon needs a value"]),
+        (("[generator beta]", "[generator alpha]"), ["12 [section] repeated generator name 'alpha'"]),
+        (("[chart W_beta]", "[chart W_alpha]"), [
+            "35 [section] repeated chart name 'W_alpha'",
+            "53 [chart V] of names no ball chart of the atlas: W_beta",
+        ]),
+        ("annulus_grid 3000000000", ["22 [annulus_grid] annulus_grid must be an integer in 2..1048576"]),
+    ],
+)
+def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):
+    spec = edited_example_a(tmp_path, edit)
+    result = CliRunner().invoke(main, ["verify", str(spec)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.splitlines() == [f"error: {spec}:{e}" for e in errors]
 
 
 def undecodable_spec(tmp_path: Path) -> str:

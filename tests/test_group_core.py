@@ -1,15 +1,17 @@
 """The integer group core against the direct algorithms it replaced.
 
 The references are kept here verbatim in spirit: the BFS closure with a
-product table built by `compose`, the canonical basepoint by enumerating
-all q^dim candidates, the image of a component computed in `Fraction`s,
-the generators' component permutations from that image, the census orbit
-search that applies every group element to every component with
-per-element stabilizer tests, and the invariant forms as the kernel of
-the induced actions of every element.  The fast paths must reproduce
-them exactly on seeded random groups whose linear parts are non-diagonal
-signed permutations.  Call counts taken through the module bindings
-guard the work the fast paths save.
+product table built by `compose`, the fixed locus solved through the
+integer Smith normal form and canonicalized against any saturated
+lattice, the canonical basepoint by enumerating all q^dim candidates,
+the image of a component computed in `Fraction`s, the generators'
+component permutations from that image, the census orbit search that
+applies every group element to every component with per-element
+stabilizer tests, and the invariant forms as the kernel of the induced
+actions of every element.  The fast paths must reproduce them exactly on
+seeded random groups whose linear parts are non-diagonal signed
+permutations.  Call counts taken through the module bindings guard the
+work the fast paths save.
 """
 
 from __future__ import annotations
@@ -20,12 +22,19 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 
 from conftest import lattice_adapted_basis
 from kummerlab import forms, fstructure, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
-from kummerlab.intlinalg import hermite_row_basis, int_det, kernel_basis, unimodular_inverse
+from kummerlab.intlinalg import (
+    hermite_row_basis,
+    int_det,
+    kernel_basis,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from kummerlab.torus import (
     AffineIsometry,
     CensusOrbit,
@@ -73,6 +82,92 @@ def reference_group(generators, names, max_order=16):
             k += 1
         exponent = lcm(exponent, k)
     return elements, elt_names, product, abelian, exponent
+
+
+class ReferenceLatticeFrame:
+    """Integer data of one saturated direction lattice D in Z^n.
+
+    The rows of annihilator are a basis of the integer functionals that
+    vanish on D; the columns of complement extend a basis of D to a basis
+    of Z^n, dual to those rows.  hermite_basis(q) is the Hermite basis of
+    D + qZ^n.
+    """
+
+    def __init__(self, directions):
+        n, dim = len(directions[0]), len(directions)
+        cols = [[d[i] for d in directions] for i in range(n)]
+        d, u, _v = smith_normal_form(cols)
+        if any(d[k][k] != 1 for k in range(dim)):
+            raise ValueError("direction lattice is not saturated")
+        self.directions = directions
+        self.annihilator = np.array(u[dim:], dtype=object).reshape(n - dim, n)
+        self.complement = np.array(
+            [row[dim:] for row in unimodular_inverse(u)], dtype=object
+        ).reshape(n, n - dim)
+
+    def hermite_basis(self, q):
+        n = len(self.complement)
+        scaled = [[q if i == j else 0 for j in range(n)] for i in range(n)]
+        return np.array(hermite_row_basis([list(d) for d in self.directions] + scaled), dtype=object)
+
+
+def reference_canonical_codes(nums, m, directions):
+    """(q, w) per row for any saturated lattice: the annihilating functionals
+    fix the intrinsic denominator q, and w is reduced column by column
+    against the Hermite basis of D + qZ^n to the lexicographic minimum."""
+    m = np.array(m, dtype=object)
+    nums = np.array(nums, dtype=object).reshape(len(m), -1)
+    if not directions:
+        q = m // np.gcd(m, np.gcd.reduce(nums, axis=1))
+        w = nums // (m // q)[:, None] % q[:, None]
+        return q.tolist(), [tuple(row) for row in w.tolist()]
+    frame = ReferenceLatticeFrame(directions)
+    tail = nums.dot(frame.annihilator.T)
+    q = m // np.gcd(m, np.gcd.reduce(tail, axis=1))
+    w = (tail // (m // q)[:, None]).dot(frame.complement.T)
+    q = q.tolist()
+    for qv in set(q):
+        rows = [r for r, x in enumerate(q) if x == qv]
+        block = w[rows]
+        for j, row in enumerate(frame.hermite_basis(qv)):
+            block -= (block[:, j] // row[j])[:, None] * row
+        w[rows] = block
+    return q, [tuple(row) for row in w.tolist()]
+
+
+def reference_fixed_locus(f):
+    """Solves (L - I) x = -t mod Z^n by Smith decomposition U (L-I) V = D.
+
+    In y = V^{-1} x coordinates each constrained row gives finitely many
+    rational values, and each zero row either obstructs or frees a
+    direction; solutions are numerators over N·d_last.
+    """
+    n = f.dim
+    denom = lcm(1, *(t.denominator for t in f.translation))
+    t_nums = [int(t * denom) for t in f.translation]
+    m = [[f.linear[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    d, u, v = smith_normal_form(m)
+    c = [-sum(a * t for a, t in zip(row, t_nums) if a) for row in u]
+    scale = max(d[i][i] for i in range(n)) or 1
+    choices, free_idx = [], []
+    for i in range(n):
+        di = d[i][i]
+        if di == 0:
+            if c[i] % denom:
+                return []
+            free_idx.append(i)
+            choices.append([0])
+        else:
+            choices.append([(c[i] + k * denom) * (scale // di) for k in range(di)])
+    directions = tuple(
+        tuple(r) for r in hermite_row_basis([[v[r][i] for r in range(n)] for i in free_idx])
+    )
+    combos = np.array(list(itertools.product(*choices)), dtype=object)
+    points = combos.dot(np.array(v, dtype=object).T)
+    q, w = reference_canonical_codes(points, [denom * scale] * len(points), directions)
+    common = lcm(*q)
+    order = sorted(range(len(q)), key=lambda r: torus._lex_key(q[r], w[r], common))
+    return [FixedComponent(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
 
 
 def reference_basepoint(point, directions, cap=1024):
@@ -365,22 +460,28 @@ def test_random_censuses_are_not_trivial():
     assert {o.representative.dimension for c in censuses for o in c.orbits} >= {0, 1, 2}
 
 
-def random_saturated_lattice(rng, n, dim):
-    """First `dim` rows of a random unimodular matrix, in Hermite form."""
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        q = rng.randint(-2, 2)
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-    rng.shuffle(u)
-    return tuple(tuple(r) for r in hermite_row_basis(u[:dim]))
+def random_unit_pivot_lattice(rng, n, dim):
+    """First `dim` rows of a random unimodular matrix, in Hermite form, redrawn
+    until every pivot is 1: the lattices that signed permutations produce."""
+    while True:
+        u = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2)
+            q = rng.randint(-2, 2)
+            u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+        rng.shuffle(u)
+        rows = tuple(tuple(r) for r in hermite_row_basis(u[:dim]))
+        if all(next(x for x in r if x) == 1 for r in rows):
+            return rows
 
 
 def canonical_basepoint(point, directions):
-    """The integer core's canonical basepoint, as rationals."""
+    """The integer core's canonical basepoint, as rationals; its q is intrinsic."""
     m = lcm(1, *(x.denominator for x in point))
-    (q,), (w,) = torus._canonical_codes([[int(x * m) for x in point]], [m], directions, {})
-    return tuple(Fraction(k, q) for k in w)
+    (q,), (w,) = torus._canonical_codes([[int(x * m) for x in point]], [m], directions)
+    base = tuple(Fraction(k, q) for k in w)
+    assert q == lcm(1, *(x.denominator for x in base))
+    return base
 
 
 def test_closed_form_basepoint_matches_enumeration():
@@ -388,7 +489,7 @@ def test_closed_form_basepoint_matches_enumeration():
 
     Components come from fixed loci of random signed-permutation
     isometries (dimensions 2-5, translation denominators up to 8) and from
-    random saturated lattices through random rational points.  Inputs
+    random unit-pivot lattices through random rational points.  Inputs
     with more than 1024 candidates are skipped, because the reference
     enumerates every candidate.
     """
@@ -400,7 +501,7 @@ def test_closed_form_basepoint_matches_enumeration():
             f = random_signed_permutation(rng, n, range(1, 9), non_diagonal=False)
             comps = [(c.basepoint, c.directions, True) for c in fixed_locus(f)]
         else:
-            dirs = random_saturated_lattice(rng, n, rng.randint(1, n - 1))
+            dirs = random_unit_pivot_lattice(rng, n, rng.randint(1, n - 1))
             point = tuple(Fraction(rng.randrange(q), q) for q in (rng.randint(1, 8) for _ in range(n)))
             comps = [(point, dirs, False)]
         for base, dirs, canonical in comps:
@@ -416,6 +517,56 @@ def test_closed_form_basepoint_matches_enumeration():
             if canonical:
                 assert base == expected
             compared += 1
+
+
+def random_isometries(seed, count):
+    """Seeded signed-permutation isometries of dimensions 1-6 with translation
+    denominators up to 12, plus the identity and pure translations."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(1, 7):
+        out.append(AffineIsometry.identity(n))
+        for q in (2, 3, 12):
+            out.append(AffineIsometry.from_diagonal([1] * n, [Fraction(1, q)] + [0] * (n - 1)))
+    while len(out) < count:
+        n = rng.randint(1, 6)
+        non_diagonal = n > 1 and rng.random() < 0.7
+        out.append(random_signed_permutation(rng, n, range(1, 13), non_diagonal=non_diagonal))
+    return out
+
+
+def test_cycle_fixed_locus_matches_smith_reference():
+    isometries = random_isometries(31, 2400)
+    loci = [fixed_locus(f) for f in isometries]
+    for f, locus in zip(isometries, loci):
+        assert locus == reference_fixed_locus(f)
+        for comp in locus:
+            assert [list(d) for d in comp.directions] == hermite_row_basis(
+                [list(d) for d in comp.directions])
+    # The draw covers empty loci, every dimension, several components, and
+    # directions along cycles of length >= 2, some with a -1 entry.
+    directions = [[d for c in locus for d in c.directions] for locus in loci]
+    assert sum(not locus for locus in loci) >= 1000
+    assert {comp.dimension for locus in loci for comp in locus} == set(range(7))
+    assert sum(len(locus) >= 4 for locus in loci) >= 200
+    assert sum(any(sum(map(abs, d)) >= 2 for d in dirs) for dirs in directions) >= 40
+    assert sum(any(-1 in d for d in dirs) for dirs in directions) >= 20
+
+
+def test_canonical_codes_match_lattice_frame_reference():
+    rng = random.Random(32)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        dirs = random_unit_pivot_lattice(rng, n, rng.randint(1, n - 1))
+        m = [rng.randint(1, 24) for _ in range(5)]
+        nums = [[rng.randint(-50, 50) for _ in range(n)] for _ in m]
+        assert torus._canonical_codes(nums, m, dirs) == reference_canonical_codes(nums, m, dirs)
+
+
+@pytest.mark.parametrize("directions", [((2, 1),), ((1, 0, 1), (0, 3, 1)), ((1, 1), (0, 1))])
+def test_canonical_codes_reject_lattices_without_unit_pivots(directions):
+    with pytest.raises(ValueError):
+        torus._canonical_codes([[1] * len(directions[0])], [4], directions)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +606,14 @@ def test_run_all_computes_each_fixed_locus_once(spec_a, monkeypatch):
     assert report.overall == "PASS"
     assert report.sections["group"]["order"] == 8
     assert len(calls) == 8
+
+
+def test_run_all_solves_no_smith_forms(spec_a, monkeypatch):
+    calls = []
+    counting(monkeypatch, torus, "smith_normal_form", calls)
+    counting(monkeypatch, torus, "unimodular_inverse", calls)
+    assert pipeline.run_all(spec_a).overall == "PASS"
+    assert calls == []
 
 
 def test_invariant_forms_stack_generators_only(spec_a, monkeypatch):

@@ -29,8 +29,18 @@ def bundled_examples() -> dict[str, str]:
     return {p.name: str(p) for p in sorted(base.iterdir()) if p.name.endswith(".spec")}
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the sys.stdout or sys.stderr of the moment.
+
+    Without file=, click caches the stream it resolves in a WeakKeyDictionary
+    whose value is the key itself, so the entry is never freed, and click's
+    CliRunner brings new streams on every in-process invocation.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _fail(message) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    _echo(f"error: {message}", err=True)
     sys.exit(2)
 
 
@@ -45,7 +55,7 @@ def _load(path: str) -> ConstructionSpec:
         _io_fail("read", path, exc)
     except SpecParseError as exc:
         for ln, fld, why in exc.errors:
-            click.echo(f"error: {path}:{ln} [{fld}] {why}", err=True)
+            _echo(f"error: {path}:{ln} [{fld}] {why}", err=True)
         sys.exit(2)
 
 
@@ -71,7 +81,7 @@ def _write_json(ctx, payload: str) -> None:
                 fh.write(payload)
         except OSError as exc:
             _io_fail("write", path, exc)
-        click.echo(f"wrote {path}")
+        _echo(f"wrote {path}")
 
 
 @click.group()
@@ -118,8 +128,8 @@ def verify(ctx, spec_path):
             extra.append(f"tol={c.tolerance}")
         if c.detail:
             extra.append(c.detail)
-        click.echo(f"{c.status:4s}  {c.name}" + (f"  ({'; '.join(map(str, extra))})" if extra else ""))
-    click.echo(f"overall: {report.overall}")
+        _echo(f"{c.status:4s}  {c.name}" + (f"  ({'; '.join(map(str, extra))})" if extra else ""))
+    _echo(f"overall: {report.overall}")
     _write_json(ctx, report.to_json())
     sys.exit(0 if report.overall == "PASS" else 1)
 
@@ -139,11 +149,11 @@ def fixed_locus_cmd(ctx, spec_path, element):
         if name not in known:
             _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")
         comps = group.fixed_loci[known[name]]
-        click.echo(f"{name}: {len(comps)} component(s)")
+        _echo(f"{name}: {len(comps)} component(s)")
         for comp in comps:
             base = ", ".join(str(x) for x in comp.basepoint)
             dirs = "; ".join(str(list(d)) for d in comp.directions) or "point"
-            click.echo(f"  dim {comp.dimension}  basepoint ({base})  directions {dirs}")
+            _echo(f"  dim {comp.dimension}  basepoint ({base})  directions {dirs}")
 
 
 @main.command()
@@ -156,14 +166,14 @@ def census(ctx, spec_path):
     sec = report.sections["census"]
     if "error" in sec:
         _fail(sec["error"])
-    click.echo(
+    _echo(
         f"{sec['total_components']} components in {sec['orbit_count']} orbits "
         f"(sizes {sorted(sec['orbit_sizes'])})"
     )
     for o in sec["orbits"]:
         base = ", ".join(o["representative"]["basepoint"])
         trans = ", ".join(o["translation_elements"]) or "none"
-        click.echo(
+        _echo(
             f"  orbit size {o['size']}  rep ({base})  model {o['local_model']}  "
             f"length factor {o['quotient_length_factor']}  translations: {trans}"
         )
@@ -183,15 +193,15 @@ def spin(ctx, spec_path, square_plus):
         _fail(sec["error"])
     if "lifts" in sec:
         for name, lift in sec["lifts"].items():
-            click.echo(f"lift({name}) = ±({lift})")
-        click.echo(f"squares ({sec['square_convention']}): {sec['squares']}")
-        click.echo(f"commutator signs: {sec['commutator_signs']}")
+            _echo(f"lift({name}) = ±({lift})")
+        _echo(f"squares ({sec['square_convention']}): {sec['squares']}")
+        _echo(f"commutator signs: {sec['commutator_signs']}")
     tail = ""
     if "witness" in sec:
         tail = f"  witness: ({', '.join(sec['witness'])})"
     elif "reason" in sec:
         tail = f"  reason: {sec['reason']}"
-    click.echo(f"verdict: {sec['verdict']}{tail}")
+    _echo(f"verdict: {sec['verdict']}{tail}")
 
 
 @main.command()
@@ -204,13 +214,13 @@ def betti(ctx, spec_path):
     cert = pipeline.run_pi1_stage(group, report)
     pipeline.run_betti_stage(group, census, cert, report)
     sec = report.sections["betti"]
-    click.echo(f"orbifold betti: {sec['orbifold']}")
-    click.echo(f"invariant 2-forms: {sec['invariant_two_forms'] or ['none']}")
+    _echo(f"orbifold betti: {sec['orbifold']}")
+    _echo(f"invariant 2-forms: {sec['invariant_two_forms'] or ['none']}")
     res = sec["resolved"]
     if "refused" in res:
-        click.echo(f"resolved: refused ({res['refused']})")
+        _echo(f"resolved: refused ({res['refused']})")
     else:
-        click.echo(f"resolved: b2 = {res['b2']}, b3 = {res['b3']}, euler = {res['euler']}")
+        _echo(f"resolved: b2 = {res['b2']}, b3 = {res['b3']}, euler = {res['euler']}")
 
 
 @main.command("curvature-scan")
@@ -229,12 +239,12 @@ def curvature_scan(ctx, spec_path, csv_path):
         files = pipeline.write_scan_csv(gscan, mu, csv_path)
     except OSError as exc:
         _io_fail("write", exc.filename, exc)
-    click.echo(
+    _echo(
         f"sup|Ric| slope {gscan.series['sup_ric_annulus'].slope:.4f}, "
         f"rescaled slope {mu.series['rescaled_sup_ric'].slope:.4f}"
     )
     for f in files:
-        click.echo(f"wrote {f}")
+        _echo(f"wrote {f}")
 
 
 @main.command("f-structure")
@@ -250,8 +260,8 @@ def f_structure(ctx, spec_path):
     sec = report.sections["f_structure"]
     for row in sec["checks"]:
         detail = f"  ({row['detail']})" if row["detail"] else ""
-        click.echo(f"{row['status']:4s}  {row['name']}{detail}")
-    click.echo(f"polarized: {sec['polarized']}  rank: {sec['rank']}  overall: {sec['overall']}")
+        _echo(f"{row['status']:4s}  {row['name']}{detail}")
+    _echo(f"polarized: {sec['polarized']}  rank: {sec['rank']}  overall: {sec['overall']}")
     _write_json(ctx, pipeline.Report(sections={"f_structure": sec}, claims=report.claims).to_json())
     sys.exit(0 if sec["overall"] == "PASS" else 1)
 
@@ -260,7 +270,7 @@ def f_structure(ctx, spec_path):
 def examples():
     """List the bundled construction spec files."""
     for name, path in bundled_examples().items():
-        click.echo(f"{name}\t{path}")
+        _echo(f"{name}\t{path}")
 
 
 if __name__ == "__main__":

@@ -102,7 +102,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
 
     references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
     chart_kinds: dict[str, str] = {}  # declared kind of every [chart] section, valid or not
-    headers: set[tuple[str, str]] = set()  # (kind, name) of the sections read so far
+    headers: set = set()  # "gluing", "expected" and (kind, name) of the other sections read so far
     section: tuple[str, str, int] | None = None  # (kind, name, start line)
     body: list[tuple[int, list[str]]] = []
 
@@ -118,6 +118,8 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         multi: dict[str, list[tuple[int, list[str]]]] = {}
         for ln, toks in body:
             key = toks[0]
+            if kind == "gluing" and key in fields:
+                fail(ln, key, f"repeated key {key!r} in [gluing]")
             multi.setdefault(key, []).append((ln, toks[1:]))
             fields[key] = (ln, toks[1:])
         if kind == "generator":
@@ -298,13 +300,17 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             close_section()
             body = []
             parts = line[1:-1].split()
-            if len(parts) == 1:
-                section = (parts[0], parts[0], lineno)
-            elif len(parts) == 2:
-                section = (parts[0], parts[1], lineno)
-                if parts[0] in ("generator", "chart") and tuple(parts) in headers:
-                    fail(lineno, "section", f"repeated {parts[0]} name {parts[1]!r}")
-                headers.add(tuple(parts))
+            if len(parts) in (1, 2):
+                kind, name = parts[0], parts[-1]
+                section = (kind, name, lineno)
+                if kind in ("gluing", "expected"):
+                    if kind in headers:
+                        fail(lineno, "section", f"repeated section [{kind}]")
+                    headers.add(kind)
+                elif kind in ("generator", "chart"):
+                    if (kind, name) in headers:
+                        fail(lineno, "section", f"repeated {kind} name {name!r}")
+                    headers.add((kind, name))
             else:
                 fail(lineno, "section", f"malformed section header {line!r}")
                 section = None

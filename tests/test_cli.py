@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,30 @@ def test_examples_listing():
     assert result.exit_code == 0
     assert "example-a.spec" in result.output
     assert "example-b.spec" in result.output
+
+
+def test_in_process_invocations_free_their_streams(tmp_path):
+    """click.echo without file= caches each stream it resolves and never
+    frees it; CliRunner brings new streams on every invocation."""
+    missing = str(tmp_path / "missing.spec")
+
+    def invoke_both():
+        CliRunner().invoke(main, ["examples"])  # stdout
+        CliRunner().invoke(main, ["verify", missing])  # stderr, exit 2
+
+    for _ in range(10):
+        invoke_both()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(150):
+            invoke_both()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"{grown} bytes kept by 300 invocations"
 
 
 def test_verify_first_example_passes(tmp_path):
@@ -221,6 +247,12 @@ def test_parse_errors_exit_two(tmp_path):
     assert missing.exit_code == 2
 
 
+# A repeated single-valued key or section used to override or merge silently.
+REPEATED_KEY = ("annulus_grid 512", "annulus_grid 512\nannulus_grid 96")
+REPEATED_GLUING = ("ricci_flat_tol 1e-6", "ricci_flat_tol 1e-6\n[gluing]\nd_values 8 16 32 64")
+REPEATED_EXPECTED = ("f_rank 1", "f_rank 1\n[expected]\norbits 11")
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -245,11 +277,14 @@ def test_parse_errors_exit_two(tmp_path):
         ("epsilon 1/128", "epsilon"),
         ("[generator beta]", "[generator alpha]"),
         ("[chart W_beta]", "[chart W_alpha]"),
+        REPEATED_KEY,
+        REPEATED_GLUING,
+        REPEATED_EXPECTED,
     ],
 )
 def test_out_of_domain_spec_values_exit_two(tmp_path, line):
     """A line replaces the first line of example-a with the same key; a pair
-    (old, new) replaces every line that reads old."""
+    (old, new) replaces every line that reads old (new may span lines)."""
     spec = edited_example_a(tmp_path, line)
     result = CliRunner().invoke(main, ["verify", str(spec)])
     assert result.exit_code == 2, result.output
@@ -281,6 +316,9 @@ def edited_example_a(tmp_path: Path, line) -> Path:
             "53 [chart V] of names no ball chart of the atlas: W_beta",
         ]),
         ("annulus_grid 3000000000", ["22 [annulus_grid] annulus_grid must be an integer in 2..1048576"]),
+        (REPEATED_KEY, ["23 [annulus_grid] repeated key 'annulus_grid' in [gluing]"]),
+        (REPEATED_GLUING, ["26 [section] repeated section [gluing]"]),
+        (REPEATED_EXPECTED, ["72 [section] repeated section [expected]"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import cutoff_derivative_bounds, euler_chart_christoffel_exact, scale_profile
-from kummerlab import curvature
+from kummerlab import curvature, pipeline
 from kummerlab.curvature import (
     DIAM_BOUND_FORMULA,
     MetricChart,
@@ -21,14 +22,13 @@ from kummerlab.curvature import (
     euler_chart,
     euler_coframe,
     fit_loglog,
+    frame_norms,
     glue_ricci_scan,
     glued_profile,
     make_cutoff,
     mu_report,
     riemann,
     sphere_chart,
-    _annulus_sup,
-    _frame_norms,
     _richardson_derivative,
 )
 from kummerlab.jets import Jet
@@ -159,6 +159,8 @@ def test_glued_profile_positivity_dense():
 def test_glued_profile_requires_minimum_scale():
     with pytest.raises(ValueError, match="d >= 4"):
         glued_profile(2.0)
+    with pytest.raises(ValueError, match="d >= 4"):
+        glued_profile(np.array([10.0, 3.5, 20.0]))
 
 
 def test_cohomo_flat_polar_metric():
@@ -302,6 +304,19 @@ def annulus_sup_reference(d, grid_points):
     return best_r, best_ric, best_rm
 
 
+def _annulus_sup(d, grid_points):
+    """One array pass per annulus, with a scalar cutoff scale: the
+    reference for the batched glue scan."""
+    grid = np.geomspace(d, 2.0 * d, grid_points)
+    ric, rm = frame_norms(glued_profile(d), grid)
+    best = int(np.argmax(ric))
+    return float(grid[best]), float(ric[best]), float(rm.max())
+
+
+def scan_rows(scan):
+    return list(zip(*(scan.series[k].values for k in ("r_sup", "sup_ric_annulus", "sup_rm_annulus"))))
+
+
 @pytest.mark.parametrize("grid_points", [64, 512, 2048])
 @pytest.mark.parametrize("d", [4.0, 5.25, 10.0, 160.0])
 def test_annulus_sup_matches_per_radius_reference(d, grid_points):
@@ -312,52 +327,115 @@ def test_annulus_sup_matches_per_radius_reference(d, grid_points):
     assert abs(rm - ref_rm) <= 1e-12 * ref_rm
 
 
+@pytest.mark.parametrize("grid_points", [64, 512, 2048])
+def test_batched_glue_scan_rows_equal_per_annulus_passes(grid_points):
+    ds = [10.0, 20.0, 40.0, 80.0, 160.0]
+    rows = scan_rows(glue_ricci_scan(ds, grid_points))
+    assert rows == [_annulus_sup(d, grid_points) for d in ds]
+
+
+def test_batched_glue_scan_rows_equal_per_annulus_passes_on_every_dense_scan():
+    """All 49 d0 = k/4 (k = 16..64) of the benchmark's dense scan, d = d0 * 2^j."""
+    for k in range(16, 65):
+        ds = [k / 4 * 2**j for j in range(5)]
+        assert scan_rows(glue_ricci_scan(ds, 2048)) == [_annulus_sup(d, 2048) for d in ds], k
+
+
+def count_passes(monkeypatch):
+    """Record the number of radii of every _cartan_coefficients pass."""
+    calibration()  # cached; its scalar samples must not count below
+    sizes = []
+    original = curvature._cartan_coefficients
+
+    def counted(profile, r, n):
+        sizes.append(np.size(r))
+        return original(profile, r, n)
+
+    monkeypatch.setattr(curvature, "_cartan_coefficients", counted)
+    return sizes
+
+
+def test_glue_scan_passes_hold_at_most_the_budget(monkeypatch):
+    ds = [10.0, 20.0, 40.0, 80.0, 160.0]
+    expected = [_annulus_sup(d, 512) for d in ds]
+    sizes = count_passes(monkeypatch)
+    monkeypatch.setattr(curvature, "PASS_RADII", 1024)
+    assert scan_rows(glue_ricci_scan(ds, 512)) == expected
+    assert sizes == [1024, 1024, 512]
+    sizes.clear()
+    monkeypatch.setattr(curvature, "PASS_RADII", 300)  # below one annulus: one annulus a pass
+    assert scan_rows(glue_ricci_scan(ds, 512)) == expected
+    assert sizes == [512] * 5
+
+
+def test_instanton_sup_equals_dense_samples(spec_a):
+    radii = spec_a.gluing.ricci_flat_radii
+    prof = eh_profile()
+    dense = [cohomo_curvature(prof, r).ric_norm for r in radii]
+    assert frame_norms(prof, radii)[0].tolist() == dense
+    for radius_set in [radii] + [[r] for r in radii]:
+        gluing = dataclasses.replace(spec_a.gluing, ricci_flat_radii=radius_set)
+        report = pipeline.Report()
+        pipeline.run_curvature_stage(dataclasses.replace(spec_a, gluing=gluing), report, 1.0)
+        sup = report.sections["curvature"]["instanton_ricci"]["sup_ric"]
+        assert sup == max(cohomo_curvature(prof, r).ric_norm for r in radius_set)
+
+
+def test_decay_scan_matches_per_radius_samples(spec_a):
+    radii = spec_a.gluing.decay_radii
+    prof = eh_profile()
+    scan = decay_scan(prof, radii)
+    devs = []
+    for r in radii:
+        a, b, c = prof.values(r)
+        devs.append(max(abs(a - 1.0), abs(b / r**2 - 1.0), abs(c / r**2 - 1.0)))
+    assert scan.series["metric_deviation"].values == devs
+    for rm, r in zip(scan.series["rm_norm"].values, radii):
+        dense = cohomo_curvature(prof, r).rm_norm
+        assert abs(rm - dense) <= 2 * math.ulp(dense)  # |Rm| sums its squares in another order
+
+
 @pytest.mark.parametrize(
     "prof", [eh_profile(), glued_profile(10.0), glued_profile(6.5), euclidean_profile()],
     ids=lambda p: p.name,
 )
 def test_closed_form_norms_match_dense_samples(prof):
     radii = np.sort(np.random.default_rng(7).uniform(1.2, 40.0, 96))
-    ric, rm = _frame_norms(prof, radii)
+    ric, rm = frame_norms(prof, radii)
     samples = [cohomo_curvature(prof, float(r)) for r in radii]
     scale = max(max(s.rm_norm for s in samples), 1.0)
     for i, s in enumerate(samples):
-        assert abs(ric[i] - s.ric_norm) <= 1e-12 * scale
+        assert ric[i] == s.ric_norm  # summed in the dense contraction's order
         assert abs(rm[i] - s.rm_norm) <= 1e-12 * scale
 
 
 def test_frame_norms_name_the_bad_radius():
     radii = np.array([2.0, 3.0, 0.5, 0.25])
     with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
-        _frame_norms(eh_profile(), radii)
+        frame_norms(eh_profile(), radii)
     with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
         cohomo_curvature(eh_profile(), 0.5)
     negative = RadialProfile("dented", lambda r: (Jet.const(1.0), 7.0 - r, r**2), (0.0, math.inf))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
-        _frame_norms(negative, np.array([1.0, 6.5, 7.5, 8.0]))
+        frame_norms(negative, np.array([1.0, 6.5, 7.5, 8.0]))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
         cohomo_curvature(negative, 7.5)
 
 
-@pytest.mark.parametrize("grid_points", [64, 2048])
-def test_glue_scan_evaluates_each_annulus_in_one_pass(grid_points, monkeypatch):
-    calibration()  # cached; its scalar samples must not count below
-    calls = []
-
-    def counting(attr):
-        original = getattr(curvature, attr)
-
-        def counted(*args, **kwargs):
-            calls.append(attr)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(curvature, attr, counted)
-
-    counting("cohomo_curvature")
-    counting("_cartan_coefficients")
+@pytest.mark.parametrize(
+    "grid_points, passes",
+    [(64, [320]), (512, [2560]), (2048, [4096, 4096, 2048])],
+    ids=["64", "512", "2048"],
+)
+def test_glue_scan_packs_whole_annuli_into_passes(grid_points, passes, monkeypatch):
+    """One pass at the bundled specs' sizes; at 2048 radii, two annuli a pass."""
+    sizes = count_passes(monkeypatch)
+    dense = []
+    original = curvature.cohomo_curvature
+    monkeypatch.setattr(curvature, "cohomo_curvature", lambda *a: dense.append(a) or original(*a))
     glue_ricci_scan([10, 20, 40, 80, 160], grid_points=grid_points)
-    assert calls.count("cohomo_curvature") == 0
-    assert calls.count("_cartan_coefficients") == 5
+    assert dense == []
+    assert sizes == passes
 
 
 def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
@@ -370,7 +448,8 @@ def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
 
     monkeypatch.setattr(curvature.Cutoff, "jet", counted)
     glue_ricci_scan([10, 20, 40, 80, 160], grid_points=64)
-    assert calls == [10.0, 20.0, 40.0, 80.0, 160.0]
+    assert len(calls) == 1
+    assert calls[0].tolist() == np.repeat([10.0, 20.0, 40.0, 80.0, 160.0], 64).tolist()
     calls.clear()
     cohomo_curvature(glued_profile(10.0), 13.0)
     assert calls == [10.0]

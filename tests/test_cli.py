@@ -15,6 +15,10 @@ from kummerlab.cli import bundled_examples, main
 EXAMPLE_A = bundled_examples()["example-a.spec"]
 EXAMPLE_B = bundled_examples()["example-b.spec"]
 FOUR_CHART = str(Path(__file__).resolve().parent / "data" / "example-b-four-chart.spec")
+# The benchmark's order-32 workload at seed 1 (example-a, conjugated, plus 1/4
+# along a circle axis) and example-a plus 1/32 along e1 (order 256).
+GROUP_ORDER32 = str(Path(__file__).resolve().parent / "data" / "group-order32.spec")
+ORDER_256 = str(Path(__file__).resolve().parent / "data" / "order-256.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -98,8 +102,9 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 @pytest.mark.parametrize(
     "spec, golden, code",
     [(EXAMPLE_A, "example-a.json", 0), (EXAMPLE_B, "example-b.json", 1),
-     (FOUR_CHART, "example-b-four-chart.json", 0)],
-    ids=["example-a", "example-b", "four-chart"],
+     (FOUR_CHART, "example-b-four-chart.json", 0),
+     (GROUP_ORDER32, "group-order32.json", 0), (ORDER_256, "order-256.json", 0)],
+    ids=["example-a", "example-b", "four-chart", "group-order32", "order-256"],
 )
 def test_verify_json_report_matches_golden(tmp_path, spec, golden, code):
     out = tmp_path / "report.json"

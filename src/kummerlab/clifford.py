@@ -7,7 +7,6 @@ so operations that report squares accept a ``square_convention`` flag.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 
@@ -27,20 +26,12 @@ class CliffordMonomial:
         if self.indices and not (1 <= self.indices[0] and self.indices[-1] <= self.n):
             raise ValueError("indices out of range")
 
-    @property
-    def grade(self) -> int:
-        return len(self.indices)
-
     def negate(self) -> "CliffordMonomial":
         return CliffordMonomial(self.n, self.indices, -self.sign)
 
     def __str__(self):
         body = "·".join(f"e{i}" for i in self.indices) or "1"
         return ("-" if self.sign < 0 else "") + body
-
-
-def scalar_one(n: int) -> CliffordMonomial:
-    return CliffordMonomial(n, ())
 
 
 def clifford_mul(
@@ -83,12 +74,6 @@ def monomial_square_sign(a: CliffordMonomial, square_sign: int = -1) -> int:
     if sq.indices != ():
         raise AssertionError("square of a monomial must be a scalar")
     return sq.sign
-
-
-def all_monomials(n: int):
-    for k in range(n + 1):
-        for combo in itertools.combinations(range(1, n + 1), k):
-            yield CliffordMonomial(n, combo)
 
 
 @dataclass(frozen=True)

@@ -634,13 +634,15 @@ def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     contraction is diagonal, diag(-E1-E2-E3, -E1+P2+P3, -E2+P1+P3,
     -E3+P1+P2) up to the contraction sign, summed here in the order of the
     dense contraction, so |Ric| equals cohomo_curvature's bit for bit; |Rm|
-    sums its squares in another order and may differ in the last bit.
+    sums its squares in another order and may differ in the last bit.  A
+    profile constant in r gives float coefficients, broadcast to the radii.
     """
     radii = np.asarray(radii, dtype=float)
     E, M, N, P = _cartan_coefficients(profile, radii, calibration().structure_constant)
     ric = (-E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[2] - E[1] + P[0], P[1] - E[2] + P[0])
     ric_norm = np.sqrt((ric[0] * ric[0] + ric[2] * ric[2]) + (ric[1] * ric[1] + ric[3] * ric[3]))
-    return ric_norm, np.sqrt(4.0 * sum(q * q for q in E + M + N + P))
+    rm_norm = np.sqrt(4.0 * sum(q * q for q in E + M + N + P))
+    return np.full(radii.shape, ric_norm), np.full(radii.shape, rm_norm)
 
 
 def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:

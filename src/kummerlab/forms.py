@@ -10,6 +10,7 @@ add one 2-class per grafted singular circle orbit.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -110,19 +111,37 @@ def invariant_forms(group: GroupTable, k: int) -> InvariantSubspace:
     return InvariantSubspace(k, len(vectors), vectors, basis)
 
 
+def exterior_traces(perm, signs) -> list[int]:
+    """Traces of the induced action in degrees 0..n of the signed permutation
+    (perm, signs): the coefficients of det(I + tA), the product over the
+    cycles of (1 - e·(-t)^L), L being the cycle's length and e its sign
+    product (the cycle's block B has B^L = e·I, so det(xI - B) = x^L - e)."""
+    n = len(perm)
+    poly, seen = [1], [False] * n
+    for start in range(n):
+        length, e, c = 0, 1, start
+        while not seen[c]:
+            seen[c] = True
+            e *= signs[c]
+            c = perm[c]
+            length += 1
+        if length:  # poly *= 1 + top·t^L, in place from the top degree down
+            top = -e * (-1) ** length
+            poly += [0] * length
+            for i in range(len(poly) - 1, length - 1, -1):
+                poly[i] += top * poly[i - length]
+    return poly
+
+
 def burnside_dimension(group: GroupTable, k: int) -> Fraction:
     """Average of the induced-action traces; must equal the fixed dimension.
 
-    The sum runs over every element; a trace depends only on the linear
-    part, so each distinct linear part's trace is computed once.
+    The sum runs over every element; a trace depends only on the signed
+    permutation, so each distinct one's traces are read once, by
+    exterior_traces and without an induced-action matrix.
     """
-    traces: dict = {}
-    tot = 0
-    for el in group.elements:
-        if el.linear not in traces:
-            rho = induced_action(el.linear, k)
-            traces[el.linear] = sum(rho[i][i] for i in range(len(rho)))
-        tot += traces[el.linear]
+    counts = Counter((el.perm, el.signs) for el in group.elements)
+    tot = sum(c * exterior_traces(*ps)[k] for ps, c in counts.items()) if k <= group.dim else 0
     return Fraction(tot, group.order)
 
 

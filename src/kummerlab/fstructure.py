@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 # fixed_locus stays bound here for perfbench/tracing.py, which wraps it;
@@ -93,14 +94,19 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
+def _numerators(point, den: int) -> list[int]:
+    return [x.numerator * (den // x.denominator) for x in point]
+
+
+def _dist_sq_numerator(p, q, den: int) -> int:
+    """den² times the squared flat-torus distance of the points p/den and q/den."""
+    return sum(min((a - b) % den, (b - a) % den) ** 2 for a, b in zip(p, q))
+
+
 def _torus_dist_sq(p, q) -> Fraction:
     """Squared flat-torus distance of two rational points, on integer numerators."""
     den = lcm(1, *(x.denominator for x in (*p, *q)))
-    total = 0
-    for a, b in zip(p, q):
-        d = (a.numerator * (den // a.denominator) - b.numerator * (den // b.denominator)) % den
-        total += min(d, den - d) ** 2
-    return Fraction(total, den * den)
+    return Fraction(_dist_sq_numerator(_numerators(p, den), _numerators(q, den), den), den * den)
 
 
 def _axis_sign(g: AffineIsometry, axis: int) -> int | None:
@@ -414,34 +420,40 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
     """Declared group coverings must act freely on the chart.
 
     For complement charts: every fixed component of a non-identity element
-    must lie inside some removed shrunken chart, verified exactly through
-    the component's constrained-pair coordinates.
+    must lie inside some removed shrunken chart, verified exactly on
+    integer numerators through the component's constrained-pair
+    coordinates; a component at distance exactly epsilon·shrink from a
+    center is inside.
     """
     label = f"free-action[{chart.name}]"
     if chart.covering != "group":
         return CheckResult(label, True, "trivial covering")
     by_name = {c.name: c for c in atlas}
-    removed = [by_name[n] for n in chart.complement_of] if chart.kind == "complement" else []
+    tubes = []  # per removed chart: its pair, its centers' numerators over den, den, the bound
+    for w in (by_name[n] for n in chart.complement_of) if chart.kind == "complement" else ():
+        den = lcm(1, *(x.denominator for ctr in w.centers for x in ctr))
+        tubes.append((w.constrained, [_numerators(ctr, den) for ctr in w.centers], den,
+                      (w.epsilon * chart.shrink) ** 2))
 
+    @cache  # each component is tested once
     def inside_removed(comp) -> bool:
-        for w in removed:
-            a, b = w.constrained
+        for (a, b), centers, den, bound in tubes:
             if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
                 continue  # component sweeps the pair plane; not contained
-            cpair = (comp.basepoint[a - 1], comp.basepoint[b - 1])
-            bound = (w.epsilon * chart.shrink) ** 2
-            if any(_torus_dist_sq(cpair, ctr) <= bound for ctr in w.centers):
+            m = lcm(comp.q, den)
+            s, t = m // comp.q, m // den
+            cpair = (comp.w[a - 1] * s, comp.w[b - 1] * s)
+            # dist² = total / m² <= bound, cleared of denominators.
+            if any(_dist_sq_numerator(cpair, (x * t, y * t), m) * bound.denominator
+                   <= bound.numerator * m * m for x, y in centers):
                 return True
         return False
 
-    inside: dict = {}  # component key -> inside_removed, each component tested once
     for gi in range(1, group.order):
         for comp in group.fixed_loci[gi]:
             if chart.kind == "full":
                 return CheckResult(label, False, f"{group.names[gi]} has fixed points")
-            if comp.key not in inside:
-                inside[comp.key] = inside_removed(comp)
-            if not inside[comp.key]:
+            if not inside_removed(comp):
                 return CheckResult(
                     label,
                     False,

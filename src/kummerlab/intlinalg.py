@@ -14,19 +14,6 @@ def identity_matrix(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(a: IntMatrix, v: list[int]) -> list[int]:
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
 def int_det(a: IntMatrix) -> int:
     """Fraction-free (Bareiss) determinant of a square integer matrix."""
     n = len(a)

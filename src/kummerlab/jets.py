@@ -56,7 +56,10 @@ class Jet:
         return self.coeffs[0]
 
     def derivative(self, m: int):
-        """m-th derivative of the underlying function, m at most the order."""
+        """m-th derivative of the underlying function, m at most the order;
+        every derivative of a constant (a one-coefficient jet) is 0.0."""
+        if m and len(self.coeffs) == 1:
+            return 0.0
         return self.coeffs[m] * math.factorial(m)
 
     def deriv_jet(self) -> "Jet":

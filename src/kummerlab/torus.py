@@ -4,10 +4,11 @@ An isometry is stored as an integer signed-permutation matrix plus a
 rational translation reduced mod 1.  Everything in this module is exact:
 the group closure and its product table run on an integer encoding of the
 isometries; fixed loci are read off the cycles of each element's signed
-permutation (once per group element); a component is canonicalized to
-its lexicographically least rational point by subtracting its unit-pivot
-direction rows; and census orbits are traced through the generators'
-permutations of the components, computed on the same integer codes.
+permutation (once per group element); a component is an integer code
+whose basepoint is its lexicographically least rational point, found by
+subtracting its unit-pivot direction rows; and census orbits are traced
+through the generators' permutations of the components, computed on the
+same integer codes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .intlinalg import hermite_row_basis, mat_vec
+from .intlinalg import hermite_row_basis
 
 # Bound here only for perfbench/tracing.py, which counts calls through them.
 from .intlinalg import smith_normal_form, unimodular_inverse  # noqa: F401
@@ -87,12 +88,6 @@ class AffineIsometry:
         lin = tuple(tuple(signs[i] if i == j else 0 for j in range(n)) for i in range(n))
         return AffineIsometry(lin, tuple(Fraction(t) for t in translation))
 
-    def is_identity(self) -> bool:
-        n = self.dim
-        return all(self.translation[i] == 0 for i in range(n)) and all(
-            self.linear[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-
     def apply(self, point) -> Vector:
         """Evaluate at a rational point, reduced into [0,1)^n."""
         pt = [Fraction(x) for x in point]
@@ -100,9 +95,6 @@ class AffineIsometry:
             _mod1(sum((v * pt[j] for j, v in enumerate(row) if v), self.translation[i]))
             for i, row in enumerate(self.linear)
         )
-
-    def apply_linear(self, v: list[int]) -> list[int]:
-        return mat_vec([list(r) for r in self.linear], list(v))
 
     def inverse(self) -> "AffineIsometry":
         n = self.dim
@@ -198,13 +190,20 @@ class GroupTable:
 
 
 def _encode(f: AffineIsometry, denom: int) -> tuple[int, ...]:
-    return (*f.perm, *f.signs, *(int(t * denom) for t in f.translation))
+    return (*f.perm, *f.signs, *(t.numerator * (denom // t.denominator) for t in f.translation))
 
 
 def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
+    """The isometry of a code, whose perm, signs and translation numerators
+    (reduced mod denom) are taken as they are: the matrix is not read back
+    and nothing is reduced again."""
     perm, signs = code[:n], code[n : 2 * n]
-    linear = tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n))
-    return AffineIsometry(linear, tuple(Fraction(t, denom) for t in code[2 * n :]))
+    f = object.__new__(AffineIsometry)
+    f.__dict__.update(
+        linear=tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)),
+        translation=tuple(Fraction(t, denom) for t in code[2 * n :]), perm=perm, signs=signs,
+    )
+    return f
 
 
 def _compose_codes(f: tuple[int, ...], g: tuple[int, ...], n: int, denom: int) -> tuple[int, ...]:
@@ -287,23 +286,30 @@ def generate_group(
 
 @dataclass(frozen=True)
 class FixedComponent:
-    """One connected component of a fixed-point set: an affine subtorus.
+    """One connected component of a fixed-point set: an affine subtorus, as
+    its integer code.
 
-    basepoint is the canonical representative: the lexicographically
-    smallest point of the component in [0,1)^n.  directions is the
-    canonical (Hermite) basis of the saturated integer direction lattice.
+    directions is the canonical (Hermite) basis of the saturated integer
+    direction lattice.  The canonical basepoint, the lexicographically
+    smallest point of the component in [0,1)^n, is w/q, q being the
+    intrinsic denominator (gcd(q, *w) = 1).
     """
 
-    basepoint: Vector
     directions: tuple[tuple[int, ...], ...]
+    q: int
+    w: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
         return len(self.directions)
 
     @property
-    def key(self):
-        return (self.basepoint, self.directions)
+    def key(self) -> tuple:
+        return (self.directions, self.q, self.w)
+
+    @property
+    def basepoint(self) -> Vector:
+        return tuple(Fraction(k, self.q) for k in self.w)
 
 
 def _canonical_codes(nums, m, directions) -> tuple[list[int], list[tuple[int, ...]]]:
@@ -358,7 +364,7 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
     n = f.dim
     denom = lcm(1, *(t.denominator for t in f.translation))
     m = 2 * denom
-    t = [int(x * m) for x in f.translation]
+    t = [x.numerator * (m // x.denominator) for x in f.translation]
     cycle_of, sign, offset = [None] * n, [0] * n, [0] * n
     pins, directions = [], []
     for start in range(n):
@@ -379,22 +385,13 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
     q, w = _canonical_codes(points, [m] * len(points), directions)
     common = lcm(*q)
     order = sorted(range(len(q)), key=lambda r: _lex_key(q[r], w[r], common))
-    return [FixedComponent(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
+    return [FixedComponent(directions, q[r], w[r]) for r in order]
 
 
 def _lex_key(q: int, w, scale: int) -> tuple[int, ...]:
     """The point w/q as numerators over the common denominator scale, so
     that integer tuples compare as the rational points do."""
     return tuple(x * (scale // q) for x in w)
-
-
-# Integer form of a component: (directions, q, w), its canonical basepoint
-# being w/q with q the intrinsic denominator.
-
-
-def _component_code(comp: FixedComponent) -> tuple:
-    q = lcm(1, *(x.denominator for x in comp.basepoint))
-    return comp.directions, q, tuple(x.numerator * (q // x.denominator) for x in comp.basepoint)
 
 
 def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +404,7 @@ def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.n
 
 
 def _image_codes(g: tuple[int, ...], denom: int, directions, q, w) -> tuple:
-    """(image directions, q, w): integer forms of the images, under the
+    """(image directions, q, w): the codes of the images, under the
     isometry of code g, of the components with these directions through
     the points w[r]/q[r]."""
     n = w.shape[1]
@@ -426,11 +423,10 @@ def _point_arrays(q: list[int], w: list[tuple[int, ...]]) -> tuple[np.ndarray, n
 def transform_component(g: AffineIsometry, comp: FixedComponent) -> FixedComponent:
     """The image g(comp), canonicalized."""
     denom = lcm(1, *(t.denominator for t in g.translation))
-    directions, q, w = _component_code(comp)
     image_dirs, (q,), (w,) = _image_codes(
-        _encode(g, denom), denom, directions, *_point_arrays([q], [w])
+        _encode(g, denom), denom, comp.directions, *_point_arrays([comp.q], [comp.w])
     )
-    return FixedComponent(tuple(Fraction(k, q) for k in w), image_dirs)
+    return FixedComponent(image_dirs, q, w)
 
 
 @dataclass
@@ -462,25 +458,24 @@ class SingularCensus:
         return len(self.orbits)
 
 
-def _component_permutations(group: GroupTable, codes: list[tuple]) -> np.ndarray:
+def _component_permutations(group: GroupTable, components: list[FixedComponent]) -> np.ndarray:
     """perms[p, c]: index of the image of component c under element p.
 
-    codes are the components' integer forms.  Only the generators are
-    applied to components, one batch per direction lattice; every other
-    element's permutation follows from the closure's spanning tree, since
-    p = e_i∘g gives perm_p = perm_i∘perm_g.
+    Only the generators are applied to components, one batch per direction
+    lattice; every other element's permutation follows from the closure's
+    spanning tree, since p = e_i∘g gives perm_p = perm_i∘perm_g.
     """
-    position = {code: k for k, code in enumerate(codes)}
+    position = {comp.key: k for k, comp in enumerate(components)}
     batches: dict = {}  # directions -> component indices
-    for k, code in enumerate(codes):
-        batches.setdefault(code[0], []).append(k)
+    for k, comp in enumerate(components):
+        batches.setdefault(comp.directions, []).append(k)
     points = {
-        directions: _point_arrays([codes[k][1] for k in ks], [codes[k][2] for k in ks])
+        directions: _point_arrays([components[k].q for k in ks], [components[k].w for k in ks])
         for directions, ks in batches.items()
     }
     denom, elt_codes = group.codes
-    perms = np.empty((group.order, len(codes)), dtype=np.intp)
-    perms[0] = np.arange(len(codes))
+    perms = np.empty((group.order, len(components)), dtype=np.intp)
+    perms[0] = np.arange(len(components))
     for g in group.generator_indices:
         for directions, ks in batches.items():
             image_dirs, q, w = _image_codes(
@@ -504,17 +499,10 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
     (product type when no translation element exists, half-turn quotient
     type otherwise).
     """
-    seen: dict = {}
-    for loci in group.fixed_loci[1:]:
-        for comp in loci:
-            seen.setdefault(comp.key, comp)
-    unsorted = list(seen.values())
-    codes = [_component_code(comp) for comp in unsorted]
-    scale = lcm(1, *(q for _dirs, q, _w in codes))
-    # Sorted as by comp.key = (basepoint, directions), on integers.
-    order = sorted(range(len(codes)), key=lambda k: (_lex_key(*codes[k][1:], scale), codes[k][0]))
-    codes = [codes[k] for k in order]
-    components = [unsorted[k] for k in order]
+    unique = dict.fromkeys(comp for loci in group.fixed_loci[1:] for comp in loci)
+    scale = lcm(1, *(comp.q for comp in unique))
+    # Sorted by (basepoint, directions), on integers.
+    components = sorted(unique, key=lambda c: (_lex_key(c.q, c.w, scale), c.directions))
     if require_circles:
         bad = [c for c in components if c.dimension != 1]
         if bad:
@@ -523,7 +511,7 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
                 f"dimension {bad[0].dimension}"
             )
 
-    perms = _component_permutations(group, codes)
+    perms = _component_permutations(group, components)
     denom, elt_codes = group.codes
     n = group.dim
     assigned = np.zeros(len(components), dtype=bool)
@@ -536,7 +524,7 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
         members = np.flatnonzero(in_orbit).tolist()
         assigned |= in_orbit
         setwise = np.flatnonzero(perms[:, r] == r).tolist()
-        directions, q, w = codes[r]
+        directions, q, w = rep.key
         # Elements preserving the component and its directions move it along itself.
         along = [
             i

@@ -19,12 +19,13 @@ import numpy as np
 import pytest
 
 from kummerlab.cli import bundled_examples
+from kummerlab.clifford import CliffordMonomial
 from kummerlab.curvature import Cutoff, RadialProfile
 from kummerlab.forms import form_basis, induced_action
 from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
 from kummerlab.jets import Jet
 from kummerlab.specfile import parse_construction
-from kummerlab.torus import AffineIsometry, GroupTable, compose, generate_group
+from kummerlab.torus import AffineIsometry, FixedComponent, GroupTable, compose, generate_group
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -57,6 +58,52 @@ def group_a(spec_a):
 @pytest.fixture(scope="session")
 def group_b(spec_b):
     return generate_group(spec_b.generators, spec_b.generator_names)
+
+
+# ---------------------------------------------------------------------------
+# Small exact helpers the library does not need.
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def mat_vec(a, v):
+    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+
+
+def apply_linear(f: AffineIsometry, v) -> list[int]:
+    """The linear part of f applied to an integer vector."""
+    return mat_vec([list(r) for r in f.linear], list(v))
+
+
+def is_identity(f: AffineIsometry) -> bool:
+    n = f.dim
+    return all(t == 0 for t in f.translation) and all(
+        f.linear[i][j] == (i == j) for i in range(n) for j in range(n))
+
+
+def scalar_one(n: int) -> CliffordMonomial:
+    return CliffordMonomial(n, ())
+
+
+def all_monomials(n: int):
+    for k in range(n + 1):
+        for combo in itertools.combinations(range(1, n + 1), k):
+            yield CliffordMonomial(n, combo)
+
+
+def component(basepoint, directions) -> FixedComponent:
+    """The fixed component through a rational canonical basepoint: its
+    integer code over the basepoint's least common denominator."""
+    q = math.lcm(1, *(Fraction(x).denominator for x in basepoint))
+    return FixedComponent(tuple(directions), q, tuple(int(Fraction(x) * q) for x in basepoint))
+
+
+def fraction_key(comp: FixedComponent):
+    """(basepoint, directions): the order in which the census lists components."""
+    return comp.basepoint, comp.directions
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +296,7 @@ def random_involution(rng, n: int, denominators=(2, 4)) -> AffineIsometry:
                 linear[perm[i]][i] = s
         trans = tuple(Fraction(rng.randrange(q), q) for q in (rng.choice(denominators) for _ in range(n)))
         f = AffineIsometry(tuple(tuple(r) for r in linear), trans)
-        if compose(f, f).is_identity() and not f.is_identity():
+        if is_identity(compose(f, f)) and not is_identity(f):
             return f
 
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import averaging_projector, naive_clifford_product
+from conftest import all_monomials, averaging_projector, naive_clifford_product
 from kummerlab import curvature as curv
-from kummerlab.clifford import all_monomials, clifford_mul, lift_diagonal
+from kummerlab.clifford import clifford_mul, lift_diagonal
 from kummerlab.forms import (
     burnside_dimension,
     invariant_forms,

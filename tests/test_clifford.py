@@ -2,15 +2,13 @@ import itertools
 
 import pytest
 
-from conftest import naive_clifford_product
+from conftest import all_monomials, naive_clifford_product, scalar_one
 from kummerlab.clifford import (
     CliffordMonomial,
-    all_monomials,
     clifford_mul,
     commutator_sign,
     lift_diagonal,
     monomial_square_sign,
-    scalar_one,
     spin_obstruction,
 )
 

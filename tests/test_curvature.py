@@ -395,6 +395,27 @@ def test_decay_scan_matches_per_radius_samples(spec_a):
         assert abs(rm - dense) <= 2 * math.ulp(dense)  # |Rm| sums its squares in another order
 
 
+def test_constant_profile_curvature_matches_finite_differences():
+    """A, B, C constant in r: a line times a Berger sphere.  Every jet is a
+    constant, so every Cartan coefficient is a float; both engines still
+    agree with the finite-difference chart oracle, and frame_norms returns
+    one entry per radius."""
+    prof = RadialProfile("cyl", lambda r: (Jet.const(1.0), Jet.const(4.0), Jet.const(9.0)), (0.0, math.inf))
+    chart = euler_chart(prof)
+    radii = np.array([1.5, 3.0, 7.0])
+    ric, rm = frame_norms(prof, radii)
+    assert ric.shape == rm.shape == radii.shape
+    for i, r in enumerate(radii):
+        x = [float(r), 1.0, 0.7, 0.9]
+        _, fd = riemann(chart, x, frame=euler_coframe(prof, x))
+        cartan = cohomo_curvature(prof, float(r))
+        scale = np.max(np.abs(cartan.riemann_frame))
+        assert scale > 0.1  # the Berger sphere is curved
+        assert np.max(np.abs(fd.riemann_frame - cartan.riemann_frame)) < 1e-6 * scale
+        assert ric[i] == cartan.ric_norm and abs(ric[i] - fd.ric_norm) < 1e-6 * scale
+        assert abs(rm[i] - fd.rm_norm) < 1e-6 * scale
+
+
 @pytest.mark.parametrize(
     "prof", [eh_profile(), glued_profile(10.0), glued_profile(6.5), euclidean_profile()],
     ids=lambda p: p.name,

@@ -1,12 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import averaging_projector
+from kummerlab import forms
 from kummerlab.forms import (
     BettiTable,
     burnside_dimension,
+    exterior_traces,
     form_basis,
     induced_action,
     invariant_forms,
@@ -185,3 +188,46 @@ def test_resolved_betti_refuses_failed_certificate(group_a):
     cert = Pi1Certificate("FAIL", {}, [], False)
     with pytest.raises(ValueError, match="not certified"):
         resolved_betti(table, census, cert)
+
+
+def induced_traces(perm, signs, degrees):
+    """Trace of induced_action in each degree, from the signed permutation's matrix."""
+    n = len(perm)
+    linear = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    out = []
+    for k in degrees:
+        rho = induced_action(linear, k)
+        out.append(sum(rho[i][i] for i in range(len(rho))))
+    return out
+
+
+def test_exterior_traces_equal_induced_action_traces():
+    """Every signed permutation with n <= 4, in every degree up to n + 2 (the
+    degrees above n have no forms and trace 0), and 200 seeded ones with n = 5."""
+    cases = [(perm, signs) for n in range(1, 5)
+             for perm in itertools.permutations(range(n))
+             for signs in itertools.product((1, -1), repeat=n)]
+    rng = random.Random(12)
+    for _ in range(200):
+        perm = tuple(rng.sample(range(5), 5))
+        cases.append((perm, tuple(rng.choice((1, -1)) for _ in range(5))))
+    for perm, signs in cases:
+        n = len(perm)
+        traces = exterior_traces(perm, signs)
+        assert len(traces) == n + 1
+        assert traces + [0, 0] == induced_traces(perm, signs, range(n + 3))
+
+
+def test_burnside_builds_no_induced_action(monkeypatch):
+    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    alpha = AffineIsometry(((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 1, 0),
+                            (0, 0, 0, 0, -1)), (0, 0, Fraction(1, 2), 0, 0))
+    group = generate_group([alpha, tau], ["alpha", "tau"])
+    expected = [Fraction(sum(induced_traces(el.perm, el.signs, [k])[0] for el in group.elements),
+                         group.order) for k in range(8)]
+
+    def refuse(*_args):
+        raise AssertionError("burnside_dimension built an induced-action matrix")
+
+    monkeypatch.setattr(forms, "induced_action", refuse)
+    assert [burnside_dimension(group, k) for k in range(8)] == expected

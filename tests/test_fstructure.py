@@ -488,6 +488,51 @@ def test_generator_rows_match_all_element_loops(spec_a, spec_b):
     assert ("covariance", False, True) in outcomes and ("covariance", True, False) in outcomes
 
 
+def boundary_atlas(rng, group, pair, epsilon, shrink, push):
+    """A ball chart on `pair` with one center per fixed component that does not
+    sweep the pair, at flat-torus distance exactly epsilon·shrink from the
+    component (a 3-4-5 offset with random signs, reduced mod 1, so some
+    offsets wrap), or farther by a thousandth in one coordinate when `push`;
+    and a group-covered complement removing it."""
+    a, b = pair
+    r = epsilon * shrink
+    centers = set()
+    for loci in group.fixed_loci[1:]:
+        for comp in loci:
+            if all(dv[a - 1] == 0 and dv[b - 1] == 0 for dv in comp.directions):
+                dx, dy = rng.choice((1, -1)) * r * 3 / 5, rng.choice((1, -1)) * r * 4 / 5
+                if push:
+                    dy *= Fraction(1001, 1000)
+                centers.add(((comp.basepoint[a - 1] + dx) % 1, (comp.basepoint[b - 1] + dy) % 1))
+    if not centers:
+        centers.add((Fraction(0), Fraction(0)))
+    ball = ChartSpec("W", TorusActionSymbol((a,)), "ball", pair, tuple(sorted(centers)), epsilon)
+    v = ChartSpec("V", TorusActionSymbol((a,)), "complement", covering="group",
+                  complement_of=("W",), shrink=shrink)
+    return [ball, v]
+
+
+def test_free_action_on_integers_matches_fraction_reference_at_the_tube_boundary(spec_a, spec_b):
+    """Components at distance exactly epsilon·shrink are inside the removed
+    tube (the bound is closed), and pushed out by 1/1000 they are not."""
+    rng = random.Random(4242)
+    outcomes = Counter()
+    for group in seeded_groups(spec_a, spec_b):
+        n = group.dim
+        for _ in range(4):
+            pair = tuple(rng.sample(range(1, n + 1), 2))
+            epsilon = Fraction(rng.randint(1, 9), rng.choice((1024, 1000, 2187)))
+            shrink = Fraction(rng.randint(1, 6), 7)
+            for push in (False, True):
+                atlas = boundary_atlas(rng, group, pair, epsilon, shrink, push)
+                got = fstructure._check_free_action(atlas[1], group, atlas)
+                assert row(got) == row(reference_free_action(atlas[1], group, atlas))
+                if any(group.fixed_loci[1:]):  # a free action passes either way
+                    outcomes[push, got.passed] += 1
+    # Exactly at the boundary passes at least once; pushed out never passes.
+    assert outcomes[False, True] >= 3 and outcomes[True, True] == 0
+
+
 def test_invariance_is_checked_on_generators_only(spec_a, monkeypatch):
     tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     group = generate_group(spec_a.generators + [tau], spec_a.generator_names + ["tau"])

@@ -25,7 +25,7 @@ from math import lcm
 import numpy as np
 import pytest
 
-from conftest import lattice_adapted_basis
+from conftest import apply_linear, component, fraction_key, lattice_adapted_basis
 from kummerlab import forms, fstructure, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
 from kummerlab.intlinalg import (
@@ -38,7 +38,6 @@ from kummerlab.intlinalg import (
 from kummerlab.torus import (
     AffineIsometry,
     CensusOrbit,
-    FixedComponent,
     GroupClosureError,
     SingularCensus,
     compose,
@@ -167,7 +166,7 @@ def reference_fixed_locus(f):
     q, w = reference_canonical_codes(points, [denom * scale] * len(points), directions)
     common = lcm(*q)
     order = sorted(range(len(q)), key=lambda r: torus._lex_key(q[r], w[r], common))
-    return [FixedComponent(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
+    return [component(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
 
 
 def reference_basepoint(point, directions, cap=1024):
@@ -198,11 +197,11 @@ def reference_basepoint(point, directions, cap=1024):
 def reference_transform(el, comp):
     """g(comp) in Fractions: the image point and directions, canonicalized by enumeration."""
     dirs = tuple(
-        tuple(r) for r in hermite_row_basis([el.apply_linear(list(dv)) for dv in comp.directions])
+        tuple(r) for r in hermite_row_basis([apply_linear(el, dv) for dv in comp.directions])
     )
     base = reference_basepoint(el.apply(comp.basepoint), dirs)
     assert base is not None, "too many candidates for the enumeration"
-    return FixedComponent(base, dirs)
+    return component(base, dirs)
 
 
 def reference_permutations(group, components):
@@ -237,8 +236,8 @@ def reference_census(group):
     for el in group.elements[1:]:
         for comp in fixed_locus(el):
             seen.setdefault(comp.key, comp)
-    components = sorted(seen.values(), key=lambda c: c.key)
-    unassigned = {c.key: c for c in components}
+    components = sorted(seen.values(), key=fraction_key)
+    unassigned = {fraction_key(c): c for c in components}
     orbits = []
     while unassigned:
         start = min(unassigned)
@@ -249,8 +248,8 @@ def reference_census(group):
             for comp in frontier:
                 for el in group.elements:
                     image = reference_transform(el, comp)
-                    if image.key not in orbit:
-                        orbit[image.key] = image
+                    if fraction_key(image) not in orbit:
+                        orbit[fraction_key(image)] = image
                         nxt.append(image)
             frontier = nxt
         for key in orbit:
@@ -258,7 +257,7 @@ def reference_census(group):
         rep = orbit[min(orbit)]
 
         def keeps_directions(el):
-            return all(el.apply_linear(list(dv)) == list(dv) for dv in rep.directions)
+            return all(apply_linear(el, dv) == list(dv) for dv in rep.directions)
 
         setwise = [i for i, el in enumerate(group.elements) if reference_transform(el, rep) == rep]
         pointwise = [
@@ -277,14 +276,14 @@ def reference_census(group):
             model = torus.LOCAL_MODEL_HALF_TURN if translations else torus.LOCAL_MODEL_PRODUCT
         orbits.append(CensusOrbit(
             representative=rep,
-            components=sorted(orbit.values(), key=lambda c: c.key),
+            components=sorted(orbit.values(), key=fraction_key),
             setwise_stabilizer=setwise,
             pointwise_stabilizer=pointwise,
             translation_elements=translations,
             quotient_length_factor=Fraction(len(pointwise), len(setwise)),
             local_model=model,
         ))
-    orbits.sort(key=lambda o: o.representative.key)
+    orbits.sort(key=lambda o: fraction_key(o.representative))
     return SingularCensus(components, orbits)
 
 
@@ -357,7 +356,7 @@ def reference_witnesses(group, fixed_elements):
     unit = [[int(k == j) for k in range(n)] for j in range(n)]
     return {
         j: next((i for i in fixed_elements
-                 if group.elements[i].apply_linear(unit[j]) == [-x for x in unit[j]]), None)
+                 if apply_linear(group.elements[i], unit[j]) == [-x for x in unit[j]]), None)
         for j in range(n)
     }
 
@@ -416,7 +415,7 @@ def test_generator_orbits_match_all_element_search(case):
     table = generate_group(gens, names, max_order=16)
     census = singular_census(table, require_circles=False)
     assert census == reference_census(table)
-    perms = torus._component_permutations(table, [torus._component_code(c) for c in census.components])
+    perms = torus._component_permutations(table, census.components)
     for el, perm in zip(table.elements, perms):
         images = [transform_component(el, comp) for comp in census.components]
         assert images == [census.components[k] for k in perm]
@@ -427,7 +426,7 @@ def test_integer_permutations_match_fraction_reference(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
     components = singular_census(table, require_circles=False).components
-    perms = torus._component_permutations(table, [torus._component_code(c) for c in components])
+    perms = torus._component_permutations(table, components)
     assert perms.tolist() == reference_permutations(table, components)
     for g in table.generator_indices:
         for comp in components:

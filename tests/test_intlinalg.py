@@ -1,11 +1,10 @@
 import random
 
-from conftest import lattice_adapted_basis
+from conftest import lattice_adapted_basis, mat_mul
 from kummerlab.intlinalg import (
     hermite_row_basis,
     int_det,
     kernel_basis,
-    mat_mul,
     smith_normal_form,
     unimodular_inverse,
 )

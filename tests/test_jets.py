@@ -172,6 +172,14 @@ def test_constant_acts_as_its_zero_padded_jet(c, order):
                 assert all(same_bits(g, w) for g, w in zip(got, want))
 
 
+def test_constant_derivatives_are_zero():
+    for m in (1, 2, 3):
+        assert Jet.const(4.0).derivative(m) == 0.0
+        assert Jet.const(4.0).deriv_jet().derivative(m) == 0.0
+    with pytest.raises(IndexError):
+        Jet((1.0, 2.0)).derivative(2)  # a truncated jet knows no higher derivative
+
+
 def test_jets_of_different_orders_meet_at_the_lower():
     x2, x4 = Jet.seed(1.3), seed(1.3, 4)
     assert (x4 * x2.exp()).coeffs == (x2 * x2.exp()).coeffs

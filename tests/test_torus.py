@@ -1,16 +1,21 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    apply_linear,
     brute_force_closure,
     brute_force_components,
     brute_force_fixed_points,
     component_grid_points,
+    fraction_key,
+    is_identity,
     random_involution,
 )
+from kummerlab import torus
 from kummerlab.torus import (
     AffineIsometry,
     _signed_permutation,
@@ -118,7 +123,7 @@ def test_compose_with_inverse_gives_identity():
         f = random_involution(rng, n)  # any signed-permutation isometry works
         inv = f.inverse()
         prod = compose(f, inv)
-        assert prod.is_identity()
+        assert is_identity(prod)
         # Pointwise check on a rational grid, exactly.
         for point in grid:
             pt = tuple(list(point) + [Fraction(0)] * (n - 2))
@@ -194,6 +199,39 @@ def test_fixed_locus_composites_empty(group_a):
     for name in ("alpha*beta", "alpha*gamma", "beta*gamma", "alpha*beta*gamma"):
         el = group_a.elements[group_a.names.index(name)]
         assert fixed_locus(el) == []
+
+
+def test_components_are_integer_codes_listed_in_basepoint_order(group_a, group_b):
+    """basepoint is w/q in lowest terms, and the census lists its components
+    by (basepoint, directions) as it did when they were stored in Fractions."""
+    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    group_t = generate_group(group_a.elements[1:4] + [tau])
+    for group in (group_a, group_b, group_t):
+        census = singular_census(group)
+        for comp in census.components:
+            assert comp.basepoint == tuple(Fraction(k, comp.q) for k in comp.w)
+            assert all(0 <= k < comp.q for k in comp.w) and math.gcd(comp.q, *comp.w) == 1
+            assert comp.key == (comp.directions, comp.q, comp.w)
+        assert census.components == sorted(census.components, key=fraction_key)
+        assert len(set(census.components)) == census.total_components
+
+
+def test_fixed_loci_and_census_construct_no_fraction_per_component(group_a, monkeypatch):
+    """Only each orbit's length factor is a Fraction; fixed loci and the
+    components' images stay on integers."""
+    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    group = generate_group(group_a.elements[1:4] + [tau])
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(torus, "Fraction", counted)
+    loci = [fixed_locus(el) for el in group.elements]
+    assert sum(map(len, loci)) > 0 and made == []
+    census = singular_census(group)
+    assert len(made) == census.orbit_count == 12
 
 
 def test_fixed_locus_identity_whole_torus():
@@ -302,12 +340,12 @@ def test_census_stabilizer_properties(group_a, group_b):
                 el = group.elements[gi]
                 assert el.apply(rep.basepoint) == rep.basepoint
                 for dv in rep.directions:
-                    assert el.apply_linear(list(dv)) == list(dv)
+                    assert apply_linear(el, dv) == list(dv)
             for gi in orbit.translation_elements:
                 el = group.elements[gi]
                 assert el.apply(rep.basepoint) != rep.basepoint
                 for dv in rep.directions:
-                    assert el.apply_linear(list(dv)) == list(dv)
+                    assert apply_linear(el, dv) == list(dv)
             assert orbit.quotient_length_factor == Fraction(
                 len(orbit.pointwise_stabilizer), len(orbit.setwise_stabilizer)
             )
@@ -321,7 +359,7 @@ def test_pi1_certificate_first_construction(group_a):
     assert w[2] == w[3] == w[5] == "alpha"
     # Direction 4: any element reversing e4 with nonempty fixed locus works.
     witness = group_a.elements[cert.direction_witnesses[3]]
-    assert witness.apply_linear([0, 0, 0, 1, 0]) == [0, 0, 0, -1, 0]
+    assert apply_linear(witness, [0, 0, 0, 1, 0]) == [0, 0, 0, -1, 0]
     assert fixed_locus(witness)
     assert cert.generated_by_fixed
     assert "heuristic" in cert.note
@@ -342,7 +380,7 @@ def test_pi1_certificate_second_construction_brute_force(group_b):
         target = [-1 if k == j else 0 for k in range(5)]
         unit = [1 if k == j else 0 for k in range(5)]
         assert any(
-            loci[i] and group_b.elements[i].apply_linear(unit) == target
+            loci[i] and apply_linear(group_b.elements[i], unit) == target
             for i in range(group_b.order)
         )
     fixed = [i for i in range(group_b.order) if loci[i]]

@@ -7,7 +7,7 @@ report sections, so they show the same values as `verify`.
 Exit codes: 0 when everything checked PASSes, 1 when any claim FAILs,
 2 on input errors (unreadable or invalid spec files, unwritable output
 paths, out-of-range options, a group closure beyond --max-group-order,
-a stage that reports an error).
+running out of memory, a stage that reports an error).
 """
 
 from __future__ import annotations
@@ -59,18 +59,22 @@ def _load(path: str) -> ConstructionSpec:
         sys.exit(2)
 
 
-def _capped(run, *args, **kwargs):
-    """Call a pipeline entry point; a closure beyond the group cap is an input error."""
-    try:
-        return run(*args, **kwargs)
-    except GroupClosureError as exc:
-        _fail(exc)
+class _Main(click.Group):
+    """A closure beyond the group cap and running out of memory are input errors."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except GroupClosureError as exc:
+            _fail(exc)
+        except MemoryError:
+            _fail("out of memory; lower --max-group-order or use a smaller spec")
 
 
 def _group_stage(ctx, spec: ConstructionSpec):
     """Run the group stage into a fresh report; returns (group, report)."""
     report = pipeline.Report()
-    return _capped(pipeline.run_group_stage, spec, report, ctx.obj["max_group_order"]), report
+    return pipeline.run_group_stage(spec, report, ctx.obj["max_group_order"]), report
 
 
 def _write_json(ctx, payload: str) -> None:
@@ -84,7 +88,7 @@ def _write_json(ctx, payload: str) -> None:
         _echo(f"wrote {path}")
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="Write the JSON report to this path.")
 @click.option("--tolerance-scale", type=float, default=1.0, show_default=True,
@@ -112,8 +116,7 @@ def main(ctx, json_path, tolerance_scale, max_group_order):
 def verify(ctx, spec_path):
     """Run the full pipeline on a construction spec."""
     spec = _load(spec_path)
-    report = _capped(
-        pipeline.run_all,
+    report = pipeline.run_all(
         spec,
         tolerance_scale=ctx.obj["tolerance_scale"],
         max_group_order=ctx.obj["max_group_order"],
@@ -144,7 +147,7 @@ def fixed_locus_cmd(ctx, spec_path, element):
     group, _ = _group_stage(ctx, spec)
     # Declared generators resolve by element: a repeated one has no closure name.
     known = dict(zip(group.names, range(group.order)))
-    known.update((n, group.elements.index(g)) for n, g in zip(spec.generator_names, spec.generators))
+    known.update(zip(spec.generator_names, group.right[0]))
     for name in [element] if element else spec.generator_names:
         if name not in known:
             _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")

@@ -279,7 +279,7 @@ def _homomorphism_failure(group: GroupTable, rule: CovarianceRule) -> str | None
             return f"no value on {group.names[i]}"
     for i in range(group.order):
         for j in [0, *group.generator_indices]:
-            k = group.product[i][j]
+            k = group.mul(i, j)
             prod = tuple(a * b for a, b in zip(rule.signs[i], rule.signs[j]))
             if prod != rule.signs[k]:
                 return f"Psi({group.names[i]})Psi({group.names[j]}) != Psi({group.names[k]})"
@@ -304,7 +304,7 @@ def extend_rule(group: GroupTable, generator_signs: dict[str, tuple[int, ...]]) 
         nxt = []
         for i in frontier:
             for name, gsigns in generator_signs.items():
-                j = group.product[i][gen_index[name]]
+                j = group.mul(i, gen_index[name])
                 if j not in signs:
                     signs[j] = tuple(a * b for a, b in zip(signs[i], gsigns))
                     nxt.append(j)

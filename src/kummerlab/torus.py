@@ -2,13 +2,13 @@
 
 An isometry is stored as an integer signed-permutation matrix plus a
 rational translation reduced mod 1.  Everything in this module is exact:
-the group closure and its product table run on an integer encoding of the
-isometries; fixed loci are read off the cycles of each element's signed
-permutation (once per group element); a component is an integer code
-whose basepoint is its lexicographically least rational point, found by
-subtracting its unit-pivot direction rows; and census orbits are traced
-through the generators' permutations of the components, computed on the
-same integer codes.
+the group closure runs on an integer encoding of the isometries and keeps
+only its Cayley graph, products by generators; fixed loci are read off the
+cycles of each element's signed permutation (once per group element); a
+component is an integer code whose basepoint is its lexicographically
+least rational point, found by subtracting its unit-pivot direction rows;
+and census orbits are traced along the closure's spanning tree through the
+generators' preimages of the components, computed on the same integer codes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -127,8 +127,9 @@ class GroupClosureError(RuntimeError):
 
 @dataclass
 class GroupTable:
-    """Closure of a generator list, with names and a product index table.
+    """Closure of a generator list, with names and its Cayley graph.
 
+    right[i][k] is the index of element i composed with generator k.
     factors[p] = (i, g) records the closure's spanning tree: element p is
     element i composed with the generator element g (factors[0] = (0, 0)).
     codes = (N, codes): every element's integer code over the common denominator N.
@@ -136,7 +137,7 @@ class GroupTable:
 
     elements: list[AffineIsometry]
     names: list[str]
-    product: list[list[int]]
+    right: list[list[int]]
     abelian: bool
     exponent: int
     factors: list[tuple[int, int]]
@@ -163,24 +164,31 @@ class GroupTable:
         check that holds for the generators holds for the group and the
         first element failing it is always a generator.
         """
-        return sorted({g for _i, g in self.factors[1:]})
+        return sorted(set(self.right[0]) - {0})
 
-    def inverse_index(self, i: int) -> int:
-        return self.product[i].index(0)
+    def mul(self, i: int, j: int) -> int:
+        """Index of element i∘j: j's spanning-tree word applied to i through right."""
+        word = []
+        while j:
+            j, g = self.factors[j]
+            word.append(self.right[0].index(g))
+        for k in reversed(word):
+            i = self.right[i][k]
+        return i
 
     def subgroup_generated(self, indices) -> frozenset[int]:
-        closed = {0}
-        frontier = [0]
-        gens = sorted(set(indices))
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for g in gens:
-                    p = self.product[i][g]
-                    if p not in closed:
-                        closed.add(p)
-                        nxt.append(p)
-            frontier = nxt
+        """Closure of the elements of indices; only an element outside the
+        closure so far becomes a generator, so at most log2|G| of them do."""
+        closed, gens = {0}, []
+        for x in indices:
+            if x in closed:
+                continue
+            gens.append(x)
+            frontier = list(closed)
+            while frontier:
+                nxt = [p for p in {self.mul(i, g) for i in frontier for g in gens} if p not in closed]
+                closed.update(nxt)
+                frontier = nxt
         return frozenset(closed)
 
 
@@ -223,9 +231,8 @@ def generate_group(
 
     Element 0 is the identity; generators follow in the declared order,
     then products by BFS level, which makes the ordering deterministic.
-    The closure runs on integer codes; the product table is filled from
-    the closure's right multiplications by generators, a∘(b∘g) = (a∘b)∘g.
-    The group is abelian iff its generators commute pairwise.
+    The closure runs on integer codes and keeps its right multiplications
+    by generators.  The group is abelian iff its generators commute pairwise.
     """
     if not generators:
         raise ValueError("empty generator list")
@@ -263,25 +270,18 @@ def generate_group(
         right.append(row)
         i += 1
 
-    order = len(codes)
-    product = []
-    for a in range(order):
-        row = [a]
-        for i, k in steps:
-            row.append(right[row[i]][k])
-        product.append(row)
-    gens = set(right[0])  # the generator elements
-    abelian = all(product[a][b] == product[b][a] for a in gens for b in gens)
+    # The generator elements a = right[0][k] commute pairwise; the exponent is
+    # the lcm of the element orders: L, the linear part's order, times that of f^L.
+    abelian = all(right[a][kb] == right[b][ka] for ka, a in enumerate(right[0]) for kb, b in enumerate(right[0]))
     exponent = 1
-    for i in range(order):
-        k, j = 1, i
-        while j != 0:
-            j = product[j][i]
-            k += 1
-        exponent = lcm(exponent, k)
+    for code in codes:
+        power, m = code, 1
+        while power[: 2 * n] != ident[: 2 * n]:
+            power, m = _compose_codes(power, code, n, denom), m + 1
+        exponent = lcm(exponent, m * (denom // gcd(denom, *power[2 * n :])))
     elements = [_decode(c, n, denom) for c in codes]
     factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
-    return GroupTable(elements, elt_names, product, abelian, exponent, factors, (denom, codes))
+    return GroupTable(elements, elt_names, right, abelian, exponent, factors, (denom, codes))
 
 
 @dataclass(frozen=True)
@@ -458,12 +458,10 @@ class SingularCensus:
         return len(self.orbits)
 
 
-def _component_permutations(group: GroupTable, components: list[FixedComponent]) -> np.ndarray:
-    """perms[p, c]: index of the image of component c under element p.
+def _generator_preimages(group: GroupTable, components: list[FixedComponent]) -> dict[int, list[int]]:
+    """pre[g][c]: index of the preimage of component c under generator element g.
 
-    Only the generators are applied to components, one batch per direction
-    lattice; every other element's permutation follows from the closure's
-    spanning tree, since p = e_i∘g gives perm_p = perm_i∘perm_g.
+    Only the generators are applied to components, one batch per direction lattice.
     """
     position = {comp.key: k for k, comp in enumerate(components)}
     batches: dict = {}  # directions -> component indices
@@ -474,20 +472,18 @@ def _component_permutations(group: GroupTable, components: list[FixedComponent])
         for directions, ks in batches.items()
     }
     denom, elt_codes = group.codes
-    perms = np.empty((group.order, len(components)), dtype=np.intp)
-    perms[0] = np.arange(len(components))
+    pre = {}
     for g in group.generator_indices:
+        pre[g] = [0] * len(components)
         for directions, ks in batches.items():
             image_dirs, q, w = _image_codes(
                 elt_codes[g], denom, directions, *points[directions]
             )
-            images = [position.get((image_dirs, *qw)) for qw in zip(q, w)]
-            if None in images:
-                raise AssertionError("orbit left the census component set")
-            perms[g, ks] = images
-    for p, (i, g) in enumerate(group.factors[1:], start=1):
-        perms[p] = perms[i][perms[g]]
-    return perms
+            for k, qw in zip(ks, zip(q, w)):
+                if (image := position.get((image_dirs, *qw))) is None:
+                    raise AssertionError("orbit left the census component set")
+                pre[g][image] = k
+    return pre
 
 
 def singular_census(group: GroupTable, require_circles: bool = True) -> SingularCensus:
@@ -511,7 +507,7 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
                 f"dimension {bad[0].dimension}"
             )
 
-    perms = _component_permutations(group, components)
+    pre = _generator_preimages(group, components)
     denom, elt_codes = group.codes
     n = group.dim
     assigned = np.zeros(len(components), dtype=bool)
@@ -519,11 +515,13 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
     for r, rep in enumerate(components):
         if assigned[r]:
             continue
-        in_orbit = np.zeros(len(components), dtype=bool)
-        in_orbit[perms[:, r]] = True
-        members = np.flatnonzero(in_orbit).tolist()
-        assigned |= in_orbit
-        setwise = np.flatnonzero(perms[:, r] == r).tolist()
+        # back[p] = p⁻¹(r) along the spanning tree: p = i∘g gives p⁻¹(r) = g⁻¹(i⁻¹(r)).
+        back = [r]
+        for i, g in group.factors[1:]:
+            back.append(pre[g][back[i]])
+        members = sorted(set(back))
+        assigned[members] = True
+        setwise = [p for p, c in enumerate(back) if c == r]
         directions, q, w = rep.key
         # Elements preserving the component and its directions move it along itself.
         along = [

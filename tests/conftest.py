@@ -3,9 +3,9 @@
 The oracle functions here deliberately avoid the library's own solution
 paths: fixed points are found by exhaustive rational-grid scanning with
 union-find connectivity, Clifford products by one-transposition bubbling,
-group closures by repeated multiplication until stable, Euler-chart
-Christoffel symbols from analytic derivatives, and invariant forms through
-the averaging projector.
+group closures by repeated multiplication until stable, group products by
+`compose` over all pairs, Euler-chart Christoffel symbols from analytic
+derivatives, and invariant forms through the averaging projector.
 """
 
 from __future__ import annotations
@@ -234,6 +234,15 @@ def brute_force_closure(generators) -> set:
         if not new:
             return elems
         elems |= new
+
+
+def compose_products(elements) -> list[list[int]]:
+    """products[i][j]: the index of compose(elements[i], elements[j]), over all pairs.
+
+    Raises KeyError when a product falls outside the list, which therefore
+    also checks closure."""
+    index = {el: k for k, el in enumerate(elements)}
+    return [[index[compose(a, b)] for b in elements] for a in elements]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from kummerlab import torus
 from kummerlab.cli import bundled_examples, main
 
 EXAMPLE_A = bundled_examples()["example-a.spec"]
@@ -402,6 +403,19 @@ def test_subcommand_group_cap_is_input_error(command):
     assert result.exit_code == 2
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "error: group closure exceeded the cap of 4 elements" in result.output
+
+
+@pytest.mark.parametrize("command", ["verify", "census"])
+def test_memory_error_is_input_error(command, monkeypatch):
+    def exhausted(group, require_circles=True):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(torus, "singular_census", exhausted)
+    result = CliRunner().invoke(main, [command, GROUP_ORDER32])
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: out of memory"), result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.mark.parametrize("which", ["example-a", "example-b", "four-chart", "order32"])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import compose_products
 from kummerlab import fstructure
 from kummerlab.fstructure import (
     ChartSpec,
@@ -170,6 +171,13 @@ def test_extend_rule_requires_generating_set(group_a):
         extend_rule(group_a, {"nope": (1,)})
 
 
+def test_extend_rule_accepts_any_element_name(group_a):
+    by_words = extend_rule(group_a, {"alpha*beta": (-1,), "beta": (1,), "gamma": (-1,)})
+    by_generators = extend_rule(group_a, {"alpha": (-1,), "beta": (1,), "gamma": (-1,)})
+    assert by_words == by_generators
+    assert fstructure._homomorphism_failure(group_a, by_words) is None
+
+
 def ball(pair, *centers):
     return ChartSpec(
         name=f"W{pair}",
@@ -289,9 +297,10 @@ def reference_homomorphism_failure(group, rule):
     for i in range(group.order):
         if i not in rule.signs:
             return f"no value on {group.names[i]}"
+    product = compose_products(group.elements)
     for i in range(group.order):
         for j in range(group.order):
-            k = group.product[i][j]
+            k = product[i][j]
             if tuple(a * b for a, b in zip(rule.signs[i], rule.signs[j])) != rule.signs[k]:
                 return f"Psi({group.names[i]})Psi({group.names[j]}) != Psi({group.names[k]})"
     return None

@@ -19,13 +19,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 import pytest
 
-from conftest import apply_linear, component, fraction_key, lattice_adapted_basis
+from conftest import (
+    apply_linear,
+    brute_force_closure,
+    component,
+    compose_products,
+    fraction_key,
+    lattice_adapted_basis,
+)
 from kummerlab import forms, fstructure, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
 from kummerlab.intlinalg import (
@@ -71,7 +79,7 @@ def reference_group(generators, names, max_order=16):
                     nxt.append(index[p])
         frontier = nxt
     order = len(elements)
-    product = [[index[compose(a, b)] for b in elements] for a in elements]
+    product = compose_products(elements)
     abelian = all(product[i][j] == product[j][i] for i in range(order) for j in range(order))
     exponent = 1
     for i in range(order):
@@ -217,6 +225,15 @@ def reference_permutations(group, components):
     return perms
 
 
+def composed_preimages(group, pre, size):
+    """Every element's preimage map of the `size` components, from the generators'
+    maps along the spanning tree: p = i∘g gives p⁻¹(c) = g⁻¹(i⁻¹(c))."""
+    back = [list(range(size))]
+    for i, g in group.factors[1:]:
+        back.append([pre[g][c] for c in back[i]])
+    return back
+
+
 def reference_invariant_basis(group, k):
     """Hermite basis of the kernel of rho(g) - I stacked over every non-identity element."""
     size = len(form_basis(group.dim, k))
@@ -340,10 +357,64 @@ def test_integer_closure_matches_compose_closure(case):
     elements, elt_names, product, abelian, exponent = reference_group(gens, names)
     assert table.elements == elements
     assert table.names == elt_names
-    assert table.product == product
+    generator_elements = [elements.index(g) for g in gens]
+    assert table.right == [[row[g] for g in generator_elements] for row in product]
     assert (table.abelian, table.exponent) == (abelian, exponent)
     for p, (i, g) in enumerate(table.factors):
         assert compose(table.elements[i], table.elements[g]) == table.elements[p]
+
+
+@pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
+def test_mul_matches_compose_products(case):
+    gens, names = RANDOM_GROUPS[case]
+    table = generate_group(gens, names, max_order=16)
+    everything = range(table.order)
+    assert [[table.mul(i, j) for j in everything] for i in everything] == compose_products(table.elements)
+
+
+def test_subgroup_generated_matches_brute_force_closure():
+    rng = random.Random(14)
+    ratios = set()
+    for gens, names in RANDOM_GROUPS:
+        table = generate_group(gens, names, max_order=16)
+        for _ in range(4):
+            subset = rng.sample(range(table.order), rng.randint(0, min(4, table.order)))
+            got = table.subgroup_generated(subset)
+            expected = brute_force_closure([table.elements[i] for i in subset] or [table.elements[0]])
+            assert {table.elements[i] for i in got} == expected
+            ratios.add(table.order // len(got))
+    assert ratios > {1}  # whole groups and proper subgroups both occur
+
+
+def test_exponent_reads_linear_order_and_translation_power():
+    """A 3-cycle whose cube is a translation of order 3, with a reflection and
+    a quarter translation along the axis it reverses."""
+    cycle = AffineIsometry(((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
+                           (Fraction(1, 3), 0, 0, 0))
+    reflection = AffineIsometry.from_diagonal((1, 1, 1, -1), (0, 0, 0, Fraction(1, 2)))
+    quarter = AffineIsometry.from_diagonal((1, 1, 1, 1), (0, 0, 0, Fraction(1, 4)))
+    gens, names = [cycle, reflection, quarter], ["c", "r", "t"]
+    cube = compose(cycle, compose(cycle, cycle))
+    assert cube.linear == AffineIsometry.identity(4).linear and any(cube.translation)
+    table = generate_group(gens, names, max_order=128)
+    _elements, _names, _product, abelian, exponent = reference_group(gens, names, max_order=128)
+    assert (table.abelian, table.exponent) == (abelian, exponent) == (False, 36)
+
+
+def test_group_core_memory_is_linear_in_the_order(spec_a):
+    """Closure, census and π₁ at order 1024 (example-a plus 1/128 along e1)
+    keep no |G|²- or |G|×components-sized table."""
+    tau = AffineIsometry.from_diagonal((1,) * 5, (Fraction(1, 128), 0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        group = generate_group([*spec_a.generators, tau], max_order=1024)
+        census = singular_census(group)
+        torus.pi1_certificate(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (group.order, census.total_components) == (1024, 4112)
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def reference_orientable(group):
@@ -366,8 +437,8 @@ def test_generators_decide_abelian_orientation_and_witnesses(case):
     gens, names = RANDOM_GROUPS[case]
     group = generate_group(gens, names, max_order=16)
     everything = range(group.order)
-    assert group.abelian == all(group.product[i][j] == group.product[j][i]
-                                for i in everything for j in everything)
+    product = compose_products(group.elements)
+    assert group.abelian == all(product[i][j] == product[j][i] for i in everything for j in everything)
     report = pipeline.Report()
     census = pipeline.run_census_stage(group, report)
     cert = pipeline.run_pi1_stage(group, report)
@@ -415,10 +486,11 @@ def test_generator_orbits_match_all_element_search(case):
     table = generate_group(gens, names, max_order=16)
     census = singular_census(table, require_circles=False)
     assert census == reference_census(table)
-    perms = torus._component_permutations(table, census.components)
-    for el, perm in zip(table.elements, perms):
-        images = [transform_component(el, comp) for comp in census.components]
-        assert images == [census.components[k] for k in perm]
+    pre = torus._generator_preimages(table, census.components)
+    back = composed_preimages(table, pre, census.total_components)
+    assert len(back) == table.order
+    for el, preimages in zip(table.elements, back):
+        assert [transform_component(el, census.components[k]) for k in preimages] == census.components
 
 
 @pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
@@ -426,8 +498,11 @@ def test_integer_permutations_match_fraction_reference(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
     components = singular_census(table, require_circles=False).components
-    perms = torus._component_permutations(table, components)
-    assert perms.tolist() == reference_permutations(table, components)
+    pre = torus._generator_preimages(table, components)
+    assert sorted(pre) == table.generator_indices
+    back = composed_preimages(table, pre, len(components))
+    for perm, preimages in zip(reference_permutations(table, components), back, strict=True):
+        assert [preimages[k] for k in perm] == list(range(len(components)))
     for g in table.generator_indices:
         for comp in components:
             assert transform_component(table.elements[g], comp) == reference_transform(table.elements[g], comp)

@@ -11,6 +11,7 @@ from conftest import (
     brute_force_components,
     brute_force_fixed_points,
     component_grid_points,
+    compose_products,
     fraction_key,
     is_identity,
     random_involution,
@@ -140,9 +141,12 @@ def test_generate_group_first_construction(group_a):
     assert group_a.abelian
     assert group_a.exponent == 2
     assert group_a.names[0] == "e"
-    # Closure: the table contains every product and every inverse.
-    for i in range(group_a.order):
-        assert group_a.product[group_a.inverse_index(i)][i] == 0
+    # Closure: compose stays inside the elements, every element has an
+    # inverse, and mul agrees with compose.
+    products = compose_products(group_a.elements)
+    assert all(0 in row for row in products)
+    everything = range(group_a.order)
+    assert [[group_a.mul(i, j) for j in everything] for i in everything] == products
 
 
 def test_generate_group_identity_only():

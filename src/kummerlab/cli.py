@@ -77,12 +77,13 @@ def _group_stage(ctx, spec: ConstructionSpec):
     return pipeline.run_group_stage(spec, report, ctx.obj["max_group_order"]), report
 
 
-def _write_json(ctx, payload: str) -> None:
+def _write_json(ctx, report: pipeline.Report) -> None:
+    """Encode the report and write it, only when --json names a path."""
     path = ctx.obj.get("json_path")
     if path:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.write(report.to_json())
         except OSError as exc:
             _io_fail("write", path, exc)
         _echo(f"wrote {path}")
@@ -133,7 +134,7 @@ def verify(ctx, spec_path):
             extra.append(c.detail)
         _echo(f"{c.status:4s}  {c.name}" + (f"  ({'; '.join(map(str, extra))})" if extra else ""))
     _echo(f"overall: {report.overall}")
-    _write_json(ctx, report.to_json())
+    _write_json(ctx, report)
     sys.exit(0 if report.overall == "PASS" else 1)
 
 
@@ -265,7 +266,7 @@ def f_structure(ctx, spec_path):
         detail = f"  ({row['detail']})" if row["detail"] else ""
         _echo(f"{row['status']:4s}  {row['name']}{detail}")
     _echo(f"polarized: {sec['polarized']}  rank: {sec['rank']}  overall: {sec['overall']}")
-    _write_json(ctx, pipeline.Report(sections={"f_structure": sec}, claims=report.claims).to_json())
+    _write_json(ctx, pipeline.Report(sections={"f_structure": sec}, claims=report.claims))
     sys.exit(0 if sec["overall"] == "PASS" else 1)
 
 

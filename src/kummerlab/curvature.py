@@ -32,9 +32,9 @@ import numpy as np
 from .jets import Jet
 
 # The most radii one glue-scan pass gathers from whole annuli.  A pass's
-# peak memory grows with its radii (about 250 bytes each) while its fixed
-# cost (about 0.4 ms) does not; at 4096 radii that cost is a fifth of the
-# pass, and the pass's peak stays under 1.1 MiB (2-core Xeon VM).
+# peak memory grows with its radii (about 190 bytes each) while its fixed
+# cost (about 0.3 ms) does not; at 4096 radii that cost is a fifth of the
+# pass, and the pass's peak stays under 0.75 MiB (2-core Xeon VM).
 PASS_RADII = 2**12
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,9 @@ class RadialProfile:
     """Cohomogeneity-one metric data A(r) dr^2 + B(r) s3^2 + C(r)(s1^2+s2^2).
 
     jets maps a radius jet to the jets of A, B, C, so their derivatives come
-    out exactly; the open domain is enforced at evaluation time.
+    out exactly; the open domain is enforced at evaluation time.  The
+    curvature reads A to order 1 and B, C to order 2, so a profile may give
+    A only to order 1.
     """
 
     name: str
@@ -243,15 +245,16 @@ class RadialProfile:
 
 
 def euclidean_profile() -> RadialProfile:
-    return RadialProfile("euclidean", lambda r: (Jet.const(1.0), r**2, r**2), (0.0, math.inf))
+    return RadialProfile("euclidean", lambda r: (Jet.const(1.0),) + (r**2,) * 2, (0.0, math.inf))
 
 
 def eh_profile() -> RadialProfile:
     """ALE gravitational-instanton profile: A = 1/(1 - r^-4), B = r^2 (1 - r^-4), C = r^2."""
 
     def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
-        drop, r2 = 1.0 - r ** (-4), r**2
-        return 1.0 / drop, r2 * drop, r2
+        r2 = r**2
+        drop = 1.0 - 1.0 / (r2 * r * r)  # r^4 = (r^2 r) r, as r ** 4 builds it
+        return 1.0 / drop.truncate(1), r2 * drop, r2
 
     return RadialProfile("eguchi-hanson", jets, (1.0, math.inf))
 
@@ -271,7 +274,7 @@ def _bump(s: Jet) -> Jet:
         return Jet.const(0.0)
     if not np.any(plateau):
         return (-1.0 / s).exp()
-    safe = Jet(tuple(np.where(plateau, 1.0, c) for c in s.coeffs))
+    safe = Jet((np.where(plateau, 1.0, s.value),) + s.coeffs[1:])
     return Jet(tuple(np.where(plateau, 0.0, c) for c in (-1.0 / safe).exp().coeffs))
 
 
@@ -317,8 +320,9 @@ def glued_profile(d) -> RadialProfile:
         cut, name = Cutoff(d=float(d)), f"glued(d={d:g})"
 
     def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
-        p, drop, r2 = cut.jet(r), 1.0 - r ** (-4), r**2
-        return p / drop + (1.0 - p), r2 * (p * drop + (1.0 - p)), r2
+        p, r2 = cut.jet(r), r**2
+        drop, flat = 1.0 - 1.0 / (r2 * r * r), 1.0 - p
+        return p.truncate(1) / drop.truncate(1) + flat.truncate(1), r2 * (p * drop + flat), r2
 
     return RadialProfile(name, jets, (1.0, math.inf))
 
@@ -335,49 +339,43 @@ def _cartan_coefficients(profile: RadialProfile, r, n: float):
     The coframe is (sqrt(A) dr, sqrt(C) s1, sqrt(C) s2, sqrt(B) s3) with
     ds1 = n s2^s3 (cyclic).  Connection coefficients follow the standard
     diagonal ansatz; curvature 2-forms are assembled exactly from jets.
+    a1 = a2 = sqrt(C) makes the first two of each triple (and K1 = K2, c1 =
+    c2) equal bit for bit, as their formulas differ only in the order of
+    commuting operands: each is computed once.  A, f0 = sqrt(A) and the legs
+    feeding K are carried to order 1, all that is read of them.
     """
     Aj, Bj, Cj = profile.at(r)
-    f0 = Aj.sqrt()
-    sc = Cj.sqrt()
-    a = [sc, sc, Bj.sqrt()]  # a1, a2, a3
+    f0 = Aj.truncate(1).sqrt()
+    legs = Cj.sqrt(), Bj.sqrt()  # a1 = a2, a3
     # An array jet holds three arrays of the grid's length: drop each jet
     # once the coefficients read below are taken, to keep the peak small.
-    del Aj, Bj, Cj, sc
+    del Aj, Bj, Cj
 
-    Ai = [ai.deriv_jet() / (f0 * ai) for ai in a]
+    Ai = [a.deriv_jet() / (f0 * a) for a in legs]
     f0v = f0.value
     Av = [q.value for q in Ai]
     dA = [q.derivative(1) for q in Ai]
     del f0, Ai
-    K = [
-        n * a[0] / (a[1] * a[2]),
-        n * a[1] / (a[2] * a[0]),
-        n * a[2] / (a[0] * a[1]),
-    ]
-    del a
-    c = [
-        (K[1] + K[2] - K[0]) * 0.5,
-        (K[2] + K[0] - K[1]) * 0.5,
-        (K[0] + K[1] - K[2]) * 0.5,
-    ]
+    sc, sb = (a.truncate(1) for a in legs)
+    del legs
+    K = [n * sc / (sc * sb), n * sb / (sc * sc)]  # K1 = K2, K3
+    c = [(K[0] + K[1] - K[0]) * 0.5, (K[0] + K[0] - K[1]) * 0.5]  # c1 = c2, c3
     Kv = [q.value for q in K]
     cv = [q.value for q in c]
     dc = [q.derivative(1) for q in c]
-    del K, c
+    del sc, sb, K, c
 
-    E = [dA[i] / f0v + Av[i] ** 2 for i in range(3)]
+    E = [dA[i] / f0v + Av[i] ** 2 for i in range(2)]
     M = [
-        Av[0] * Kv[0] - cv[2] * Av[1] - cv[1] * Av[2],
-        Av[1] * Kv[1] - cv[2] * Av[0] - cv[0] * Av[2],
-        Av[2] * Kv[2] - cv[1] * Av[0] - cv[0] * Av[1],
+        Av[0] * Kv[0] - cv[1] * Av[0] - cv[0] * Av[1],
+        Av[1] * Kv[1] - cv[0] * Av[0] - cv[0] * Av[0],
     ]
-    N = [dc[i] / f0v + cv[i] * Av[i] for i in range(3)]
+    N = [dc[i] / f0v + cv[i] * Av[i] for i in range(2)]
     P = [
-        cv[0] * Kv[0] - Av[1] * Av[2] - cv[1] * cv[2],
-        cv[1] * Kv[1] - Av[2] * Av[0] - cv[0] * cv[2],
-        cv[2] * Kv[2] - Av[0] * Av[1] - cv[0] * cv[1],
+        cv[0] * Kv[0] - Av[0] * Av[1] - cv[0] * cv[1],
+        cv[1] * Kv[1] - Av[0] * Av[0] - cv[0] * cv[0],
     ]
-    return E, M, N, P
+    return tuple([q[0], q[0], q[1]] for q in (E, M, N, P))
 
 
 def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarray:
@@ -612,8 +610,9 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     radii = [float(r) for r in radii]
     _require_geometric(radii, "decay scan radii")
     grid = np.array(radii)
+    jets = profile.at(grid)
     # A component constant in r (the flat profile's A) has a float value.
-    a, b, c = (np.broadcast_to(v, grid.shape).tolist() for v in profile.values(grid))
+    a, b, c = (np.broadcast_to(q.value, grid.shape).tolist() for q in jets)
     # r**2 on a float, as on the scalar path: an array squares as r*r.
     devs = [
         max(abs(ai - 1.0), abs(bi / r**2 - 1.0), abs(ci / r**2 - 1.0))
@@ -621,7 +620,9 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     ]
     out = ScanResult(parameter_name="r", parameters=radii)
     out.add("metric_deviation", devs)
-    out.add("rm_norm", frame_norms(profile, grid)[1].tolist())
+    # |Rm| off the same evaluation: a profile that returns the jets just taken.
+    evaluated = RadialProfile(profile.name, lambda _: jets, profile.domain)
+    out.add("rm_norm", frame_norms(evaluated, grid)[1].tolist())
     return out
 
 
@@ -634,14 +635,17 @@ def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     contraction is diagonal, diag(-E1-E2-E3, -E1+P2+P3, -E2+P1+P3,
     -E3+P1+P2) up to the contraction sign, summed here in the order of the
     dense contraction, so |Ric| equals cohomo_curvature's bit for bit; |Rm|
-    sums its squares in another order and may differ in the last bit.  A
-    profile constant in r gives float coefficients, broadcast to the radii.
+    sums its squares in another order and may differ in the last bit.  Equal
+    coefficients and Ricci entries are squared once.  A profile constant in
+    r gives float coefficients, broadcast to the radii.
     """
     radii = np.asarray(radii, dtype=float)
     E, M, N, P = _cartan_coefficients(profile, radii, calibration().structure_constant)
-    ric = (-E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[2] - E[1] + P[0], P[1] - E[2] + P[0])
-    ric_norm = np.sqrt((ric[0] * ric[0] + ric[2] * ric[2]) + (ric[1] * ric[1] + ric[3] * ric[3]))
-    rm_norm = np.sqrt(4.0 * sum(q * q for q in E + M + N + P))
+    ric0, ric12, ric3 = -E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[1] - E[2] + P[0]
+    sq12 = ric12 * ric12
+    ric_norm = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))
+    squares = [sq for q in (E, M, N, P) for sq in (q[0] * q[0],) * 2 + (q[2] * q[2],)]
+    rm_norm = np.sqrt(4.0 * sum(squares[1:], squares[0]))
     return np.full(radii.shape, ric_norm), np.full(radii.shape, rm_norm)
 
 
@@ -655,9 +659,9 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     whole annuli, so a pass is never larger than one annulus or PASS_RADII.
     |Ric| and |Rm| are read in closed form off the Cartan coefficients,
     with no dense frame tensor.  Example-a's scan (five d values, 512 radii
-    each, one pass) takes about 1.4 ms, against 3.1 ms for one pass per
-    annulus and 0.9 s for one scalar-jet curvature sample per radius
-    (2-core Xeon VM).
+    each, one pass) takes about 1.5 ms, against 2.9 ms for one pass per
+    annulus and 0.56 s for one scalar-jet curvature sample per radius; five
+    d values of 2048 radii (three passes) take about 5.1 ms (2-core Xeon VM).
     """
     d_values = [float(d) for d in d_values]
     _require_geometric(d_values, "gluing scan d values")

@@ -8,7 +8,9 @@ power-law decay tails.  A coefficient depends only on coefficients of the
 same or lower order, so a lower-order jet holds the leading coefficients
 of a higher-order one bit for bit.  A constant is a one-coefficient jet,
 padded with zeros before it meets a longer jet; two longer jets meet at
-the lower order, and a derivative is one order lower.
+the lower order, and a derivative is one order lower.  The curvature pass
+relies on this: it truncates each jet to the order its consumer reads, and
+gets the same bits as the full-order evaluation it replaces.
 
 A coefficient is a float or a 1-D numpy array, all arrays of one jet (and
 of the jets it meets) having the same length: an array jet carries one
@@ -18,7 +20,8 @@ performs the same IEEE operations in the same order on each entry as on
 floats, so entry i of an array result equals the float result at point i
 bit for bit.  A float is never wrapped into an array: `x ** 2` squares
 through libm pow on a float but as x*x on an array, and the two differ in
-the last bit on some inputs.
+the last bit on some inputs.  No recurrence adds a leading 0 or
+multiplies by 1, so none builds an array that only copies another.
 """
 
 from __future__ import annotations
@@ -60,12 +63,16 @@ class Jet:
         every derivative of a constant (a one-coefficient jet) is 0.0."""
         if m and len(self.coeffs) == 1:
             return 0.0
-        return self.coeffs[m] * math.factorial(m)
+        return self.coeffs[m] * math.factorial(m) if m > 1 else self.coeffs[m]
+
+    def truncate(self, order: int) -> "Jet":
+        """The leading coefficients up to the given order."""
+        return Jet(self.coeffs[: order + 1])
 
     def deriv_jet(self) -> "Jet":
         """Jet of the first derivative, one order lower (a constant's is 0)."""
         c = self.coeffs
-        return Jet(tuple((k + 1) * c[k + 1] for k in range(len(c) - 1)) or (0.0,))
+        return Jet(tuple(k * c[k] if k > 1 else c[1] for k in range(1, len(c))) or (0.0,))
 
     def __add__(self, other):
         a, b = _operands(self, other)
@@ -76,27 +83,28 @@ class Jet:
     def __neg__(self):
         return Jet(tuple(-a for a in self.coeffs))
 
-    # Negating after padding: a padded constant subtracts +0.0, as a jet would.
+    # x - y is x + (-y) in IEEE arithmetic, signed zeros included.  Subtracting
+    # after padding: a padded constant subtracts +0.0, as a jet would.
     def __sub__(self, other):
         a, b = _operands(self, other)
-        return Jet(tuple(x + (-y) for x, y in zip(a, b)))
+        return Jet(tuple(x - y for x, y in zip(a, b)))
 
     def __rsub__(self, other):
         a, b = _operands(self, other)
-        return Jet(tuple(y + (-x) for x, y in zip(a, b)))
+        return Jet(tuple(y - x for x, y in zip(a, b)))
 
     def __mul__(self, other):
         a, b = _operands(self, other)
-        return Jet(tuple(sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a))))
+        return Jet(tuple(_dot(a, b, k, 0, k) for k in range(len(a))))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         a, b = _operands(self, other)
         _refuse(b[0] == 0.0, ZeroDivisionError, "jet division by zero value")
-        q = [0.0] * len(a)
-        for k in range(len(a)):
-            q[k] = (a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0]
+        q = [a[0] / b[0]]
+        for k in range(1, len(a)):
+            q.append((a[k] - _dot(b, q, k, 1, k)) / b[0])
         return Jet(tuple(q))
 
     def __rtruediv__(self, other):
@@ -107,31 +115,44 @@ class Jet:
             raise TypeError("jet powers must be integers")
         if exponent < 0:
             return 1.0 / (self ** (-exponent))
-        out = Jet.const(1.0)
-        for _ in range(exponent):
+        if exponent == 0:
+            return Jet.const(1.0)
+        out = self
+        for _ in range(exponent - 1):
             out = out * self
         return out
 
     def sqrt(self) -> "Jet":
         a = self.coeffs
         _refuse(a[0] <= 0.0, ValueError, "jet sqrt of a nonpositive value")
-        s = [0.0] * len(a)
-        s[0] = np.sqrt(a[0]) if isinstance(a[0], np.ndarray) else math.sqrt(a[0])
+        s = [np.sqrt(a[0]) if isinstance(a[0], np.ndarray) else math.sqrt(a[0])]
+        twice = 2.0 * s[0]
         for k in range(1, len(a)):
-            s[k] = (a[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2.0 * s[0])
+            num = a[k] - _dot(s, s, k, 1, k - 1) if k > 1 else a[1]
+            s.append(num / twice)
         return Jet(tuple(s))
 
     def exp(self) -> "Jet":
         a = self.coeffs
-        e = [0.0] * len(a)
         if isinstance(a[0], np.ndarray):
             # np.exp and libm exp differ in the last bit on some inputs.
-            e[0] = np.fromiter(map(math.exp, a[0].tolist()), float, len(a[0]))
+            e = [np.fromiter(map(math.exp, a[0].tolist()), float, len(a[0]))]
         else:
-            e[0] = math.exp(a[0])
+            e = [math.exp(a[0])]
+        d = self.deriv_jet().coeffs  # d[j - 1] = j a[j]
         for k in range(1, len(a)):
-            e[k] = sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k
+            t = _dot(d, e, k - 1, 0, k - 1)
+            e.append(t / k if k > 1 else t)
         return Jet(tuple(e))
+
+
+def _dot(a, b, k: int, lo: int, hi: int):
+    """a[lo] b[k-lo] + ... + a[hi] b[k-hi], left to right from the first term
+    (built-in sum starts from 0, and from Python 3.12 compensates floats)."""
+    total = a[lo] * b[k - lo]
+    for j in range(lo + 1, hi + 1):
+        total = total + a[j] * b[k - j]
+    return total
 
 
 def _operands(a: Jet, b) -> tuple[tuple, tuple]:

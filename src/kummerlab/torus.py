@@ -166,27 +166,36 @@ class GroupTable:
         """
         return sorted(set(self.right[0]) - {0})
 
-    def mul(self, i: int, j: int) -> int:
-        """Index of element i∘j: j's spanning-tree word applied to i through right."""
+    def _word(self, j: int) -> list[int]:
+        """The generator slots k of j's spanning-tree word, in the order they act."""
         word = []
         while j:
             j, g = self.factors[j]
             word.append(self.right[0].index(g))
-        for k in reversed(word):
+        return word[::-1]
+
+    def _walk(self, i: int, word: list[int]) -> int:
+        """Index of element i composed with the generators of word, in order."""
+        for k in word:
             i = self.right[i][k]
         return i
 
+    def mul(self, i: int, j: int) -> int:
+        """Index of element i∘j: j's spanning-tree word applied to i through right."""
+        return self._walk(i, self._word(j))
+
     def subgroup_generated(self, indices) -> frozenset[int]:
         """Closure of the elements of indices; only an element outside the
-        closure so far becomes a generator, so at most log2|G| of them do."""
-        closed, gens = {0}, []
+        closure so far becomes a generator, so at most log2|G| of them do.
+        Each generator's word is spelled once."""
+        closed, words = {0}, []
         for x in indices:
             if x in closed:
                 continue
-            gens.append(x)
+            words.append(self._word(x))
             frontier = list(closed)
             while frontier:
-                nxt = [p for p in {self.mul(i, g) for i in frontier for g in gens} if p not in closed]
+                nxt = [p for p in {self._walk(i, w) for i in frontier for w in words} if p not in closed]
                 closed.update(nxt)
                 frontier = nxt
         return frozenset(closed)

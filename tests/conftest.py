@@ -364,6 +364,75 @@ def cutoff_derivative_bounds(cut: Cutoff, samples: int = 2048) -> dict[int, floa
 
 
 # ---------------------------------------------------------------------------
+# Full-order reference for the curvature pass: every jet carried to order 2,
+# the bump masking every coefficient, and each profile written as a single
+# expression, as the pass computed them before it truncated each jet to the
+# order its consumer reads.
+
+
+def reference_bump(s: Jet) -> Jet:
+    plateau = s.value <= 1e-6
+    if np.all(plateau):
+        return Jet.const(0.0)
+    if not np.any(plateau):
+        return (-1.0 / s).exp()
+    safe = Jet(tuple(np.where(plateau, 1.0, c) for c in s.coeffs))
+    return Jet(tuple(np.where(plateau, 0.0, c) for c in (-1.0 / safe).exp().coeffs))
+
+
+def reference_eh_jets(r: Jet):
+    drop, r2 = 1.0 - r ** (-4), r**2
+    return 1.0 / drop, r2 * drop, r2
+
+
+def reference_glued_jets(d):
+    """The glued profile's jets at one scale, or at one scale per radius."""
+
+    def jets(r: Jet):
+        scaled = r * Jet((1.0 / d,))
+        num = reference_bump(2.0 - scaled)
+        p = num / (num + reference_bump(scaled - 1.0))
+        drop, r2 = 1.0 - r ** (-4), r**2
+        return p / drop + (1.0 - p), r2 * (p * drop + (1.0 - p)), r2
+
+    return jets
+
+
+def reference_euclidean_jets(r: Jet):
+    return Jet.const(1.0), r**2, r**2
+
+
+def reference_cartan_coefficients(jets, r, n: float):
+    """(E, M, N, P) of the profile with the given jets, all at order 2."""
+    Aj, Bj, Cj = jets(Jet.seed(r))
+    f0 = Aj.sqrt()
+    sc = Cj.sqrt()
+    a = [sc, sc, Bj.sqrt()]
+    Ai = [ai.deriv_jet() / (f0 * ai) for ai in a]
+    f0v = f0.value
+    Av = [q.value for q in Ai]
+    dA = [q.derivative(1) for q in Ai]
+    K = [n * a[0] / (a[1] * a[2]), n * a[1] / (a[2] * a[0]), n * a[2] / (a[0] * a[1])]
+    c = [(K[1] + K[2] - K[0]) * 0.5, (K[2] + K[0] - K[1]) * 0.5, (K[0] + K[1] - K[2]) * 0.5]
+    Kv = [q.value for q in K]
+    cv = [q.value for q in c]
+    dc = [q.derivative(1) for q in c]
+    E = [dA[i] / f0v + Av[i] ** 2 for i in range(3)]
+    M = [
+        Av[0] * Kv[0] - cv[2] * Av[1] - cv[1] * Av[2],
+        Av[1] * Kv[1] - cv[2] * Av[0] - cv[0] * Av[2],
+        Av[2] * Kv[2] - cv[1] * Av[0] - cv[0] * Av[1],
+    ]
+    N = [dc[i] / f0v + cv[i] * Av[i] for i in range(3)]
+    P = [
+        cv[0] * Kv[0] - Av[1] * Av[2] - cv[1] * cv[2],
+        cv[1] * Kv[1] - Av[2] * Av[0] - cv[0] * cv[2],
+        cv[2] * Kv[2] - Av[0] * Av[1] - cv[0] * cv[1],
+    ]
+    return E, M, N, P
+
+
+# ---------------------------------------------------------------------------
 # Averaging projector on constant k-forms.
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kummerlab import torus
+from kummerlab import pipeline, torus
 from kummerlab.cli import bundled_examples, main
 
 EXAMPLE_A = bundled_examples()["example-a.spec"]
@@ -119,6 +119,24 @@ def test_curvature_scan_csvs_match_golden(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "scan.csv").read_bytes() == (GOLDEN / "example-a.scan.csv").read_bytes()
     assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "example-a.scan.mu.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["verify", "f-structure"])
+def test_json_report_is_encoded_only_on_request(tmp_path, monkeypatch, command):
+    """Without --json no report is encoded; with it, one is.  Stdout and
+    the exit code are the same either way, but for the line naming the file."""
+    calls = []
+    original = pipeline.Report.to_json
+    monkeypatch.setattr(pipeline.Report, "to_json", lambda self: calls.append(1) or original(self))
+    spec = trimmed_spec(tmp_path)
+    plain = CliRunner().invoke(main, [command, spec])
+    assert calls == []
+    out = tmp_path / "report.json"
+    with_json = CliRunner().invoke(main, ["--json", str(out), command, spec])
+    assert calls == [1]
+    assert with_json.exit_code == plain.exit_code
+    assert with_json.output == plain.output + f"wrote {out}\n"
+    json.loads(out.read_text())
 
 
 def test_verify_json_report_independent_of_working_directory(tmp_path, monkeypatch):

@@ -1,10 +1,19 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import cutoff_derivative_bounds, euler_chart_christoffel_exact, scale_profile
+from conftest import (
+    cutoff_derivative_bounds,
+    euler_chart_christoffel_exact,
+    reference_cartan_coefficients,
+    reference_eh_jets,
+    reference_euclidean_jets,
+    reference_glued_jets,
+    scale_profile,
+)
 from kummerlab import curvature, pipeline
 from kummerlab.curvature import (
     DIAM_BOUND_FORMULA,
@@ -32,6 +41,7 @@ from kummerlab.curvature import (
     _richardson_derivative,
 )
 from kummerlab.jets import Jet
+from test_jets import same_bits
 
 EH_POINT = [3.0, 1.0, 0.7, 0.9]
 
@@ -474,3 +484,72 @@ def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
     calls.clear()
     cohomo_curvature(glued_profile(10.0), 13.0)
     assert calls == [10.0]
+
+
+# ---------------------------------------------------------------------------
+# The trimmed pass against the full-order reference, bit for bit.
+
+
+def _edge_radii(d):
+    """Radii across the plateaus and the ramp of scale d, with d and 2d exact."""
+    return np.concatenate([np.geomspace(1.05, 4.0 * d, 97), [d, 2.0 * d, 1.5 * d]])
+
+
+CYLINDER_JETS = lambda r: (Jet.const(1.0), Jet.const(4.0), Jet.const(9.0))  # noqa: E731
+# No component linear in r or its square: sqrt(C) has a second derivative.
+BENT_JETS = lambda r: (1.0 + 1.0 / r, r * r * r / (r + 1.0), r * r + r)  # noqa: E731
+SCALES = np.repeat([4.0, 6.5, 10.0, 33.3], 25)
+TRIMMED_CASES = {
+    "eguchi-hanson": (eh_profile(), reference_eh_jets, _edge_radii(10.0)),
+    "euclidean": (euclidean_profile(), reference_euclidean_jets, _edge_radii(10.0)),
+    "cylinder": (RadialProfile("cyl", CYLINDER_JETS, (0, math.inf)), CYLINDER_JETS, _edge_radii(10.0)),
+    "bent": (RadialProfile("bent", BENT_JETS, (0, math.inf)), BENT_JETS, _edge_radii(10.0)),
+    **{
+        f"glued-{d:g}": (glued_profile(d), reference_glued_jets(d), _edge_radii(d))
+        for d in (4.0, 6.5, 10.0, 33.3)
+    },
+    # One scale per radius: each block of 25 radii holds d, 2d, both plateaus and the ramp.
+    "glued-per-radius": (
+        glued_profile(SCALES),
+        reference_glued_jets(SCALES),
+        SCALES * np.tile(np.r_[0.5, 0.99, 1.0, np.linspace(1.05, 1.95, 19), 2.0, 2.01, 3.0], 4),
+    ),
+    # Every radius on one plateau: the bumps' all-zero and never-zero paths.
+    "glued-inner-plateau": (glued_profile(10.0), reference_glued_jets(10.0), np.linspace(1.5, 10.0, 9)),
+    "glued-outer-plateau": (glued_profile(10.0), reference_glued_jets(10.0), np.linspace(20.0, 90.0, 9)),
+}
+
+
+@pytest.mark.parametrize("n", [-2.0, -1.0])
+@pytest.mark.parametrize("case", sorted(TRIMMED_CASES))
+def test_trimmed_pass_equals_full_order_reference(case, n):
+    """E, M, N, P of the pass, each jet truncated to the order read, equal
+    the order-2 evaluation bit for bit, signed zeros included, on an array
+    of radii and at each radius alone."""
+    profile, jets, radii = TRIMMED_CASES[case]
+    shaped = lambda x: np.broadcast_to(x, radii.shape)  # noqa: E731
+    got = curvature._cartan_coefficients(profile, radii, n)
+    for g, w in zip(got, reference_cartan_coefficients(jets, radii, n)):
+        assert all(same_bits(shaped(x), shaped(y)) for x, y in zip(g, w))
+    if case == "glued-per-radius":
+        return  # one scale per radius has no single-radius form
+    for r in radii[::7].tolist() + radii[-3:].tolist():
+        got = curvature._cartan_coefficients(profile, r, n)
+        for g, w in zip(got, reference_cartan_coefficients(jets, r, n)):
+            assert all(same_bits(x, y) and type(x) is type(y) for x, y in zip(g, w))
+
+
+GOLDEN_SCANS = Path(__file__).resolve().parent / "data" / "golden" / "scan-dense"
+
+
+def test_every_dense_scan_csv_matches_golden(tmp_path):
+    """Both CSV tables of all 49 dense scans the benchmark draws from (d0 = k/4,
+    k = 16..64, d = d0 * 2^j, j = 0..4, 2048 radii each: three passes of 2, 2
+    and 1 annuli), pinned from the full-order pass."""
+    for k in range(16, 65):
+        d0 = k / 4
+        ds = [d0 * 2**j for j in range(5)]
+        scan = glue_ricci_scan(ds, 2048)
+        files = pipeline.write_scan_csv(scan, mu_report(scan, ds), tmp_path / f"d0-{d0:g}.scan.csv")
+        for f in map(Path, files):
+            assert f.read_bytes() == (GOLDEN_SCANS / f.name).read_bytes(), f.name

@@ -121,6 +121,28 @@ def test_curvature_scan_csvs_match_golden(tmp_path):
     assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "example-a.scan.mu.csv").read_bytes()
 
 
+STAGE_SPECS = pytest.mark.parametrize(
+    "spec, stem", [(EXAMPLE_A, "example-a"), (EXAMPLE_B, "example-b"), (FOUR_CHART, "example-b-four-chart")],
+    ids=["example-a", "example-b", "four-chart"],
+)
+
+
+@STAGE_SPECS
+@pytest.mark.parametrize("command", ["f-structure", "betti", "census"])
+def test_stage_stdout_matches_golden(spec, stem, command):
+    result = CliRunner().invoke(main, [command, spec])
+    assert result.exit_code == (1 if (command, stem) == ("f-structure", "example-b") else 0), result.output
+    assert result.stdout_bytes == (GOLDEN / f"{stem}.{command}.txt").read_bytes()
+
+
+@STAGE_SPECS
+def test_f_structure_json_report_matches_golden(tmp_path, spec, stem):
+    out = tmp_path / "f-structure.json"
+    result = CliRunner().invoke(main, ["--json", str(out), "f-structure", spec])
+    assert result.exit_code == (1 if stem == "example-b" else 0), result.output
+    assert out.read_bytes() == (GOLDEN / f"{stem}.f-structure.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["verify", "f-structure"])
 def test_json_report_is_encoded_only_on_request(tmp_path, monkeypatch, command):
     """Without --json no report is encoded; with it, one is.  Stdout and

@@ -1,10 +1,12 @@
 """Induced group action on constant k-forms of the torus, exactly.
 
 A signed permutation isometry pulls a basis monomial dx_I back to a
-signed basis monomial; the invariant subspace under a finite group is an
-integer kernel computation, and the Betti numbers of the quotient are
-the invariant dimensions degree by degree.  The resolved Betti numbers
-add one 2-class per grafted singular circle orbit.
+signed basis monomial, so the group permutes the monomials up to sign.
+The invariant forms are the signed orbit sums of that action: one per
+orbit on which the signs agree, none where some element sends a
+monomial to its own negative.  The Betti numbers of the quotient are the
+invariant dimensions degree by degree.  The resolved Betti numbers add
+one 2-class per grafted singular circle orbit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .intlinalg import hermite_row_basis, kernel_basis
 from .torus import GroupTable, Pi1Certificate, SingularCensus, _signed_permutation
 
 MultiIndex = tuple[int, ...]
@@ -25,31 +26,28 @@ def form_basis(n: int, k: int) -> list[MultiIndex]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
-def induced_action(linear, k: int) -> list[list[int]]:
-    """Matrix of the pullback action on degree-k basis monomials.
+def _monomial_image(perm, signs, subset: MultiIndex) -> tuple[int, MultiIndex]:
+    """(sign, target) with dx_subset pulled back to sign * dx_target by the
+    signed permutation sending axis i to signs[i] times axis perm[i] (0-based):
+    the product of the signs times the parity of sorting the mapped axes."""
+    mapped = [perm[i - 1] + 1 for i in subset]
+    sign = 1
+    for a, i in enumerate(subset):
+        sign *= signs[i - 1]
+        for j in mapped[a + 1 :]:
+            if mapped[a] > j:
+                sign = -sign
+    return sign, tuple(sorted(mapped))
 
-    For a signed permutation sending axis i to sign s_i times axis p(i),
-    dx_I maps to (prod of s_i) * (parity of sorting p(I)) * dx_{sorted p(I)}.
-    """
+
+def induced_action(linear, k: int) -> list[list[int]]:
+    """Matrix of the pullback action on degree-k basis monomials."""
     image, sign_of = _signed_permutation(linear)
     basis = form_basis(len(image), k)
     index = {b: i for i, b in enumerate(basis)}
     mat = [[0] * len(basis) for _ in range(len(basis))]
     for col, subset in enumerate(basis):
-        mapped = [image[i - 1] + 1 for i in subset]
-        sign = 1
-        for i in subset:
-            sign *= sign_of[i - 1]
-        # Parity of the permutation sorting the mapped tuple.
-        perm = sorted(range(len(mapped)), key=lambda t: mapped[t])
-        inversions = sum(
-            1
-            for a in range(len(perm))
-            for b in range(a + 1, len(perm))
-            if perm[a] > perm[b]
-        )
-        sign *= (-1) ** inversions
-        target = tuple(sorted(mapped))
+        sign, target = _monomial_image(image, sign_of, subset)
         mat[index[target]][col] = sign
     return mat
 
@@ -89,25 +87,35 @@ def form_to_string(coeffs, basis: list[MultiIndex]) -> str:
 def invariant_forms(group: GroupTable, k: int) -> InvariantSubspace:
     """Simultaneous fixed subspace of the induced actions of all elements.
 
-    A form fixed by the generators is fixed by the group, so this is one
-    integer kernel: stack rho(g) - I over the distinct generator elements
-    and take the saturated kernel.  Its basis is returned in Hermite form,
-    which depends only on the kernel lattice, not on the stack.
+    A form fixed by the generators is fixed by the group.  Each orbit of the
+    generators on the basis monomials is walked from its least monomial with
+    coefficient +1; its signed sum is invariant unless some monomial is reached
+    with both signs, and then no form on the orbit is.  The sums have disjoint
+    supports and leading entries +1: the saturated lattice's Hermite basis.
     """
-    n = group.dim
-    basis = form_basis(n, k)
-    size = len(basis)
-    stacked: list[list[int]] = []
+    basis = form_basis(group.dim, k)
+    index = {b: i for i, b in enumerate(basis)}
+    moves = []
     for g in group.generator_indices:
-        rho = induced_action(group.elements[g].linear, k)
-        for r in range(size):
-            row = [rho[r][c] - (1 if r == c else 0) for c in range(size)]
-            if any(row):
-                stacked.append(row)
-    if not stacked:
-        vectors = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    else:
-        vectors = hermite_row_basis(kernel_basis(stacked))
+        el = group.elements[g]
+        moves.append([(index[t], s) for s, t in (_monomial_image(el.perm, el.signs, b) for b in basis)])
+    coeff = [0] * len(basis)
+    vectors = []
+    for start in range(len(basis)):
+        if coeff[start]:
+            continue
+        coeff[start], orbit, consistent = 1, [start], True
+        for c in orbit:  # grows while it is walked
+            for move in moves:
+                t, s = move[c]
+                if not coeff[t]:
+                    coeff[t] = s * coeff[c]
+                    orbit.append(t)
+                elif coeff[t] != s * coeff[c]:
+                    consistent = False
+        if consistent:
+            members = set(orbit)
+            vectors.append([coeff[c] if c in members else 0 for c in range(len(basis))])
     return InvariantSubspace(k, len(vectors), vectors, basis)
 
 

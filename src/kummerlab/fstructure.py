@@ -4,7 +4,9 @@ Charts are tubular regions of the torus cut out by a distance constraint
 on one coordinate pair, plus the complement chart of their shrunken union
 and an optional whole-torus chart.  Actions are formal coordinate
 translations; every check here is a rational/symbolic identity, so a PASS
-is a machine-checked statement, never a sampled approximation.
+is a machine-checked statement, never a sampled approximation.  They run on
+integer numerators: a chart's centers over one denominator, translations over
+a multiple of it, and distances compared with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ class ChartSpec:
 
     kind "ball": points with ||(x_a, x_b) - center|| < epsilon for some
     center; kind "complement": the complement of the closed shrunken union
-    of the named ball charts; kind "full": the whole torus.
+    of the named ball charts; kind "full": the whole torus.  Centers are
+    torus points, kept reduced mod 1; center_nums holds them as numerator
+    pairs over center_den, the least common denominator.
     """
 
     name: str
@@ -60,8 +64,18 @@ class ChartSpec:
     covering: str = "trivial"  # "trivial" or "group"
     complement_of: tuple[str, ...] = ()
     shrink: Fraction = Fraction(1, 2)
+    center_den: int = field(init=False, compare=False, repr=False)
+    center_nums: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        centers = tuple((x % 1, y % 1) for x, y in self.centers)
+        den = lcm(1, *(x.denominator for c in centers for x in c))
+        nums = tuple(tuple(x.numerator * (den // x.denominator) for x in c) for c in centers)
+        if len(set(nums)) != len(nums):
+            raise ValueError(f"chart {self.name}: centers repeat mod 1")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "center_den", den)
+        object.__setattr__(self, "center_nums", nums)
         if self.kind == "ball":
             if self.constrained is None or not self.centers:
                 raise ValueError(f"ball chart {self.name} needs a constrained pair and centers")
@@ -94,39 +108,27 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _numerators(point, den: int) -> list[int]:
-    return [x.numerator * (den // x.denominator) for x in point]
-
-
-def _dist_sq_numerator(p, q, den: int) -> int:
-    """den² times the squared flat-torus distance of the points p/den and q/den."""
-    return sum(min((a - b) % den, (b - a) % den) ** 2 for a, b in zip(p, q))
-
-
-def _torus_dist_sq(p, q) -> Fraction:
-    """Squared flat-torus distance of two rational points, on integer numerators."""
-    den = lcm(1, *(x.denominator for x in (*p, *q)))
-    return Fraction(_dist_sq_numerator(_numerators(p, den), _numerators(q, den), den), den * den)
-
-
 def _axis_sign(g: AffineIsometry, axis: int) -> int | None:
     """Sign s with L_g e_axis = s e_axis, or None when the axis moves."""
     # Column axis holds its one nonzero entry in the row that reads it.
     return g.signs[axis - 1] if g.perm[axis - 1] == axis - 1 else None
 
 
-def _pair_image(g: AffineIsometry, pair: tuple[int, int], point) -> tuple[Fraction, Fraction] | None:
-    """Image of a constrained-pair point under g, or None if the pair plane moves;
-    when both pair rows read from the plane no other row does, as perm is a bijection."""
-    a, b = pair
-    out = []
-    for i in (a - 1, b - 1):
-        j = g.perm[i] + 1
-        if j not in (a, b):
-            return None
-        src = point[0] if j == a else point[1]
-        out.append((g.signs[i] * src + g.translation[i]) % 1)
-    return (out[0], out[1])
+def _pair_images(g: AffineIsometry, chart: ChartSpec):
+    """(m, centers, images): the chart's centers and their images under g as
+    numerator pairs over one denominator m, or None if g moves the pair plane
+    (if both pair rows read from the plane, no other row does)."""
+    a, b = chart.constrained
+    j0, j1 = g.perm[a - 1] + 1, g.perm[b - 1] + 1
+    if j0 not in (a, b) or j1 not in (a, b):
+        return None
+    t0, t1 = g.translation[a - 1], g.translation[b - 1]
+    m = lcm(chart.center_den, t0.denominator, t1.denominator)
+    k = m // chart.center_den
+    centers = chart.center_nums if k == 1 else tuple((x * k, y * k) for x, y in chart.center_nums)
+    i0, i1, s0, s1 = int(j0 == b), int(j1 == b), g.signs[a - 1], g.signs[b - 1]
+    u0, u1 = t0.numerator * (m // t0.denominator), t1.numerator * (m // t1.denominator)
+    return m, centers, [((s0 * c[i0] + u0) % m, (s1 * c[i1] + u1) % m) for c in centers]
 
 
 def check_invariance(chart: ChartSpec, g: AffineIsometry, atlas=None) -> CheckResult:
@@ -149,14 +151,13 @@ def check_invariance(chart: ChartSpec, g: AffineIsometry, atlas=None) -> CheckRe
             if not sub.passed:
                 return CheckResult(label, False, f"removed chart {ref} not invariant")
         return CheckResult(label, True, "complement of invariant charts")
-    images = set()
-    for c in chart.centers:
-        img = _pair_image(g, chart.constrained, c)
-        if img is None:
-            return CheckResult(label, False, "linear part does not preserve the constrained plane")
-        images.add(img)
-    if images != set(chart.centers):
-        return CheckResult(label, False, f"center set not preserved (image {sorted(images)})")
+    mapped = _pair_images(g, chart)
+    if mapped is None:
+        return CheckResult(label, False, "linear part does not preserve the constrained plane")
+    m, centers, images = mapped
+    if set(images) != set(centers):
+        shown = [tuple(str(Fraction(x, m)) for x in img) for img in sorted(set(images))]
+        return CheckResult(label, False, f"center set not preserved (image {shown})")
     return CheckResult(label, True)
 
 
@@ -245,22 +246,23 @@ def check_covariance(
         return CheckResult(label, False, "component signs need a ball chart")
     if len(action.component_signs) != len(chart.centers):
         return CheckResult(label, False, "one sign per component required")
-    axis = action.directions[0]
-    index = {c: m for m, c in enumerate(chart.centers)}
+    axis, signs = action.directions[0], action.component_signs
     for gi in tested:
         el = group.elements[gi]
         eps = _axis_sign(el, axis)
         if eps is None:
             return CheckResult(label, False, f"{group.names[gi]} moves the acting axis e{axis}")
-        for m, c in enumerate(chart.centers):
-            img = _pair_image(el, chart.constrained, c)
-            if img is None or img not in index:
+        # A moved pair plane sends no component to a component.
+        _m, centers, images = _pair_images(el, chart) or (0, (), [None])
+        index = {c: m for m, c in enumerate(centers)}
+        for m, img in enumerate(images):
+            if img not in index:
                 return CheckResult(label, False, f"{group.names[gi]} does not permute the components")
-            if eps * action.component_signs[m] != action.component_signs[index[img]]:
+            if eps * signs[m] != signs[index[img]]:
                 return CheckResult(
                     label,
                     False,
-                    f"component {tuple(str(x) for x in c)} under {group.names[gi]}: "
+                    f"component {tuple(str(x) for x in chart.centers[m])} under {group.names[gi]}: "
                     f"axis sign {eps} conflicts with the component signs",
                 )
     return CheckResult(label, True)
@@ -350,12 +352,16 @@ def _overlap_nonempty(c1: ChartSpec, c2: ChartSpec) -> bool:
         return True
     at1 = [c1.constrained.index(a) for a in shared]
     at2 = [c2.constrained.index(a) for a in shared]
+    m = lcm(c1.center_den, c2.center_den)
+    k1, k2, h = m // c1.center_den, m // c2.center_den, m // 2
+    # m² times the squared distance: each difference folded into [-m/2, m/2].
     mind = min(
-        _torus_dist_sq([p[k] for k in at1], [q[k] for k in at2])
-        for p in c1.centers
-        for q in c2.centers
+        sum(((p[i] * k1 - q[j] * k2 + h) % m - h) ** 2 for i, j in zip(at1, at2))
+        for p in c1.center_nums
+        for q in c2.center_nums
     )
-    return mind < (c1.epsilon + c2.epsilon) ** 2
+    r = c1.epsilon + c2.epsilon  # mind / m² < r², cleared of denominators
+    return mind * r.denominator**2 < r.numerator**2 * m * m
 
 
 @dataclass
@@ -429,24 +435,22 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
     if chart.covering != "group":
         return CheckResult(label, True, "trivial covering")
     by_name = {c.name: c for c in atlas}
-    tubes = []  # per removed chart: its pair, its centers' numerators over den, den, the bound
+    tubes = []  # per removed chart: its pair, centers and denominator, and the squared bound p/q
     for w in (by_name[n] for n in chart.complement_of) if chart.kind == "complement" else ():
-        den = lcm(1, *(x.denominator for ctr in w.centers for x in ctr))
-        tubes.append((w.constrained, [_numerators(ctr, den) for ctr in w.centers], den,
-                      (w.epsilon * chart.shrink) ** 2))
+        bound = (w.epsilon * chart.shrink) ** 2
+        tubes.append((w.constrained, w.center_nums, w.center_den, bound.numerator, bound.denominator))
 
     @cache  # each component is tested once
     def inside_removed(comp) -> bool:
-        for (a, b), centers, den, bound in tubes:
+        for (a, b), centers, den, p, q in tubes:
             if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
                 continue  # component sweeps the pair plane; not contained
             m = lcm(comp.q, den)
-            s, t = m // comp.q, m // den
-            cpair = (comp.w[a - 1] * s, comp.w[b - 1] * s)
-            # dist² = total / m² <= bound, cleared of denominators.
-            if any(_dist_sq_numerator(cpair, (x * t, y * t), m) * bound.denominator
-                   <= bound.numerator * m * m for x, y in centers):
-                return True
+            s, t, h, bound = m // comp.q, m // den, m // 2, p * m * m
+            cx, cy = comp.w[a - 1] * s + h, comp.w[b - 1] * s + h
+            for x, y in centers:  # (dx² + dy²) / m² <= p/q, each d folded into [-m/2, m/2]
+                if (((cx - x * t) % m - h) ** 2 + ((cy - y * t) % m - h) ** 2) * q <= bound:
+                    return True
         return False
 
     for gi in range(1, group.order):

@@ -10,10 +10,9 @@ claim row fails.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import clifford, curvature, forms, fstructure, torus
 from .intlinalg import int_det
@@ -68,35 +67,41 @@ class Report:
         self.claims.append(c)
         return c
 
-    def to_dict(self) -> dict:
-        out = dict(self.sections)
-        out["claims"] = [c.to_dict() for c in self.claims]
-        out["overall"] = self.overall
-        return _normalize(out)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """The report as JSON, keys sorted and indented by two (see _dump)."""
+        claims = [c.to_dict() for c in self.claims]
+        return _dump({**self.sections, "claims": claims, "overall": self.overall}, "\n") + "\n"
 
 
-def _round_sig(x: float) -> float:
-    if x == 0 or not math.isfinite(x):
-        return x
-    return float(f"{x:.12g}")
+def _float(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(float(f"{x:.12g}"))  # rounded to 12 significant digits
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _normalize(obj):
-    """Deterministic JSON-able copy: floats rounded, exact types stringified."""
-    if isinstance(obj, dict):
-        return {str(k): _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _round_sig(obj)
-    return str(obj)
+# JSON text of a leaf by exact type; subclasses (numpy floats, say) go by isinstance.
+_LEAVES = {str: _quote, bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+           int: int.__repr__, float: _float}
+
+
+def _dump(obj, pad: str) -> str:
+    """obj's JSON text as json.dumps(..., sort_keys=True, indent=2) writes it
+    at the indent pad, a newline plus the enclosing spaces.  Only str, int,
+    float, bool and None are written as themselves, and any other leaf (a
+    Fraction, a numpy scalar that is no float) as its str."""
+    if isinstance(obj, (dict, list, tuple)):
+        if not obj:
+            return "{}" if isinstance(obj, dict) else "[]"
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            items = obj.items() if set(map(type, obj)) == {str} else {str(k): v for k, v in obj.items()}.items()
+            body = [_quote(k) + ": " + (f(v) if (f := _LEAVES.get(type(v))) else _dump(v, inner))
+                    for k, v in sorted(items)]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+        body = [f(v) if (f := _LEAVES.get(type(v))) else _dump(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(body) + pad + "]"
+    kind = next((t for t in _LEAVES if isinstance(obj, t)), None)
+    return _LEAVES[kind](obj) if kind else _quote(str(obj))
 
 
 def _component_dict(comp: torus.FixedComponent) -> dict:

@@ -270,7 +270,10 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             table = {}
             for ln, toks in multi["psi"]:
                 try:
-                    table[toks[0]] = _parse_signs(toks[1:])
+                    signs = _parse_signs(toks[1:])
+                    if len(signs) != action.rank:
+                        raise ValueError(f"expected {action.rank} signs, one per acting direction")
+                    table[toks[0]] = signs
                 except (IndexError, ValueError) as exc:
                     fail(ln, "psi", str(exc))
             psi[name] = table

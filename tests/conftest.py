@@ -5,13 +5,15 @@ paths: fixed points are found by exhaustive rational-grid scanning with
 union-find connectivity, Clifford products by one-transposition bubbling,
 group closures by repeated multiplication until stable, group products by
 `compose` over all pairs, Euler-chart Christoffel symbols from analytic
-derivatives, and invariant forms through the averaging projector.
+derivatives, invariant forms through the averaging projector, and
+report JSON through the standard library's encoder.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -448,3 +450,30 @@ def averaging_projector(group: GroupTable, k: int) -> list[list[Fraction]]:
                 total[r][c] += rho[r][c]
     order = group.order
     return [[Fraction(total[r][c], order) for c in range(size)] for r in range(size)]
+
+
+# ---------------------------------------------------------------------------
+# The report encoder the one-pass writer replaced: a normalized copy of the
+# report, then json.dumps with sorted keys and a two-space indent.
+
+
+def reference_normalize(obj):
+    """Deterministic JSON-able copy: floats rounded, exact types stringified."""
+    if isinstance(obj, dict):
+        return {str(k): reference_normalize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_normalize(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj if obj == 0 or not math.isfinite(obj) else float(f"{obj:.12g}")
+    return str(obj)
+
+
+def reference_report_json(report) -> str:
+    out = dict(report.sections)
+    out["claims"] = [c.to_dict() for c in report.claims]
+    out["overall"] = report.overall
+    return json.dumps(reference_normalize(out), sort_keys=True, indent=2) + "\n"

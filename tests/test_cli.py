@@ -283,6 +283,14 @@ def test_f_structure_command_exit_codes():
     assert "FAIL  covariance[W_ab]" in bad.output
 
 
+def test_chart_centers_are_torus_points(tmp_path):
+    """Centers are read mod 1: an unreduced copy of W_alpha's centers is the same chart."""
+    spec = edited_example_a(tmp_path, "centers 0,0 0,3/2 -1/2,0 1/2,1/2")
+    result = CliRunner().invoke(main, ["f-structure", str(spec)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / "example-a.f-structure.txt").read_bytes()
+
+
 def test_parse_errors_exit_two(tmp_path):
     broken = tmp_path / "broken.spec"
     broken.write_text("version 1\ndimension 2\n\n[generator g]\nrow 0 0\nrow 0 1\ntranslation 0 0\n")
@@ -326,6 +334,12 @@ REPEATED_EXPECTED = ("f_rank 1", "f_rank 1\n[expected]\norbits 11")
         REPEATED_KEY,
         REPEATED_GLUING,
         REPEATED_EXPECTED,
+        "centers 0,0 0,0 1/2,0 1/2,1/2",
+        "centers 0,0 0,1/2 1/2,0 -1/2,0",
+        "psi alpha + -",
+        "psi alpha + - - +",
+        "psi alpha",
+        ("action 1 4 5", "action 1 4"),
     ],
 )
 def test_out_of_domain_spec_values_exit_two(tmp_path, line):
@@ -365,6 +379,9 @@ def edited_example_a(tmp_path: Path, line) -> Path:
         (REPEATED_KEY, ["23 [annulus_grid] repeated key 'annulus_grid' in [gluing]"]),
         (REPEATED_GLUING, ["26 [section] repeated section [gluing]"]),
         (REPEATED_EXPECTED, ["72 [section] repeated section [expected]"]),
+        ("centers 0,0 0,0 1/2,0 1/2,1/2", ["27 [chart W_alpha] chart W_alpha: centers repeat mod 1"]),
+        (("action 1 4 5", "action 1 4"), [f"{ln} [psi] expected 2 signs, one per acting direction"
+                                          for ln in (57, 58, 59)]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

@@ -14,7 +14,7 @@ from kummerlab.fstructure import (
     CovarianceRule,
     TorusActionSymbol,
     _axis_sign,
-    _pair_image,
+    _pair_images,
     check_action_invariance,
     check_covariance,
     check_invariance,
@@ -22,11 +22,15 @@ from kummerlab.fstructure import (
     extend_rule,
     verify_f_structure,
     _overlap_nonempty,
-    _torus_dist_sq,
 )
 from kummerlab.torus import AffineIsometry, GroupClosureError, generate_group
 
 HALF = Fraction(1, 2)
+
+
+def reference_torus_dist_sq(p, q) -> Fraction:
+    """Squared flat-torus distance of two rational points, in Fractions."""
+    return sum(min((a - b) % 1, (b - a) % 1) ** 2 for a, b in zip(p, q))
 
 
 def atlas_by_name(spec):
@@ -143,7 +147,7 @@ def test_disjointness_is_exact(spec_a, spec_b):
         for i, c1 in enumerate(balls):
             for c2 in balls[i + 1 :]:
                 mind = min(
-                    _torus_dist_sq(p, q) for p in c1.centers for q in c2.centers
+                    reference_torus_dist_sq(p, q) for p in c1.centers for q in c2.centers
                 )
                 assert mind > (c1.epsilon + c2.epsilon) ** 2
 
@@ -153,6 +157,28 @@ def test_surgery_flags(spec_a, spec_b):
         for chart in spec.atlas:
             if chart.kind == "ball":
                 assert not set(chart.action.directions) & set(chart.constrained)
+
+
+def test_chart_centers_are_reduced_mod_one_and_distinct():
+    def chart(*centers):
+        return ChartSpec("W", TorusActionSymbol((1,)), "ball", (2, 3),
+                         tuple(tuple(Fraction(x) for x in c) for c in centers), Fraction(1, 128))
+
+    w = chart((0, 0), ("3/2", "1/2"), ("-1/4", "5/4"))
+    assert w.centers == ((0, 0), (HALF, HALF), (Fraction(3, 4), Fraction(1, 4)))
+    assert (w.center_den, w.center_nums) == (4, ((0, 0), (2, 2), (3, 1)))
+    assert w == chart((0, 0), ("1/2", "1/2"), ("3/4", "1/4"))
+    for centers in (((0, 0), (0, 0)), ((0, 0), (1, "-1"))):
+        with pytest.raises(ValueError, match="centers repeat mod 1"):
+            chart(*centers)
+
+
+def test_center_set_failure_prints_the_image_as_rationals(group_a):
+    beta = group_a.elements[group_a.names.index("beta")]  # (x2, x3) -> (1/2 - x2, -x3)
+    w = ball((2, 3), (0, "1/4"), ("1/4", "1/2"))
+    res = check_invariance(w, beta)
+    assert not res.passed
+    assert res.detail == "center set not preserved (image [('1/4', '1/2'), ('1/2', '3/4')])"
 
 
 def test_chart_validation():
@@ -275,18 +301,65 @@ def test_axis_sign_and_pair_image_match_matrix_scans():
         if rng.random() < 0.7:  # otherwise diagonal, so that many axes and planes stay put
             rng.shuffle(perm)
         linear = tuple(tuple(rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)) for i in range(n))
-        g = AffineIsometry(linear, tuple(Fraction(rng.randrange(4), 4) for _ in range(n)))
+        g = AffineIsometry(linear, tuple(Fraction(rng.randrange(4), rng.choice((1, 2, 4, 3))) for _ in range(n)))
         for axis in range(1, n + 1):
             sign = _axis_sign(g, axis)
             assert sign == reference_axis_sign(g, axis)
             outcomes["axis", sign] += 1
         for pair in itertools.permutations(range(1, n + 1), 2):
-            point = (Fraction(rng.randrange(8), 8), Fraction(rng.randrange(8), 8))
-            image = _pair_image(g, pair, point)
-            assert image == reference_pair_image(g, pair, point)
-            outcomes["pair", image is None, image is not None and image != point] += 1
+            points = {(Fraction(rng.randrange(8), 8), Fraction(rng.randrange(6), 6)) for _ in range(3)}
+            chart = ChartSpec("W", TorusActionSymbol((1,)), "ball", pair, tuple(points), Fraction(1, 128))
+            mapped = _pair_images(g, chart)
+            images = [reference_pair_image(g, pair, point) for point in chart.centers]
+            if mapped is None:
+                assert images == [None] * len(images)
+            else:
+                m, centers, got = mapped
+                assert [tuple(Fraction(x, m) for x in c) for c in centers] == list(chart.centers)
+                assert [tuple(Fraction(x, m) for x in img) for img in got] == images
+            image = images[0]
+            outcomes["pair", image is None, image is not None and image != chart.centers[0]] += 1
     assert set(outcomes) == {("axis", 1), ("axis", -1), ("axis", None), ("pair", True, False),
                              ("pair", False, False), ("pair", False, True)}
+
+
+def reference_overlap(c1, c2) -> bool:
+    """Whether two ball tubes meet, on Fractions: some pair of centers,
+    projected to the shared coordinates, is closer than the radius sum."""
+    shared = [a for a in c1.constrained if a in c2.constrained]
+    if not shared:
+        return True
+    return any(
+        reference_torus_dist_sq([p[c1.constrained.index(a)] for a in shared],
+                                [q[c2.constrained.index(a)] for a in shared]) < (c1.epsilon + c2.epsilon) ** 2
+        for p in c1.centers for q in c2.centers
+    )
+
+
+def test_overlap_on_integers_matches_fraction_reference():
+    """Ball pairs on shared planes and axes, with centers on mixed grids, some
+    of them at exactly the radius sum (tangent tubes do not meet)."""
+    rng = random.Random(5077)
+    outcomes = Counter()
+    for _ in range(600):
+        eps = [Fraction(rng.randint(1, 9), rng.choice((1000, 1024, 2187))) for _ in range(2)]
+        pairs = [tuple(rng.sample(range(1, 5), 2)) for _ in range(2)]
+        grid = [rng.choice((4, 6, 8, 12)) for _ in range(2)]
+        first = [(Fraction(rng.randrange(grid[0]), grid[0]), Fraction(rng.randrange(grid[0]), grid[0]))
+                 for _ in range(rng.randint(1, 3))]
+        second = [(Fraction(rng.randrange(grid[1]), grid[1]), Fraction(rng.randrange(grid[1]), grid[1]))
+                  for _ in range(rng.randint(0, 2))]
+        # Put a center of the second tube exactly eps1 + eps2 or a hair less away in one coordinate.
+        offset = (eps[0] + eps[1]) * rng.choice((1, Fraction(999, 1000)))
+        shift = [first[0][pairs[0].index(a)] if a in pairs[0] else Fraction(rng.randrange(4), 4) for a in pairs[1]]
+        shift[0] += offset
+        second.append(tuple(shift))
+        c1, c2 = (ChartSpec(f"W{k}", TorusActionSymbol((5,)), "ball", pairs[k], tuple(dict.fromkeys(cs)), eps[k])
+                  for k, cs in enumerate((first, second)))
+        got = _overlap_nonempty(c1, c2)
+        assert got == reference_overlap(c1, c2)
+        outcomes[len(set(c1.constrained) & set(c2.constrained)), got] += 1
+    assert {(shared, met) for shared in (1, 2) for met in (True, False)} <= set(outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +463,7 @@ def reference_free_action(chart, group, atlas):
                 if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
                     continue
                 cpair = (comp.basepoint[a - 1], comp.basepoint[b - 1])
-                if any(_torus_dist_sq(cpair, ctr) <= (w.epsilon * chart.shrink) ** 2 for ctr in w.centers):
+                if any(reference_torus_dist_sq(cpair, ctr) <= (w.epsilon * chart.shrink) ** 2 for ctr in w.centers):
                     inside = True
                     break
             if not inside:

@@ -17,7 +17,6 @@ work the fast paths save.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -34,7 +33,7 @@ from conftest import (
     fraction_key,
     lattice_adapted_basis,
 )
-from kummerlab import forms, fstructure, pipeline, torus
+from kummerlab import forms, fstructure, intlinalg, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
 from kummerlab.intlinalg import (
     hermite_row_basis,
@@ -512,10 +511,22 @@ def test_integer_permutations_match_fraction_reference(case):
 def test_generator_kernel_matches_all_element_kernel(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
-    for k in range(6):
+    for k in range(table.dim + 2):  # every degree, and one beyond with no forms
         inv = invariant_forms(table, k)
         assert inv.basis == reference_invariant_basis(table, k)
         assert inv.dimension == forms.burnside_dimension(table, k)
+
+
+def orbits(group, k):
+    """The orbits of the group on the degree-k basis monomials, signs ignored."""
+    mats = [induced_action(el.linear, k) for el in group.elements]
+    seen, out = set(), []
+    for b in range(len(mats[0])):
+        if b not in seen:
+            orbit = {next(r for r, row in enumerate(m) if row[b]) for m in mats}
+            seen |= orbit
+            out.append(orbit)
+    return out
 
 
 def test_random_groups_have_several_generators_and_partial_kernels():
@@ -523,6 +534,11 @@ def test_random_groups_have_several_generators_and_partial_kernels():
     assert sum(len(t.generator_indices) >= 2 for t in tables) >= 15
     dims = [invariant_forms(t, k).dimension for t in tables for k in range(1, t.dim)]
     assert any(0 < d < 10 for d in dims)
+    # Permutation parts make orbit sums of several monomials, some with a
+    # negative sign, and orbits whose signs disagree contribute no form.
+    vectors = [v for t in tables for k in range(1, t.dim) for v in invariant_forms(t, k).basis]
+    assert any(sum(map(abs, v)) > 1 and min(v) < 0 for v in vectors)
+    assert any(len(invariant_forms(t, k).basis) < len(orbits(t, k)) for t in tables for k in range(1, t.dim))
 
 
 def test_random_censuses_are_not_trivial():
@@ -683,28 +699,16 @@ def test_run_all_computes_each_fixed_locus_once(spec_a, monkeypatch):
 
 
 def test_run_all_solves_no_smith_forms(spec_a, monkeypatch):
+    """Fixed loci come from cycles and the invariant forms are orbit sums: a
+    full run builds no Smith form, unimodular inverse, integer kernel or
+    induced-action matrix."""
     calls = []
-    counting(monkeypatch, torus, "smith_normal_form", calls)
-    counting(monkeypatch, torus, "unimodular_inverse", calls)
-    assert pipeline.run_all(spec_a).overall == "PASS"
+    for owner, attr in ((torus, "smith_normal_form"), (torus, "unimodular_inverse"),
+                        (intlinalg, "smith_normal_form"), (intlinalg, "kernel_basis"), (forms, "induced_action")):
+        counting(monkeypatch, owner, attr, calls)
+    report = pipeline.run_all(spec_a)
+    assert report.overall == "PASS" and report.sections["betti"]["orbifold"] == [1, 0, 1, 1, 0, 1]
     assert calls == []
-
-
-def test_invariant_forms_stack_generators_only(spec_a, monkeypatch):
-    group = translated_example_a(spec_a, "1/4")
-    rows = []
-    original = forms.kernel_basis
-
-    def counted(a):
-        rows.append(len(a))
-        return original(a)
-
-    monkeypatch.setattr(forms, "kernel_basis", counted)
-    for k in range(6):
-        rows.clear()
-        invariant_forms(group, k)
-        assert sum(rows) <= len(group.generator_indices) * math.comb(5, k)
-    assert (group.order, len(group.generator_indices)) == (32, 4)
 
 
 def test_order32_census_images_components_under_generators_only(spec_a, monkeypatch):

@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from conftest import reference_report_json
 from kummerlab import pipeline
 from kummerlab.curvature import glue_ricci_scan, mu_report
 from kummerlab.specfile import parse_construction_text
@@ -70,6 +75,65 @@ def test_report_json_deterministic(spec_a):
     payload = json.loads(r1)
     assert payload["overall"] == "PASS"
     assert json.dumps(payload, sort_keys=True, indent=2) + "\n" == r1
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_report_writer_matches_json_dumps_on_goldens(name):
+    """Each golden report, read back into sections and claims, is written to
+    its own bytes by the writer and by the encoder it replaced."""
+    golden = (GOLDEN / name).read_text(encoding="utf-8")
+    payload = json.loads(golden)
+    claims = [pipeline.Claim(**c) for c in payload.pop("claims")]
+    assert payload.pop("overall") == ("PASS" if all(c.passed for c in claims) else "FAIL")
+    report = pipeline.Report(sections=payload, claims=claims)
+    assert report.to_json() == reference_report_json(report) == golden
+
+
+LEAVES = [
+    "", "plain", "ünïcödé ∧ ℂ²/±1", "tab\tnew\nline\r", 'quote " back \\ slash /', "\x00\x1f\x7f\x80",
+    "\ud800 lone surrogate", "emoji 🙂", "\u2028\u2029",
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, 1e-7,
+    0, -1, 2**64, -(2**70), True, False, None,
+    Fraction(0), Fraction(-3, 4), Fraction(7), (Fraction(1, 2), 3),
+    np.float64(0.0), np.float64(-0.0), np.float64("nan"), np.float64("inf"), np.float32(0.1),
+    np.bool_(True), np.bool_(False), np.int64(-5), (), [], {},
+]
+
+
+def random_report_value(rng, depth):
+    """A leaf of LEAVES, a random float or integer, or a list, tuple or dict of
+    such values, with keys of every kind (some equal after str())."""
+    draw = rng.random()
+    if depth == 0 or draw < 0.35:
+        pick = rng.randrange(len(LEAVES) + 3)
+        if pick == len(LEAVES):
+            return rng.uniform(-1, 1) * 10.0 ** rng.randint(-40, 40)
+        if pick == len(LEAVES) + 1:
+            return np.float64(rng.uniform(-1, 1) * 10.0 ** rng.randint(-40, 40))
+        if pick == len(LEAVES) + 2:
+            return rng.randint(-(10**30), 10**30)
+        return LEAVES[pick]
+    items = [random_report_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    if draw < 0.6:
+        return items
+    if draw < 0.75:
+        return tuple(items)
+    keys = ["b", "a", "ä", "A", "", "1", 1, 2, None, Fraction(1, 2), "1/2", "claims"]
+    return {rng.choice(keys): v for v in items}
+
+
+def test_report_writer_matches_json_dumps_on_seeded_values():
+    rng = random.Random(1729)
+    for _ in range(600):
+        sections = {f"s{k}": random_report_value(rng, 4) for k in range(rng.randint(0, 3))}
+        claims = [pipeline.Claim(f"c{k}", rng.choice(("PASS", "FAIL")), value=random_report_value(rng, 2),
+                                 expected=random_report_value(rng, 1), detail=rng.choice(("", "why")))
+                  for k in range(rng.randint(0, 2))]
+        report = pipeline.Report(sections=sections, claims=claims)
+        assert report.to_json() == reference_report_json(report)
 
 
 def test_tolerance_scale_widens_windows(spec_a):

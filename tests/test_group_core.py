@@ -17,6 +17,7 @@ work the fast paths save.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -709,6 +710,20 @@ def test_run_all_solves_no_smith_forms(spec_a, monkeypatch):
     report = pipeline.run_all(spec_a)
     assert report.overall == "PASS" and report.sections["betti"]["orbifold"] == [1, 0, 1, 1, 0, 1]
     assert calls == []
+
+
+def test_invariant_forms_stack_generators_only(spec_a, monkeypatch):
+    """The orbit walk images each basis monomial under the generators only,
+    never under all 32 elements."""
+    group = translated_example_a(spec_a, "1/4")
+    calls = []
+    counting(monkeypatch, forms, "_monomial_image", calls)
+    for k in range(6):
+        calls.clear()
+        inv = invariant_forms(group, k)
+        assert len(calls) <= len(group.generator_indices) * math.comb(5, k)
+        assert inv.dimension == forms.burnside_dimension(group, k)
+    assert (group.order, len(group.generator_indices)) == (32, 4)
 
 
 def test_order32_census_images_components_under_generators_only(spec_a, monkeypatch):

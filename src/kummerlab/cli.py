@@ -146,9 +146,7 @@ def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
     group, _ = _group_stage(ctx, spec)
-    # Declared generators resolve by element: a repeated one has no closure name.
-    known = dict(zip(group.names, range(group.order)))
-    known.update(zip(spec.generator_names, group.right[0]))
+    known = pipeline.element_index(spec, group)
     for name in [element] if element else spec.generator_names:
         if name not in known:
             _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")

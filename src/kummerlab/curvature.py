@@ -519,14 +519,8 @@ def calibration() -> CalibrationRecord:
     flat_res = math.inf
     ric_res = math.inf
     for n in (-2.0, -1.0):
-        fr = max(
-            _sample_from_frame_tensor(r, _cohomo_frame_tensor(flat, r, n)).rm_norm
-            for r in (0.7, 2.0, 11.0)
-        )
-        rr = max(
-            _sample_from_frame_tensor(r, _cohomo_frame_tensor(ale, r, n)).ric_norm
-            for r in (1.5, 3.0, 9.0)
-        )
+        fr = float(_frame_norms(flat, (0.7, 2.0, 11.0), n)[1].max())
+        rr = float(_frame_norms(ale, (1.5, 3.0, 9.0), n)[0].max())
         if fr < 1e-6 and rr < 1e-6:
             chosen, flat_res, ric_res = n, fr, rr
             break
@@ -639,8 +633,13 @@ def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     coefficients and Ricci entries are squared once.  A profile constant in
     r gives float coefficients, broadcast to the radii.
     """
+    return _frame_norms(profile, radii, calibration().structure_constant)
+
+
+def _frame_norms(profile: RadialProfile, radii, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """frame_norms with the structure constant n given, as calibration() needs."""
     radii = np.asarray(radii, dtype=float)
-    E, M, N, P = _cartan_coefficients(profile, radii, calibration().structure_constant)
+    E, M, N, P = _cartan_coefficients(profile, radii, n)
     ric0, ric12, ric3 = -E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[1] - E[2] + P[0]
     sq12 = ric12 * ric12
     ric_norm = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))
@@ -680,7 +679,7 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     out = ScanResult(parameter_name="d", parameters=d_values)
     out.add("r_sup", [r[0] for r in rows], fit=False)
     out.add("sup_ric_annulus", [r[1] for r in rows])
-    out.add("sup_rm_annulus", [r[2] for r in rows])
+    out.add("sup_rm_annulus", [r[2] for r in rows], fit=False)
     return out
 
 

@@ -141,16 +141,20 @@ def exterior_traces(perm, signs) -> list[int]:
     return poly
 
 
-def burnside_dimension(group: GroupTable, k: int) -> Fraction:
-    """Average of the induced-action traces; must equal the fixed dimension.
+def burnside_dimensions(group: GroupTable) -> list[Fraction]:
+    """Average induced-action trace in each degree 0..n; each must equal
+    that degree's fixed dimension.
 
-    The sum runs over every element; a trace depends only on the signed
-    permutation, so each distinct one's traces are read once, by
-    exterior_traces and without an induced-action matrix.
+    A trace depends only on the signed permutation, so each distinct one's
+    traces in every degree are read once, by exterior_traces and without an
+    induced-action matrix.  Degree n averages det A, so it is 1 exactly when
+    every element preserves orientation (and 0 otherwise).
     """
-    counts = Counter((el.perm, el.signs) for el in group.elements)
-    tot = sum(c * exterior_traces(*ps)[k] for ps, c in counts.items()) if k <= group.dim else 0
-    return Fraction(tot, group.order)
+    totals = [0] * (group.dim + 1)
+    for ps, c in Counter((el.perm, el.signs) for el in group.elements).items():
+        for k, tr in enumerate(exterior_traces(*ps)):
+            totals[k] += c * tr
+    return [Fraction(t, group.order) for t in totals]
 
 
 @dataclass

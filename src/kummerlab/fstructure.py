@@ -367,26 +367,9 @@ def _overlap_nonempty(c1: ChartSpec, c2: ChartSpec) -> bool:
 @dataclass
 class FStructureReport:
     charts: list[ChartSpec]
-    checks: list[CheckResult] = field(default_factory=list)
-    cover: CheckResult | None = None
-    covering_data: list[CheckResult] = field(default_factory=list)
-    overlap: list[CheckResult] = field(default_factory=list)
-    disjointness: CheckResult | None = None
-    surgery_flags: list[CheckResult] = field(default_factory=list)
+    all_checks: list[CheckResult] = field(default_factory=list)  # in report order
     polarized: bool = False
     rank: int | None = None
-
-    @property
-    def all_checks(self) -> list[CheckResult]:
-        out = list(self.checks)
-        if self.cover:
-            out.append(self.cover)
-        out.extend(self.covering_data)
-        out.extend(self.overlap)
-        if self.disjointness:
-            out.append(self.disjointness)
-        out.extend(self.surgery_flags)
-        return out
 
     @property
     def passed(self) -> bool:
@@ -487,39 +470,38 @@ def verify_f_structure(
         raise ValueError("empty atlas")
     rules = rules or {}
     report = FStructureReport(charts=list(atlas))
-
-    report.cover = _check_cover(atlas)
+    checks = report.all_checks
 
     for chart in atlas:
-        report.covering_data.append(_check_free_action(chart, group, atlas))
         for gi in group.generator_indices:
             res = check_invariance(chart, group.elements[gi], atlas)
             if not res.passed:
                 res.name = f"invariance[{chart.name}/{group.names[gi]}]"
-                report.checks.append(res)
+                checks.append(res)
                 break
         else:
-            report.checks.append(CheckResult(f"invariance[{chart.name}]", True))
-        report.checks.append(check_action_invariance(chart, chart.action, atlas))
-        report.checks.append(check_covariance(chart, group, rules.get(chart.name)))
+            checks.append(CheckResult(f"invariance[{chart.name}]", True))
+        checks.append(check_action_invariance(chart, chart.action, atlas))
+        checks.append(check_covariance(chart, group, rules.get(chart.name)))
 
     dims = []
-    lf_all = True
     for chart in atlas:
         res, dim = check_locally_free(chart.action, chart)
-        report.checks.append(res)
-        lf_all &= res.passed
+        checks.append(res)
         if res.passed:
             dims.append(dim)
-    report.polarized = lf_all
+    report.polarized = len(dims) == len(atlas)
     report.rank = min(dims) if dims else None
+
+    checks.append(_check_cover(atlas))
+    checks.extend(_check_free_action(chart, group, atlas) for chart in atlas)
 
     meeting = [
         (c1, c2) for i, c1 in enumerate(atlas) for c2 in atlas[i + 1 :] if _overlap_nonempty(c1, c2)
     ]
     for c1, c2 in meeting:
         ok = actions_commute(c1.action, c2.action)
-        report.overlap.append(
+        checks.append(
             CheckResult(
                 f"overlap[{c1.name}&{c2.name}]",
                 ok,
@@ -528,17 +510,19 @@ def verify_f_structure(
         )
 
     clash = next(((c1, c2) for c1, c2 in meeting if c1.kind == c2.kind == "ball"), None)
-    report.disjointness = CheckResult(
-        "disjointness",
-        clash is None,
-        "pairwise center distance exceeds the radius sum"
-        if clash is None
-        else f"{clash[0].name} and {clash[1].name} overlap",
+    checks.append(
+        CheckResult(
+            "disjointness",
+            clash is None,
+            "pairwise center distance exceeds the radius sum"
+            if clash is None
+            else f"{clash[0].name} and {clash[1].name} overlap",
+        )
     )
 
     for chart in (c for c in atlas if c.kind == "ball"):
         clash = [i for i in chart.action.directions if i in (chart.constrained or ())]
-        report.surgery_flags.append(
+        checks.append(
             CheckResult(
                 f"surgery-compatibility[{chart.name}]",
                 not clash,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import clifford, curvature, forms, fstructure, torus
-from .intlinalg import int_det
 from .specfile import ConstructionSpec
 
 SLOPE_WINDOWS = {
@@ -186,7 +185,7 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         rep = clifford.spin_obstruction(mats, square_sign=square_sign)
     except ValueError as exc:
         report.sections["spin"] = {"error": str(exc)}
-        return None
+        return
     if 2 % group.exponent:
         # The commutator/square criterion is valid only when every element
         # squares to the identity, i.e. for elementary abelian 2-groups.
@@ -195,7 +194,7 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
             "reason": f"group has exponent {group.exponent}; the lifting criterion "
             "holds for elementary abelian 2-groups (exponent 1 or 2)",
         }
-        return None
+        return
     names = spec.generator_names
     section = {
         "lifts": {names[i]: str(p.lift) for i, p in enumerate(rep.lifts)},
@@ -209,23 +208,19 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         section["witness"] = [names[i], names[j]] if i != j else [names[i]]
         section["conclusion"] = "quotient-complement is nonspin"
     report.sections["spin"] = section
-    return rep
 
 
 def run_betti_stage(group, census, cert, report: Report):
     table = forms.orbifold_betti(group)
-    # det is multiplicative, so the generators decide orientation.
-    orientable = all(
-        int_det([list(r) for r in group.elements[g].linear]) == 1 for g in group.generator_indices
-    )
+    burnside = forms.burnside_dimensions(group)
+    orientable = burnside[group.dim] == 1  # the average of det A over the group
     section = {
         "orbifold": list(table.b),
         "invariant_two_forms": table.invariant[2].basis_strings() if group.dim >= 2 else [],
         "duality": table.duality_holds(),
         "orientation_preserving": orientable,
     }
-    for k in range(group.dim + 1):
-        burn = forms.burnside_dimension(group, k)
+    for k, burn in enumerate(burnside):
         report.claim(
             f"betti.burnside_trace_k{k}",
             burn == table.b[k],
@@ -255,7 +250,6 @@ def run_betti_stage(group, census, cert, report: Report):
         }
         report.claim("betti.euler_zero", resolved.euler == 0, value=resolved.euler, expected=0)
     report.sections["betti"] = section
-    return table, resolved
 
 
 def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale: float):
@@ -287,18 +281,6 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
         "metric_deviation": {"values": dev.values, "slope": dev.slope, "residual": dev.residual},
         "rm_norm": {"values": rm.values, "slope": rm.slope, "residual": rm.residual},
     }
-    t, w = SLOPE_WINDOWS["deviation"]
-    report.claim(
-        "curvature.deviation_slope",
-        dev.slope is not None and abs(dev.slope - t) <= w * tolerance_scale,
-        value=dev.slope, expected=t, tolerance=w * tolerance_scale,
-    )
-    t, w = SLOPE_WINDOWS["rm"]
-    report.claim(
-        "curvature.rm_slope",
-        rm.slope is not None and abs(rm.slope - t) <= w * tolerance_scale,
-        value=rm.slope, expected=t, tolerance=w * tolerance_scale,
-    )
 
     gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan, glue.d_values)
@@ -335,25 +317,19 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
         "diam_bound_formula": curvature.DIAM_BOUND_FORMULA,
         "volume_note": VOLUME_NOTE,
     }
-    t, w = SLOPE_WINDOWS["glue"]
-    report.claim(
-        "curvature.glue_ricci_slope",
-        sup_ric.slope is not None and abs(sup_ric.slope - t) <= w * tolerance_scale,
-        value=sup_ric.slope, expected=t, tolerance=w * tolerance_scale,
-    )
-    t, w = SLOPE_WINDOWS["rescaled"]
-    report.claim(
-        "curvature.rescaled_ricci_slope",
-        resc.slope is not None and abs(resc.slope - t) <= w * tolerance_scale,
-        value=resc.slope, expected=t, tolerance=w * tolerance_scale,
-    )
+    slopes = (("deviation_slope", "deviation", dev), ("rm_slope", "rm", rm),
+              ("glue_ricci_slope", "glue", sup_ric), ("rescaled_ricci_slope", "rescaled", resc))
+    for name, window, series in slopes:
+        t, w = SLOPE_WINDOWS[window]
+        tol = w * tolerance_scale
+        ok = series.slope is not None and abs(series.slope - t) <= tol
+        report.claim(f"curvature.{name}", ok, value=series.slope, expected=t, tolerance=tol)
     report.claim(
         "curvature.mu_monotone_decreasing",
         all(b < a for a, b in zip(mus, mus[1:])),
         value=mus,
     )
     report.sections["curvature"] = section
-    return gscan, mu
 
 
 def run_fstructure_stage(spec: ConstructionSpec, group, report: Report):
@@ -387,47 +363,42 @@ def run_fstructure_stage(spec: ConstructionSpec, group, report: Report):
         detail="; ".join(failing) if failing else "all invariance, covariance, freeness and overlap checks pass",
     )
     report.claim("f_structure.polarized", frep.polarized, value=frep.polarized)
-    return frep
 
 
-def run_expected_stage(spec: ConstructionSpec, report: Report, group, census, cert, spin_rep, resolved, frep):
+def element_index(spec: ConstructionSpec, group) -> dict[str, int]:
+    """Element index by name: the closure's names, then the declared generator
+    names, which resolve by element (a repeated generator has no closure name)."""
+    known = dict(zip(group.names, range(group.order)))
+    known.update(zip(spec.generator_names, group.right[0]))
+    return known
+
+
+_SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
+
+# The [expected] keys after fixed_circles, in claim order, each with where the
+# report's sections hold its observed value (None when the stage gave none).
+_EXPECTED_VALUES = {
+    "abelian": lambda s: s["group"]["abelian"],
+    "orbits": lambda s: s["census"].get("orbit_count"),
+    "half_orbits": lambda s: s["census"].get("half_translation_orbits"),
+    "b2_resolved": lambda s: s["betti"]["resolved"].get("b2"),
+    "b3_resolved": lambda s: s["betti"]["resolved"].get("b3"),
+    "spin": lambda s: _SPIN_WORDS.get(s["spin"].get("verdict")),
+    "pi1": lambda s: s["pi1"]["status"],
+    "f_rank": lambda s: s.get("f_structure", {}).get("rank"),
+}
+
+
+def run_expected_stage(spec: ConstructionSpec, report: Report, group):
     exp = spec.expected
-    if not exp:
-        return
+    index = element_index(spec, group)
     loci = report.sections["fixed_loci"]["per_element"]
-    for name, count in exp.get("fixed_circles", {}).items():
-        report.claim(
-            f"expected.fixed_circles.{name}",
-            loci.get(name) == count,
-            value=loci.get(name), expected=count,
-        )
-    if "abelian" in exp:
-        report.claim("expected.abelian", group.abelian == exp["abelian"], value=group.abelian, expected=exp["abelian"])
-    if "orbits" in exp:
-        got = census.orbit_count if census else None
-        report.claim("expected.orbits", got == exp["orbits"], value=got, expected=exp["orbits"])
-    if "half_orbits" in exp:
-        got = (
-            sum(1 for o in census.orbits if o.translation_elements) if census else None
-        )
-        report.claim("expected.half_orbits", got == exp["half_orbits"], value=got, expected=exp["half_orbits"])
-    if "b2_resolved" in exp:
-        got = resolved.b2_resolved if resolved else None
-        report.claim("expected.b2_resolved", got == exp["b2_resolved"], value=got, expected=exp["b2_resolved"])
-    if "b3_resolved" in exp:
-        got = resolved.b3_resolved if resolved else None
-        report.claim("expected.b3_resolved", got == exp["b3_resolved"], value=got, expected=exp["b3_resolved"])
-    if "spin" in exp:
-        got = None
-        if spin_rep is not None:
-            got = "nonspin" if spin_rep.obstructed else "no-obstruction"
-        report.claim("expected.spin", got == exp["spin"], value=got, expected=exp["spin"])
-    if "pi1" in exp:
-        got = cert.status if cert else None
-        report.claim("expected.pi1", got == exp["pi1"], value=got, expected=exp["pi1"])
-    if "f_rank" in exp:
-        got = frep.rank if frep is not None else None
-        report.claim("expected.f_rank", got == exp["f_rank"], value=got, expected=exp["f_rank"])
+    rows = [(f"fixed_circles.{name}", loci[group.names[index[name]]] if name in index else None, count)
+            for name, count in exp.get("fixed_circles", {}).items()]
+    rows += [(key, observed(report.sections), exp[key])
+             for key, observed in _EXPECTED_VALUES.items() if key in exp]
+    for key, got, want in rows:
+        report.claim(f"expected.{key}", got == want, value=got, expected=want)
 
 
 def run_all(
@@ -454,14 +425,13 @@ def run_all(
     group = run_group_stage(spec, report, max_group_order)
     census = run_census_stage(group, report)
     cert = run_pi1_stage(group, report)
-    spin_rep = run_spin_stage(spec, group, report)
-    _table, resolved = run_betti_stage(group, census, cert, report)
+    run_spin_stage(spec, group, report)
+    run_betti_stage(group, census, cert, report)
     if spec.gluing is not None:
         run_curvature_stage(spec, report, tolerance_scale)
-    frep = None
     if spec.atlas:
-        frep = run_fstructure_stage(spec, group, report)
-    run_expected_stage(spec, report, group, census, cert, spin_rep, resolved, frep)
+        run_fstructure_stage(spec, group, report)
+    run_expected_stage(spec, report, group)
     return report
 
 

@@ -23,7 +23,7 @@ from conftest import all_monomials, averaging_projector, naive_clifford_product
 from kummerlab import curvature as curv
 from kummerlab.clifford import clifford_mul, lift_diagonal
 from kummerlab.forms import (
-    burnside_dimension,
+    burnside_dimensions,
     invariant_forms,
     orbifold_betti,
     resolved_betti,
@@ -226,7 +226,7 @@ def test_criterion_11_property_suites(group_a, group_b):
                 for i in range(size)
             ]
             ok &= p2 == p
-            ok &= burnside_dimension(group, k) == invariant_forms(group, k).dimension
+            ok &= burnside_dimensions(group)[k] == invariant_forms(group, k).dimension
 
     # (d) pair-symmetry and first-Bianchi residuals on emitted samples.
     samples = [

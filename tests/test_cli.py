@@ -100,18 +100,28 @@ def test_verify_json_report_byte_identical(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
-@pytest.mark.parametrize(
-    "spec, golden, code",
-    [(EXAMPLE_A, "example-a.json", 0), (EXAMPLE_B, "example-b.json", 1),
-     (FOUR_CHART, "example-b-four-chart.json", 0),
-     (GROUP_ORDER32, "group-order32.json", 0), (ORDER_256, "order-256.json", 0)],
+VERIFY_SPECS = pytest.mark.parametrize(
+    "spec, stem, code",
+    [(EXAMPLE_A, "example-a", 0), (EXAMPLE_B, "example-b", 1),
+     (FOUR_CHART, "example-b-four-chart", 0),
+     (GROUP_ORDER32, "group-order32", 0), (ORDER_256, "order-256", 0)],
     ids=["example-a", "example-b", "four-chart", "group-order32", "order-256"],
 )
-def test_verify_json_report_matches_golden(tmp_path, spec, golden, code):
+
+
+@VERIFY_SPECS
+def test_verify_json_report_matches_golden(tmp_path, spec, stem, code):
     out = tmp_path / "report.json"
     result = CliRunner().invoke(main, ["--json", str(out), "verify", spec])
     assert result.exit_code == code, result.output
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+
+@VERIFY_SPECS
+def test_verify_stdout_matches_golden(spec, stem, code):
+    result = CliRunner().invoke(main, ["verify", spec])
+    assert result.exit_code == code, result.output
+    assert result.stdout_bytes == (GOLDEN / f"{stem}.verify.txt").read_bytes()
 
 
 def test_curvature_scan_csvs_match_golden(tmp_path):

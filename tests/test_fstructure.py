@@ -99,15 +99,20 @@ def test_locally_free_dimensions(spec_a):
     assert not res.passed and dim == 0
 
 
+def rows_named(rep, prefix):
+    """The report's rows whose names start with prefix, in report order."""
+    return [c for c in rep.all_checks if c.name.startswith(prefix)]
+
+
 def test_verify_first_atlas_passes(spec_a, group_a):
     rep = verify_f_structure(spec_a.atlas, group_a, rules_for(spec_a, group_a))
     assert rep.passed
     assert rep.polarized
     assert rep.rank == 1
-    assert rep.cover.passed
-    assert rep.disjointness.passed
-    assert all(c.passed for c in rep.surgery_flags)
-    assert all(c.passed for c in rep.covering_data)
+    assert [c.passed for c in rows_named(rep, "cover")] == [True]
+    assert [c.passed for c in rows_named(rep, "disjointness")] == [True]
+    assert all(c.passed for c in rows_named(rep, "surgery-compatibility["))
+    assert all(c.passed for c in rows_named(rep, "free-action["))
 
 
 def test_verify_second_atlas_fails_only_covariance(spec_b, group_b):
@@ -234,7 +239,7 @@ def test_four_chart_atlas_overlap_rows(spec_b_four_chart, group_b):
         spec_b_four_chart.atlas, group_b, rules_for(spec_b_four_chart, group_b)
     )
     # W_a and W_b (on x3, x5) have x3 centers 1/4 away from W_c's (on x3, x4).
-    assert [c.name for c in rep.overlap] == ["overlap[W_a&V]", "overlap[W_b&V]", "overlap[W_c&V]"]
+    assert [c.name for c in rows_named(rep, "overlap[")] == ["overlap[W_a&V]", "overlap[W_b&V]", "overlap[W_c&V]"]
     assert rep.passed
 
 
@@ -247,13 +252,15 @@ def test_disjointness_fails_iff_some_ball_pair_overlaps(group_a):
     rep = verify_f_structure(
         [named(ball((2, 3), (0, 0)), "W1"), named(ball((4, 5), ("1/2", "1/2")), "W2")], group_a
     )
-    assert not rep.disjointness.passed
-    assert rep.disjointness.detail == "W1 and W2 overlap"
+    [disjoint] = rows_named(rep, "disjointness")
+    assert not disjoint.passed
+    assert disjoint.detail == "W1 and W2 overlap"
     # Tangent open tubes do not meet: disjointness agrees with the overlap rows.
     w = ball((3, 5), (0, "1/4"))
     for other in (ball((3, 5), ("1/64", "1/4")), ball((5, 3), ("1/4", "1/128")), ball((3, 4), ("1/64", 0))):
         rep = verify_f_structure([named(w, "W1"), named(other, "W2")], group_a)
-        assert rep.disjointness.passed == (not rep.overlap) == (not _overlap_nonempty(w, other))
+        [disjoint] = rows_named(rep, "disjointness")
+        assert disjoint.passed == (not rows_named(rep, "overlap[")) == (not _overlap_nonempty(w, other))
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +559,8 @@ def test_generator_rows_match_all_element_loops(spec_a, spec_b):
                 free = reference_free_action(chart, group, atlas)
                 inv = reference_invariance(chart, group, atlas)
                 cov = reference_covariance(chart, group, rules.get(chart.name))
-                assert row(rep.covering_data[k]) == row(free)
-                got_inv, got_action, got_cov = rep.checks[3 * k : 3 * k + 3]
+                assert row(rows_named(rep, "free-action[")[k]) == row(free)
+                got_inv, got_action, got_cov = rep.all_checks[3 * k : 3 * k + 3]
                 assert row(got_inv) == row(inv)
                 assert row(got_action) == row(check_action_invariance(chart, chart.action, atlas))
                 if cov.detail.startswith("rule is not a homomorphism"):
@@ -632,4 +639,4 @@ def test_invariance_is_checked_on_generators_only(spec_a, monkeypatch):
     assert group.order == 32
     assert set(calls) == {c.name for c in spec_a.atlas}
     assert max(calls.values()) <= len(group.generator_indices) == 4
-    assert [c.passed for c in rep.checks if c.name.startswith("invariance")] == [True] * 4
+    assert [c.passed for c in rows_named(rep, "invariance")] == [True] * 4

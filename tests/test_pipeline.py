@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_report_json
-from kummerlab import pipeline
+from kummerlab import forms, pipeline
 from kummerlab.curvature import glue_ricci_scan, mu_report
 from kummerlab.specfile import parse_construction_text
 
@@ -66,6 +66,73 @@ def test_expected_mismatch_fails():
     bad = [c for c in report.claims if not c.passed]
     assert [c.name for c in bad] == ["expected.orbits"]
     assert bad[0].value == 0 and bad[0].expected == 3
+
+
+TORI_SPEC = """
+version 1
+dimension 5
+
+[generator s]
+diag -1 -1 1 1 1
+translation 0 0 0 0 0
+"""
+
+SWAP_SPEC = """
+version 1
+dimension 4
+
+[generator s]
+row 0 1 0 0
+row 1 0 0 0
+row 0 0 -1 0
+row 0 0 0 -1
+translation 1/2 1/2 0 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, block",
+    [(TORI_SPEC, "orbits 1\nhalf_orbits 0\n"),  # the fixed loci are 3-tori: a census error
+     (TRIVIAL_SPEC, "b2_resolved 1\nb3_resolved 1\n"),  # pi1 FAILs: the resolved table is refused
+     (SWAP_SPEC, "spin nonspin\n"),  # a non-diagonal generator: a spin error
+     (TRIVIAL_SPEC, "f_rank 1\n")],  # no atlas
+    ids=["census-error", "resolved-refused", "spin-error", "no-atlas"],
+)
+def test_expected_rows_without_a_stage_value_fail(text, block):
+    report = pipeline.run_all(parse_construction_text(text + "\n[expected]\n" + block))
+    rows = [(c.name, c.status, c.value) for c in report.claims if c.name.startswith("expected.")]
+    assert rows == [(f"expected.{line.split()[0]}", "FAIL", None) for line in block.splitlines()]
+
+
+def test_expected_rows_keep_their_order_whatever_the_block_order(spec_a):
+    expected = {**spec_a.expected, "b3_resolved": 13}
+    order = ["fixed_circles.alpha", "fixed_circles.beta", "fixed_circles.gamma", "abelian", "orbits",
+             "half_orbits", "b2_resolved", "b3_resolved", "spin", "pi1", "f_rank"]
+    for block in (expected, dict(reversed(expected.items()))):
+        report = pipeline.run_all(dataclasses.replace(spec_a, gluing=None, expected=block))
+        rows = [(c.name, c.status) for c in report.claims if c.name.startswith("expected.")]
+        assert rows == [(f"expected.{name}", "PASS") for name in order]
+
+
+def test_expected_fixed_circles_of_a_repeated_generator():
+    alpha = "diag 1 -1 -1 -1 -1\ntranslation 0 0 0 1/2 0\n"
+    text = ("version 1\ndimension 5\n\n[generator alpha]\n" + alpha + "\n[generator alpha2]\n" + alpha
+            + "\n[expected]\nfixed_circles alpha 16\nfixed_circles alpha2 16\n")
+    report = pipeline.run_all(parse_construction_text(text))
+    rows = [(c.name, c.status, c.value) for c in report.claims if c.name.startswith("expected.")]
+    assert rows == [("expected.fixed_circles.alpha", "PASS", 16), ("expected.fixed_circles.alpha2", "PASS", 16)]
+
+
+def test_betti_stage_reads_each_signed_permutation_once(group_a, monkeypatch):
+    calls = []
+    traces = forms.exterior_traces
+    monkeypatch.setattr(forms, "exterior_traces", lambda *ps: calls.append(ps) or traces(*ps))
+    report = pipeline.Report()
+    census = pipeline.run_census_stage(group_a, report)
+    cert = pipeline.run_pi1_stage(group_a, report)
+    pipeline.run_betti_stage(group_a, census, cert, report)
+    assert len(calls) == len(set(calls))
+    assert set(calls) <= {(el.perm, el.signs) for el in group_a.elements}
 
 
 def test_report_json_deterministic(spec_a):
@@ -187,18 +254,7 @@ spin nonspin
 
 
 def test_non_orientable_quotient_handled():
-    text = """
-version 1
-dimension 4
-
-[generator s]
-row 0 1 0 0
-row 1 0 0 0
-row 0 0 -1 0
-row 0 0 0 -1
-translation 1/2 1/2 0 0
-"""
-    report = pipeline.run_all(parse_construction_text(text))
+    report = pipeline.run_all(parse_construction_text(SWAP_SPEC))
     # Orientation-reversing action: duality is data, not a claim; resolved
     # bookkeeping refuses; nothing should be flagged as a failure.
     assert report.overall == "PASS"

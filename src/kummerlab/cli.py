@@ -19,7 +19,7 @@ from typing import NoReturn
 
 import click
 
-from . import curvature, pipeline
+from . import curvature, pipeline, torus
 from .specfile import ConstructionSpec, SpecParseError, parse_construction
 from .torus import GroupClosureError
 
@@ -145,12 +145,13 @@ def verify(ctx, spec_path):
 def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
-    group, _ = _group_stage(ctx, spec)
+    group = torus.generate_group(spec.generators, spec.generator_names, max_order=ctx.obj["max_group_order"])
     known = pipeline.element_index(spec, group)
     for name in [element] if element else spec.generator_names:
         if name not in known:
-            _fail(f"unknown element {name!r}; known: {', '.join(group.names)}")
-        comps = group.fixed_loci[known[name]]
+            _fail(f"unknown element {name!r}; the group has {group.order} elements, named as "
+                  f"'*'-products of the generators {', '.join(spec.generator_names)}")
+        comps = torus.fixed_locus(group.elements[known[name]])
         _echo(f"{name}: {len(comps)} component(s)")
         for comp in comps:
             base = ", ".join(str(x) for x in comp.basepoint)

@@ -1,19 +1,24 @@
 """Finite groups of affine isometries of the flat torus R^n/Z^n, exactly.
 
 An isometry is stored as an integer signed-permutation matrix plus a
-rational translation reduced mod 1.  Everything in this module is exact:
+rational translation reduced mod 1, which it also keeps as integer
+numerators over a common denominator.  Everything in this module is exact:
 the group closure runs on an integer encoding of the isometries and keeps
 only its Cayley graph, products by generators; fixed loci are read off the
-cycles of each element's signed permutation (once per group element); a
-component is an integer code whose basepoint is its lexicographically
-least rational point, found by subtracting its unit-pivot direction rows;
-and census orbits are traced along the closure's spanning tree through the
-generators' preimages of the components, computed on the same integer codes.
+cycles of each element's signed permutation (once per group element), from
+the closure's own codes; components are rows of integer arrays, each the
+numerators of its lexicographically least rational point over a common
+denominator, found by subtracting its unit-pivot direction rows; and census
+orbits are traced along the closure's spanning tree through the generators'
+preimages of the components, found by sorting the generators' images of
+whole batches of rows.  The arrays are np.int64 while _code_dtype's bound
+holds and Python ints (object dtype) beyond it, through the same code.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -55,23 +60,32 @@ def _signed_permutation(linear) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class AffineIsometry:
-    """x -> linear @ x + translation on the torus R^n/Z^n; perm and signs are
-    the linear part as _signed_permutation reads it, outside equality and repr."""
+    """x -> linear @ x + translation on the torus R^n/Z^n.
+
+    Outside equality and repr: perm and signs are the linear part as
+    _signed_permutation reads it, and translation[i] = nums[i]/denom.  An
+    element of a closure keeps the closure's numerators over its common
+    denominator; any other isometry has denom the lcm of its denominators.
+    """
 
     linear: tuple[tuple[int, ...], ...]
     translation: Vector
     perm: tuple[int, ...] = field(init=False, compare=False, repr=False)
     signs: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    denom: int = field(init=False, compare=False, repr=False)
+    nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         perm, signs = _signed_permutation(self.linear)
         if len(self.translation) != len(self.linear):
             raise ValueError("dimension mismatch between linear part and translation")
+        translation = tuple(_mod1(Fraction(t)) for t in self.translation)
+        denom = lcm(1, *(t.denominator for t in translation))
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
-        object.__setattr__(
-            self, "translation", tuple(_mod1(Fraction(t)) for t in self.translation)
-        )
+        object.__setattr__(self, "translation", translation)
+        object.__setattr__(self, "denom", denom)
+        object.__setattr__(self, "nums", tuple(t.numerator * (denom // t.denominator) for t in translation))
 
     @property
     def dim(self) -> int:
@@ -152,8 +166,9 @@ class GroupTable:
         return self.elements[0].dim
 
     @cached_property
-    def fixed_loci(self) -> list[list[FixedComponent]]:
-        """The fixed components of every element, by index, computed on first use."""
+    def fixed_loci(self) -> list[Components]:
+        """The fixed components of every element, by index, computed on first
+        use from the closure's codes: all are rows over 2N, N = codes[0]."""
         return [fixed_locus(el) for el in self.elements]
 
     @cached_property
@@ -207,7 +222,7 @@ class GroupTable:
 
 
 def _encode(f: AffineIsometry, denom: int) -> tuple[int, ...]:
-    return (*f.perm, *f.signs, *(t.numerator * (denom // t.denominator) for t in f.translation))
+    return (*f.perm, *f.signs, *(t * (denom // f.denom) for t in f.nums))
 
 
 def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
@@ -219,6 +234,7 @@ def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
     f.__dict__.update(
         linear=tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)),
         translation=tuple(Fraction(t, denom) for t in code[2 * n :]), perm=perm, signs=signs,
+        denom=denom, nums=code[2 * n :],
     )
     return f
 
@@ -251,7 +267,7 @@ def generate_group(
     if names is None:
         names = [f"g{i+1}" for i in range(len(generators))]
 
-    denom = lcm(1, *(t.denominator for g in generators for t in g.translation))
+    denom = lcm(1, *(g.denom for g in generators))
     gen_codes = [_encode(g, denom) for g in generators]
     ident = _encode(AffineIsometry.identity(n), denom)
     codes = [ident]
@@ -321,14 +337,62 @@ class FixedComponent:
         return tuple(Fraction(k, self.q) for k in self.w)
 
 
-def _canonical_codes(nums, m, directions) -> tuple[list[int], list[tuple[int, ...]]]:
-    """(q, w) per row: w[r]/q[r] is the canonical basepoint of the component
-    through the point nums[r]/m[r] along the directions.
+class Components(Sequence):
+    """Fixed components as rows of integer arrays, in basepoint order.
 
-    directions must be a Hermite basis with unit pivots, which every
+    Row r has the directions lattices[lattice[r]] and the canonical
+    basepoint points[r]/m.  Indexing builds the FixedComponent of a row,
+    so only the components that are read become objects.  A table equals
+    any sequence of the same components in the same order.
+    """
+
+    def __init__(self, lattices: tuple, lattice: np.ndarray, m: int, points: np.ndarray):
+        self.lattices, self.lattice, self.m, self.points = lattices, lattice, m, points
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, r) -> FixedComponent:
+        row = self.points[r].tolist()
+        g = gcd(self.m, *row)
+        return FixedComponent(self.lattices[self.lattice[r]], self.m // g, tuple(x // g for x in row))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Components({list(self)!r})"
+
+
+def _code_dtype(n: int, m: int):
+    """np.int64 if it holds every intermediate of the exact core's arrays
+    in dimension n over the common denominator m, else object (Python ints).
+
+    Every translation numerator lies in [0, m), and so does every row that
+    enters an image.  Each intermediate is below 4n·m in absolute value:
+    - fixed_locus: walking a cycle of length L <= n adds at most m per step
+      to the offset, so offsets and pins are below n·m and points
+      e·y + a below 2n·m;
+    - the image s·x + t of a row lies in (-m, 2m);
+    - _canonical_codes subtracts x[p]·d from rows below B in absolute value,
+      with directions of disjoint ±1 entries, leaving entries below 2B.
+    The census uses m = 2N, N the closure's common denominator, so int64
+    is exact whenever 8n·N <= 2^63, e.g. N < 2^57 at n = 5.
+    """
+    return np.int64 if 4 * n * m <= 2**63 else object
+
+
+def _canonical_codes(nums: np.ndarray, m: int, lattices, lattice: np.ndarray) -> np.ndarray:
+    """The canonical numerators over m: row r of the result over m is the
+    canonical basepoint of the component with the directions
+    lattices[lattice[r]] through the point nums[r]/m.
+
+    Each lattice must be a Hermite basis with unit pivots, which every
     direction lattice of a signed-permutation isometry has; any other
     lattice raises ValueError.  The point moves to x - Σ x[p_k]·d_k, p_k
-    being the pivot of row d_k, and is reduced mod 1.  This is the
+    being the pivot of row d_k, and is reduced mod m.  This is the
     lexicographic minimum of the component mod 1:
     - the rows vanish at each other's pivots, so the subtraction zeroes
       every pivot coordinate, and coordinates before the first pivot are
@@ -337,26 +401,34 @@ def _canonical_codes(nums, m, directions) -> tuple[list[int], list[tuple[int, ..
       least value;
     - once every pivot coordinate is 0 the point is fixed, and each other
       coordinate is the value of x_j - Σ x[p_k]·d_k[j], a functional that
-      vanishes on the directions, so the denominator q left after
-      reduction is the component's intrinsic one.
-    Hence (q, w) depends only on the component, not on the point or on m.
-    Rows are processed together on object arrays of Python ints.
+      vanishes on the directions, so the gcd of m and a row's numerators
+      gives the component's intrinsic denominator.
+    Hence the row depends only on the component and on m.  All rows are
+    processed in one array expression, in the dtype of nums; lattices with
+    fewer rows are padded with zero rows.  _code_dtype bounds the entries
+    for the direction rows that signed permutations produce.
     """
-    m = np.array(m, dtype=object)
-    nums = np.array(nums, dtype=object).reshape(len(m), -1)
-    if directions:
-        pivots = [next(j for j, x in enumerate(row) if x) for row in directions]
-        rows = np.array(directions, dtype=object)
-        if (rows[:, pivots] != np.eye(len(pivots), dtype=int)).any():
-            raise ValueError("direction lattice has no Hermite basis with unit pivots")
-        nums = nums - nums[:, pivots].dot(rows)
-    nums = nums % m[:, None]
-    q = m // np.gcd(m, np.gcd.reduce(nums, axis=1))
-    w = nums // (m // q)[:, None]
-    return q.tolist(), [tuple(row) for row in w.tolist()]
+    dim = max(map(len, lattices), default=0)
+    if dim:
+        pad = [(0,) * nums.shape[1]]
+        pivots, rows = [], []
+        for directions in lattices:
+            piv = [next(j for j, x in enumerate(row) if x) for row in directions]
+            if any(row[p] != (k == i) for i, p in enumerate(piv) for k, row in enumerate(directions)):
+                raise ValueError("direction lattice has no Hermite basis with unit pivots")
+            pivots.append(piv + [0] * (dim - len(piv)))
+            rows.append(list(directions) + pad * (dim - len(piv)))
+        at = nums[np.arange(len(nums))[:, None], np.array(pivots, np.intp)[lattice]]
+        nums = nums - (at[:, None, :] @ np.array(rows, nums.dtype)[lattice])[:, 0]
+    return nums % m
 
 
-def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
+def _sorted_rows(points: np.ndarray, *last) -> np.ndarray:
+    """Indices that sort the rows lexicographically, ties broken by the keys last."""
+    return np.lexsort((*last, *points.T[::-1]))
+
+
+def fixed_locus(f: AffineIsometry) -> Components:
     """All connected components of {x : f(x) = x mod Z^n}, sorted.
 
     Row i of x = Lx + t reads x_i = s_i·x_{p(i)} + t_i.  Along a cycle
@@ -364,16 +436,17 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
     coordinate, x_{c_{j+1}} = s_{c_j}(x_{c_j} - t_{c_j}), so every
     coordinate is e_j·y + a_j in y = x_{c_0}, and closing the cycle gives
     (1 - e)·y ≡ u (mod 1), e being the cycle's sign product.  A cycle with
-    e = +1 is a free direction (y = 0 at the basepoint), or the locus is
-    empty when u ≢ 0; one with e = -1 pins y to u/2 or u/2 + 1/2.  The
-    free directions are disjoint ±1 vectors led by +1 at their cycles'
-    smallest coordinates, a Hermite basis already.  Numerators are over
-    2N, N the translation's denominator.
+    e = +1 is a free direction, or the locus is empty when u ≢ 0; one with
+    e = -1 pins y to u/2 or u/2 + 1/2.  The free directions are disjoint
+    ±1 vectors led by +1 at their cycles' smallest coordinates, a Hermite
+    basis with unit pivots.  Taking y = 0 on a free cycle puts 0 at its
+    pivot, so each point is its component's canonical basepoint (see
+    _canonical_codes) once reduced.  The rows are over m = 2·f.denom, read
+    off f's integer numerators.
     """
-    n = f.dim
-    denom = lcm(1, *(t.denominator for t in f.translation))
-    m = 2 * denom
-    t = [x.numerator * (m // x.denominator) for x in f.translation]
+    n, m = f.dim, 2 * f.denom
+    dtype = _code_dtype(n, m)
+    t = [2 * x for x in f.nums]
     cycle_of, sign, offset = [None] * n, [0] * n, [0] * n
     pins, directions = [], []
     for start in range(n):
@@ -386,77 +459,58 @@ def fixed_locus(f: AffineIsometry) -> list[FixedComponent]:
             c = f.perm[c]
         if e == 1:
             if a % m:
-                return []
+                return Components((), np.zeros(0, np.intp), m, np.zeros((0, n), dtype))
             directions.append(tuple(sign[i] if cycle_of[i] == len(pins) else 0 for i in range(n)))
-        pins.append([0] if e == 1 else [a // 2, a // 2 + denom])
-    ys = np.array(list(itertools.product(*pins)), dtype=object)
-    points, directions = ys[:, cycle_of] * sign + offset, tuple(directions)
-    q, w = _canonical_codes(points, [m] * len(points), directions)
-    common = lcm(*q)
-    order = sorted(range(len(q)), key=lambda r: _lex_key(q[r], w[r], common))
-    return [FixedComponent(directions, q[r], w[r]) for r in order]
+        pins.append([0] if e == 1 else [a // 2, a // 2 + f.denom])
+    ys = np.array(list(itertools.product(*pins)), dtype=dtype)
+    points = (ys[:, cycle_of] * np.array(sign, dtype) + np.array(offset, dtype)) % m
+    return Components((tuple(directions),), np.zeros(len(points), np.intp), m, points[_sorted_rows(points)])
 
 
-def _lex_key(q: int, w, scale: int) -> tuple[int, ...]:
-    """The point w/q as numerators over the common denominator scale, so
-    that integer tuples compare as the rational points do."""
-    return tuple(x * (scale // q) for x in w)
+def _image_codes(g: tuple[int, ...], denom: int, table: Components) -> Components:
+    """The images, row by row, of the table's components under the isometry
+    of code g, whose translation numerators are over denom, a divisor of m.
 
-
-def _apply_codes(g: tuple[int, ...], denom: int, q, w) -> tuple[np.ndarray, np.ndarray]:
-    """(m, image): the image of the point w[r]/q[r] under the isometry of
-    code g is image[r]/m[r].  q and w are object arrays of Python ints."""
-    n = w.shape[1]
-    signs, trans = np.array(g[n : 2 * n], dtype=object), np.array(g[2 * n :], dtype=object)
-    m = np.lcm(q, denom)
-    return m, w[:, list(g[:n])] * signs * (m // q)[:, None] + trans * (m // denom)[:, None]
-
-
-def _image_codes(g: tuple[int, ...], denom: int, directions, q, w) -> tuple:
-    """(image directions, q, w): the codes of the images, under the
-    isometry of code g, of the components with these directions through
-    the points w[r]/q[r]."""
-    n = w.shape[1]
-    image_dirs = tuple(
-        tuple(r)
-        for r in hermite_row_basis([[g[n + i] * dv[g[i]] for i in range(n)] for dv in directions])
+    Row r of the result is the image of row r; its lattices are the images
+    of the table's lattices, in the same order.
+    """
+    n, m, dtype = table.points.shape[1], table.m, table.points.dtype
+    lattices = tuple(
+        tuple(tuple(r) for r in hermite_row_basis([[g[n + i] * dv[g[i]] for i in range(n)] for dv in directions]))
+        for directions in table.lattices
     )
-    m, image = _apply_codes(g, denom, q, w)
-    return (image_dirs, *_canonical_codes(image, m, image_dirs))
-
-
-def _point_arrays(q: list[int], w: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array(q, dtype=object), np.array(w, dtype=object).reshape(len(q), -1)
+    signs, trans = np.array(g[n : 2 * n], dtype), np.array(g[2 * n :], dtype)
+    image = table.points[:, list(g[:n])] * signs + trans * (m // denom)
+    return Components(lattices, table.lattice, m, _canonical_codes(image, m, lattices, table.lattice))
 
 
 def transform_component(g: AffineIsometry, comp: FixedComponent) -> FixedComponent:
     """The image g(comp), canonicalized."""
-    denom = lcm(1, *(t.denominator for t in g.translation))
-    image_dirs, (q,), (w,) = _image_codes(
-        _encode(g, denom), denom, comp.directions, *_point_arrays([comp.q], [comp.w])
-    )
-    return FixedComponent(image_dirs, q, w)
+    m = lcm(comp.q, g.denom)
+    points = np.array([[x * (m // comp.q) for x in comp.w]], dtype=_code_dtype(g.dim, m))
+    table = Components((comp.directions,), np.zeros(1, np.intp), m, points)
+    return _image_codes(_encode(g, g.denom), g.denom, table)[0]
 
 
 @dataclass
 class CensusOrbit:
     representative: FixedComponent
-    components: list[FixedComponent]
+    size: int
     setwise_stabilizer: list[int]
     pointwise_stabilizer: list[int]
     translation_elements: list[int]
     quotient_length_factor: Fraction
     local_model: str | None
 
-    @property
-    def size(self) -> int:
-        return len(self.components)
 
-
-@dataclass
+@dataclass(eq=False)
 class SingularCensus:
-    components: list[FixedComponent]
+    """The components, in (basepoint, directions) order, their orbits in the
+    order of their representatives, and orbit[r], the orbit of component r."""
+
+    components: Components
     orbits: list[CensusOrbit]
+    orbit: np.ndarray
 
     @property
     def total_components(self) -> int:
@@ -467,32 +521,42 @@ class SingularCensus:
         return len(self.orbits)
 
 
-def _generator_preimages(group: GroupTable, components: list[FixedComponent]) -> dict[int, list[int]]:
+def _generator_preimages(group: GroupTable, components: Components) -> dict[int, np.ndarray]:
     """pre[g][c]: index of the preimage of component c under generator element g.
 
-    Only the generators are applied to components, one batch per direction lattice.
+    Only the generators are applied to components, each to the whole table
+    in one batch.  A generator permutes the components, which are sorted,
+    so sorting its images pairs each with its index; an image that finds
+    no equal row raises AssertionError.
     """
-    position = {comp.key: k for k, comp in enumerate(components)}
-    batches: dict = {}  # directions -> component indices
-    for k, comp in enumerate(components):
-        batches.setdefault(comp.directions, []).append(k)
-    points = {
-        directions: _point_arrays([components[k].q for k in ks], [components[k].w for k in ks])
-        for directions, ks in batches.items()
-    }
     denom, elt_codes = group.codes
+    rank = {d: c for c, d in enumerate(components.lattices)}
     pre = {}
     for g in group.generator_indices:
-        pre[g] = [0] * len(components)
-        for directions, ks in batches.items():
-            image_dirs, q, w = _image_codes(
-                elt_codes[g], denom, directions, *points[directions]
-            )
-            for k, qw in zip(ks, zip(q, w)):
-                if (image := position.get((image_dirs, *qw))) is None:
-                    raise AssertionError("orbit left the census component set")
-                pre[g][image] = k
+        image = _image_codes(elt_codes[g], denom, components)
+        lattice = np.array([rank.get(d, -1) for d in image.lattices], np.intp)[image.lattice]
+        pre[g] = _sorted_rows(image.points, lattice)
+        if (image.points[pre[g]] != components.points).any() or (lattice[pre[g]] != components.lattice).any():
+            raise AssertionError("orbit left the census component set")
     return pre
+
+
+def _census_components(group: GroupTable) -> Components:
+    """The distinct fixed components of the non-identity elements, in
+    (basepoint, directions) order, as rows over the loci's common 2N."""
+    n, m = group.dim, 2 * group.codes[0]
+    loci = [locus for locus in group.fixed_loci[1:] if len(locus)]
+    lattices = tuple(sorted({locus.lattices[0] for locus in loci}))
+    if not loci:
+        return Components(lattices, np.zeros(0, np.intp), m, np.zeros((0, n), _code_dtype(n, m)))
+    rank = {d: c for c, d in enumerate(lattices)}
+    lattice = np.repeat([rank[locus.lattices[0]] for locus in loci], [len(locus) for locus in loci])
+    points = np.concatenate([locus.points for locus in loci])
+    order = _sorted_rows(points, lattice)
+    lattice, points = lattice[order], points[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (points[1:] != points[:-1]).any(axis=1) | (lattice[1:] != lattice[:-1])
+    return Components(lattices, lattice[new], m, points[new])
 
 
 def singular_census(group: GroupTable, require_circles: bool = True) -> SingularCensus:
@@ -504,33 +568,31 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
     (product type when no translation element exists, half-turn quotient
     type otherwise).
     """
-    unique = dict.fromkeys(comp for loci in group.fixed_loci[1:] for comp in loci)
-    scale = lcm(1, *(comp.q for comp in unique))
-    # Sorted by (basepoint, directions), on integers.
-    components = sorted(unique, key=lambda c: (_lex_key(c.q, c.w, scale), c.directions))
+    components = _census_components(group)
     if require_circles:
-        bad = [c for c in components if c.dimension != 1]
-        if bad:
+        dims = np.array([len(d) for d in components.lattices], int)[components.lattice]
+        if (dims != 1).any():
             raise ValueError(
                 "circles-only census requested but a fixed component has "
-                f"dimension {bad[0].dimension}"
+                f"dimension {dims[dims != 1][0]}"
             )
 
-    pre = _generator_preimages(group, components)
+    pre = {g: p.tolist() for g, p in _generator_preimages(group, components).items()}
+    steps = [(i, pre[g]) for i, g in group.factors[1:]]
     denom, elt_codes = group.codes
     n = group.dim
-    assigned = np.zeros(len(components), dtype=bool)
+    orbit = np.full(len(components), -1)
     orbits = []
-    for r, rep in enumerate(components):
-        if assigned[r]:
-            continue
+    while (unassigned := np.flatnonzero(orbit < 0)).size:
+        r = int(unassigned[0])
         # back[p] = p⁻¹(r) along the spanning tree: p = i∘g gives p⁻¹(r) = g⁻¹(i⁻¹(r)).
         back = [r]
-        for i, g in group.factors[1:]:
-            back.append(pre[g][back[i]])
-        members = sorted(set(back))
-        assigned[members] = True
-        setwise = [p for p, c in enumerate(back) if c == r]
+        for i, p in steps:
+            back.append(p[back[i]])
+        back = np.array(back)
+        orbit[back] = len(orbits)
+        setwise = np.flatnonzero(back == r).tolist()
+        rep = components[r]
         directions, q, w = rep.key
         # Elements preserving the component and its directions move it along itself.
         along = [
@@ -545,19 +607,18 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
         # g(w/q) = w/q mod 1, compared over the common denominator m.
         m = lcm(q, denom)
         a, b = m // q, m // denom
-        pointwise = []
+        pointwise, translations = [], []
         for i in along:
             g = elt_codes[i]
-            if all((g[n + j] * w[g[j]] * a + g[2 * n + j] * b - w[j] * a) % m == 0 for j in range(n)):
-                pointwise.append(i)
-        translations = [i for i in along if i not in pointwise]
+            fixes = all((g[n + j] * w[g[j]] * a + g[2 * n + j] * b - w[j] * a) % m == 0 for j in range(n))
+            (pointwise if fixes else translations).append(i)
         model = None
         if rep.dimension == 1:
             model = LOCAL_MODEL_HALF_TURN if translations else LOCAL_MODEL_PRODUCT
         orbits.append(
             CensusOrbit(
                 representative=rep,
-                components=[components[k] for k in members],
+                size=group.order // len(setwise),
                 setwise_stabilizer=setwise,
                 pointwise_stabilizer=pointwise,
                 translation_elements=translations,
@@ -565,7 +626,7 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
                 local_model=model,
             )
         )
-    return SingularCensus(components, orbits)
+    return SingularCensus(components, orbits, orbit)
 
 
 @dataclass

@@ -20,6 +20,9 @@ FOUR_CHART = str(Path(__file__).resolve().parent / "data" / "example-b-four-char
 # along a circle axis) and example-a plus 1/32 along e1 (order 256).
 GROUP_ORDER32 = str(Path(__file__).resolve().parent / "data" / "group-order32.spec")
 ORDER_256 = str(Path(__file__).resolve().parent / "data" / "order-256.spec")
+ORDER_4096 = str(Path(__file__).resolve().parent / "data" / "order-4096.spec")
+# example-a with its origin moved by a vector over 2^70, generators only.
+SHIFT70 = str(Path(__file__).resolve().parent / "data" / "example-a-shift70.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -104,8 +107,9 @@ VERIFY_SPECS = pytest.mark.parametrize(
     "spec, stem, code",
     [(EXAMPLE_A, "example-a", 0), (EXAMPLE_B, "example-b", 1),
      (FOUR_CHART, "example-b-four-chart", 0),
-     (GROUP_ORDER32, "group-order32", 0), (ORDER_256, "order-256", 0)],
-    ids=["example-a", "example-b", "four-chart", "group-order32", "order-256"],
+     (GROUP_ORDER32, "group-order32", 0), (ORDER_256, "order-256", 0),
+     (SHIFT70, "example-a-shift70", 0)],
+    ids=["example-a", "example-b", "four-chart", "group-order32", "order-256", "shift70"],
 )
 
 
@@ -122,6 +126,13 @@ def test_verify_stdout_matches_golden(spec, stem, code):
     result = CliRunner().invoke(main, ["verify", spec])
     assert result.exit_code == code, result.output
     assert result.stdout_bytes == (GOLDEN / f"{stem}.verify.txt").read_bytes()
+
+
+@VERIFY_SPECS
+def test_fixed_locus_stdout_matches_golden(spec, stem, code):
+    result = CliRunner().invoke(main, ["fixed-locus", spec])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / f"{stem}.fixed-locus.txt").read_bytes()
 
 
 def test_curvature_scan_csvs_match_golden(tmp_path):
@@ -201,6 +212,30 @@ def test_fixed_locus_command():
 def test_fixed_locus_unknown_element_is_input_error():
     result = CliRunner().invoke(main, ["fixed-locus", EXAMPLE_A, "--element", "delta"])
     assert result.exit_code == 2
+
+
+def test_fixed_locus_unknown_element_error_names_generators_not_elements():
+    result = CliRunner().invoke(main, ["--max-group-order", "4096", "fixed-locus", ORDER_4096, "--element", "nope"])
+    assert result.exit_code == 2
+    assert len(result.stderr_bytes) < 1024
+    assert result.stderr.startswith("error: unknown element 'nope'; the group has 4096 elements")
+    assert "generators alpha, beta, gamma, tau" in result.stderr
+
+
+@pytest.mark.parametrize("element, calls", [(None, 4), ("alpha*beta", 1), ("tau", 1)])
+def test_fixed_locus_computes_only_the_printed_loci(monkeypatch, element, calls):
+    made = []
+    original = torus.fixed_locus
+
+    def counted(f):
+        made.append(f)
+        return original(f)
+
+    monkeypatch.setattr(torus, "fixed_locus", counted)
+    result = CliRunner().invoke(main, ["fixed-locus", ORDER_256] + (["--element", element] if element else []))
+    assert result.exit_code == 0, result.output
+    assert len(made) == calls
+    assert result.output.count(" component(s)") == calls
 
 
 def test_census_command():

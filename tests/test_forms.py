@@ -176,7 +176,7 @@ def test_resolved_betti_both_examples(group_a, group_b):
 
 def test_resolved_betti_zero_circles():
     table = BettiTable(b=[1, 0, 3, 3, 0, 1])
-    empty = SingularCensus(components=[], orbits=[])
+    empty = SingularCensus(components=[], orbits=[], orbit=[])
     cert = Pi1Certificate("PASS", {}, [], True)
     res = resolved_betti(table, empty, cert)
     assert res.b2_resolved == 3

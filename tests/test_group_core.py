@@ -22,6 +22,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,17 +44,18 @@ from kummerlab.intlinalg import (
     smith_normal_form,
     unimodular_inverse,
 )
+from kummerlab.specfile import parse_construction
 from kummerlab.torus import (
     AffineIsometry,
-    CensusOrbit,
     GroupClosureError,
-    SingularCensus,
     compose,
     fixed_locus,
     generate_group,
     singular_census,
     transform_component,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 # ---------------------------------------------------------------------------
 # Reference algorithms.
@@ -172,15 +174,29 @@ def reference_fixed_locus(f):
     combos = np.array(list(itertools.product(*choices)), dtype=object)
     points = combos.dot(np.array(v, dtype=object).T)
     q, w = reference_canonical_codes(points, [denom * scale] * len(points), directions)
-    common = lcm(*q)
-    order = sorted(range(len(q)), key=lambda r: torus._lex_key(q[r], w[r], common))
-    return [component(tuple(Fraction(k, q[r]) for k in w[r]), directions) for r in order]
+    return sorted((component(tuple(Fraction(k, qr) for k in wr), directions) for qr, wr in zip(q, w)),
+                  key=fraction_key)
+
+
+def reference_line_basepoint(point, direction):
+    """Lexicographic minimum of the circle {point + s·direction} mod 1.
+
+    Coordinates before the direction's first nonzero entry d_j are constant
+    on the circle, and x_j sweeps all of R/Z, so the minimum has x_j = 0:
+    s = (k - point_j)/d_j for one of the |d_j| residues k.
+    """
+    j = next(i for i, x in enumerate(direction) if x)
+    return min(
+        tuple((p + Fraction(k - point[j], direction[j]) * x) % 1 for p, x in zip(point, direction))
+        for k in range(abs(direction[j]))
+    )
 
 
 def reference_basepoint(point, directions, cap=1024):
     """Lexicographic minimum over all q^dim candidates of the component.
 
-    Returns None instead when there are more than `cap` candidates.
+    Beyond `cap` candidates a circle is minimized by reference_line_basepoint,
+    and any other component returns None.
     """
     point = tuple(x % 1 for x in point)
     if not directions:
@@ -192,7 +208,7 @@ def reference_basepoint(point, directions, cap=1024):
     tail = y[dim:]
     q = lcm(1, *(t.denominator for t in tail))
     if q**dim > cap:
-        return None
+        return reference_line_basepoint(point, directions[0]) if dim == 1 else None
     best = None
     for ks in itertools.product(range(q), repeat=dim):
         yc = [Fraction(k, q) for k in ks] + tail
@@ -247,8 +263,22 @@ def reference_invariant_basis(group, k):
     return hermite_row_basis(kernel_basis(stacked))
 
 
+def census_view(census):
+    """The census as plain values: its components, then per orbit the
+    representative, the member components, the size, the stabilizers, the
+    translation elements, the length factor and the local model."""
+    components = list(census.components)
+    return components, [
+        (o.representative, [c for c, k in zip(components, census.orbit) if k == j], o.size,
+         o.setwise_stabilizer, o.pointwise_stabilizer, o.translation_elements,
+         o.quotient_length_factor, o.local_model)
+        for j, o in enumerate(census.orbits)
+    ]
+
+
 def reference_census(group):
-    """Orbits by applying every element; stabilizers tested element by element."""
+    """census_view's values, with orbits found by applying every element and
+    stabilizers tested element by element."""
     seen = {}
     for el in group.elements[1:]:
         for comp in fixed_locus(el):
@@ -291,17 +321,10 @@ def reference_census(group):
         model = None
         if rep.dimension == 1:
             model = torus.LOCAL_MODEL_HALF_TURN if translations else torus.LOCAL_MODEL_PRODUCT
-        orbits.append(CensusOrbit(
-            representative=rep,
-            components=sorted(orbit.values(), key=fraction_key),
-            setwise_stabilizer=setwise,
-            pointwise_stabilizer=pointwise,
-            translation_elements=translations,
-            quotient_length_factor=Fraction(len(pointwise), len(setwise)),
-            local_model=model,
-        ))
-    orbits.sort(key=lambda o: fraction_key(o.representative))
-    return SingularCensus(components, orbits)
+        orbits.append((rep, sorted(orbit.values(), key=fraction_key), len(orbit), setwise, pointwise,
+                       translations, Fraction(len(pointwise), len(setwise)), model))
+    orbits.sort(key=lambda o: fraction_key(o[0]))
+    return components, orbits
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +508,7 @@ def test_generator_orbits_match_all_element_search(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
     census = singular_census(table, require_circles=False)
-    assert census == reference_census(table)
+    assert census_view(census) == reference_census(table)
     pre = torus._generator_preimages(table, census.components)
     back = composed_preimages(table, pre, census.total_components)
     assert len(back) == table.order
@@ -566,10 +589,17 @@ def random_unit_pivot_lattice(rng, n, dim):
             return rows
 
 
+def reduced_codes(nums, m):
+    """(q, w) per row of numerators over m: w/q in lowest terms."""
+    out = [(m // math.gcd(m, *row), tuple(x // math.gcd(m, *row) for x in row)) for row in nums.tolist()]
+    return [q for q, _w in out], [w for _q, w in out]
+
+
 def canonical_basepoint(point, directions):
     """The integer core's canonical basepoint, as rationals; its q is intrinsic."""
     m = lcm(1, *(x.denominator for x in point))
-    (q,), (w,) = torus._canonical_codes([[int(x * m) for x in point]], [m], directions)
+    nums = torus._canonical_codes(np.array([[int(x * m) for x in point]], dtype=object), m, (directions,), [0])
+    (q,), (w,) = reduced_codes(nums, m)
     base = tuple(Fraction(k, q) for k in w)
     assert q == lcm(1, *(x.denominator for x in base))
     return base
@@ -605,6 +635,8 @@ def test_closed_form_basepoint_matches_enumeration():
             if expected is None:
                 continue
             assert canonical_basepoint(point, dirs) == expected
+            if len(dirs) == 1:
+                assert reference_line_basepoint(point, dirs[0]) == expected
             if canonical:
                 assert base == expected
             compared += 1
@@ -649,15 +681,46 @@ def test_canonical_codes_match_lattice_frame_reference():
     for _ in range(400):
         n = rng.randint(2, 6)
         dirs = random_unit_pivot_lattice(rng, n, rng.randint(1, n - 1))
-        m = [rng.randint(1, 24) for _ in range(5)]
-        nums = [[rng.randint(-50, 50) for _ in range(n)] for _ in m]
-        assert torus._canonical_codes(nums, m, dirs) == reference_canonical_codes(nums, m, dirs)
+        m = rng.randint(1, 24)
+        nums = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(5)]
+        for dtype in (np.int64, object):
+            got = torus._canonical_codes(np.array(nums, dtype=dtype), m, (dirs,), np.zeros(5, np.intp))
+            assert got.dtype == dtype
+            assert reduced_codes(got, m) == reference_canonical_codes(nums, [m] * 5, dirs)
 
 
 @pytest.mark.parametrize("directions", [((2, 1),), ((1, 0, 1), (0, 3, 1)), ((1, 1), (0, 1))])
 def test_canonical_codes_reject_lattices_without_unit_pivots(directions):
     with pytest.raises(ValueError):
-        torus._canonical_codes([[1] * len(directions[0])], [4], directions)
+        torus._canonical_codes(np.ones((1, len(directions[0])), np.int64), 4, (directions,), [0])
+
+
+def test_preimages_reject_a_component_set_the_generators_leave(spec_a):
+    """Dropping one circle of example-a's census leaves a set that some
+    generator maps outside itself."""
+    group = generate_group(spec_a.generators, spec_a.generator_names)
+    full = singular_census(group).components
+    part = torus.Components(full.lattices, full.lattice[1:], full.m, full.points[1:])
+    with pytest.raises(AssertionError, match="orbit left the census component set"):
+        torus._generator_preimages(group, part)
+
+
+def test_census_beyond_int64_matches_references():
+    """example-a with its origin moved by a vector over 2^70: the common
+    denominator 2^69 is beyond the int64 bound, so the fixed loci and the
+    census run the same functions on Python ints (object arrays)."""
+    spec = parse_construction(str(DATA / "example-a-shift70.spec"))
+    group = generate_group(spec.generators, spec.generator_names)
+    assert group.codes[0] == 2**69 and torus._code_dtype(5, 2**70) is object
+    assert torus._code_dtype(5, 2**57) is np.int64
+    for el, locus in zip(group.elements, group.fixed_loci):
+        assert locus.points.dtype == object
+        assert locus == reference_fixed_locus(el)
+    census = singular_census(group)
+    assert census.components.points.dtype == object
+    assert census_view(census) == reference_census(group)
+    assert (group.order, census.total_components, census.orbit_count) == (8, 48, 12)
+    assert max(c.q for c in census.components) == 2**70
 
 
 # ---------------------------------------------------------------------------
@@ -727,9 +790,19 @@ def test_invariant_forms_stack_generators_only(spec_a, monkeypatch):
 
 
 def test_order32_census_images_components_under_generators_only(spec_a, monkeypatch):
+    """The census images each component once under each of the 4 generators,
+    in batches of rows, and under no other element."""
     group = translated_example_a(spec_a, "1/4")
-    calls = []
-    counting(monkeypatch, torus, "transform_component", calls)
+    group.fixed_loci  # the loci compute no image
+    images = []
+    original = torus._image_codes
+
+    def counted(g, denom, table):
+        images.append((group.codes[1].index(g), len(table)))
+        return original(g, denom, table)
+
+    monkeypatch.setattr(torus, "_image_codes", counted)
     census = singular_census(group)
     assert (group.order, census.total_components, census.orbit_count) == (32, 144, 12)
-    assert len(calls) <= 4 * 144
+    assert {g for g, _rows in images} == set(group.generator_indices) == {1, 2, 3, 4}
+    assert sum(rows for _g, rows in images) == 4 * 144

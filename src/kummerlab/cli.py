@@ -71,10 +71,9 @@ class _Main(click.Group):
             _fail("out of memory; lower --max-group-order or use a smaller spec")
 
 
-def _group_stage(ctx, spec: ConstructionSpec):
-    """Run the group stage into a fresh report; returns (group, report)."""
-    report = pipeline.Report()
-    return pipeline.run_group_stage(spec, report, ctx.obj["max_group_order"]), report
+def _group(ctx, spec: ConstructionSpec) -> torus.GroupTable:
+    """The closure of the spec's generators, capped by --max-group-order."""
+    return torus.generate_group(spec.generators, spec.generator_names, max_order=ctx.obj["max_group_order"])
 
 
 def _write_json(ctx, report: pipeline.Report) -> None:
@@ -145,7 +144,7 @@ def verify(ctx, spec_path):
 def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
-    group = torus.generate_group(spec.generators, spec.generator_names, max_order=ctx.obj["max_group_order"])
+    group = _group(ctx, spec)
     known = pipeline.element_index(spec, group)
     for name in [element] if element else spec.generator_names:
         if name not in known:
@@ -164,7 +163,7 @@ def fixed_locus_cmd(ctx, spec_path, element):
 @click.pass_context
 def census(ctx, spec_path):
     """Print the singular-locus census."""
-    group, report = _group_stage(ctx, _load(spec_path))
+    group, report = _group(ctx, _load(spec_path)), pipeline.Report()
     pipeline.run_census_stage(group, report)
     sec = report.sections["census"]
     if "error" in sec:
@@ -189,7 +188,7 @@ def census(ctx, spec_path):
 def spin(ctx, spec_path, square_plus):
     """Print the spin lifting obstruction of the generator family."""
     spec = _load(spec_path)
-    group, report = _group_stage(ctx, spec)
+    group, report = _group(ctx, spec), pipeline.Report()
     pipeline.run_spin_stage(spec, group, report, square_sign=1 if square_plus else -1)
     sec = report.sections["spin"]
     if "error" in sec:
@@ -212,7 +211,7 @@ def spin(ctx, spec_path, square_plus):
 @click.pass_context
 def betti(ctx, spec_path):
     """Print orbifold and resolved Betti numbers."""
-    group, report = _group_stage(ctx, _load(spec_path))
+    group, report = _group(ctx, _load(spec_path)), pipeline.Report()
     census = pipeline.run_census_stage(group, report)
     cert = pipeline.run_pi1_stage(group, report)
     pipeline.run_betti_stage(group, census, cert, report)
@@ -258,7 +257,7 @@ def f_structure(ctx, spec_path):
     spec = _load(spec_path)
     if not spec.atlas:
         _fail("spec has no atlas")
-    group, report = _group_stage(ctx, spec)
+    group, report = _group(ctx, spec), pipeline.Report()
     pipeline.run_fstructure_stage(spec, group, report)
     sec = report.sections["f_structure"]
     for row in sec["checks"]:

@@ -80,7 +80,6 @@ def monomial_square_sign(a: CliffordMonomial, square_sign: int = -1) -> int:
 class SpinLiftPair:
     """The two unit lifts of a diagonal special-orthogonal sign matrix."""
 
-    base_signs: tuple[int, ...]
     lift: CliffordMonomial
 
     @property
@@ -110,7 +109,7 @@ def lift_diagonal(matrix) -> SpinLiftPair:
     neg = tuple(i + 1 for i, s in enumerate(signs) if s < 0)
     if len(neg) % 2:
         raise ValueError("odd number of -1 entries: determinant -1, no spin lift")
-    return SpinLiftPair(signs, CliffordMonomial(len(signs), neg))
+    return SpinLiftPair(CliffordMonomial(len(signs), neg))
 
 
 @dataclass

@@ -122,12 +122,11 @@ def _pair_images(g: AffineIsometry, chart: ChartSpec):
     j0, j1 = g.perm[a - 1] + 1, g.perm[b - 1] + 1
     if j0 not in (a, b) or j1 not in (a, b):
         return None
-    t0, t1 = g.translation[a - 1], g.translation[b - 1]
-    m = lcm(chart.center_den, t0.denominator, t1.denominator)
-    k = m // chart.center_den
+    m = lcm(chart.center_den, g.denom)
+    k, kt = m // chart.center_den, m // g.denom
     centers = chart.center_nums if k == 1 else tuple((x * k, y * k) for x, y in chart.center_nums)
     i0, i1, s0, s1 = int(j0 == b), int(j1 == b), g.signs[a - 1], g.signs[b - 1]
-    u0, u1 = t0.numerator * (m // t0.denominator), t1.numerator * (m // t1.denominator)
+    u0, u1 = g.nums[a - 1] * kt, g.nums[b - 1] * kt
     return m, centers, [((s0 * c[i0] + u0) % m, (s1 * c[i1] + u1) % m) for c in centers]
 
 
@@ -366,7 +365,6 @@ def _overlap_nonempty(c1: ChartSpec, c2: ChartSpec) -> bool:
 
 @dataclass
 class FStructureReport:
-    charts: list[ChartSpec]
     all_checks: list[CheckResult] = field(default_factory=list)  # in report order
     polarized: bool = False
     rank: int | None = None
@@ -469,7 +467,7 @@ def verify_f_structure(
     if not atlas:
         raise ValueError("empty atlas")
     rules = rules or {}
-    report = FStructureReport(charts=list(atlas))
+    report = FStructureReport()
     checks = report.all_checks
 
     for chart in atlas:

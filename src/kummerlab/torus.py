@@ -1,12 +1,12 @@
 """Finite groups of affine isometries of the flat torus R^n/Z^n, exactly.
 
-An isometry is stored as an integer signed-permutation matrix plus a
-rational translation reduced mod 1, which it also keeps as integer
-numerators over a common denominator.  Everything in this module is exact:
-the group closure runs on an integer encoding of the isometries and keeps
-only its Cayley graph, products by generators; fixed loci are read off the
-cycles of each element's signed permutation (once per group element), from
-the closure's own codes; components are rows of integer arrays, each the
+An isometry is its integer code: a signed permutation for the linear part
+and the translation, reduced mod 1, as integer numerators over a common
+denominator; its matrix and its Fraction translation are views for
+reports.  Everything in this module is exact: the group closure runs on
+the codes and keeps only its Cayley graph, products by generators; fixed
+loci are read off the cycles of each element's signed permutation (once
+per group element); components are rows of integer arrays, each the
 numerators of its lexicographically least rational point over a common
 denominator, found by subtracting its unit-pivot direction rows; and census
 orbits are traced along the closure's spanning tree through the generators'
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -58,43 +58,61 @@ def _signed_permutation(linear) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(perm), tuple(signs)
 
 
-@dataclass(frozen=True)
 class AffineIsometry:
-    """x -> linear @ x + translation on the torus R^n/Z^n.
+    """x -> linear @ x + translation on the torus R^n/Z^n, held as its code.
 
-    Outside equality and repr: perm and signs are the linear part as
-    _signed_permutation reads it, and translation[i] = nums[i]/denom.  An
-    element of a closure keeps the closure's numerators over its common
-    denominator; any other isometry has denom the lcm of its denominators.
+    Row i of the linear part holds signs[i] in column perm[i], and
+    translation[i] = nums[i]/denom with 0 <= nums[i] < denom.  An element
+    of a closure keeps the closure's common denominator; any other isometry
+    has denom the lcm of its denominators.  linear and translation are
+    views, built on first read; equality, hashing and repr are those of
+    (linear, translation).  An isometry is immutable.
     """
 
-    linear: tuple[tuple[int, ...], ...]
-    translation: Vector
-    perm: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    signs: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    denom: int = field(init=False, compare=False, repr=False)
-    nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        perm, signs = _signed_permutation(self.linear)
-        if len(self.translation) != len(self.linear):
+    def __init__(self, linear, translation):
+        perm, signs = _signed_permutation(linear)
+        if len(translation) != len(linear):
             raise ValueError("dimension mismatch between linear part and translation")
-        translation = tuple(_mod1(Fraction(t)) for t in self.translation)
+        translation = [_mod1(Fraction(t)) for t in translation]
         denom = lcm(1, *(t.denominator for t in translation))
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "signs", signs)
-        object.__setattr__(self, "translation", translation)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "nums", tuple(t.numerator * (denom // t.denominator) for t in translation))
+        nums = tuple(t.numerator * (denom // t.denominator) for t in translation)
+        self.__dict__.update(perm=perm, signs=signs, nums=nums, denom=denom)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable AffineIsometry")
+
+    @cached_property
+    def linear(self) -> tuple[tuple[int, ...], ...]:
+        n = self.dim
+        return tuple(tuple(s if j == p else 0 for j in range(n)) for p, s in zip(self.perm, self.signs))
+
+    @cached_property
+    def translation(self) -> Vector:
+        return tuple(Fraction(t, self.denom) for t in self.nums)
+
+    def _key(self) -> tuple:
+        """The code over the least common denominator."""
+        g = gcd(self.denom, *self.nums)
+        return self.perm, self.signs, self.denom // g, tuple(t // g for t in self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, AffineIsometry):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"AffineIsometry(linear={self.linear!r}, translation={self.translation!r})"
 
     @property
     def dim(self) -> int:
-        return len(self.linear)
+        return len(self.perm)
 
     @staticmethod
     def identity(n: int) -> "AffineIsometry":
-        eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return AffineIsometry(eye, tuple(Fraction(0) for _ in range(n)))
+        return _isometry(tuple(range(n)), (1,) * n, (0,) * n, 1)
 
     @staticmethod
     def from_diagonal(signs, translation) -> "AffineIsometry":
@@ -105,10 +123,7 @@ class AffineIsometry:
     def apply(self, point) -> Vector:
         """Evaluate at a rational point, reduced into [0,1)^n."""
         pt = [Fraction(x) for x in point]
-        return tuple(
-            _mod1(sum((v * pt[j] for j, v in enumerate(row) if v), self.translation[i]))
-            for i, row in enumerate(self.linear)
-        )
+        return tuple(_mod1(s * pt[p] + t) for p, s, t in zip(self.perm, self.signs, self.translation))
 
     def inverse(self) -> "AffineIsometry":
         n = self.dim
@@ -117,6 +132,13 @@ class AffineIsometry:
             -sum(lt[i][j] * self.translation[j] for j in range(n)) for i in range(n)
         )
         return AffineIsometry(lt, trans)
+
+
+def _isometry(perm: tuple[int, ...], signs: tuple[int, ...], nums: tuple[int, ...], denom: int) -> AffineIsometry:
+    """The isometry of a code, taken as it is: nothing is checked or reduced."""
+    f = object.__new__(AffineIsometry)
+    f.__dict__.update(perm=perm, signs=signs, nums=nums, denom=denom)
+    return f
 
 
 def compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:
@@ -146,7 +168,6 @@ class GroupTable:
     right[i][k] is the index of element i composed with generator k.
     factors[p] = (i, g) records the closure's spanning tree: element p is
     element i composed with the generator element g (factors[0] = (0, 0)).
-    codes = (N, codes): every element's integer code over the common denominator N.
     """
 
     elements: list[AffineIsometry]
@@ -155,7 +176,6 @@ class GroupTable:
     abelian: bool
     exponent: int
     factors: list[tuple[int, int]]
-    codes: tuple[int, list[tuple[int, ...]]]
 
     @property
     def order(self) -> int:
@@ -165,10 +185,15 @@ class GroupTable:
     def dim(self) -> int:
         return self.elements[0].dim
 
+    @property
+    def denom(self) -> int:
+        """The closure's common denominator N: every element's nums are over it."""
+        return self.elements[0].denom
+
     @cached_property
     def fixed_loci(self) -> list[Components]:
         """The fixed components of every element, by index, computed on first
-        use from the closure's codes: all are rows over 2N, N = codes[0]."""
+        use from the elements' codes: all are rows over 2N, N = denom."""
         return [fixed_locus(el) for el in self.elements]
 
     @cached_property
@@ -216,31 +241,9 @@ class GroupTable:
         return frozenset(closed)
 
 
-# Integer code of an isometry: (permutation, signs, translation numerators
-# over a common denominator N), flattened into one tuple.  Row i of the
-# linear part has the entry signs[i] in column perm[i].
-
-
-def _encode(f: AffineIsometry, denom: int) -> tuple[int, ...]:
-    return (*f.perm, *f.signs, *(t * (denom // f.denom) for t in f.nums))
-
-
-def _decode(code: tuple[int, ...], n: int, denom: int) -> AffineIsometry:
-    """The isometry of a code, whose perm, signs and translation numerators
-    (reduced mod denom) are taken as they are: the matrix is not read back
-    and nothing is reduced again."""
-    perm, signs = code[:n], code[n : 2 * n]
-    f = object.__new__(AffineIsometry)
-    f.__dict__.update(
-        linear=tuple(tuple(signs[i] if j == perm[i] else 0 for j in range(n)) for i in range(n)),
-        translation=tuple(Fraction(t, denom) for t in code[2 * n :]), perm=perm, signs=signs,
-        denom=denom, nums=code[2 * n :],
-    )
-    return f
-
-
 def _compose_codes(f: tuple[int, ...], g: tuple[int, ...], n: int, denom: int) -> tuple[int, ...]:
-    """Code of f∘g: (f∘g)(x)_i = s_f[i] (s_g[p] x[p_g[p]] + t_g[p]) + t_f[i], p = p_f[i]."""
+    """Code of f∘g, a code being (*perm, *signs, *nums) over denom in one tuple:
+    (f∘g)(x)_i = s_f[i] (s_g[p] x[p_g[p]] + t_g[p]) + t_f[i], p = p_f[i]."""
     perm = tuple(g[f[i]] for i in range(n))
     signs = tuple(f[n + i] * g[n + f[i]] for i in range(n))
     trans = tuple((f[n + i] * g[2 * n + f[i]] + f[2 * n + i]) % denom for i in range(n))
@@ -268,8 +271,8 @@ def generate_group(
         names = [f"g{i+1}" for i in range(len(generators))]
 
     denom = lcm(1, *(g.denom for g in generators))
-    gen_codes = [_encode(g, denom) for g in generators]
-    ident = _encode(AffineIsometry.identity(n), denom)
+    gen_codes = [(*g.perm, *g.signs, *(t * (denom // g.denom) for t in g.nums)) for g in generators]
+    ident = (*range(n), *(1,) * n, *(0,) * n)
     codes = [ident]
     elt_names = ["e"]
     index = {ident: 0}
@@ -304,9 +307,9 @@ def generate_group(
         while power[: 2 * n] != ident[: 2 * n]:
             power, m = _compose_codes(power, code, n, denom), m + 1
         exponent = lcm(exponent, m * (denom // gcd(denom, *power[2 * n :])))
-    elements = [_decode(c, n, denom) for c in codes]
+    elements = [_isometry(c[:n], c[n : 2 * n], c[2 * n :], denom) for c in codes]
     factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
-    return GroupTable(elements, elt_names, right, abelian, exponent, factors, (denom, codes))
+    return GroupTable(elements, elt_names, right, abelian, exponent, factors)
 
 
 @dataclass(frozen=True)
@@ -467,20 +470,20 @@ def fixed_locus(f: AffineIsometry) -> Components:
     return Components((tuple(directions),), np.zeros(len(points), np.intp), m, points[_sorted_rows(points)])
 
 
-def _image_codes(g: tuple[int, ...], denom: int, table: Components) -> Components:
-    """The images, row by row, of the table's components under the isometry
-    of code g, whose translation numerators are over denom, a divisor of m.
+def _image_codes(g: AffineIsometry, table: Components) -> Components:
+    """The images, row by row, of the table's components under g, whose
+    denominator divides the table's m.
 
     Row r of the result is the image of row r; its lattices are the images
     of the table's lattices, in the same order.
     """
-    n, m, dtype = table.points.shape[1], table.m, table.points.dtype
+    m, dtype = table.m, table.points.dtype
     lattices = tuple(
-        tuple(tuple(r) for r in hermite_row_basis([[g[n + i] * dv[g[i]] for i in range(n)] for dv in directions]))
+        tuple(tuple(r) for r in hermite_row_basis([[s * dv[p] for p, s in zip(g.perm, g.signs)] for dv in directions]))
         for directions in table.lattices
     )
-    signs, trans = np.array(g[n : 2 * n], dtype), np.array(g[2 * n :], dtype)
-    image = table.points[:, list(g[:n])] * signs + trans * (m // denom)
+    signs, trans = np.array(g.signs, dtype), np.array(g.nums, dtype)
+    image = table.points[:, list(g.perm)] * signs + trans * (m // g.denom)
     return Components(lattices, table.lattice, m, _canonical_codes(image, m, lattices, table.lattice))
 
 
@@ -489,7 +492,7 @@ def transform_component(g: AffineIsometry, comp: FixedComponent) -> FixedCompone
     m = lcm(comp.q, g.denom)
     points = np.array([[x * (m // comp.q) for x in comp.w]], dtype=_code_dtype(g.dim, m))
     table = Components((comp.directions,), np.zeros(1, np.intp), m, points)
-    return _image_codes(_encode(g, g.denom), g.denom, table)[0]
+    return _image_codes(g, table)[0]
 
 
 @dataclass
@@ -529,11 +532,10 @@ def _generator_preimages(group: GroupTable, components: Components) -> dict[int,
     so sorting its images pairs each with its index; an image that finds
     no equal row raises AssertionError.
     """
-    denom, elt_codes = group.codes
     rank = {d: c for c, d in enumerate(components.lattices)}
     pre = {}
     for g in group.generator_indices:
-        image = _image_codes(elt_codes[g], denom, components)
+        image = _image_codes(group.elements[g], components)
         lattice = np.array([rank.get(d, -1) for d in image.lattices], np.intp)[image.lattice]
         pre[g] = _sorted_rows(image.points, lattice)
         if (image.points[pre[g]] != components.points).any() or (lattice[pre[g]] != components.lattice).any():
@@ -544,7 +546,7 @@ def _generator_preimages(group: GroupTable, components: Components) -> dict[int,
 def _census_components(group: GroupTable) -> Components:
     """The distinct fixed components of the non-identity elements, in
     (basepoint, directions) order, as rows over the loci's common 2N."""
-    n, m = group.dim, 2 * group.codes[0]
+    n, m = group.dim, 2 * group.denom
     loci = [locus for locus in group.fixed_loci[1:] if len(locus)]
     lattices = tuple(sorted({locus.lattices[0] for locus in loci}))
     if not loci:
@@ -579,8 +581,7 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
 
     pre = {g: p.tolist() for g, p in _generator_preimages(group, components).items()}
     steps = [(i, pre[g]) for i, g in group.factors[1:]]
-    denom, elt_codes = group.codes
-    n = group.dim
+    els, denom = group.elements, group.denom
     orbit = np.full(len(components), -1)
     orbits = []
     while (unassigned := np.flatnonzero(orbit < 0)).size:
@@ -598,19 +599,16 @@ def singular_census(group: GroupTable, require_circles: bool = True) -> Singular
         along = [
             i
             for i in setwise
-            if all(
-                elt_codes[i][n + j] * dv[elt_codes[i][j]] == dv[j]
-                for dv in directions
-                for j in range(n)
-            )
+            if all(s * dv[p] == dv[j] for dv in directions for j, (p, s) in enumerate(zip(els[i].perm, els[i].signs)))
         ]
         # g(w/q) = w/q mod 1, compared over the common denominator m.
         m = lcm(q, denom)
         a, b = m // q, m // denom
         pointwise, translations = [], []
         for i in along:
-            g = elt_codes[i]
-            fixes = all((g[n + j] * w[g[j]] * a + g[2 * n + j] * b - w[j] * a) % m == 0 for j in range(n))
+            g = els[i]
+            fixes = all((s * w[p] * a + t * b - w[j] * a) % m == 0
+                        for j, (p, s, t) in enumerate(zip(g.perm, g.signs, g.nums)))
             (pointwise if fixes else translations).append(i)
         model = None
         if rep.dimension == 1:

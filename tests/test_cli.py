@@ -135,6 +135,15 @@ def test_fixed_locus_stdout_matches_golden(spec, stem, code):
     assert result.stdout_bytes == (GOLDEN / f"{stem}.fixed-locus.txt").read_bytes()
 
 
+@VERIFY_SPECS
+@pytest.mark.parametrize("flags, suffix", [([], "spin"), (["--square-plus"], "spin-square-plus")],
+                         ids=["default", "square-plus"])
+def test_spin_stdout_matches_golden(spec, stem, code, flags, suffix):
+    result = CliRunner().invoke(main, ["spin", spec, *flags])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / f"{stem}.{suffix}.txt").read_bytes()
+
+
 def test_curvature_scan_csvs_match_golden(tmp_path):
     result = CliRunner().invoke(main, ["curvature-scan", EXAMPLE_A, "--csv", str(tmp_path / "scan.csv")])
     assert result.exit_code == 0, result.output
@@ -236,6 +245,21 @@ def test_fixed_locus_computes_only_the_printed_loci(monkeypatch, element, calls)
     assert result.exit_code == 0, result.output
     assert len(made) == calls
     assert result.output.count(" component(s)") == calls
+
+
+def test_spin_computes_no_fixed_locus(monkeypatch):
+    made = []
+    original = torus.fixed_locus
+
+    def counted(f):
+        made.append(f)
+        return original(f)
+
+    monkeypatch.setattr(torus, "fixed_locus", counted)
+    result = CliRunner().invoke(main, ["--max-group-order", "4096", "spin", ORDER_4096])
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith("verdict: UNSUPPORTED  reason: group has exponent 512;")
+    assert made == []
 
 
 def test_census_command():

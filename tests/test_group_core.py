@@ -32,6 +32,7 @@ from conftest import (
     brute_force_closure,
     component,
     compose_products,
+    example_spec,
     fraction_key,
     lattice_adapted_basis,
 )
@@ -387,6 +388,53 @@ def test_integer_closure_matches_compose_closure(case):
         assert compose(table.elements[i], table.elements[g]) == table.elements[p]
 
 
+def golden_spec_groups():
+    """(generators, names) of the six specs whose reports tests/data/golden pins."""
+    specs = [example_spec("example-a.spec"), example_spec("example-b.spec")] + [
+        parse_construction(str(DATA / f"{stem}.spec"))
+        for stem in ("example-b-four-chart", "group-order32", "order-256", "example-a-shift70")
+    ]
+    return [(spec.generators, spec.generator_names) for spec in specs]
+
+
+CODE_CASES = RANDOM_GROUPS + golden_spec_groups()
+
+
+@pytest.mark.parametrize("case", range(len(CODE_CASES)))
+def test_closure_elements_are_the_isometries_of_their_views(case):
+    """A closure element holds its code over the closure's common
+    denominator N, and equals, hashes and reprs as the isometry built from
+    its linear and translation views, whose own denominator may be smaller."""
+    gens, names = CODE_CASES[case]
+    table = generate_group(gens, names, max_order=256)
+    denom = lcm(1, *(g.denom for g in gens))
+    assert table.denom == denom
+    for el in table.elements:
+        built = AffineIsometry(el.linear, el.translation)
+        assert el == built and built == el
+        assert hash(el) == hash(built) and repr(el) == repr(built)
+        assert el.denom == denom and (el.perm, el.signs) == (built.perm, built.signs)
+        assert el.nums == tuple(t * (denom // built.denom) for t in built.nums)
+
+
+def test_closure_and_fixed_loci_build_no_fraction(monkeypatch):
+    """The order-32 closure and all its fixed loci run on the elements'
+    integer codes: no Fraction is made and no matrix view is built."""
+    spec = parse_construction(str(DATA / "group-order32.spec"))
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(torus, "Fraction", counted)
+    group = generate_group(spec.generators, spec.generator_names)
+    loci = group.fixed_loci
+    assert (group.order, len(loci[0]), sum(map(len, loci[1:]))) == (32, 1, 144)
+    assert made == []
+    assert not any("linear" in vars(el) or "translation" in vars(el) for el in group.elements)
+
+
 @pytest.mark.parametrize("case", range(len(RANDOM_GROUPS)))
 def test_mul_matches_compose_products(case):
     gens, names = RANDOM_GROUPS[case]
@@ -711,7 +759,8 @@ def test_census_beyond_int64_matches_references():
     census run the same functions on Python ints (object arrays)."""
     spec = parse_construction(str(DATA / "example-a-shift70.spec"))
     group = generate_group(spec.generators, spec.generator_names)
-    assert group.codes[0] == 2**69 and torus._code_dtype(5, 2**70) is object
+    assert group.denom == 2**69 and torus._code_dtype(5, 2**70) is object
+    assert all(el.denom == 2**69 for el in group.elements)
     assert torus._code_dtype(5, 2**57) is np.int64
     for el, locus in zip(group.elements, group.fixed_loci):
         assert locus.points.dtype == object
@@ -797,9 +846,9 @@ def test_order32_census_images_components_under_generators_only(spec_a, monkeypa
     images = []
     original = torus._image_codes
 
-    def counted(g, denom, table):
-        images.append((group.codes[1].index(g), len(table)))
-        return original(g, denom, table)
+    def counted(g, table):
+        images.append((next(i for i, el in enumerate(group.elements) if el is g), len(table)))
+        return original(g, table)
 
     monkeypatch.setattr(torus, "_image_codes", counted)
     census = singular_census(group)

@@ -101,6 +101,8 @@ def test_read_permutation_stays_out_of_equality_hash_and_repr():
     assert (swap.perm, swap.signs) == ((1, 0), (-1, 1))
     assert swap == same and hash(swap) == hash(same)
     assert repr(swap) == f"AffineIsometry(linear={swap.linear!r}, translation={swap.translation!r})"
+    with pytest.raises(AttributeError):
+        swap.perm = (0, 1)
 
 
 def test_compose_matches_displayed_product(group_a):

@@ -2,7 +2,8 @@
 
 Convention: e_i * e_i = -1 (negative-definite quadratic form).  Pairwise
 commutator signs of monomials do not depend on this choice; squares do,
-so operations that report squares accept a ``square_convention`` flag.
+so operations that report squares accept a ``square_sign`` argument.
+A linear part is read as its signed-permutation code (perm, signs).
 """
 
 from __future__ import annotations
@@ -76,40 +77,17 @@ def monomial_square_sign(a: CliffordMonomial, square_sign: int = -1) -> int:
     return sq.sign
 
 
-@dataclass(frozen=True)
-class SpinLiftPair:
-    """The two unit lifts of a diagonal special-orthogonal sign matrix."""
-
-    lift: CliffordMonomial
-
-    @property
-    def lifts(self) -> tuple[CliffordMonomial, CliffordMonomial]:
-        return (self.lift, self.lift.negate())
-
-
-def _diagonal_signs(matrix) -> tuple[int, ...]:
-    rows = [tuple(row) for row in matrix]
-    n = len(rows)
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        for j, v in enumerate(row):
-            if i == j:
-                if v not in (1, -1):
-                    raise ValueError("diagonal entries must be +1 or -1")
-            elif v != 0:
-                raise ValueError("matrix must be diagonal")
-    return tuple(rows[i][i] for i in range(n))
-
-
-def lift_diagonal(matrix) -> SpinLiftPair:
-    """Lift of diag(signs) through the double cover: ± product of e_i over
-    the negated axes.  Requires an even count of -1 entries (determinant +1)."""
-    signs = _diagonal_signs(matrix)
+def lift_diagonal(perm, signs) -> CliffordMonomial:
+    """Lift of the diagonal sign matrix with code (perm, signs) through the
+    double cover: e_I, I the negated axes; the other lift is e_I.negate().
+    Requires the identity perm (any other leaves a 0 on the diagonal) and
+    an even count of -1 signs (determinant +1)."""
+    if any(p != i for i, p in enumerate(perm)):
+        raise ValueError("diagonal entries must be +1 or -1")
     neg = tuple(i + 1 for i, s in enumerate(signs) if s < 0)
     if len(neg) % 2:
         raise ValueError("odd number of -1 entries: determinant -1, no spin lift")
-    return SpinLiftPair(CliffordMonomial(len(signs), neg))
+    return CliffordMonomial(len(signs), neg)
 
 
 @dataclass
@@ -121,7 +99,7 @@ class ObstructionReport:
     squares are +1; both are independent of the ± choice of each lift.
     """
 
-    lifts: list[SpinLiftPair]
+    lifts: list[CliffordMonomial]
     commutator_signs: list[list[int]]
     squares: list[int]
     square_convention: int
@@ -134,27 +112,28 @@ class ObstructionReport:
 
 
 def spin_obstruction(generators, square_sign: int = -1) -> ObstructionReport:
-    """Commutator/square table for the spin lifts of diagonal involutions.
+    """Commutator/square table for the spin lifts of diagonal involutions,
+    each given as its code (perm, signs).
 
     Verdict is OBSTRUCTED as soon as one pair of lifts anticommutes or one
     lift squares to -1; the witness names the offending pair (i, j), or
     (i, i) for a bad square.
     """
-    pairs = [lift_diagonal(m) for m in generators]
-    k = len(pairs)
+    lifts = [lift_diagonal(perm, signs) for perm, signs in generators]
+    k = len(lifts)
     comm = [[1] * k for _ in range(k)]
     witness = None
     for i in range(k):
         for j in range(i + 1, k):
-            s = commutator_sign(pairs[i].lift, pairs[j].lift)
+            s = commutator_sign(lifts[i], lifts[j])
             comm[i][j] = comm[j][i] = s
             if s < 0 and witness is None:
                 witness = (i, j)
-    squares = [monomial_square_sign(p.lift, square_sign=square_sign) for p in pairs]
+    squares = [monomial_square_sign(lift, square_sign=square_sign) for lift in lifts]
     if witness is None:
         for i, s in enumerate(squares):
             if s < 0:
                 witness = (i, i)
                 break
     verdict = "OBSTRUCTED" if witness is not None else "LIFTABLE"
-    return ObstructionReport(pairs, comm, squares, square_sign, verdict, witness)
+    return ObstructionReport(lifts, comm, squares, square_sign, verdict, witness)

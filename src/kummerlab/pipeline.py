@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import clifford, curvature, forms, fstructure, torus
-from .specfile import ConstructionSpec
+from .specfile import SPIN_WORDS, ConstructionSpec
 
 SLOPE_WINDOWS = {
     "deviation": (-4.0, 0.1),
@@ -130,10 +130,15 @@ def run_group_stage(spec: ConstructionSpec, report: Report, max_group_order: int
 
 
 def run_census_stage(group, report: Report):
-    try:
-        census = torus.singular_census(group)
-    except ValueError as exc:
-        report.sections["census"] = {"error": str(exc)}
+    """The census section; an error section instead when a fixed component
+    is not a circle, the resolution being one of circle singularities."""
+    census = torus.singular_census(group)
+    comps = census.components
+    other = [d for d in (len(comps.lattices[k]) for k in comps.lattice.tolist()) if d != 1]
+    if other:
+        report.sections["census"] = {
+            "error": f"circles-only census requested but a fixed component has dimension {other[0]}"
+        }
         return None
     sizes = [o.size for o in census.orbits]
     report.sections["census"] = {
@@ -178,11 +183,8 @@ def run_pi1_stage(group, report: Report):
 
 
 def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: int = -1):
-    mats = []
-    for gen in spec.generators:
-        mats.append([list(row) for row in gen.linear])
     try:
-        rep = clifford.spin_obstruction(mats, square_sign=square_sign)
+        rep = clifford.spin_obstruction([(g.perm, g.signs) for g in spec.generators], square_sign=square_sign)
     except ValueError as exc:
         report.sections["spin"] = {"error": str(exc)}
         return
@@ -197,7 +199,7 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         return
     names = spec.generator_names
     section = {
-        "lifts": {names[i]: str(p.lift) for i, p in enumerate(rep.lifts)},
+        "lifts": {names[i]: str(lift) for i, lift in enumerate(rep.lifts)},
         "commutator_signs": rep.commutator_signs,
         "squares": rep.squares,
         "square_convention": f"e_i^2 = {rep.square_convention:+d}",
@@ -234,13 +236,13 @@ def run_betti_stage(group, census, cert, report: Report):
     resolved = None
     if not orientable:
         section["resolved"] = {"refused": "action is not orientation-preserving"}
-    elif cert is not None and census is not None:
+    elif census is None:
+        section["resolved"] = {"refused": f"census unavailable: {report.sections['census']['error']}"}
+    else:
         try:
             resolved = forms.resolved_betti(table, census, cert)
         except ValueError as exc:
             section["resolved"] = {"refused": str(exc)}
-    elif census is None:
-        section["resolved"] = {"refused": f"census unavailable: {report.sections['census']['error']}"}
     if resolved is not None:
         section["resolved"] = {
             "b2": resolved.b2_resolved,
@@ -373,8 +375,6 @@ def element_index(spec: ConstructionSpec, group) -> dict[str, int]:
     return known
 
 
-_SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
-
 # The [expected] keys after fixed_circles, in claim order, each with where the
 # report's sections hold its observed value (None when the stage gave none).
 _EXPECTED_VALUES = {
@@ -383,7 +383,7 @@ _EXPECTED_VALUES = {
     "half_orbits": lambda s: s["census"].get("half_translation_orbits"),
     "b2_resolved": lambda s: s["betti"]["resolved"].get("b2"),
     "b3_resolved": lambda s: s["betti"]["resolved"].get("b3"),
-    "spin": lambda s: _SPIN_WORDS.get(s["spin"].get("verdict")),
+    "spin": lambda s: SPIN_WORDS.get(s["spin"].get("verdict")),
     "pi1": lambda s: s["pi1"]["status"],
     "f_rank": lambda s: s.get("f_structure", {}).get("rank"),
 }

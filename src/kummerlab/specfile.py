@@ -19,6 +19,10 @@ from .torus import AffineIsometry
 
 SUPPORTED_VERSIONS = (1,)
 MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~1.3 s, ~275 MiB (2-core Xeon VM)
+# The [expected] spin word of each spin verdict, and the words each
+# [expected] field with a word value accepts (abelian in any case).
+SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
+_EXPECTED_WORDS = {"abelian": ("true", "false"), "spin": tuple(SPIN_WORDS.values()), "pi1": ("PASS", "FAIL")}
 
 
 class SpecParseError(ValueError):
@@ -286,10 +290,11 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                         expected.setdefault("fixed_circles", {})[toks[0]] = int(toks[1])
                     elif key in ("orbits", "half_orbits", "b2_resolved", "b3_resolved", "f_rank"):
                         expected[key] = int(toks[0])
-                    elif key in ("spin", "pi1"):
-                        expected[key] = toks[0]
-                    elif key == "abelian":
-                        expected[key] = toks[0].lower() == "true"
+                    elif key in _EXPECTED_WORDS:
+                        word = toks[0].lower() if key == "abelian" else toks[0]
+                        if word not in _EXPECTED_WORDS[key]:
+                            raise ValueError(f"{key} must be {' or '.join(_EXPECTED_WORDS[key])}, got {toks[0]!r}")
+                        expected[key] = word == "true" if key == "abelian" else word
                     else:
                         fail(ln, "expected", f"unknown expected field {key!r}")
                 except (IndexError, ValueError) as exc:

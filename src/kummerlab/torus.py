@@ -63,10 +63,11 @@ class AffineIsometry:
 
     Row i of the linear part holds signs[i] in column perm[i], and
     translation[i] = nums[i]/denom with 0 <= nums[i] < denom.  An element
-    of a closure keeps the closure's common denominator; any other isometry
-    has denom the lcm of its denominators.  linear and translation are
-    views, built on first read; equality, hashing and repr are those of
-    (linear, translation).  An isometry is immutable.
+    of a closure keeps the closure's common denominator and an inverse that
+    of its isometry; any other isometry has denom the lcm of its
+    denominators.  linear and translation are views, built on first read;
+    equality, hashing and repr are those of (linear, translation).  An
+    isometry is immutable.
     """
 
     def __init__(self, linear, translation):
@@ -123,15 +124,16 @@ class AffineIsometry:
     def apply(self, point) -> Vector:
         """Evaluate at a rational point, reduced into [0,1)^n."""
         pt = [Fraction(x) for x in point]
-        return tuple(_mod1(s * pt[p] + t) for p, s, t in zip(self.perm, self.signs, self.translation))
+        return tuple(_mod1(s * pt[p] + Fraction(t, self.denom)) for p, s, t in zip(self.perm, self.signs, self.nums))
 
     def inverse(self) -> "AffineIsometry":
+        """y_i = s_i x_{p_i} + t_i gives x_{p_i} = s_i y_i - s_i t_i: row p_i
+        of the inverse's code holds (i, s_i, -s_i t_i mod denom)."""
         n = self.dim
-        lt = tuple(tuple(self.linear[j][i] for j in range(n)) for i in range(n))
-        trans = tuple(
-            -sum(lt[i][j] * self.translation[j] for j in range(n)) for i in range(n)
-        )
-        return AffineIsometry(lt, trans)
+        perm, signs, nums = [0] * n, [0] * n, [0] * n
+        for i, (p, s, t) in enumerate(zip(self.perm, self.signs, self.nums)):
+            perm[p], signs[p], nums[p] = i, s, -s * t % self.denom
+        return _isometry(tuple(perm), tuple(signs), tuple(nums), self.denom)
 
 
 def _isometry(perm: tuple[int, ...], signs: tuple[int, ...], nums: tuple[int, ...], denom: int) -> AffineIsometry:
@@ -561,24 +563,16 @@ def _census_components(group: GroupTable) -> Components:
     return Components(lattices, lattice[new], m, points[new])
 
 
-def singular_census(group: GroupTable, require_circles: bool = True) -> SingularCensus:
+def singular_census(group: GroupTable) -> SingularCensus:
     """Union of all fixed components of non-identity elements, by orbit.
 
     Per orbit: setwise and pointwise stabilizers, the elements acting on
     the component by a nonzero internal translation, the induced length
-    factor 1/[setwise:pointwise], and the combinatorial local model label
-    (product type when no translation element exists, half-turn quotient
-    type otherwise).
+    factor 1/[setwise:pointwise], and, for a circle, the combinatorial
+    local model label (product type when no translation element exists,
+    half-turn quotient type otherwise).
     """
     components = _census_components(group)
-    if require_circles:
-        dims = np.array([len(d) for d in components.lattices], int)[components.lattice]
-        if (dims != 1).any():
-            raise ValueError(
-                "circles-only census requested but a fixed component has "
-                f"dimension {dims[dims != 1][0]}"
-            )
-
     pre = {g: p.tolist() for g, p in _generator_preimages(group, components).items()}
     steps = [(i, pre[g]) for i, g in group.factors[1:]]
     els, denom = group.elements, group.denom

@@ -81,8 +81,8 @@ def test_criterion_03_census_second_construction(group_b):
 
 def test_criterion_04_spin_obstruction(group_a):
     alpha, beta = group_a.elements[1], group_a.elements[2]
-    la = lift_diagonal([list(r) for r in alpha.linear]).lift
-    lb = lift_diagonal([list(r) for r in beta.linear]).lift
+    la = lift_diagonal(alpha.perm, alpha.signs)
+    lb = lift_diagonal(beta.perm, beta.signs)
     ok = True
     for sa, sb in itertools.product((1, -1), repeat=2):
         a = la if sa > 0 else la.negate()
@@ -91,7 +91,7 @@ def test_criterion_04_spin_obstruction(group_a):
         ok &= ab.indices == ba.indices and ab.sign == -ba.sign
     from kummerlab.clifford import spin_obstruction
 
-    rep = spin_obstruction([[list(r) for r in g.linear] for g in group_a.elements[1:4]])
+    rep = spin_obstruction([(g.perm, g.signs) for g in group_a.elements[1:4]])
     ok &= rep.verdict == "OBSTRUCTED"
     verdict("4", ok, "lifts anticommute for all four sign choices; verdict OBSTRUCTED (nonspin)")
     assert ok

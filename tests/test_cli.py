@@ -23,6 +23,8 @@ ORDER_256 = str(Path(__file__).resolve().parent / "data" / "order-256.spec")
 ORDER_4096 = str(Path(__file__).resolve().parent / "data" / "order-4096.spec")
 # example-a with its origin moved by a vector over 2^70, generators only.
 SHIFT70 = str(Path(__file__).resolve().parent / "data" / "example-a-shift70.spec")
+# A quarter turn in (x2, x3) and example-a's alpha: a generator permutes axes.
+QUARTER_TURN = str(Path(__file__).resolve().parent / "data" / "quarter-turn.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -103,14 +105,17 @@ def test_verify_json_report_byte_identical(tmp_path):
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
 
+SPIN_SPECS = [
+    pytest.param(EXAMPLE_A, "example-a", 0, id="example-a"),
+    pytest.param(EXAMPLE_B, "example-b", 1, id="example-b"),
+    pytest.param(FOUR_CHART, "example-b-four-chart", 0, id="four-chart"),
+    pytest.param(GROUP_ORDER32, "group-order32", 0, id="group-order32"),
+    pytest.param(ORDER_256, "order-256", 0, id="order-256"),
+    pytest.param(SHIFT70, "example-a-shift70", 0, id="shift70"),
+]
+# The quarter turn has no spin golden: its spin stage reports an error.
 VERIFY_SPECS = pytest.mark.parametrize(
-    "spec, stem, code",
-    [(EXAMPLE_A, "example-a", 0), (EXAMPLE_B, "example-b", 1),
-     (FOUR_CHART, "example-b-four-chart", 0),
-     (GROUP_ORDER32, "group-order32", 0), (ORDER_256, "order-256", 0),
-     (SHIFT70, "example-a-shift70", 0)],
-    ids=["example-a", "example-b", "four-chart", "group-order32", "order-256", "shift70"],
-)
+    "spec, stem, code", [*SPIN_SPECS, pytest.param(QUARTER_TURN, "quarter-turn", 0, id="quarter-turn")])
 
 
 @VERIFY_SPECS
@@ -135,7 +140,7 @@ def test_fixed_locus_stdout_matches_golden(spec, stem, code):
     assert result.stdout_bytes == (GOLDEN / f"{stem}.fixed-locus.txt").read_bytes()
 
 
-@VERIFY_SPECS
+@pytest.mark.parametrize("spec, stem, code", SPIN_SPECS)
 @pytest.mark.parametrize("flags, suffix", [([], "spin"), (["--square-plus"], "spin-square-plus")],
                          ids=["default", "square-plus"])
 def test_spin_stdout_matches_golden(spec, stem, code, flags, suffix):
@@ -163,6 +168,20 @@ def test_stage_stdout_matches_golden(spec, stem, command):
     result = CliRunner().invoke(main, [command, spec])
     assert result.exit_code == (1 if (command, stem) == ("f-structure", "example-b") else 0), result.output
     assert result.stdout_bytes == (GOLDEN / f"{stem}.{command}.txt").read_bytes()
+
+
+def test_betti_stdout_with_a_permuted_axis_matches_golden():
+    result = CliRunner().invoke(main, ["betti", QUARTER_TURN])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / "quarter-turn.betti.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["census", "spin"])
+def test_stage_error_with_a_permuted_axis_matches_golden(command):
+    result = CliRunner().invoke(main, [command, QUARTER_TURN])
+    assert result.exit_code == 2, result.output
+    assert result.stdout_bytes == b""
+    assert result.stderr_bytes == (GOLDEN / f"quarter-turn.{command}.stderr.txt").read_bytes()
 
 
 @STAGE_SPECS
@@ -533,7 +552,7 @@ def test_subcommand_group_cap_is_input_error(command):
 
 @pytest.mark.parametrize("command", ["verify", "census"])
 def test_memory_error_is_input_error(command, monkeypatch):
-    def exhausted(group, require_circles=True):
+    def exhausted(group):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")
 
     monkeypatch.setattr(torus, "singular_census", exhausted)

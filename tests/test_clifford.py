@@ -12,8 +12,10 @@ from kummerlab.clifford import (
     spin_obstruction,
 )
 
-M_ALPHA = [[1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]
-M_BETA = [[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, -1]]
+ID5 = (0, 1, 2, 3, 4)
+# Generator codes (perm, signs): row i holds signs[i] in column perm[i].
+M_ALPHA = (ID5, (1, -1, -1, -1, -1))
+M_BETA = (ID5, (-1, -1, -1, 1, -1))
 
 
 def test_displayed_anticommutation():
@@ -66,8 +68,8 @@ def test_commutator_sign_formula_n5():
 
 
 def test_commutator_signs_independent_of_lift_choice():
-    mats = [M_ALPHA, M_BETA, [[-1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, -1]]]
-    lifts = [lift_diagonal(m).lift for m in mats]
+    codes = [M_ALPHA, M_BETA, (ID5, (-1, 1, -1, -1, -1))]
+    lifts = [lift_diagonal(*c) for c in codes]
     base = [
         [commutator_sign(a, b) for b in lifts] for a in lifts
     ]
@@ -78,16 +80,18 @@ def test_commutator_signs_independent_of_lift_choice():
 
 
 def test_lift_diagonal_examples():
-    pair = lift_diagonal(M_ALPHA)
-    assert pair.lift.indices == (2, 3, 4, 5)
-    assert {p.indices for p in pair.lifts} == {(2, 3, 4, 5)}
-    assert {p.sign for p in pair.lifts} == {1, -1}
-    ident = lift_diagonal([[1, 0], [0, 1]])
-    assert ident.lift.indices == ()
+    lift = lift_diagonal(*M_ALPHA)
+    assert lift == CliffordMonomial(5, (2, 3, 4, 5))
+    assert lift.negate() == CliffordMonomial(5, (2, 3, 4, 5), -1)
+    assert lift_diagonal((0, 1), (1, 1)).indices == ()
     with pytest.raises(ValueError, match="odd"):
-        lift_diagonal([[-1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    with pytest.raises(ValueError, match="diagonal"):
-        lift_diagonal([[0, 1], [1, 0]])
+        lift_diagonal(ID5, (-1, 1, 1, 1, 1))
+    # A permuted axis leaves a 0 on the diagonal: the swap, and the quarter
+    # turn in (x2, x3) whose signs alone would lift.
+    with pytest.raises(ValueError, match="diagonal entries must be"):
+        lift_diagonal((1, 0), (1, 1))
+    with pytest.raises(ValueError, match="diagonal entries must be"):
+        lift_diagonal((0, 2, 1, 3, 4), (1, -1, 1, -1, -1))
 
 
 def test_spin_obstruction_displayed_pair():
@@ -98,8 +102,8 @@ def test_spin_obstruction_displayed_pair():
 
 
 def test_spin_obstruction_single_generator_square_via_oracle():
-    m = [[-1, 0, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, -1, 0, 0], [0, 0, 0, -1, 0], [0, 0, 0, 0, 1]]
-    lift = lift_diagonal(m).lift
+    m = (ID5, (-1, -1, -1, -1, 1))
+    lift = lift_diagonal(*m)
     assert lift.indices == (1, 2, 3, 4)
     _, oracle_sign = naive_clifford_product(lift.indices, lift.indices)
     assert monomial_square_sign(lift) == oracle_sign == 1
@@ -114,7 +118,7 @@ def test_spin_obstruction_empty_family():
 
 def test_square_convention_flag():
     # Squares flip by (-1)^k between conventions; commutators never do.
-    m = [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]
+    m = ((0, 1, 2), (-1, -1, 1))
     minus = spin_obstruction([m], square_sign=-1)
     plus = spin_obstruction([m], square_sign=1)
     k = 2

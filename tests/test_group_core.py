@@ -555,7 +555,7 @@ def test_integer_closure_cap_matches_reference():
 def test_generator_orbits_match_all_element_search(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
-    census = singular_census(table, require_circles=False)
+    census = singular_census(table)
     assert census_view(census) == reference_census(table)
     pre = torus._generator_preimages(table, census.components)
     back = composed_preimages(table, pre, census.total_components)
@@ -568,7 +568,7 @@ def test_generator_orbits_match_all_element_search(case):
 def test_integer_permutations_match_fraction_reference(case):
     gens, names = RANDOM_GROUPS[case]
     table = generate_group(gens, names, max_order=16)
-    components = singular_census(table, require_circles=False).components
+    components = singular_census(table).components
     pre = torus._generator_preimages(table, components)
     assert sorted(pre) == table.generator_indices
     back = composed_preimages(table, pre, len(components))
@@ -614,7 +614,7 @@ def test_random_groups_have_several_generators_and_partial_kernels():
 
 
 def test_random_censuses_are_not_trivial():
-    censuses = [singular_census(generate_group(g, n, max_order=16), require_circles=False)
+    censuses = [singular_census(generate_group(g, n, max_order=16))
                 for g, n in RANDOM_GROUPS]
     assert sum(c.total_components for c in censuses) >= 100
     assert any(c.orbit_count > 1 for c in censuses)

@@ -9,8 +9,18 @@ import pytest
 
 from conftest import reference_report_json
 from kummerlab import forms, pipeline
+from kummerlab.cli import bundled_examples
 from kummerlab.curvature import glue_ricci_scan, mu_report
-from kummerlab.specfile import parse_construction_text
+from kummerlab.specfile import parse_construction, parse_construction_text
+from kummerlab.torus import AffineIsometry, generate_group
+
+DATA = Path(__file__).resolve().parent / "data"
+# The spec of each golden report, by stem: the bundled examples and the pinned specs.
+GOLDEN_SPECS = {
+    **{stem: bundled_examples()[f"{stem}.spec"] for stem in ("example-a", "example-b")},
+    **{stem: DATA / f"{stem}.spec" for stem in
+       ("example-b-four-chart", "group-order32", "order-256", "example-a-shift70", "quarter-turn")},
+}
 
 TRIVIAL_SPEC = """
 version 1
@@ -121,6 +131,24 @@ def test_expected_fixed_circles_of_a_repeated_generator():
     report = pipeline.run_all(parse_construction_text(text))
     rows = [(c.name, c.status, c.value) for c in report.claims if c.name.startswith("expected.")]
     assert rows == [("expected.fixed_circles.alpha", "PASS", 16), ("expected.fixed_circles.alpha2", "PASS", 16)]
+
+
+def test_census_stage_rejects_non_circle_components():
+    report = pipeline.Report()
+    group = generate_group([AffineIsometry.from_diagonal([1, 1, -1], [0, 0, 0])])
+    assert pipeline.run_census_stage(group, report) is None
+    assert report.sections["census"] == {
+        "error": "circles-only census requested but a fixed component has dimension 2"}
+    assert not report.claims
+
+
+@pytest.mark.parametrize("name", GOLDEN_SPECS)
+def test_spin_stage_reads_the_generator_codes(name):
+    spec = parse_construction(GOLDEN_SPECS[name])
+    report = pipeline.Report()
+    pipeline.run_spin_stage(spec, generate_group(spec.generators), report)
+    assert report.sections["spin"]
+    assert not any("linear" in vars(g) for g in spec.generators)
 
 
 def test_betti_stage_reads_each_signed_permutation_once(group_a, monkeypatch):

@@ -145,3 +145,26 @@ def test_expected_block_unknown_field():
     with pytest.raises(SpecParseError) as err:
         parse_construction_text(text)
     assert any("unknown expected field" in why for _, _, why in err.value.errors)
+
+
+@pytest.mark.parametrize(
+    "row, why",
+    [("abelian ture", "abelian must be true or false, got 'ture'"),
+     ("spin nonspn", "spin must be nonspin or no-obstruction, got 'nonspn'"),
+     ("pi1 pass", "pi1 must be PASS or FAIL, got 'pass'")],
+    ids=["abelian", "spin", "pi1"],
+)
+def test_expected_words_no_stage_can_produce_are_rejected(row, why):
+    # The [expected] block's first row is line 10 of the text.
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text(MINIMAL + "\n[expected]\n" + row + "\n")
+    assert err.value.errors == [(10, "expected", why)]
+
+
+def test_expected_words_every_stage_value_parses():
+    text = MINIMAL + "\n[expected]\nabelian TRUE\nspin no-obstruction\npi1 FAIL\n"
+    assert parse_construction_text(text).expected == {"abelian": True, "spin": "no-obstruction", "pi1": "FAIL"}
+    for word in ("nonspin", "no-obstruction"):
+        assert parse_construction_text(MINIMAL + f"\n[expected]\nspin {word}\n").expected["spin"] == word
+    assert parse_construction_text(MINIMAL + "\n[expected]\nabelian False\npi1 PASS\n").expected == {
+        "abelian": False, "pi1": "PASS"}

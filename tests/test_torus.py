@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    DATA_DIR,
     apply_linear,
     brute_force_closure,
     brute_force_components,
@@ -17,6 +18,7 @@ from conftest import (
     random_involution,
 )
 from kummerlab import torus
+from kummerlab.specfile import parse_construction
 from kummerlab.torus import (
     AffineIsometry,
     _signed_permutation,
@@ -131,6 +133,23 @@ def test_compose_with_inverse_gives_identity():
         for point in grid:
             pt = tuple(list(point) + [Fraction(0)] * (n - 2))
             assert f.apply(inv.apply(pt)) == tuple(x % 1 for x in pt)
+
+
+@pytest.mark.parametrize("name", ["quarter-turn", "group-order32"])
+def test_inverse_of_elements_of_order_four(name):
+    spec = parse_construction(DATA_DIR / f"{name}.spec")
+    group = generate_group(spec.generators, spec.generator_names)
+    of_order_four = 0
+    for f in [*spec.generators, *group.elements]:
+        inv = f.inverse()
+        assert is_identity(compose(f, inv)) and is_identity(compose(inv, f))
+        assert inv.inverse() == f
+        assert all(0 <= t < inv.denom for t in inv.nums)
+        square = compose(f, f)
+        if not is_identity(square) and is_identity(compose(square, square)):
+            assert inv == compose(f, square) != f
+            of_order_four += 1
+    assert of_order_four
 
 
 def test_compose_dimension_mismatch():
@@ -328,12 +347,11 @@ def test_census_trivial_group_empty():
     assert census.orbits == []
 
 
-def test_census_rejects_non_circle_components():
+def test_census_traces_non_circle_components():
+    # The census stage refuses them (test_pipeline); the census traces them.
     f = AffineIsometry.from_diagonal([1, 1, -1], [0, 0, 0])
-    table = generate_group([f])
-    with pytest.raises(ValueError, match="dimension"):
-        singular_census(table)
-    assert singular_census(table, require_circles=False).orbits
+    census = singular_census(generate_group([f]))
+    assert [(o.representative.dimension, o.size, o.local_model) for o in census.orbits] == [(2, 1, None)] * 2
 
 
 def test_census_stabilizer_properties(group_a, group_b):

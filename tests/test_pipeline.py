@@ -7,18 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import reference_report_json
+from conftest import DATA_DIR, reference_report_json
 from kummerlab import forms, pipeline
 from kummerlab.cli import bundled_examples
 from kummerlab.curvature import glue_ricci_scan, mu_report
 from kummerlab.specfile import parse_construction, parse_construction_text
 from kummerlab.torus import AffineIsometry, generate_group
 
-DATA = Path(__file__).resolve().parent / "data"
 # The spec of each golden report, by stem: the bundled examples and the pinned specs.
 GOLDEN_SPECS = {
     **{stem: bundled_examples()[f"{stem}.spec"] for stem in ("example-a", "example-b")},
-    **{stem: DATA / f"{stem}.spec" for stem in
+    **{stem: DATA_DIR / f"{stem}.spec" for stem in
        ("example-b-four-chart", "group-order32", "order-256", "example-a-shift70", "quarter-turn")},
 }
 

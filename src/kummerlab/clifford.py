@@ -102,13 +102,9 @@ class ObstructionReport:
     lifts: list[CliffordMonomial]
     commutator_signs: list[list[int]]
     squares: list[int]
-    square_convention: int
+    square_sign: int
     verdict: str
     witness: tuple[int, int] | None
-
-    @property
-    def obstructed(self) -> bool:
-        return self.verdict == "OBSTRUCTED"
 
 
 def spin_obstruction(generators, square_sign: int = -1) -> ObstructionReport:

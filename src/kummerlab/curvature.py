@@ -32,9 +32,9 @@ import numpy as np
 from .jets import Jet
 
 # The most radii one glue-scan pass gathers from whole annuli.  A pass's
-# peak memory grows with its radii (about 190 bytes each) while its fixed
-# cost (about 0.3 ms) does not; at 4096 radii that cost is a fifth of the
-# pass, and the pass's peak stays under 0.75 MiB (2-core Xeon VM).
+# peak memory grows with its radii (about 190 bytes each); its fixed cost
+# (about 0.3 ms, 30% of a 1.0-ms pass of 4096, 2-core Xeon VM) does not.
+# One pass of 5 x 2048 radii would add 1.9 MiB of peak RSS (see README).
 PASS_RADII = 2**12
 
 # ---------------------------------------------------------------------------
@@ -658,9 +658,9 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     whole annuli, so a pass is never larger than one annulus or PASS_RADII.
     |Ric| and |Rm| are read in closed form off the Cartan coefficients,
     with no dense frame tensor.  Example-a's scan (five d values, 512 radii
-    each, one pass) takes about 1.5 ms, against 2.9 ms for one pass per
+    each, one pass) takes about 0.9 ms, against 2.6 ms for one pass per
     annulus and 0.56 s for one scalar-jet curvature sample per radius; five
-    d values of 2048 radii (three passes) take about 5.1 ms (2-core Xeon VM).
+    d values of 2048 radii (three passes) take about 3.3 ms (2-core Xeon VM).
     """
     d_values = [float(d) for d in d_values]
     _require_geometric(d_values, "gluing scan d values")
@@ -669,8 +669,8 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     per_pass = max(1, PASS_RADII // grid_points)
     rows = []
     for start in range(0, len(d_values), per_pass):
-        ds = d_values[start:start + per_pass]
-        grid = np.concatenate([np.geomspace(d, 2.0 * d, grid_points) for d in ds])
+        ds = np.array(d_values[start:start + per_pass])
+        grid = np.geomspace(ds, 2.0 * ds, grid_points, axis=1).ravel()
         ric, rm = frame_norms(glued_profile(np.repeat(ds, grid_points)), grid)
         for lo in range(0, len(grid), grid_points):
             annulus = slice(lo, lo + grid_points)

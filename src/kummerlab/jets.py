@@ -20,7 +20,12 @@ performs the same IEEE operations in the same order on each entry as on
 floats, so entry i of an array result equals the float result at point i
 bit for bit.  A float is never wrapped into an array: `x ** 2` squares
 through libm pow on a float but as x*x on an array, and the two differ in
-the last bit on some inputs.  No recurrence adds a leading 0 or
+the last bit on some inputs.  exp is the exception, as numpy's exp loops
+(picked by its CPU dispatch) may differ from libm in the last bit: both
+paths call the numpy ufunc, on a float as a 0-d value and on an array
+made contiguous (the AVX-512 loop leaves negative strides to libm), and
+so get one loop's bits.  Like math.exp, it raises OverflowError where a
+finite value's exp is infinite.  No recurrence adds a leading 0 or
 multiplies by 1, so none builds an array that only copies another.
 """
 
@@ -134,11 +139,10 @@ class Jet:
 
     def exp(self) -> "Jet":
         a = self.coeffs
-        if isinstance(a[0], np.ndarray):
-            # np.exp and libm exp differ in the last bit on some inputs.
-            e = [np.fromiter(map(math.exp, a[0].tolist()), float, len(a[0]))]
-        else:
-            e = [math.exp(a[0])]
+        with np.errstate(all="ignore"):  # one kernel on both paths: see the module docstring
+            v = np.exp(np.ascontiguousarray(a[0]) if isinstance(a[0], np.ndarray) else a[0])
+        _refuse(np.isinf(v) & np.isfinite(a[0]), OverflowError, "jet exp overflow")
+        e = [v if v.ndim else float(v)]
         d = self.deriv_jet().coeffs  # d[j - 1] = j a[j]
         for k in range(1, len(a)):
             t = _dot(d, e, k - 1, 0, k - 1)

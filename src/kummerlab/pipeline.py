@@ -202,7 +202,7 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         "lifts": {names[i]: str(lift) for i, lift in enumerate(rep.lifts)},
         "commutator_signs": rep.commutator_signs,
         "squares": rep.squares,
-        "square_convention": f"e_i^2 = {rep.square_convention:+d}",
+        "square_convention": f"e_i^2 = {rep.square_sign:+d}",
         "verdict": rep.verdict,
     }
     if rep.witness is not None:

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kummerlab import jets
 from kummerlab.cli import bundled_examples
 from kummerlab.clifford import CliffordMonomial
 from kummerlab.curvature import Cutoff, RadialProfile
@@ -60,6 +61,33 @@ def group_a(spec_a):
 @pytest.fixture(scope="session")
 def group_b(spec_b):
     return generate_group(spec_b.generators, spec_b.generator_names)
+
+
+class _LibmExpNumpy:
+    """numpy, except that exp runs libm's exp entry by entry and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.calls += 1
+        return np.array([math.exp(v) for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+@pytest.fixture
+def libm_exp(monkeypatch):
+    """Jet.exp on libm's kernel instead of the one numpy's CPU dispatch picks.
+
+    numpy's baseline float64 exp loop calls libm; its X86_V4 (AVX-512) loop
+    differs from libm in the last bit on some arguments.  With this fixture
+    a test sees the libm bits wherever numpy picks the X86_V4 loop.
+    """
+    patched = _LibmExpNumpy()
+    monkeypatch.setattr(jets, "np", patched)
+    return patched
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ ORDER_4096 = str(Path(__file__).resolve().parent / "data" / "order-4096.spec")
 SHIFT70 = str(Path(__file__).resolve().parent / "data" / "example-a-shift70.spec")
 # A quarter turn in (x2, x3) and example-a's alpha: a generator permutes axes.
 QUARTER_TURN = str(Path(__file__).resolve().parent / "data" / "quarter-turn.spec")
+# The benchmark's dense scan at seed 1: five annuli of 2048 radii from d = 8.5.
+SCAN_2048 = str(Path(__file__).resolve().parent / "data" / "scan-2048.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -154,6 +156,22 @@ def test_curvature_scan_csvs_match_golden(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "scan.csv").read_bytes() == (GOLDEN / "example-a.scan.csv").read_bytes()
     assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "example-a.scan.mu.csv").read_bytes()
+
+
+def test_goldens_do_not_depend_on_the_exp_kernel(tmp_path, libm_exp):
+    """verify and the dense scan write their goldens with Jet.exp on libm's
+    kernel too, not only on the one numpy dispatches to on this CPU."""
+    report, scan = tmp_path / "report.json", tmp_path / "scan.csv"
+    verify = CliRunner().invoke(main, ["--json", str(report), "verify", EXAMPLE_A])
+    assert verify.exit_code == 0, verify.output
+    golden = (GOLDEN / "example-a.verify.txt").read_bytes()
+    assert verify.stdout_bytes == golden + f"wrote {report}\n".encode()
+    assert report.read_bytes() == (GOLDEN / "example-a.json").read_bytes()
+    dense = CliRunner().invoke(main, ["curvature-scan", SCAN_2048, "--csv", str(scan)])
+    assert dense.exit_code == 0, dense.output
+    assert scan.read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.csv").read_bytes()
+    assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.mu.csv").read_bytes()
+    assert libm_exp.calls > 0
 
 
 STAGE_SPECS = pytest.mark.parametrize(

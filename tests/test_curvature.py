@@ -546,6 +546,16 @@ def test_every_dense_scan_csv_matches_golden(tmp_path):
     """Both CSV tables of all 49 dense scans the benchmark draws from (d0 = k/4,
     k = 16..64, d = d0 * 2^j, j = 0..4, 2048 radii each: three passes of 2, 2
     and 1 annuli), pinned from the full-order pass."""
+    assert_dense_scan_csvs_match_golden(tmp_path)
+
+
+def test_dense_scan_csvs_match_golden_with_libm_exp(tmp_path, libm_exp):
+    """The 49 dense scans write the same CSVs with Jet.exp on libm's kernel."""
+    assert_dense_scan_csvs_match_golden(tmp_path)
+    assert libm_exp.calls > 0
+
+
+def assert_dense_scan_csvs_match_golden(tmp_path):
     for k in range(16, 65):
         d0 = k / 4
         ds = [d0 * 2**j for j in range(5)]

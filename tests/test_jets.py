@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -201,3 +203,41 @@ def test_array_jet_error_paths_match_scalar():
         Jet.seed(np.array([1.0, 800.0])).exp()
     with pytest.raises(OverflowError):
         Jet.seed(800.0).exp()
+
+
+LARGEST_FINITE_EXP = 709.782712893384  # math.exp of the next float up overflows
+
+
+def test_exp_edges_match_math_exp_on_both_paths():
+    xs = [LARGEST_FINITE_EXP, -740.0, -1e6, math.inf, -math.inf, math.nan]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes either path
+        array = Jet((np.array(xs),)).exp().value
+        scalar = [Jet((x,)).exp().value for x in xs]
+        # The finite arguments carry derivatives as well.
+        assert_entrywise_bitwise(Jet.seed(np.array(xs[:3])).exp(), [Jet.seed(x).exp() for x in xs[:3]])
+    assert all(type(v) is float for v in scalar)
+    want = [math.exp(x) for x in xs]
+    assert 0.0 < want[1] < sys.float_info.min  # subnormal
+    assert same_bits(array[:5], np.array(scalar[:5])) and same_bits(array[:5], np.array(want[:5]))
+    assert math.isnan(array[5]) and math.isnan(scalar[5]) and math.isnan(want[5])
+
+
+def test_exp_overflows_where_math_exp_does():
+    over = math.nextafter(LARGEST_FINITE_EXP, math.inf)
+    with pytest.raises(OverflowError):
+        math.exp(over)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="jet exp overflow at entry 2"):
+            Jet.seed(np.array([1.0, LARGEST_FINITE_EXP, over, over])).exp()
+        with pytest.raises(OverflowError, match="jet exp overflow$"):
+            Jet.seed(over).exp()
+        with pytest.raises(OverflowError, match="jet exp overflow at entry 0"):
+            Jet((np.array([over, math.inf]),)).exp()
+
+
+def test_exp_of_a_strided_array_matches_scalar_jets_bitwise():
+    xs = np.random.default_rng(13).uniform(-100.0, -1.0, 4096)
+    for view in (xs[::-1], xs[::3]):
+        assert_entrywise_bitwise(Jet.seed(view).exp(), [Jet.seed(x).exp() for x in view.tolist()])

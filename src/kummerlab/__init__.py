@@ -39,7 +39,6 @@ from .torus import (
     FixedComponent,
     GroupTable,
     SingularCensus,
-    compose,
     fixed_locus,
     generate_group,
     pi1_certificate,
@@ -67,7 +66,6 @@ __all__ = [
     "christoffel",
     "clifford_mul",
     "cohomo_curvature",
-    "compose",
     "decay_scan",
     "eh_profile",
     "fixed_locus",

@@ -145,7 +145,7 @@ def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
     group = _group(ctx, spec)
-    known = pipeline.element_index(spec, group)
+    known = group.element_index
     for name in [element] if element else spec.generator_names:
         if name not in known:
             _fail(f"unknown element {name!r}; the group has {group.order} elements, named as "

@@ -292,20 +292,30 @@ def extend_rule(group: GroupTable, generator_signs: dict[str, tuple[int, ...]]) 
 
     The extension follows the group table's own construction (element =
     parent * generator); whether the result is a genuine homomorphism is
-    checked separately by check_covariance.
+    checked separately by check_covariance.  A name resolves through
+    group.element_index, so a repeated or identity generator is accepted,
+    and a value that disagrees with the one its element already has (the
+    identity's, or another name's for the same element) raises ValueError.
     """
     rank = len(next(iter(generator_signs.values())))
     signs: dict[int, tuple[int, ...]] = {0: tuple([1] * rank)}
-    gen_index = {name: i for i, name in enumerate(group.names)}
-    missing = [n for n in generator_signs if n not in gen_index]
+    index = group.element_index
+    missing = [n for n in generator_signs if n not in index]
     if missing:
         raise ValueError(f"rule names unknown generators: {missing}")
-    frontier = [0]
+    frontier = []
+    for name, gsigns in generator_signs.items():
+        j = index[name]
+        if j not in signs:
+            signs[j] = gsigns
+            frontier.append(j)
+        elif signs[j] != gsigns:
+            raise ValueError(f"rule gives {name} the value {gsigns}, but its element {group.names[j]} has {signs[j]}")
     while frontier:
         nxt = []
         for i in frontier:
             for name, gsigns in generator_signs.items():
-                j = group.mul(i, gen_index[name])
+                j = group.mul(i, index[name])
                 if j not in signs:
                     signs[j] = tuple(a * b for a, b in zip(signs[i], gsigns))
                     nxt.append(j)

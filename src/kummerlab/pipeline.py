@@ -367,14 +367,6 @@ def run_fstructure_stage(spec: ConstructionSpec, group, report: Report):
     report.claim("f_structure.polarized", frep.polarized, value=frep.polarized)
 
 
-def element_index(spec: ConstructionSpec, group) -> dict[str, int]:
-    """Element index by name: the closure's names, then the declared generator
-    names, which resolve by element (a repeated generator has no closure name)."""
-    known = dict(zip(group.names, range(group.order)))
-    known.update(zip(spec.generator_names, group.right[0]))
-    return known
-
-
 # The [expected] keys after fixed_circles, in claim order, each with where the
 # report's sections hold its observed value (None when the stage gave none).
 _EXPECTED_VALUES = {
@@ -391,7 +383,7 @@ _EXPECTED_VALUES = {
 
 def run_expected_stage(spec: ConstructionSpec, report: Report, group):
     exp = spec.expected
-    index = element_index(spec, group)
+    index = group.element_index
     loci = report.sections["fixed_loci"]["per_element"]
     rows = [(f"fixed_circles.{name}", loci[group.names[index[name]]] if name in index else None, count)
             for name, count in exp.get("fixed_circles", {}).items()]

@@ -3,10 +3,12 @@
 An isometry is its integer code: a signed permutation for the linear part
 and the translation, reduced mod 1, as integer numerators over a common
 denominator; its matrix and its Fraction translation are views for
-reports.  Everything in this module is exact: the group closure runs on
-the codes and keeps only its Cayley graph, products by generators; fixed
-loci are read off the cycles of each element's signed permutation (once
-per group element); components are rows of integer arrays, each the
+reports.  Everything in this module is exact: the group closure composes
+one BFS level's code arrays with every generator at once, the same
+composition of the arrays with themselves gives the exponent, and the
+closure keeps only its Cayley graph, products by generators; fixed loci
+are read off the cycles of each element's signed permutation (once per
+group element); components are rows of integer arrays, each the
 numerators of its lexicographically least rational point over a common
 denominator, found by subtracting its unit-pivot direction rows; and census
 orbits are traced along the closure's spanning tree through the generators'
@@ -143,22 +145,6 @@ def _isometry(perm: tuple[int, ...], signs: tuple[int, ...], nums: tuple[int, ..
     return f
 
 
-def compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:
-    """The isometry x -> f(g(x))."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    n = f.dim
-    lin = tuple(
-        tuple(sum(f.linear[i][k] * g.linear[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-    trans = tuple(
-        sum(Fraction(f.linear[i][k]) * g.translation[k] for k in range(n)) + f.translation[i]
-        for i in range(n)
-    )
-    return AffineIsometry(lin, trans)
-
-
 class GroupClosureError(RuntimeError):
     pass
 
@@ -170,6 +156,7 @@ class GroupTable:
     right[i][k] is the index of element i composed with generator k.
     factors[p] = (i, g) records the closure's spanning tree: element p is
     element i composed with the generator element g (factors[0] = (0, 0)).
+    generator_names are the declared names, generator k's at k.
     """
 
     elements: list[AffineIsometry]
@@ -178,6 +165,7 @@ class GroupTable:
     abelian: bool
     exponent: int
     factors: list[tuple[int, int]]
+    generator_names: list[str]
 
     @property
     def order(self) -> int:
@@ -197,6 +185,15 @@ class GroupTable:
         """The fixed components of every element, by index, computed on first
         use from the elements' codes: all are rows over 2N, N = denom."""
         return [fixed_locus(el) for el in self.elements]
+
+    @cached_property
+    def element_index(self) -> dict[str, int]:
+        """Element index by name: the closure's names, then the declared
+        generator names, which resolve by element (a repeated or identity
+        generator has no closure name of its own)."""
+        index = dict(zip(self.names, range(self.order)))
+        index.update(zip(self.generator_names, self.right[0]))
+        return index
 
     @cached_property
     def generator_indices(self) -> list[int]:
@@ -243,13 +240,12 @@ class GroupTable:
         return frozenset(closed)
 
 
-def _compose_codes(f: tuple[int, ...], g: tuple[int, ...], n: int, denom: int) -> tuple[int, ...]:
-    """Code of f∘g, a code being (*perm, *signs, *nums) over denom in one tuple:
-    (f∘g)(x)_i = s_f[i] (s_g[p] x[p_g[p]] + t_g[p]) + t_f[i], p = p_f[i]."""
-    perm = tuple(g[f[i]] for i in range(n))
-    signs = tuple(f[n + i] * g[n + f[i]] for i in range(n))
-    trans = tuple((f[n + i] * g[2 * n + f[i]] + f[2 * n + i]) % denom for i in range(n))
-    return perm + signs + trans
+def _compose(f: tuple, g: tuple, rows, denom: int) -> tuple:
+    """Codes of f∘g, f and g being (perm, signs, nums) arrays over denom whose
+    rows broadcast: (f∘g)(x)_i = s_f[i] (s_g[p] x[p_g[p]] + t_g[p]) + t_f[i],
+    p = p_f[i], reading g's codes at the rows."""
+    (fp, fs, ft), (gp, gs, gt) = f, g
+    return gp[rows, fp], fs * gs[rows, fp], (fs * gt[rows, fp] + ft) % denom
 
 
 def generate_group(
@@ -261,57 +257,57 @@ def generate_group(
 
     Element 0 is the identity; generators follow in the declared order,
     then products by BFS level, which makes the ordering deterministic.
-    The closure runs on integer codes and keeps its right multiplications
-    by generators.  The group is abelian iff its generators commute pairwise.
+    Each level is composed with every generator at once, on code arrays,
+    and keeps its right multiplications by generators.  The group is
+    abelian iff its generators commute pairwise.
     """
     if not generators:
         raise ValueError("empty generator list")
-    n = generators[0].dim
+    n, k = generators[0].dim, len(generators)
     if any(g.dim != n for g in generators):
         raise ValueError("dimension mismatch among generators")
     if names is None:
-        names = [f"g{i+1}" for i in range(len(generators))]
+        names = [f"g{i+1}" for i in range(k)]
 
     denom = lcm(1, *(g.denom for g in generators))
-    gen_codes = [(*g.perm, *g.signs, *(t * (denom // g.denom) for t in g.nums)) for g in generators]
-    ident = (*range(n), *(1,) * n, *(0,) * n)
-    codes = [ident]
-    elt_names = ["e"]
-    index = {ident: 0}
-    steps: list[tuple[int, int]] = []  # element p = element i ∘ generator k, for p >= 1
-    right: list[list[int]] = []  # right[i][k]: index of element i composed with generator k
-    # Elements are visited in index order, which is BFS-level order.
-    i = 0
-    while i < len(codes):
-        row = []
-        for k, g in enumerate(gen_codes):
-            p = _compose_codes(codes[i], g, n, denom)
-            j = index.get(p)
-            if j is None:
-                if len(codes) >= max_order:
-                    raise GroupClosureError(
-                        f"group closure exceeded the cap of {max_order} elements"
-                    )
-                j = index[p] = len(codes)
-                codes.append(p)
-                elt_names.append(names[k] if i == 0 else elt_names[i] + "*" + names[k])
-                steps.append((i, k))
-            row.append(j)
-        right.append(row)
-        i += 1
+    dtype = _code_dtype(n, denom)
+    gens = (np.array([g.perm for g in generators], np.intp), np.array([g.signs for g in generators], dtype),
+            np.array([[t * (denom // g.denom) for t in g.nums] for g in generators], dtype))
+    level = (np.arange(n)[None], np.ones((1, n), dtype), np.zeros((1, n), dtype))
+    index = {(*range(n), *(1,) * n, *(0,) * n): 0}
+    levels, elt_names, right = [level], ["e"], []  # right[i][kk]: element i composed with generator kk
+    steps: list[tuple[int, int]] = []  # element p = element i ∘ generator kk, for p >= 1
+    while len(level[0]):
+        start, size = len(right), len(index)
+        codes = _compose(tuple(a[:, None] for a in level), gens, np.arange(k)[:, None], denom)
+        flat = np.concatenate(codes, axis=2).reshape(-1, 3 * n).tolist()
+        found = [index.setdefault(key, len(index)) for key in map(tuple, flat)]
+        if len(index) > max_order:
+            raise GroupClosureError(f"group closure exceeded the cap of {max_order} elements")
+        fresh = []  # each new element's first occurrence, in row-major (i, kk) order
+        for e, j in enumerate(found):
+            if j == size + len(fresh):
+                fresh.append(e)
+                i, kk = start + e // k, e % k
+                elt_names.append(names[kk] if i == 0 else elt_names[i] + "*" + names[kk])
+                steps.append((i, kk))
+        right += [found[e : e + k] for e in range(0, len(found), k)]
+        level = tuple(a.reshape(-1, n)[fresh] for a in codes)
+        levels.append(level)
 
-    # The generator elements a = right[0][k] commute pairwise; the exponent is
-    # the lcm of the element orders: L, the linear part's order, times that of f^L.
+    # The generator elements a = right[0][kk] commute pairwise; an element's
+    # order is its linear part's, m, times that of its m-th power's translation.
     abelian = all(right[a][kb] == right[b][ka] for ka, a in enumerate(right[0]) for kb, b in enumerate(right[0]))
-    exponent = 1
-    for code in codes:
-        power, m = code, 1
-        while power[: 2 * n] != ident[: 2 * n]:
-            power, m = _compose_codes(power, code, n, denom), m + 1
-        exponent = lcm(exponent, m * (denom // gcd(denom, *power[2 * n :])))
-    elements = [_isometry(c[:n], c[n : 2 * n], c[2 * n :], denom) for c in codes]
-    factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
-    return GroupTable(elements, elt_names, right, abelian, exponent, factors)
+    codes = tuple(np.concatenate(arrays) for arrays in zip(*levels))
+    power, pending, exponent, m = codes, np.ones(len(index), bool), 1, 1
+    while pending.any():
+        done = pending & (power[0] == np.arange(n)).all(axis=1) & (power[1] == 1).all(axis=1)
+        exponent = lcm(exponent, *(m * (denom // np.gcd(np.gcd.reduce(power[2][done], axis=1), denom))).tolist())
+        power, pending, m = _compose(power, codes, np.arange(len(index))[:, None], denom), pending & ~done, m + 1
+    del levels, codes, power  # freed first: the arrays and the elements never coexist
+    elements = [_isometry(c[:n], c[n : 2 * n], c[2 * n :], denom) for c in index]
+    factors = [(0, 0)] + [(i, right[0][kk]) for i, kk in steps]
+    return GroupTable(elements, elt_names, right, abelian, exponent, factors, names)
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from kummerlab.forms import form_basis, induced_action
 from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
 from kummerlab.jets import Jet
 from kummerlab.specfile import parse_construction
-from kummerlab.torus import AffineIsometry, FixedComponent, GroupTable, compose, generate_group
+from kummerlab.torus import AffineIsometry, FixedComponent, GroupTable, generate_group
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -248,7 +248,24 @@ def lattice_adapted_basis(rows: list[list[int]]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Brute-force group closure oracle.
+# Composition and brute-force group closure oracles.
+
+
+def compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:
+    """The isometry x -> f(g(x)), from the matrix product and the Fraction
+    translations of the two views."""
+    if f.dim != g.dim:
+        raise ValueError("dimension mismatch")
+    n = f.dim
+    lin = tuple(
+        tuple(sum(f.linear[i][k] * g.linear[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+    trans = tuple(
+        sum(Fraction(f.linear[i][k]) * g.translation[k] for k in range(n)) + f.translation[i]
+        for i in range(n)
+    )
+    return AffineIsometry(lin, trans)
 
 
 def brute_force_closure(generators) -> set:

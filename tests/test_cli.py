@@ -389,6 +389,37 @@ def test_f_structure_command_exit_codes():
     assert "FAIL  covariance[W_ab]" in bad.output
 
 
+def example_a_with_generator(tmp_path, generator: str, psi: str) -> Path:
+    """Example-a with one more generator, declared after gamma, and one more psi line under V."""
+    text = Path(EXAMPLE_A).read_text().replace("[gluing]", generator + "\n[gluing]", 1)
+    spec = tmp_path / "extra.spec"
+    spec.write_text(text.replace("psi gamma - - +\n", f"psi gamma - - +\npsi {psi}\n", 1))
+    return spec
+
+
+ALPHA2 = "[generator alpha2]\ndiag 1 -1 -1 -1 -1\ntranslation 0 0 0 1/2 0\n"
+IOTA = "[generator iota]\ndiag 1 1 1 1 1\ntranslation 0 0 0 0 0\n"
+
+
+@pytest.mark.parametrize("generator, psi, error", [
+    (ALPHA2, "alpha2 + - -", None),
+    (IOTA, "iota + + +", None),
+    (ALPHA2, "alpha2 - - -", "V: rule gives alpha2 the value (-1, -1, -1), but its element alpha has (1, -1, -1)"),
+    (IOTA, "iota - + +", "V: rule gives iota the value (-1, 1, 1), but its element e has (1, 1, 1)"),
+    (ALPHA2, "zeta + - -", "V: rule names unknown generators: ['zeta']"),
+], ids=["repeated", "identity", "repeated-conflict", "identity-conflict", "unknown"])
+def test_psi_resolves_declared_generator_names(tmp_path, generator, psi, error):
+    """psi accepts every declared generator name, as fixed-locus --element and
+    [expected] fixed_circles do; a value that disagrees with its element's is
+    a rule error, and so is a name nothing declares."""
+    spec = example_a_with_generator(tmp_path, generator, psi)
+    out = tmp_path / "f.json"
+    result = CliRunner().invoke(main, ["--json", str(out), "f-structure", str(spec)])
+    assert result.exit_code == (1 if error else 0), result.output
+    assert json.loads(out.read_text())["f_structure"]["rule_errors"] == ([error] if error else [])
+    assert ("FAIL  covariance[V]  (no covariance rule declared)" in result.output) == bool(error)
+
+
 def test_chart_centers_are_torus_points(tmp_path):
     """Centers are read mod 1: an unreduced copy of W_alpha's centers is the same chart."""
     spec = edited_example_a(tmp_path, "centers 0,0 0,3/2 -1/2,0 1/2,1/2")

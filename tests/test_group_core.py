@@ -1,7 +1,8 @@
 """The integer group core against the direct algorithms it replaced.
 
 The references are kept here verbatim in spirit: the BFS closure with a
-product table built by `compose`, the fixed locus solved through the
+product table built by `compose`, the closure on flat code tuples with
+its per-element power loop, the fixed locus solved through the
 integer Smith normal form and canonicalized against any saturated
 lattice, the canonical basepoint by enumerating all q^dim candidates,
 the image of a component computed in `Fraction`s, the generators'
@@ -31,6 +32,7 @@ from conftest import (
     apply_linear,
     brute_force_closure,
     component,
+    compose,
     compose_products,
     example_spec,
     fraction_key,
@@ -49,7 +51,6 @@ from kummerlab.specfile import parse_construction
 from kummerlab.torus import (
     AffineIsometry,
     GroupClosureError,
-    compose,
     fixed_locus,
     generate_group,
     singular_census,
@@ -415,6 +416,90 @@ def test_closure_elements_are_the_isometries_of_their_views(case):
         assert hash(el) == hash(built) and repr(el) == repr(built)
         assert el.denom == denom and (el.perm, el.signs) == (built.perm, built.signs)
         assert el.nums == tuple(t * (denom // built.denom) for t in built.nums)
+
+
+def tuple_reference_closure(generators, names, max_order):
+    """Reference closure on flat (*perm, *signs, *nums) code tuples, one
+    composition at a time, with a per-element power loop for the exponent:
+    (elements, names, right, factors, abelian, exponent)."""
+    n = generators[0].dim
+    denom = lcm(1, *(g.denom for g in generators))
+
+    def compose_codes(f, g):
+        perm = tuple(g[f[i]] for i in range(n))
+        signs = tuple(f[n + i] * g[n + f[i]] for i in range(n))
+        trans = tuple((f[n + i] * g[2 * n + f[i]] + f[2 * n + i]) % denom for i in range(n))
+        return perm + signs + trans
+
+    gen_codes = [(*g.perm, *g.signs, *(t * (denom // g.denom) for t in g.nums)) for g in generators]
+    ident = (*range(n), *(1,) * n, *(0,) * n)
+    codes, elt_names, index, steps, right = [ident], ["e"], {ident: 0}, [], []
+    i = 0
+    while i < len(codes):
+        row = []
+        for k, g in enumerate(gen_codes):
+            p = compose_codes(codes[i], g)
+            j = index.get(p)
+            if j is None:
+                if len(codes) >= max_order:
+                    raise GroupClosureError(f"group closure exceeded the cap of {max_order} elements")
+                j = index[p] = len(codes)
+                codes.append(p)
+                elt_names.append(names[k] if i == 0 else elt_names[i] + "*" + names[k])
+                steps.append((i, k))
+            row.append(j)
+        right.append(row)
+        i += 1
+    abelian = all(right[a][kb] == right[b][ka] for ka, a in enumerate(right[0]) for kb, b in enumerate(right[0]))
+    exponent = 1
+    for code in codes:
+        power, m = code, 1
+        while power[: 2 * n] != ident[: 2 * n]:
+            power, m = compose_codes(power, code), m + 1
+        exponent = lcm(exponent, m * (denom // math.gcd(denom, *power[2 * n :])))
+    elements = [AffineIsometry(
+        tuple(tuple(c[n + r] if j == c[r] else 0 for j in range(n)) for r in range(n)),
+        tuple(Fraction(t, denom) for t in c[2 * n :])) for c in codes]
+    factors = [(0, 0)] + [(i, right[0][k]) for i, k in steps]
+    return elements, elt_names, right, factors, abelian, exponent
+
+
+def assert_matches_tuple_reference(gens, names, max_order):
+    table = generate_group(gens, names, max_order=max_order)
+    elements, elt_names, right, factors, abelian, exponent = tuple_reference_closure(gens, names, max_order)
+    assert table.elements == elements
+    assert [(el.perm, el.signs, el.nums, el.denom) for el in table.elements] == [
+        (el.perm, el.signs, tuple(t * (table.denom // el.denom) for t in el.nums), table.denom) for el in elements]
+    assert (table.names, table.right, table.factors) == (elt_names, right, factors)
+    assert (table.abelian, table.exponent) == (abelian, exponent)
+
+
+@pytest.mark.parametrize("case", range(len(CODE_CASES)))
+def test_array_closure_matches_tuple_reference(case):
+    gens, names = CODE_CASES[case]
+    assert_matches_tuple_reference(gens, names, 256)
+
+
+def test_deep_array_closure_matches_tuple_reference():
+    """order-4096.spec: a translation of order 512 makes the BFS 260 levels
+    deep (its longest word has 259 letters)."""
+    spec = parse_construction(str(DATA / "order-4096.spec"))
+    assert max(name.count("*") + 1 for name in generate_group(spec.generators, spec.generator_names, 4096).names) == 259
+    assert_matches_tuple_reference(spec.generators, spec.generator_names, 4096)
+
+
+@pytest.mark.parametrize("stem, order", [("group-order32", 32), ("example-a-shift70", 8)])
+def test_closure_cap_at_its_boundary(stem, order):
+    """The cap admits a group of exactly its size and refuses one element more,
+    on int64 codes (order 32) and on Python-int codes (shift70, N = 2^69)."""
+    spec = parse_construction(str(DATA / f"{stem}.spec"))
+    group = generate_group(spec.generators, spec.generator_names, max_order=order)
+    assert group.order == order
+    assert torus._code_dtype(group.dim, group.denom) is (object if stem == "example-a-shift70" else np.int64)
+    with pytest.raises(GroupClosureError, match=f"^group closure exceeded the cap of {order - 1} elements$"):
+        generate_group(spec.generators, spec.generator_names, max_order=order - 1)
+    with pytest.raises(GroupClosureError, match=f"^group closure exceeded the cap of {order - 1} elements$"):
+        tuple_reference_closure(spec.generators, spec.generator_names, order - 1)
 
 
 def test_closure_and_fixed_loci_build_no_fraction(monkeypatch):

@@ -12,6 +12,7 @@ from conftest import (
     brute_force_components,
     brute_force_fixed_points,
     component_grid_points,
+    compose,
     compose_products,
     fraction_key,
     is_identity,
@@ -23,7 +24,6 @@ from kummerlab.torus import (
     AffineIsometry,
     _signed_permutation,
     GroupClosureError,
-    compose,
     fixed_locus,
     generate_group,
     pi1_certificate,

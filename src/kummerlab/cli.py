@@ -236,7 +236,7 @@ def curvature_scan(ctx, spec_path, csv_path):
     if glue is None:
         _fail("spec has no gluing block")
     gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
-    mu = curvature.mu_report(gscan, glue.d_values)
+    mu = curvature.mu_report(gscan)
     try:
         files = pipeline.write_scan_csv(gscan, mu, csv_path)
     except OSError as exc:

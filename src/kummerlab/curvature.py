@@ -51,7 +51,6 @@ class CurvatureSample:
     of the first Bianchi identity (cyclic sum over the last three slots).
     """
 
-    location: object
     riemann_frame: np.ndarray
     rm_norm: float
     ricci_frame: np.ndarray
@@ -60,7 +59,7 @@ class CurvatureSample:
     bianchi_residual: float
 
 
-def _sample_from_frame_tensor(location, rm_frame: np.ndarray, ric_sign: int = 1) -> CurvatureSample:
+def _sample_from_frame_tensor(rm_frame: np.ndarray, ric_sign: int) -> CurvatureSample:
     ric = ric_sign * np.einsum("llik->ik", rm_frame)
     pair = float(np.max(np.abs(rm_frame - np.einsum("jkli->lijk", rm_frame))))
     bianchi = float(
@@ -73,7 +72,6 @@ def _sample_from_frame_tensor(location, rm_frame: np.ndarray, ric_sign: int = 1)
         )
     )
     return CurvatureSample(
-        location=location,
         riemann_frame=rm_frame,
         rm_norm=float(np.sqrt(np.sum(rm_frame**2))),
         ricci_frame=ric,
@@ -197,7 +195,7 @@ def riemann(chart: MetricChart, x, frame: np.ndarray | None = None) -> tuple[np.
     rm_frame = np.einsum(
         "lijk,la,ib,jc,kd->abcd", lowered, vectors, vectors, vectors, vectors
     )
-    sample = _sample_from_frame_tensor(tuple(x), rm_frame, ric_sign=calibration().contraction_sign)
+    sample = _sample_from_frame_tensor(rm_frame, ric_sign=calibration().contraction_sign)
     return riem, sample
 
 
@@ -405,7 +403,7 @@ def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
     """Orthonormal-frame curvature sample of the profile metric at radius r."""
     cal = calibration()
     return _sample_from_frame_tensor(
-        r, _cohomo_frame_tensor(profile, r, cal.structure_constant), ric_sign=cal.contraction_sign
+        _cohomo_frame_tensor(profile, r, cal.structure_constant), ric_sign=cal.contraction_sign
     )
 
 
@@ -413,7 +411,7 @@ def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
 # Euler-angle chart of the profile metrics and the coframe for comparisons
 
 
-def euler_chart(profile: RadialProfile, r_margin: float = 0.1) -> MetricChart:
+def euler_chart(profile: RadialProfile) -> MetricChart:
     """Coordinate chart (r, theta, phi, psi) of a cohomogeneity-one metric.
 
     Realizes the left-invariant coframe in half-angle Euler form, so the
@@ -436,11 +434,10 @@ def euler_chart(profile: RadialProfile, r_margin: float = 0.1) -> MetricChart:
         out[3, 3] = b / 4.0
         return out
 
-    lo = profile.domain[0] + r_margin
     return MetricChart(
         dim=4,
         g=g,
-        box=[(lo, profile.domain[1]), (0.2, math.pi - 0.2), (-8.0, 8.0), (-8.0, 8.0)],
+        box=[(profile.domain[0] + 0.1, profile.domain[1]), (0.2, math.pi - 0.2), (-8.0, 8.0), (-8.0, 8.0)],
         fd_scale=lambda x: np.array([max(x[0], 1.0), 1.0, 1.0, 1.0]),
         name=f"euler-chart({profile.name})",
     )
@@ -555,7 +552,6 @@ class ScanSeries:
 
 @dataclass
 class ScanResult:
-    parameter_name: str
     parameters: list[float]
     series: dict[str, ScanSeries] = field(default_factory=dict)
 
@@ -567,6 +563,11 @@ class ScanResult:
                 s.slope, s.intercept, s.residual = fitted
         self.series[name] = s
         return s
+
+    def rows(self, columns) -> list[dict]:
+        """One row per parameter: the parameter as d, then each column's value."""
+        return [{"d": d, **{c: self.series[c].values[i] for c in columns}}
+                for i, d in enumerate(self.parameters)]
 
 
 def fit_loglog(xs, ys) -> tuple[float, float, float] | None:
@@ -612,7 +613,7 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
         max(abs(ai - 1.0), abs(bi / r**2 - 1.0), abs(ci / r**2 - 1.0))
         for r, ai, bi, ci in zip(radii, a, b, c)
     ]
-    out = ScanResult(parameter_name="r", parameters=radii)
+    out = ScanResult(radii)
     out.add("metric_deviation", devs)
     # |Rm| off the same evaluation: a profile that returns the jets just taken.
     evaluated = RadialProfile(profile.name, lambda _: jets, profile.domain)
@@ -648,8 +649,15 @@ def _frame_norms(profile: RadialProfile, radii, n: float) -> tuple[np.ndarray, n
     return np.full(radii.shape, ric_norm), np.full(radii.shape, rm_norm)
 
 
+# The columns of the two curvature tables, after d: the report's rows and
+# the CSVs of curvature-scan read these series of the scans below.
+GLUE_COLUMNS = ("r_sup", "sup_ric_annulus", "sup_rm_annulus")
+MU_COLUMNS = ("rescaled_sup_ric", "diam_bound", "mu_proxy")
+
+
 def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
-    """Sup of |Ric| (and |Rm|) of the glued profile over the annulus [d, 2d].
+    """Sup of |Ric| (and |Rm|) of the glued profile over the annulus [d, 2d],
+    as the GLUE_COLUMNS.
 
     The sup is taken on a geometric r-grid per d; the argmax radius (the
     first one, on ties) is reported alongside.  The grids of consecutive
@@ -676,10 +684,9 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
             annulus = slice(lo, lo + grid_points)
             best = lo + int(np.argmax(ric[annulus]))
             rows.append((float(grid[best]), float(ric[best]), float(rm[annulus].max())))
-    out = ScanResult(parameter_name="d", parameters=d_values)
-    out.add("r_sup", [r[0] for r in rows], fit=False)
-    out.add("sup_ric_annulus", [r[1] for r in rows])
-    out.add("sup_rm_annulus", [r[2] for r in rows], fit=False)
+    out = ScanResult(d_values)
+    for column, values, fit in zip(GLUE_COLUMNS, zip(*rows), (False, True, False)):
+        out.add(column, values, fit=fit)
     return out
 
 
@@ -696,22 +703,20 @@ def diam_bound(d: float) -> float:
     return 1.0 + 2.0 * (2.0 * d + 2.0) / (20.0 * d)
 
 
-def mu_report(scan: ScanResult, d_values) -> ScanResult:
-    """Rescaled curvature bound, diameter bound, and the almost-flatness proxy.
+def mu_report(scan: ScanResult) -> ScanResult:
+    """Rescaled curvature bound, diameter bound, and the almost-flatness
+    proxy, the MU_COLUMNS, at the d values of a glue_ricci_scan result.
 
     Scaling a metric by c^2 = (20d)^2 multiplies the sup norm of Ricci by
     c^-2, so the rescaled sup is (20d)^2 sup|Ric|; the proxy is that times
     the squared diameter bound, expected to fall like d^-4.
     """
-    d_values = [float(d) for d in d_values]
-    if scan.parameters != d_values:
-        raise ValueError("mu report must consume the scan it rescales")
+    d_values = scan.parameters
     sup = scan.series["sup_ric_annulus"].values
     rescaled = [(20.0 * d) ** 2 * s for d, s in zip(d_values, sup)]
     diams = [diam_bound(d) for d in d_values]
     mus = [rs * dm**2 for rs, dm in zip(rescaled, diams)]
-    out = ScanResult(parameter_name="d", parameters=d_values)
-    out.add("rescaled_sup_ric", rescaled)
-    out.add("diam_bound", diams, fit=False)
-    out.add("mu_proxy", mus)
+    out = ScanResult(d_values)
+    for column, values, fit in zip(MU_COLUMNS, (rescaled, diams, mus), (True, False, True)):
+        out.add(column, values, fit=fit)
     return out

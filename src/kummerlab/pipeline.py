@@ -285,35 +285,18 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
     }
 
     gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
-    mu = curvature.mu_report(gscan, glue.d_values)
-    sup_ric = gscan.series["sup_ric_annulus"]
-    resc = mu.series["rescaled_sup_ric"]
+    mu = curvature.mu_report(gscan)
+    sup_ric, resc = gscan.series["sup_ric_annulus"], mu.series["rescaled_sup_ric"]
     mus = mu.series["mu_proxy"].values
     section["gluing"] = {
         "d_values": list(glue.d_values),
         "annulus_grid": glue.annulus_grid,
-        "rows": [
-            {
-                "d": d,
-                "r_sup": gscan.series["r_sup"].values[i],
-                "sup_ric_annulus": sup_ric.values[i],
-                "sup_rm_annulus": gscan.series["sup_rm_annulus"].values[i],
-            }
-            for i, d in enumerate(glue.d_values)
-        ],
+        "rows": gscan.rows(curvature.GLUE_COLUMNS),
         "sup_ric_slope": sup_ric.slope,
         "sup_ric_residual": sup_ric.residual,
     }
     section["mu"] = {
-        "rows": [
-            {
-                "d": d,
-                "rescaled_sup_ric": resc.values[i],
-                "diam_bound": mu.series["diam_bound"].values[i],
-                "mu_proxy": mus[i],
-            }
-            for i, d in enumerate(glue.d_values)
-        ],
+        "rows": mu.rows(curvature.MU_COLUMNS),
         "rescaled_slope": resc.slope,
         "mu_slope": mu.series["mu_proxy"].slope,
         "diam_bound_formula": curvature.DIAM_BOUND_FORMULA,
@@ -428,21 +411,20 @@ def run_all(
 
 
 def write_scan_csv(gscan, mu, path) -> list[str]:
-    """Write the annulus table to path and the mu table to path+'.mu.csv'.
+    """Write the annulus table of a glue_ricci_scan result to path and the
+    table of its mu_report to path with '.csv' replaced by (or, without
+    it, followed by) '.mu.csv'.
 
-    Returns the list of files written.  Column schemas are fixed:
-    (d, r_sup, sup_ric_annulus, sup_rm_annulus) and
-    (d, rescaled_sup_ric, diam_bound, mu_proxy), with a header row; every
+    Returns the list of files written.  Each table has a header row, d
+    and then curvature.GLUE_COLUMNS or curvature.MU_COLUMNS, the same rows
+    as the report's curvature.gluing.rows and curvature.mu.rows; every
     value is written to 12 significant digits.
     """
     path = str(path)
     mu_path = path[: -len(".csv")] + ".mu.csv" if path.endswith(".csv") else path + ".mu.csv"
-    tables = ((path, gscan, ("r_sup", "sup_ric_annulus", "sup_rm_annulus")),
-              (mu_path, mu, ("rescaled_sup_ric", "diam_bound", "mu_proxy")))
-    for target, scan, columns in tables:
+    for target, scan, columns in ((path, gscan, curvature.GLUE_COLUMNS), (mu_path, mu, curvature.MU_COLUMNS)):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(",".join(("d", *columns)) + "\n")
-            for i, d in enumerate(scan.parameters):
-                row = [d, *(scan.series[c].values[i] for c in columns)]
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+            for row in scan.rows(columns):
+                fh.write(",".join(f"{x:.12g}" for x in row.values()) + "\n")
     return [path, mu_path]

@@ -23,6 +23,16 @@ MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~1.3 s, ~275 MiB (2-core
 # [expected] field with a word value accepts (abelian in any case).
 SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
 _EXPECTED_WORDS = {"abelian": ("true", "false"), "spin": tuple(SPIN_WORDS.values()), "pi1": ("PASS", "FAIL")}
+_EXPECTED_INTS = ("orbits", "half_orbits", "b2_resolved", "b3_resolved", "f_rank")
+# The keys of each section kind: those given once, and those given on one
+# line per row.  Any other key, or a repeat of a single key, is an error.
+_SECTION_KEYS = {
+    "generator": ({"diag", "translation"}, {"row"}),
+    "gluing": ({"d_values", "annulus_grid", "decay_radii", "ricci_flat_radii", "ricci_flat_tol"}, set()),
+    "chart": ({"kind", "constrained", "centers", "epsilon", "action", "component_signs", "covering", "of",
+               "shrink"}, {"psi"}),
+    "expected": ({*_EXPECTED_INTS, *_EXPECTED_WORDS}, {"fixed_circles"}),
+}
 
 
 class SpecParseError(ValueError):
@@ -118,24 +128,27 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         if section is None:
             return
         kind, name, start = section
-        fields = {}
-        multi: dict[str, list[tuple[int, list[str]]]] = {}
+        if kind not in _SECTION_KEYS:
+            return fail(start, "section", f"unknown section kind {kind!r}")
+        single, rows = _SECTION_KEYS[kind]
+        multi: dict[str, list[tuple[int, list[str]]]] = {}  # every line of each key, in order
         for ln, toks in body:
             key = toks[0]
-            if kind == "gluing" and key in fields:
-                fail(ln, key, f"repeated key {key!r} in [gluing]")
-            multi.setdefault(key, []).append((ln, toks[1:]))
-            fields[key] = (ln, toks[1:])
+            if key not in single and key not in rows:
+                fail(ln, kind, f"unknown {kind} field {key!r}")
+            elif key in single and key in multi:
+                fail(ln, key, f"repeated key {key!r} in [{kind}]")
+            else:
+                multi.setdefault(key, []).append((ln, toks[1:]))
+        fields = {key: lines[0] for key, lines in multi.items()}
         if kind == "generator":
             _close_generator(name, start, fields, multi)
         elif kind == "gluing":
             gluing = _close_gluing(start, fields)
         elif kind == "chart":
             _close_chart(name, start, fields, multi)
-        elif kind == "expected":
-            _close_expected(start, multi)
         else:
-            fail(start, "section", f"unknown section kind {kind!r}")
+            _close_expected(multi)
 
     def _close_generator(name, start, fields, multi) -> None:
         if dimension is None:
@@ -143,6 +156,9 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             return
         n = dimension
         rows: list[list[int]] | None = None
+        if "diag" in fields and "row" in multi:
+            fail(start, "generator", "generator takes a 'diag' or 'row' linear part, not both")
+            return
         if "diag" in fields:
             ln, toks = fields["diag"]
             try:
@@ -277,26 +293,29 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                     signs = _parse_signs(toks[1:])
                     if len(signs) != action.rank:
                         raise ValueError(f"expected {action.rank} signs, one per acting direction")
+                    if toks[0] in table:
+                        raise ValueError(f"repeated psi name {toks[0]!r}")
                     table[toks[0]] = signs
                 except (IndexError, ValueError) as exc:
                     fail(ln, "psi", str(exc))
             psi[name] = table
 
-    def _close_expected(start, multi) -> None:
+    def _close_expected(multi) -> None:
         for key, rows in multi.items():
             for ln, toks in rows:
                 try:
                     if key == "fixed_circles":
-                        expected.setdefault("fixed_circles", {})[toks[0]] = int(toks[1])
-                    elif key in ("orbits", "half_orbits", "b2_resolved", "b3_resolved", "f_rank"):
+                        circles = expected.setdefault("fixed_circles", {})
+                        if toks[0] in circles:
+                            raise ValueError(f"repeated fixed_circles name {toks[0]!r}")
+                        circles[toks[0]] = int(toks[1])
+                    elif key in _EXPECTED_INTS:
                         expected[key] = int(toks[0])
-                    elif key in _EXPECTED_WORDS:
+                    else:
                         word = toks[0].lower() if key == "abelian" else toks[0]
                         if word not in _EXPECTED_WORDS[key]:
                             raise ValueError(f"{key} must be {' or '.join(_EXPECTED_WORDS[key])}, got {toks[0]!r}")
                         expected[key] = word == "true" if key == "abelian" else word
-                    else:
-                        fail(ln, "expected", f"unknown expected field {key!r}")
                 except (IndexError, ValueError) as exc:
                     fail(ln, "expected", str(exc))
 

@@ -133,7 +133,7 @@ def test_criterion_08_gluing_decay():
     start = time.time()
     ds = [10, 20, 40, 80, 160]
     scan = curv.glue_ricci_scan(ds, grid_points=512)
-    mu = curv.mu_report(scan, ds)
+    mu = curv.mu_report(scan)
     slope = scan.series["sup_ric_annulus"].slope
     rescaled = mu.series["rescaled_sup_ric"].slope
     mus = mu.series["mu_proxy"].values

@@ -239,7 +239,7 @@ def test_glued_metric_euclidean_outside():
 def test_mu_report_slopes_and_monotonicity():
     ds = [10, 20, 40, 80, 160]
     scan = glue_ricci_scan(ds, grid_points=256)
-    mu = mu_report(scan, ds)
+    mu = mu_report(scan)
     assert abs(mu.series["rescaled_sup_ric"].slope - (-4.0)) <= 0.2
     mus = mu.series["mu_proxy"].values
     assert all(b < a for a, b in zip(mus, mus[1:]))
@@ -560,6 +560,6 @@ def assert_dense_scan_csvs_match_golden(tmp_path):
         d0 = k / 4
         ds = [d0 * 2**j for j in range(5)]
         scan = glue_ricci_scan(ds, 2048)
-        files = pipeline.write_scan_csv(scan, mu_report(scan, ds), tmp_path / f"d0-{d0:g}.scan.csv")
+        files = pipeline.write_scan_csv(scan, mu_report(scan), tmp_path / f"d0-{d0:g}.scan.csv")
         for f in map(Path, files):
             assert f.read_bytes() == (GOLDEN_SCANS / f.name).read_bytes(), f.name

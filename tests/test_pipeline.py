@@ -238,7 +238,7 @@ def test_tolerance_scale_widens_windows(spec_a):
 def test_write_scan_csv(tmp_path):
     ds = [10, 20, 40, 80]
     scan = glue_ricci_scan(ds, grid_points=64)
-    mu = mu_report(scan, ds)
+    mu = mu_report(scan)
     target = tmp_path / "scan.csv"
     files = pipeline.write_scan_csv(scan, mu, target)
     assert [str(target), str(tmp_path / "scan.mu.csv")] == files

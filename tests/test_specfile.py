@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kummerlab.cli import bundled_examples
 from kummerlab.specfile import SpecParseError, parse_construction_text
 
 HALF = Fraction(1, 2)
@@ -168,3 +169,27 @@ def test_expected_words_every_stage_value_parses():
         assert parse_construction_text(MINIMAL + f"\n[expected]\nspin {word}\n").expected["spin"] == word
     assert parse_construction_text(MINIMAL + "\n[expected]\nabelian False\npi1 PASS\n").expected == {
         "abelian": False, "pi1": "PASS"}
+
+
+@pytest.mark.parametrize(
+    "after, line, error",
+    [
+        (10, "translaton 0 0 0 0 0", (11, "generator", "unknown generator field 'translaton'")),
+        (22, "annulus_gird 4096", (23, "gluing", "unknown gluing field 'annulus_gird'")),
+        (10, "translation 0 0 0 0 0", (11, "translation", "repeated key 'translation' in [generator]")),
+        (30, "epsilon 1/64", (31, "epsilon", "repeated key 'epsilon' in [chart]")),
+        (9, "row 1 0 0 0 0", (8, "generator", "generator takes a 'diag' or 'row' linear part, not both")),
+        (65, "orbits 99", (67, "orbits", "repeated key 'orbits' in [expected]")),
+        (59, "psi alpha - - -", (60, "psi", "repeated psi name 'alpha'")),
+        (64, "fixed_circles alpha 16", (65, "expected", "repeated fixed_circles name 'alpha'")),
+    ],
+    ids=["unknown-generator-key", "unknown-gluing-key", "repeated-translation", "repeated-epsilon",
+         "diag-and-row", "repeated-orbits", "repeated-psi", "repeated-fixed-circles"],
+)
+def test_every_section_checks_its_keys(after, line, error):
+    """A line inserted after line `after` of example-a is named as its only error."""
+    lines = open(bundled_examples()["example-a.spec"], encoding="utf-8").read().splitlines()
+    lines.insert(after, line)
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text("\n".join(lines))
+    assert err.value.errors == [error]

@@ -516,11 +516,11 @@ def edited_example_a(tmp_path: Path, line) -> Path:
         (REPEATED_KEY, ["23 [annulus_grid] repeated key 'annulus_grid' in [gluing]"]),
         (REPEATED_GLUING, ["26 [section] repeated section [gluing]"]),
         (REPEATED_EXPECTED, ["72 [section] repeated section [expected]"]),
-        (("annulus_grid 512", "annulus_grid 512\nannulus_gird 4096"),
-         ["23 [gluing] unknown gluing field 'annulus_gird'"]),
         ("centers 0,0 0,0 1/2,0 1/2,1/2", ["27 [chart W_alpha] chart W_alpha: centers repeat mod 1"]),
         (("action 1 4 5", "action 1 4"), [f"{ln} [psi] expected 2 signs, one per acting direction"
                                           for ln in (57, 58, 59)]),
+        (("annulus_grid 512", "annulus_grid 512\nannulus_gird 4096"),
+         ["23 [gluing] unknown gluing field 'annulus_gird'"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

@@ -18,7 +18,6 @@ from .curvature import (
     eh_profile,
     glue_ricci_scan,
     glued_profile,
-    make_cutoff,
     mu_report,
     riemann,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "induced_action",
     "invariant_forms",
     "lift_diagonal",
-    "make_cutoff",
     "mu_report",
     "orbifold_betti",
     "parse_construction",

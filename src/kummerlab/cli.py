@@ -93,7 +93,7 @@ def _write_json(ctx, report: pipeline.Report) -> None:
               help="Write the JSON report to this path.")
 @click.option("--tolerance-scale", type=float, default=1.0, show_default=True,
               help="Multiply every numeric tolerance window by this factor.")
-@click.option("--max-group-order", type=int, default=1024, show_default=True,
+@click.option("--max-group-order", type=int, default=torus.MAX_GROUP_ORDER, show_default=True,
               help="Abort group closure beyond this many elements.")
 @click.pass_context
 def main(ctx, json_path, tolerance_scale, max_group_order):

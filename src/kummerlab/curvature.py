@@ -296,12 +296,6 @@ class Cutoff:
         return num / (num + _bump(scaled - 1.0))
 
 
-def make_cutoff(d: float) -> Cutoff:
-    if d <= 0:
-        raise ValueError("cutoff scale d must be positive")
-    return Cutoff(d=float(d))
-
-
 def glued_profile(d) -> RadialProfile:
     """Interpolation rho_d * (instanton profile) + (1 - rho_d) * (flat profile).
 
@@ -546,7 +540,6 @@ class ScanSeries:
     name: str
     values: list[float]
     slope: float | None = None
-    intercept: float | None = None
     residual: float | None = None
 
 
@@ -560,7 +553,7 @@ class ScanResult:
         if fit:
             fitted = fit_loglog(self.parameters, values)
             if fitted is not None:
-                s.slope, s.intercept, s.residual = fitted
+                s.slope, _, s.residual = fitted
         self.series[name] = s
         return s
 

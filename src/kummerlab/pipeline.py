@@ -208,7 +208,8 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
     if rep.witness is not None:
         i, j = rep.witness
         section["witness"] = [names[i], names[j]] if i != j else [names[i]]
-        section["conclusion"] = "quotient-complement is nonspin"
+        section["conclusion"] = ("holonomy G -> SO(n) does not lift to Spin(n); this does not "
+                                 "decide spin for the quotient complement or for M")
     report.sections["spin"] = section
 
 
@@ -379,7 +380,7 @@ def run_expected_stage(spec: ConstructionSpec, report: Report, group):
 def run_all(
     spec: ConstructionSpec,
     tolerance_scale: float = 1.0,
-    max_group_order: int = 1024,
+    max_group_order: int = torus.MAX_GROUP_ORDER,
 ) -> Report:
     """Execute every stage the spec enables and return the report."""
     report = Report()

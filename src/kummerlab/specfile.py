@@ -115,6 +115,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
     expected: dict[str, object] = {}
 
     references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
+    words: list[tuple[int, str, str]] = []  # (line, field, element word) of psi and fixed_circles rows
     chart_kinds: dict[str, str] = {}  # declared kind of every [chart] section, valid or not
     headers: set = set()  # "gluing", "expected" and (kind, name) of the other sections read so far
     section: tuple[str, str, int] | None = None  # (kind, name, start line)
@@ -296,6 +297,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                     if toks[0] in table:
                         raise ValueError(f"repeated psi name {toks[0]!r}")
                     table[toks[0]] = signs
+                    words.append((ln, "psi", toks[0]))
                 except (IndexError, ValueError) as exc:
                     fail(ln, "psi", str(exc))
             psi[name] = table
@@ -309,6 +311,7 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                         if toks[0] in circles:
                             raise ValueError(f"repeated fixed_circles name {toks[0]!r}")
                         circles[toks[0]] = int(toks[1])
+                        words.append((ln, "expected", toks[0]))
                     elif key in _EXPECTED_INTS:
                         expected[key] = int(toks[0])
                     else:
@@ -369,6 +372,13 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
         unknown = [r for r in refs if chart_kinds.get(r) != "ball"]
         if unknown:
             fail(ln, f"chart {name}", f"of names no ball chart of the atlas: {', '.join(unknown)}")
+    # A word is e or a *-product of declared generator names; a generator
+    # rejected for its own lines is still declared.
+    declared = {"e"} | {h[1] for h in headers if isinstance(h, tuple) and h[0] == "generator"}
+    for ln, fld, word in words:
+        unknown = [g for g in word.split("*") if g not in declared]
+        if unknown:
+            fail(ln, fld, f"unknown generator {unknown[0]!r} in {word!r}")
 
     if version is None:
         errors.insert(0, (1, "version", "missing version line"))

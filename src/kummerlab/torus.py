@@ -38,10 +38,7 @@ Vector = tuple[Fraction, ...]
 LOCAL_MODEL_PRODUCT = "S¹×(ℂ²/±1)"
 LOCAL_MODEL_HALF_TURN = "(ℂ²/±1 × S¹)/ℤ₂"
 NOT_AN_ISOMETRY = "not a flat-torus isometry: linear part must be a signed permutation matrix"
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x % 1
+MAX_GROUP_ORDER = 1024  # the default cap of a group closure
 
 
 def _signed_permutation(linear) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -65,18 +62,17 @@ class AffineIsometry:
 
     Row i of the linear part holds signs[i] in column perm[i], and
     translation[i] = nums[i]/denom with 0 <= nums[i] < denom.  An element
-    of a closure keeps the closure's common denominator and an inverse that
-    of its isometry; any other isometry has denom the lcm of its
-    denominators.  linear and translation are views, built on first read;
-    equality, hashing and repr are those of (linear, translation).  An
-    isometry is immutable.
+    of a closure keeps the closure's common denominator; any other isometry
+    has denom the lcm of its denominators.  linear and translation are
+    views, built on first read; equality, hashing and repr are those of
+    (linear, translation).  An isometry is immutable.
     """
 
     def __init__(self, linear, translation):
         perm, signs = _signed_permutation(linear)
         if len(translation) != len(linear):
             raise ValueError("dimension mismatch between linear part and translation")
-        translation = [_mod1(Fraction(t)) for t in translation]
+        translation = [Fraction(t) % 1 for t in translation]
         denom = lcm(1, *(t.denominator for t in translation))
         nums = tuple(t.numerator * (denom // t.denominator) for t in translation)
         self.__dict__.update(perm=perm, signs=signs, nums=nums, denom=denom)
@@ -112,30 +108,6 @@ class AffineIsometry:
     @property
     def dim(self) -> int:
         return len(self.perm)
-
-    @staticmethod
-    def identity(n: int) -> "AffineIsometry":
-        return _isometry(tuple(range(n)), (1,) * n, (0,) * n, 1)
-
-    @staticmethod
-    def from_diagonal(signs, translation) -> "AffineIsometry":
-        n = len(signs)
-        lin = tuple(tuple(signs[i] if i == j else 0 for j in range(n)) for i in range(n))
-        return AffineIsometry(lin, tuple(Fraction(t) for t in translation))
-
-    def apply(self, point) -> Vector:
-        """Evaluate at a rational point, reduced into [0,1)^n."""
-        pt = [Fraction(x) for x in point]
-        return tuple(_mod1(s * pt[p] + Fraction(t, self.denom)) for p, s, t in zip(self.perm, self.signs, self.nums))
-
-    def inverse(self) -> "AffineIsometry":
-        """y_i = s_i x_{p_i} + t_i gives x_{p_i} = s_i y_i - s_i t_i: row p_i
-        of the inverse's code holds (i, s_i, -s_i t_i mod denom)."""
-        n = self.dim
-        perm, signs, nums = [0] * n, [0] * n, [0] * n
-        for i, (p, s, t) in enumerate(zip(self.perm, self.signs, self.nums)):
-            perm[p], signs[p], nums[p] = i, s, -s * t % self.denom
-        return _isometry(tuple(perm), tuple(signs), tuple(nums), self.denom)
 
 
 def _isometry(perm: tuple[int, ...], signs: tuple[int, ...], nums: tuple[int, ...], denom: int) -> AffineIsometry:
@@ -251,7 +223,7 @@ def _compose(f: tuple, g: tuple, rows, denom: int) -> tuple:
 def generate_group(
     generators: list[AffineIsometry],
     names: list[str] | None = None,
-    max_order: int = 1024,
+    max_order: int = MAX_GROUP_ORDER,
 ) -> GroupTable:
     """BFS closure of the generators under composition.
 
@@ -629,7 +601,6 @@ class Pi1Certificate:
 
     status: str
     direction_witnesses: dict[int, int | None]
-    fixed_point_elements: list[int]
     generated_by_fixed: bool
     note: str = (
         "structural conditions for the loop-folding argument; "
@@ -655,6 +626,5 @@ def pi1_certificate(group: GroupTable) -> Pi1Certificate:
     return Pi1Certificate(
         status="PASS" if ok else "FAIL",
         direction_witnesses=witnesses,
-        fixed_point_elements=fixed_elements,
         generated_by_fixed=generated,
     )

@@ -4,9 +4,9 @@ The oracle functions here deliberately avoid the library's own solution
 paths: fixed points are found by exhaustive rational-grid scanning with
 union-find connectivity, Clifford products by one-transposition bubbling,
 group closures by repeated multiplication until stable, group products by
-`compose` over all pairs, Euler-chart Christoffel symbols from analytic
-derivatives, invariant forms through the averaging projector, and
-report JSON through the standard library's encoder.
+`compose` over all pairs, determinants by Bareiss elimination, Euler-chart
+Christoffel symbols from analytic derivatives, invariant forms through the
+averaging projector, and report JSON through the standard library's encoder.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def brute_force_fixed_points(f: AffineIsometry, q: int = 8) -> set:
         return {
             tuple(Fraction(k, q) for k in combo)
             for combo in itertools.product(range(q), repeat=n)
-            if f.apply(tuple(Fraction(k, q) for k in combo))
+            if apply(f, tuple(Fraction(k, q) for k in combo))
             == tuple(Fraction(k, q) for k in combo)
         }
     qt = [int(x) for x in qt]
@@ -268,9 +268,48 @@ def compose(f: AffineIsometry, g: AffineIsometry) -> AffineIsometry:
     return AffineIsometry(lin, trans)
 
 
+def identity(n: int) -> AffineIsometry:
+    return diagonal((1,) * n, (0,) * n)
+
+
+def diagonal(signs, translation) -> AffineIsometry:
+    """The isometry x -> diag(signs) x + translation."""
+    n = len(signs)
+    lin = tuple(tuple(signs[i] if i == j else 0 for j in range(n)) for i in range(n))
+    return AffineIsometry(lin, tuple(Fraction(t) for t in translation))
+
+
+def apply(f: AffineIsometry, point) -> tuple[Fraction, ...]:
+    """f at a rational point, reduced into [0,1)^n, from its code."""
+    pt = [Fraction(x) for x in point]
+    return tuple((s * pt[p] + Fraction(t, f.denom)) % 1 for p, s, t in zip(f.perm, f.signs, f.nums))
+
+
+def int_det(a) -> int:
+    """Fraction-free (Bareiss) determinant of a square integer matrix."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def brute_force_closure(generators) -> set:
     """Closure by repeated pairwise multiplication until stable."""
-    elems = {AffineIsometry.identity(generators[0].dim), *generators}
+    elems = {identity(generators[0].dim), *generators}
     while True:
         new = set()
         for a in elems:

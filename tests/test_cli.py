@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import inspect
 import json
 import tracemalloc
 from pathlib import Path
@@ -247,6 +248,13 @@ def test_verify_group_cap_is_input_error():
     assert "error: group closure exceeded the cap of 4 elements" in result.output
 
 
+def test_closure_pipeline_and_cli_share_one_default_group_cap():
+    cap = torus.MAX_GROUP_ORDER
+    assert inspect.signature(torus.generate_group).parameters["max_order"].default == cap
+    assert inspect.signature(pipeline.run_all).parameters["max_group_order"].default == cap
+    assert next(p.default for p in main.params if p.name == "max_group_order") == cap
+
+
 def test_fixed_locus_command():
     result = CliRunner().invoke(main, ["fixed-locus", EXAMPLE_A, "--element", "alpha"])
     assert result.exit_code == 0
@@ -406,15 +414,19 @@ IOTA = "[generator iota]\ndiag 1 1 1 1 1\ntranslation 0 0 0 0 0\n"
     (IOTA, "iota + + +", None),
     (ALPHA2, "alpha2 - - -", "V: rule gives alpha2 the value (-1, -1, -1), but its element alpha has (1, -1, -1)"),
     (IOTA, "iota - + +", "V: rule gives iota the value (-1, 1, 1), but its element e has (1, 1, 1)"),
-    (ALPHA2, "zeta + - -", "V: rule names unknown generators: ['zeta']"),
+    (ALPHA2, "zeta + - -", "64 [psi] unknown generator 'zeta' in 'zeta'"),
 ], ids=["repeated", "identity", "repeated-conflict", "identity-conflict", "unknown"])
 def test_psi_resolves_declared_generator_names(tmp_path, generator, psi, error):
     """psi accepts every declared generator name, as fixed-locus --element and
     [expected] fixed_circles do; a value that disagrees with its element's is
-    a rule error, and so is a name nothing declares."""
+    a rule error, and a name nothing declares is a parse error."""
     spec = example_a_with_generator(tmp_path, generator, psi)
     out = tmp_path / "f.json"
     result = CliRunner().invoke(main, ["--json", str(out), "f-structure", str(spec)])
+    if psi.startswith("zeta"):
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: {spec}:{error}\n"
+        return
     assert result.exit_code == (1 if error else 0), result.output
     assert json.loads(out.read_text())["f_structure"]["rule_errors"] == ([error] if error else [])
     assert ("FAIL  covariance[V]  (no covariance rule declared)" in result.output) == bool(error)
@@ -507,7 +519,9 @@ def edited_example_a(tmp_path: Path, line) -> Path:
         (("epsilon 1/128", "epsilon"), ["30 [epsilon] epsilon needs a value",
                                         "38 [epsilon] epsilon needs a value",
                                         "46 [epsilon] epsilon needs a value"]),
-        (("[generator beta]", "[generator alpha]"), ["12 [section] repeated generator name 'alpha'"]),
+        (("[generator beta]", "[generator alpha]"), ["12 [section] repeated generator name 'alpha'",
+                                                     "58 [psi] unknown generator 'beta' in 'beta'",
+                                                     "63 [expected] unknown generator 'beta' in 'beta'"]),
         (("[chart W_beta]", "[chart W_alpha]"), [
             "35 [section] repeated chart name 'W_alpha'",
             "53 [chart V] of names no ball chart of the atlas: W_beta",
@@ -521,6 +535,10 @@ def edited_example_a(tmp_path: Path, line) -> Path:
                                           for ln in (57, 58, 59)]),
         (("annulus_grid 512", "annulus_grid 512\nannulus_gird 4096"),
          ["23 [gluing] unknown gluing field 'annulus_gird'"]),
+        (("psi alpha + - -", "psi zeta + - -"), ["57 [psi] unknown generator 'zeta' in 'zeta'"]),
+        (("fixed_circles alpha 16", "fixed_circles zeta 16"), ["62 [expected] unknown generator 'zeta' in 'zeta'"]),
+        # beta is rejected for its own lines, so psi beta and fixed_circles beta still name it
+        (("diag -1 -1 -1 1 -1", "diag 2 -1 -1 1 -1"), [f"12 [generator] {torus.NOT_AN_ISOMETRY}"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

@@ -16,6 +16,7 @@ from conftest import (
 )
 from kummerlab import curvature, pipeline
 from kummerlab.curvature import (
+    Cutoff,
     DIAM_BOUND_FORMULA,
     MetricChart,
     NotPositiveDefinite,
@@ -34,7 +35,6 @@ from kummerlab.curvature import (
     frame_norms,
     glue_ricci_scan,
     glued_profile,
-    make_cutoff,
     mu_report,
     riemann,
     sphere_chart,
@@ -130,7 +130,7 @@ def test_eh_profile_ricci_flat():
 
 
 def test_cutoff_plateaus_and_monotone():
-    cut = make_cutoff(7.0)
+    cut = Cutoff(7.0)
     assert cut.jet(3.5).value == 1.0
     assert cut.jet(21.0).value == 0.0
     values = [cut.jet(float(r)).value for r in np.linspace(7.0, 14.0, 100)]
@@ -141,11 +141,11 @@ def test_cutoff_plateaus_and_monotone():
 def test_cutoff_derivative_bound_scales():
     sups = []
     for d in (10.0, 40.0, 160.0):
-        cut = make_cutoff(d)
+        cut = Cutoff(d)
         rs = np.linspace(d, 2 * d, 400)
         sups.append(max(abs(cut.jet(float(r)).derivative(1)) for r in rs) * d)
     assert max(sups) / min(sups) < 1.01
-    bounds = cutoff_derivative_bounds(make_cutoff(5.0), samples=256)
+    bounds = cutoff_derivative_bounds(Cutoff(5.0), samples=256)
     assert set(bounds) == {1, 2, 3, 4}
     assert all(v > 0 for v in bounds.values())
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import averaging_projector
+from conftest import averaging_projector, diagonal, identity
 from kummerlab import forms
 from kummerlab.forms import (
     BettiTable,
@@ -75,7 +75,7 @@ def test_induced_action_generator_reads(group_a):
 
 
 def test_induced_action_identity_and_degenerate_degrees():
-    ident = AffineIsometry.identity(4)
+    ident = identity(4)
     for k in range(5):
         mat = induced_action(ident.linear, k)
         size = len(form_basis(4, k))
@@ -103,14 +103,14 @@ def test_invariant_forms_second_construction(group_b):
 
 
 def test_invariant_forms_trivial_group():
-    table = generate_group([AffineIsometry.identity(5)])
+    table = generate_group([identity(5)])
     assert invariant_forms(table, 2).dimension == 10
 
 
 def test_orbifold_betti_tables(group_a, group_b):
     assert orbifold_betti(group_a).b == [1, 0, 1, 1, 0, 1]
     assert orbifold_betti(group_b).b == [1, 0, 1, 1, 0, 1]
-    trivial = generate_group([AffineIsometry.identity(5)])
+    trivial = generate_group([identity(5)])
     assert orbifold_betti(trivial).b == [1, 5, 10, 10, 5, 1]
 
 
@@ -177,7 +177,7 @@ def test_resolved_betti_both_examples(group_a, group_b):
 def test_resolved_betti_zero_circles():
     table = BettiTable(b=[1, 0, 3, 3, 0, 1])
     empty = SingularCensus(components=[], orbits=[], orbit=[])
-    cert = Pi1Certificate("PASS", {}, [], True)
+    cert = Pi1Certificate("PASS", {}, True)
     res = resolved_betti(table, empty, cert)
     assert res.b2_resolved == 3
 
@@ -185,7 +185,7 @@ def test_resolved_betti_zero_circles():
 def test_resolved_betti_refuses_failed_certificate(group_a):
     table = orbifold_betti(group_a)
     census = singular_census(group_a)
-    cert = Pi1Certificate("FAIL", {}, [], False)
+    cert = Pi1Certificate("FAIL", {}, False)
     with pytest.raises(ValueError, match="not certified"):
         resolved_betti(table, census, cert)
 
@@ -219,7 +219,7 @@ def test_exterior_traces_equal_induced_action_traces():
 
 
 def test_burnside_builds_no_induced_action(monkeypatch):
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     alpha = AffineIsometry(((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, -1, 0, 0), (0, 0, 0, 1, 0),
                             (0, 0, 0, 0, -1)), (0, 0, Fraction(1, 2), 0, 0))
     group = generate_group([alpha, tau], ["alpha", "tau"])

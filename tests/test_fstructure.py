@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import compose_products
+from conftest import compose_products, diagonal, identity
 from kummerlab import fstructure
 from kummerlab.fstructure import (
     ChartSpec,
@@ -74,7 +74,7 @@ def test_covariance_component_signs(spec_a, group_a):
 
 
 def test_covariance_trivial_group_identity_rule():
-    group = generate_group([AffineIsometry.identity(5)])
+    group = generate_group([identity(5)])
     chart = ChartSpec("T", TorusActionSymbol((1, 2, 3)), "full", covering="group")
     rule = CovarianceRule({0: (1, 1, 1)})
     assert check_covariance(chart, group, rule).passed
@@ -128,7 +128,7 @@ def test_verify_second_atlas_fails_only_covariance(spec_b, group_b):
 
 
 def test_whole_torus_chart_trivial_group():
-    group = generate_group([AffineIsometry.identity(5)])
+    group = generate_group([identity(5)])
     chart = ChartSpec("T", TorusActionSymbol((1, 2, 3, 4, 5)), "full")
     rep = verify_f_structure([chart], group)
     assert rep.passed
@@ -138,7 +138,7 @@ def test_whole_torus_chart_trivial_group():
 
 def test_free_action_check_rejects_fixed_points_on_cover():
     half = HALF
-    alpha = AffineIsometry.from_diagonal([1, -1, -1, -1, -1], [0, 0, 0, half, 0])
+    alpha = diagonal([1, -1, -1, -1, -1], [0, 0, 0, half, 0])
     group = generate_group([alpha], ["alpha"])
     chart = ChartSpec("T", TorusActionSymbol((1,)), "full", covering="group")
     rep = verify_f_structure([chart], group, {"T": extend_rule(group, {"alpha": (1,)})})
@@ -485,7 +485,7 @@ def reference_free_action(chart, group, atlas):
 
 def seeded_groups(spec_a, spec_b):
     """Both bundled groups, example-a with a 1/4 translation, and random 5-dimensional groups."""
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     groups = [
         generate_group(spec_a.generators, spec_a.generator_names),
         generate_group(spec_b.generators, spec_b.generator_names),
@@ -623,7 +623,7 @@ def test_free_action_on_integers_matches_fraction_reference_at_the_tube_boundary
 
 
 def test_invariance_is_checked_on_generators_only(spec_a, monkeypatch):
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     group = generate_group(spec_a.generators + [tau], spec_a.generator_names + ["tau"])
     calls = Counter()
     original = fstructure.check_invariance

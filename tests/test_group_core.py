@@ -29,20 +29,23 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply,
     apply_linear,
     brute_force_closure,
     component,
     compose,
     compose_products,
+    diagonal,
     example_spec,
     fraction_key,
+    identity,
+    int_det,
     lattice_adapted_basis,
 )
 from kummerlab import forms, fstructure, intlinalg, pipeline, torus
 from kummerlab.forms import form_basis, induced_action, invariant_forms
 from kummerlab.intlinalg import (
     hermite_row_basis,
-    int_det,
     kernel_basis,
     smith_normal_form,
     unimodular_inverse,
@@ -66,7 +69,7 @@ DATA = Path(__file__).resolve().parent / "data"
 def reference_group(generators, names, max_order=16):
     """Closure by `compose`, product table by `compose` over all pairs."""
     n = generators[0].dim
-    ident = AffineIsometry.identity(n)
+    ident = identity(n)
     elements, elt_names, index = [ident], ["e"], {ident: 0}
     frontier = [0]
     while frontier:
@@ -225,7 +228,7 @@ def reference_transform(el, comp):
     dirs = tuple(
         tuple(r) for r in hermite_row_basis([apply_linear(el, dv) for dv in comp.directions])
     )
-    base = reference_basepoint(el.apply(comp.basepoint), dirs)
+    base = reference_basepoint(apply(el, comp.basepoint), dirs)
     assert base is not None, "too many candidates for the enumeration"
     return component(base, dirs)
 
@@ -312,13 +315,13 @@ def reference_census(group):
         pointwise = [
             i for i in setwise
             if keeps_directions(group.elements[i])
-            and group.elements[i].apply(rep.basepoint) == rep.basepoint
+            and apply(group.elements[i], rep.basepoint) == rep.basepoint
         ]
         translations = [
             i for i in setwise
             if i not in pointwise
             and keeps_directions(group.elements[i])
-            and group.elements[i].apply(rep.basepoint) != rep.basepoint
+            and apply(group.elements[i], rep.basepoint) != rep.basepoint
         ]
         model = None
         if rep.dimension == 1:
@@ -547,11 +550,11 @@ def test_exponent_reads_linear_order_and_translation_power():
     a quarter translation along the axis it reverses."""
     cycle = AffineIsometry(((0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 1)),
                            (Fraction(1, 3), 0, 0, 0))
-    reflection = AffineIsometry.from_diagonal((1, 1, 1, -1), (0, 0, 0, Fraction(1, 2)))
-    quarter = AffineIsometry.from_diagonal((1, 1, 1, 1), (0, 0, 0, Fraction(1, 4)))
+    reflection = diagonal((1, 1, 1, -1), (0, 0, 0, Fraction(1, 2)))
+    quarter = diagonal((1, 1, 1, 1), (0, 0, 0, Fraction(1, 4)))
     gens, names = [cycle, reflection, quarter], ["c", "r", "t"]
     cube = compose(cycle, compose(cycle, cycle))
-    assert cube.linear == AffineIsometry.identity(4).linear and any(cube.translation)
+    assert cube.linear == identity(4).linear and any(cube.translation)
     table = generate_group(gens, names, max_order=128)
     _elements, _names, _product, abelian, exponent = reference_group(gens, names, max_order=128)
     assert (table.abelian, table.exponent) == (abelian, exponent) == (False, 36)
@@ -560,7 +563,7 @@ def test_exponent_reads_linear_order_and_translation_power():
 def test_group_core_memory_is_linear_in_the_order(spec_a):
     """Closure, census and π₁ at order 1024 (example-a plus 1/128 along e1)
     keep no |G|²- or |G|×components-sized table."""
-    tau = AffineIsometry.from_diagonal((1,) * 5, (Fraction(1, 128), 0, 0, 0, 0))
+    tau = diagonal((1,) * 5, (Fraction(1, 128), 0, 0, 0, 0))
     tracemalloc.start()
     try:
         group = generate_group([*spec_a.generators, tau], max_order=1024)
@@ -600,7 +603,8 @@ def test_generators_decide_abelian_orientation_and_witnesses(case):
     cert = pipeline.run_pi1_stage(group, report)
     pipeline.run_betti_stage(group, census, cert, report)
     assert report.sections["betti"]["orientation_preserving"] == reference_orientable(group)
-    assert cert.direction_witnesses == reference_witnesses(group, cert.fixed_point_elements)
+    fixed_elements = [i for i, loci in enumerate(group.fixed_loci) if loci]
+    assert cert.direction_witnesses == reference_witnesses(group, fixed_elements)
 
 
 def test_random_groups_cover_abelian_orientation_and_witness_outcomes():
@@ -781,9 +785,9 @@ def random_isometries(seed, count):
     rng = random.Random(seed)
     out = []
     for n in range(1, 7):
-        out.append(AffineIsometry.identity(n))
+        out.append(identity(n))
         for q in (2, 3, 12):
-            out.append(AffineIsometry.from_diagonal([1] * n, [Fraction(1, q)] + [0] * (n - 1)))
+            out.append(diagonal([1] * n, [Fraction(1, q)] + [0] * (n - 1)))
     while len(out) < count:
         n = rng.randint(1, 6)
         non_diagonal = n > 1 and rng.random() < 0.7
@@ -863,7 +867,7 @@ def test_census_beyond_int64_matches_references():
 
 def translated_example_a(spec_a, t: str):
     """example-a plus a translation by t along alpha's circle axis."""
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(t), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(t), 0, 0, 0, 0])
     return generate_group(spec_a.generators + [tau], spec_a.generator_names + ["tau"])
 
 

@@ -1,9 +1,8 @@
 import random
 
-from conftest import lattice_adapted_basis, mat_mul
+from conftest import int_det, lattice_adapted_basis, mat_mul
 from kummerlab.intlinalg import (
     hermite_row_basis,
-    int_det,
     kernel_basis,
     smith_normal_form,
     unimodular_inverse,

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, reference_report_json
+from conftest import DATA_DIR, diagonal, reference_report_json
 from kummerlab import forms, pipeline
 from kummerlab.cli import bundled_examples
 from kummerlab.curvature import glue_ricci_scan, mu_report
 from kummerlab.specfile import parse_construction, parse_construction_text
-from kummerlab.torus import AffineIsometry, generate_group
+from kummerlab.torus import generate_group
 
 # The spec of each golden report, by stem: the bundled examples and the pinned specs.
 GOLDEN_SPECS = {
@@ -39,7 +39,9 @@ def test_run_all_first_example(spec_a):
     assert census["orbit_count"] == 12
     assert report.sections["betti"]["resolved"]["b2"] == 13
     assert report.sections["spin"]["verdict"] == "OBSTRUCTED"
-    assert report.sections["spin"]["conclusion"] == "quotient-complement is nonspin"
+    assert report.sections["spin"]["conclusion"] == (
+        "holonomy G -> SO(n) does not lift to Spin(n); this does not decide spin "
+        "for the quotient complement or for M")
     assert report.sections["pi1"]["status"] == "PASS"
     assert report.sections["f_structure"]["overall"] == "PASS"
     assert report.sections["f_structure"]["rank"] == 1
@@ -134,7 +136,7 @@ def test_expected_fixed_circles_of_a_repeated_generator():
 
 def test_census_stage_rejects_non_circle_components():
     report = pipeline.Report()
-    group = generate_group([AffineIsometry.from_diagonal([1, 1, -1], [0, 0, 0])])
+    group = generate_group([diagonal([1, 1, -1], [0, 0, 0])])
     assert pipeline.run_census_stage(group, report) is None
     assert report.sections["census"] == {
         "error": "circles-only census requested but a fixed component has dimension 2"}
@@ -278,6 +280,25 @@ spin nonspin
     rows = {c.name: c for c in report.claims}
     assert rows["expected.spin"].status == "FAIL"
     assert rows["expected.spin"].value is None
+
+
+GLIDE_SPEC = """
+version 1
+dimension 5
+
+[generator g]
+diag 1 -1 -1 1 1
+translation 1/2 0 0 0 0
+"""
+
+
+def test_glide_spin_conclusion_states_only_the_holonomy_obstruction():
+    """The glide acts freely and its quotient is spin, but its holonomy does
+    not lift: the conclusion names what was computed, not a spin verdict."""
+    spin = pipeline.run_all(parse_construction_text(GLIDE_SPEC)).sections["spin"]
+    assert spin["verdict"] == "OBSTRUCTED"
+    assert spin["witness"] == ["g"]
+    assert "is nonspin" not in spin["conclusion"]
 
 
 def test_non_orientable_quotient_handled():

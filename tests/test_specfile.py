@@ -182,9 +182,14 @@ def test_expected_words_every_stage_value_parses():
         (65, "orbits 99", (67, "orbits", "repeated key 'orbits' in [expected]")),
         (59, "psi alpha - - -", (60, "psi", "repeated psi name 'alpha'")),
         (64, "fixed_circles alpha 16", (65, "expected", "repeated fixed_circles name 'alpha'")),
+        (59, "psi zeta + - -", (60, "psi", "unknown generator 'zeta' in 'zeta'")),
+        (59, "psi alpha*zeta + - -", (60, "psi", "unknown generator 'zeta' in 'alpha*zeta'")),
+        (64, "fixed_circles zeta 16", (65, "expected", "unknown generator 'zeta' in 'zeta'")),
+        (64, "fixed_circles zeta*beta 16", (65, "expected", "unknown generator 'zeta' in 'zeta*beta'")),
     ],
     ids=["unknown-generator-key", "unknown-gluing-key", "repeated-translation", "repeated-epsilon",
-         "diag-and-row", "repeated-orbits", "repeated-psi", "repeated-fixed-circles"],
+         "diag-and-row", "repeated-orbits", "repeated-psi", "repeated-fixed-circles", "unknown-psi-name",
+         "unknown-psi-factor", "unknown-fixed-circles-name", "unknown-fixed-circles-factor"],
 )
 def test_every_section_checks_its_keys(after, line, error):
     """A line inserted after line `after` of example-a is named as its only error."""
@@ -193,3 +198,13 @@ def test_every_section_checks_its_keys(after, line, error):
     with pytest.raises(SpecParseError) as err:
         parse_construction_text("\n".join(lines))
     assert err.value.errors == [error]
+
+
+
+def test_element_words_of_declared_generators_parse():
+    """e, products and non-canonical products of declared names all parse:
+    resolving a word to an element is left to the stage that reads it."""
+    lines = open(bundled_examples()["example-a.spec"], encoding="utf-8").read().splitlines()
+    lines[61:64] = ["fixed_circles e 0", "fixed_circles beta*alpha 0", "fixed_circles alpha*beta*gamma 0"]
+    expected = parse_construction_text("\n".join(lines)).expected["fixed_circles"]
+    assert expected == {"e": 0, "beta*alpha": 0, "alpha*beta*gamma": 0}

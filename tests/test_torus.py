@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    DATA_DIR,
+    apply,
     apply_linear,
     brute_force_closure,
     brute_force_components,
@@ -14,12 +14,12 @@ from conftest import (
     component_grid_points,
     compose,
     compose_products,
+    diagonal,
     fraction_key,
-    is_identity,
+    identity,
     random_involution,
 )
 from kummerlab import torus
-from kummerlab.specfile import parse_construction
 from kummerlab.torus import (
     AffineIsometry,
     _signed_permutation,
@@ -114,47 +114,15 @@ def test_compose_matches_displayed_product(group_a):
 
 
 def test_compose_identity_is_neutral(group_a):
-    ident = AffineIsometry.identity(5)
+    ident = identity(5)
     for el in group_a.elements:
         assert compose(el, ident) == el
         assert compose(ident, el) == el
 
 
-def test_compose_with_inverse_gives_identity():
-    rng = random.Random(23)
-    grid = [tuple(Fraction(k, 5) for k in combo) for combo in itertools.product(range(5), repeat=2)]
-    for _ in range(20):
-        n = rng.randint(2, 5)
-        f = random_involution(rng, n)  # any signed-permutation isometry works
-        inv = f.inverse()
-        prod = compose(f, inv)
-        assert is_identity(prod)
-        # Pointwise check on a rational grid, exactly.
-        for point in grid:
-            pt = tuple(list(point) + [Fraction(0)] * (n - 2))
-            assert f.apply(inv.apply(pt)) == tuple(x % 1 for x in pt)
-
-
-@pytest.mark.parametrize("name", ["quarter-turn", "group-order32"])
-def test_inverse_of_elements_of_order_four(name):
-    spec = parse_construction(DATA_DIR / f"{name}.spec")
-    group = generate_group(spec.generators, spec.generator_names)
-    of_order_four = 0
-    for f in [*spec.generators, *group.elements]:
-        inv = f.inverse()
-        assert is_identity(compose(f, inv)) and is_identity(compose(inv, f))
-        assert inv.inverse() == f
-        assert all(0 <= t < inv.denom for t in inv.nums)
-        square = compose(f, f)
-        if not is_identity(square) and is_identity(compose(square, square)):
-            assert inv == compose(f, square) != f
-            of_order_four += 1
-    assert of_order_four
-
-
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose(AffineIsometry.identity(3), AffineIsometry.identity(4))
+        compose(identity(3), identity(4))
 
 
 def test_generate_group_first_construction(group_a):
@@ -171,7 +139,7 @@ def test_generate_group_first_construction(group_a):
 
 
 def test_generate_group_identity_only():
-    table = generate_group([AffineIsometry.identity(4)], ["e"])
+    table = generate_group([identity(4)], ["e"])
     assert table.order == 1
 
 
@@ -190,7 +158,7 @@ def test_generate_group_matches_brute_force_closure():
 
 def test_generate_group_cap():
     # Order-8 translation generates a cyclic group larger than the cap.
-    t = AffineIsometry.identity(2)
+    t = identity(2)
     shift = AffineIsometry(t.linear, (Fraction(1, 16), Fraction(0)))
     with pytest.raises(GroupClosureError):
         generate_group([shift], max_order=8)
@@ -205,7 +173,7 @@ def test_associativity_spot_check(group_a):
         for g in group_a.elements[:4]:
             fg = compose(f, g)
             for pt in grid[:5]:
-                assert fg.apply(pt) == f.apply(g.apply(pt))
+                assert apply(fg, pt) == apply(f, apply(g, pt))
 
 
 def test_fixed_locus_generator_pattern(group_a):
@@ -229,7 +197,7 @@ def test_fixed_locus_composites_empty(group_a):
 def test_components_are_integer_codes_listed_in_basepoint_order(group_a, group_b):
     """basepoint is w/q in lowest terms, and the census lists its components
     by (basepoint, directions) as it did when they were stored in Fractions."""
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     group_t = generate_group(group_a.elements[1:4] + [tau])
     for group in (group_a, group_b, group_t):
         census = singular_census(group)
@@ -244,7 +212,7 @@ def test_components_are_integer_codes_listed_in_basepoint_order(group_a, group_b
 def test_fixed_loci_and_census_construct_no_fraction_per_component(group_a, monkeypatch):
     """Only each orbit's length factor is a Fraction; fixed loci and the
     components' images stay on integers."""
-    tau = AffineIsometry.from_diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
+    tau = diagonal([1] * 5, [Fraction(1, 4), 0, 0, 0, 0])
     group = generate_group(group_a.elements[1:4] + [tau])
     made = []
 
@@ -260,7 +228,7 @@ def test_fixed_loci_and_census_construct_no_fraction_per_component(group_a, monk
 
 
 def test_fixed_locus_identity_whole_torus():
-    comps = fixed_locus(AffineIsometry.identity(5))
+    comps = fixed_locus(identity(5))
     assert len(comps) == 1
     assert comps[0].dimension == 5
     assert all(x == 0 for x in comps[0].basepoint)
@@ -342,14 +310,14 @@ def test_census_second_construction(group_b):
 
 
 def test_census_trivial_group_empty():
-    census = singular_census(generate_group([AffineIsometry.identity(5)]))
+    census = singular_census(generate_group([identity(5)]))
     assert census.total_components == 0
     assert census.orbits == []
 
 
 def test_census_traces_non_circle_components():
     # The census stage refuses them (test_pipeline); the census traces them.
-    f = AffineIsometry.from_diagonal([1, 1, -1], [0, 0, 0])
+    f = diagonal([1, 1, -1], [0, 0, 0])
     census = singular_census(generate_group([f]))
     assert [(o.representative.dimension, o.size, o.local_model) for o in census.orbits] == [(2, 1, None)] * 2
 
@@ -362,12 +330,12 @@ def test_census_stabilizer_properties(group_a, group_b):
             assert set(orbit.pointwise_stabilizer) <= set(orbit.setwise_stabilizer)
             for gi in orbit.pointwise_stabilizer:
                 el = group.elements[gi]
-                assert el.apply(rep.basepoint) == rep.basepoint
+                assert apply(el, rep.basepoint) == rep.basepoint
                 for dv in rep.directions:
                     assert apply_linear(el, dv) == list(dv)
             for gi in orbit.translation_elements:
                 el = group.elements[gi]
-                assert el.apply(rep.basepoint) != rep.basepoint
+                assert apply(el, rep.basepoint) != rep.basepoint
                 for dv in rep.directions:
                     assert apply_linear(el, dv) == list(dv)
             assert orbit.quotient_length_factor == Fraction(
@@ -390,7 +358,7 @@ def test_pi1_certificate_first_construction(group_a):
 
 
 def test_pi1_certificate_trivial_group_fails():
-    cert = pi1_certificate(generate_group([AffineIsometry.identity(5)]))
+    cert = pi1_certificate(generate_group([identity(5)]))
     assert not cert.passed
     assert all(w is None for w in cert.direction_witnesses.values())
 

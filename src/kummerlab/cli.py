@@ -145,12 +145,12 @@ def fixed_locus_cmd(ctx, spec_path, element):
     """Print the fixed components of group elements."""
     spec = _load(spec_path)
     group = _group(ctx, spec)
-    known = group.element_index
     for name in [element] if element else spec.generator_names:
-        if name not in known:
+        index = group.word_index(name)
+        if index is None:
             _fail(f"unknown element {name!r}; the group has {group.order} elements, named as "
                   f"'*'-products of the generators {', '.join(spec.generator_names)}")
-        comps = torus.fixed_locus(group.elements[known[name]])
+        comps = torus.fixed_locus(group.elements[index])
         _echo(f"{name}: {len(comps)} component(s)")
         for comp in comps:
             base = ", ".join(str(x) for x in comp.basepoint)

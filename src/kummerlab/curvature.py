@@ -35,6 +35,9 @@ from .jets import Jet
 # peak memory grows with its radii (about 190 bytes each); its fixed cost
 # (about 0.3 ms, 30% of a 1.0-ms pass of 4096, 2-core Xeon VM) does not.
 # One pass of 5 x 2048 radii would add 1.9 MiB of peak RSS (see README).
+# The verify stage's instanton and decay radii (ten on the bundled specs)
+# ride in the first pass on top of its annuli, so its whole curvature
+# section is one pass on the bundled specs and three at 5 x 2048.
 PASS_RADII = 2**12
 
 # ---------------------------------------------------------------------------
@@ -563,21 +566,40 @@ class ScanResult:
                 for i, d in enumerate(self.parameters)]
 
 
+def _scaled_integers(values: list[float]) -> tuple[list[int], int]:
+    """Integers X and an exponent k with values[i] = X[i] / 2^k exactly."""
+    ratios = [v.as_integer_ratio() for v in values]  # (p, 2^j)
+    k = max(q.bit_length() for _, q in ratios) - 1
+    return [p << (k + 1 - q.bit_length()) for p, q in ratios], k
+
+
 def fit_loglog(xs, ys) -> tuple[float, float, float] | None:
-    """Least-squares slope of log y against log x.
+    """Least-squares slope, intercept and RMS residual of log y against log x.
 
     Returns None (the NULL marker) when the data is degenerate: fewer than
-    4 points is an error, nonpositive values cannot be fitted.
+    4 points is an error, nonpositive values cannot be fitted.  Closed form
+    on the math.log values, each an integer over a power of two, so every
+    sum is an exact integer: with D_uv = n Σuv - Σu Σv, the slope is
+    D_xy / D_xx and the residual sqrt((D_xx D_yy - D_xy²) / (n² D_xx)), each
+    rounded once.  The residual is much smaller than the logs (4e-10
+    against values near 20 on the instanton's |Rm|), so float sums, even
+    math.fsum's, lose most of its digits to cancellation.
     """
     if len(xs) < 4 or len(ys) != len(xs):
         raise ValueError("log-log fit needs at least 4 points")
     if any(y <= 0 for y in ys):
         return None
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    residual = float(np.sqrt(np.mean((slope * lx + intercept - ly) ** 2)))
-    return float(slope), float(intercept), residual
+    (X, kx), (Y, ky) = (_scaled_integers([math.log(v) for v in vs]) for vs in (xs, ys))
+    n, sx, sy = len(X), sum(X), sum(Y)
+    dxx = n * sum(x * x for x in X) - sx * sx
+    dxy = n * sum(x * y for x, y in zip(X, Y)) - sx * sy
+    dyy = n * sum(y * y for y in Y) - sy * sy
+    if not dxx:
+        raise ValueError("log-log fit needs at least two distinct x values")
+    slope = math.ldexp(dxy / dxx, kx - ky)  # int / int is rounded once
+    intercept = math.ldexp((sy * dxx - sx * dxy) / (n * dxx), -ky)
+    residual = math.ldexp(math.sqrt((dxx * dyy - dxy * dxy) / (n * n * dxx)), -ky)
+    return slope, intercept, residual
 
 
 def _require_geometric(values, label: str) -> None:
@@ -588,30 +610,52 @@ def _require_geometric(values, label: str) -> None:
         raise ValueError(f"{label} must be strictly increasing with constant ratio")
 
 
+def _decay_radii(radii) -> list[float]:
+    radii = [float(r) for r in radii]
+    _require_geometric(radii, "decay scan radii")
+    return radii
+
+
+def _norms_and_values(profile: RadialProfile, radii: np.ndarray, head: int):
+    """frame_norms of the profile at radii, and the lists of the values of
+    A, B and C at the first head radii, read off the same pass."""
+    values = []
+
+    def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
+        out = profile.jets(r)
+        # A component constant in r (the flat profile's A) has a float value.
+        values.extend(np.broadcast_to(q.value, radii.shape)[:head].tolist() for q in out)
+        return out
+
+    return (*frame_norms(RadialProfile(profile.name, jets, profile.domain), radii), values)
+
+
+def _decay_result(radii: list[float], values, rm: np.ndarray) -> ScanResult:
+    """decay_scan's result from the values of A, B, C and |Rm| at its radii."""
+    # r**2 on a float, as on the scalar path: an array squares as r*r.
+    devs = [
+        max(abs(ai - 1.0), abs(bi / r**2 - 1.0), abs(ci / r**2 - 1.0))
+        for r, ai, bi, ci in zip(radii, *values)
+    ]
+    out = ScanResult(radii)
+    out.add("metric_deviation", devs)
+    out.add("rm_norm", rm.tolist())
+    return out
+
+
 def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     """Deviation from the flat profile and |Rm| along a geometric radius grid.
 
     Deviation is measured in the flat-profile orthonormal coframe, where
-    the metric components are (A, C/r^2, C/r^2, B/r^2) against 1.  All
-    radii share one array pass of the closed-form norms.
+    the metric components are (A, C/r^2, C/r^2, B/r^2) against 1.  Both are
+    read off one array pass of the closed-form norms (0.25-0.34 ms on five
+    radii, 2-core Xeon VM).  The verify stage takes the instanton's decay
+    scan off its glue scan's first pass instead, with no pass of its own
+    (see stage_scans).
     """
-    radii = [float(r) for r in radii]
-    _require_geometric(radii, "decay scan radii")
-    grid = np.array(radii)
-    jets = profile.at(grid)
-    # A component constant in r (the flat profile's A) has a float value.
-    a, b, c = (np.broadcast_to(q.value, grid.shape).tolist() for q in jets)
-    # r**2 on a float, as on the scalar path: an array squares as r*r.
-    devs = [
-        max(abs(ai - 1.0), abs(bi / r**2 - 1.0), abs(ci / r**2 - 1.0))
-        for r, ai, bi, ci in zip(radii, a, b, c)
-    ]
-    out = ScanResult(radii)
-    out.add("metric_deviation", devs)
-    # |Rm| off the same evaluation: a profile that returns the jets just taken.
-    evaluated = RadialProfile(profile.name, lambda _: jets, profile.domain)
-    out.add("rm_norm", frame_norms(evaluated, grid)[1].tolist())
-    return out
+    radii = _decay_radii(radii)
+    _, rm, values = _norms_and_values(profile, np.array(radii), len(radii))
+    return _decay_result(radii, values, rm)
 
 
 def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
@@ -648,6 +692,39 @@ GLUE_COLUMNS = ("r_sup", "sup_ric_annulus", "sup_rm_annulus")
 MU_COLUMNS = ("rescaled_sup_ric", "diam_bound", "mu_proxy")
 
 
+def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
+    """glue_ricci_scan's result, and the frame norms and the values of A,
+    B and C of the glued profile at the riders, radii evaluated in the
+    first pass ahead of its annuli with cutoff scale max(r, 4).  There the
+    glued profile is the instanton's, bit for bit: r <= 4 or r is its own
+    scale, so the cutoff is on its plateau at 1 with zero derivatives.
+    """
+    d_values = [float(d) for d in d_values]
+    _require_geometric(d_values, "gluing scan d values")
+    if any(d < 4 for d in d_values):
+        raise ValueError("gluing requires d >= 4")
+    per_pass = max(1, PASS_RADII // grid_points)
+    rows = []
+    for start in range(0, len(d_values), per_pass):
+        ds = np.array(d_values[start:start + per_pass])
+        grid = np.geomspace(ds, 2.0 * ds, grid_points, axis=1).ravel()
+        scales = np.repeat(ds, grid_points)
+        head = len(riders) if start == 0 else 0
+        if head:
+            grid, scales = np.concatenate([riders, grid]), np.concatenate([np.maximum(riders, 4.0), scales])
+        ric, rm, values = _norms_and_values(glued_profile(scales), grid, head)
+        if start == 0:
+            ridden = ric[:head], rm[:head], values
+        for lo in range(head, len(grid), grid_points):
+            annulus = slice(lo, lo + grid_points)
+            best = lo + int(np.argmax(ric[annulus]))
+            rows.append((float(grid[best]), float(ric[best]), float(rm[annulus].max())))
+    out = ScanResult(d_values)
+    for column, values, fit in zip(GLUE_COLUMNS, zip(*rows), (False, True, False)):
+        out.add(column, values, fit=fit)
+    return out, ridden
+
+
 def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     """Sup of |Ric| (and |Rm|) of the glued profile over the annulus [d, 2d],
     as the GLUE_COLUMNS.
@@ -659,28 +736,29 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     whole annuli, so a pass is never larger than one annulus or PASS_RADII.
     |Ric| and |Rm| are read in closed form off the Cartan coefficients,
     with no dense frame tensor.  Example-a's scan (five d values, 512 radii
-    each, one pass) takes about 0.9 ms, against 2.6 ms for one pass per
+    each, one pass) takes 0.82-0.91 ms, against 2.6 ms for one pass per
     annulus and 0.56 s for one scalar-jet curvature sample per radius; five
-    d values of 2048 radii (three passes) take about 3.3 ms (2-core Xeon VM).
+    d values of 2048 radii (three passes) take 3.1-3.3 ms (2-core Xeon VM).
+    The verify stage runs the same passes with its instanton and decay
+    radii riding in the first (see stage_scans), so its curvature section
+    is one pass per glue-scan pass: example-a's takes 0.96-1.01 ms, where
+    three passes took 1.49-1.57 ms.
     """
-    d_values = [float(d) for d in d_values]
-    _require_geometric(d_values, "gluing scan d values")
-    if any(d < 4 for d in d_values):
-        raise ValueError("gluing requires d >= 4")
-    per_pass = max(1, PASS_RADII // grid_points)
-    rows = []
-    for start in range(0, len(d_values), per_pass):
-        ds = np.array(d_values[start:start + per_pass])
-        grid = np.geomspace(ds, 2.0 * ds, grid_points, axis=1).ravel()
-        ric, rm = frame_norms(glued_profile(np.repeat(ds, grid_points)), grid)
-        for lo in range(0, len(grid), grid_points):
-            annulus = slice(lo, lo + grid_points)
-            best = lo + int(np.argmax(ric[annulus]))
-            rows.append((float(grid[best]), float(ric[best]), float(rm[annulus].max())))
-    out = ScanResult(d_values)
-    for column, values, fit in zip(GLUE_COLUMNS, zip(*rows), (False, True, False)):
-        out.add(column, values, fit=fit)
-    return out
+    return _glue_scan(d_values, grid_points, np.zeros(0))[0]
+
+
+def stage_scans(ricci_flat_radii, decay_radii, d_values, grid_points: int):
+    """The curvature stage's three scans: the instanton's |Ric| at each of
+    ricci_flat_radii, decay_scan(eh_profile(), decay_radii) and
+    glue_ricci_scan(d_values, grid_points), each equal to its own pass bit
+    for bit.  The first two ride in the glue scan's first pass, with cutoff
+    scale max(r, 4), where the glued profile is the instanton's, so the
+    section costs the glue scan's passes only.
+    """
+    decay = _decay_radii(decay_radii)
+    k = len(ricci_flat_radii)
+    gscan, (ric, rm, values) = _glue_scan(d_values, grid_points, np.array([*ricci_flat_radii, *decay], float))
+    return ric[:k], _decay_result(decay, [v[k:] for v in values], rm[k:]), gscan
 
 
 DIAM_BOUND_FORMULA = "diam_bound(d) = 1 + 2*(2d + 2)/(20d)"

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from math import lcm
+
+import numpy as np
 
 # fixed_locus stays bound here for perfbench/tracing.py, which wraps it;
 # the checks read each element's fixed loci from GroupTable.fixed_loci.
@@ -292,15 +293,16 @@ def extend_rule(group: GroupTable, generator_signs: dict[str, tuple[int, ...]]) 
 
     The extension follows the group table's own construction (element =
     parent * generator); whether the result is a genuine homomorphism is
-    checked separately by check_covariance.  A name resolves through
-    group.element_index, so a repeated or identity generator is accepted,
-    and a value that disagrees with the one its element already has (the
-    identity's, or another name's for the same element) raises ValueError.
+    checked separately by check_covariance.  A name is a word that
+    group.word_index resolves, so a repeated or identity generator and any
+    product of generators are accepted, and a value that disagrees with the
+    one its element already has (the identity's, or another word's for the
+    same element) raises ValueError.
     """
     rank = len(next(iter(generator_signs.values())))
     signs: dict[int, tuple[int, ...]] = {0: tuple([1] * rank)}
-    index = group.element_index
-    missing = [n for n in generator_signs if n not in index]
+    index = {name: group.word_index(name) for name in generator_signs}
+    missing = [n for n, i in index.items() if i is None]
     if missing:
         raise ValueError(f"rule names unknown generators: {missing}")
     frontier = []
@@ -420,42 +422,57 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
     must lie inside some removed shrunken chart, verified exactly on
     integer numerators through the component's constrained-pair
     coordinates; a component at distance exactly epsilon·shrink from a
-    center is inside.
+    center is inside.  The canonical basepoints of all non-identity
+    elements' components, rows over 2N (N = group.denom), are tested in one
+    array expression per removed chart, in int64 while its squared
+    distances fit and on Python ints (object dtype) beyond.  The first
+    failing row, in element and then basepoint order, is the one named.
     """
     label = f"free-action[{chart.name}]"
     if chart.covering != "group":
         return CheckResult(label, True, "trivial covering")
+    loci = group.fixed_loci
+    if chart.kind == "full":
+        gi = next((gi for gi in range(1, group.order) if loci[gi]), None)
+        if gi is None:
+            return CheckResult(label, True, "group acts freely on the chart")
+        return CheckResult(label, False, f"{group.names[gi]} has fixed points")
+    tables = [(gi, loci[gi]) for gi in range(1, group.order) if loci[gi]]
+    if not tables:
+        return CheckResult(label, True, "group acts freely on the chart")
+    m = 2 * group.denom
+    points = np.concatenate([t.points for _, t in tables])
     by_name = {c.name: c for c in atlas}
-    tubes = []  # per removed chart: its pair, centers and denominator, and the squared bound p/q
+    inside = np.zeros(len(points), bool)
     for w in (by_name[n] for n in chart.complement_of) if chart.kind == "complement" else ():
+        a, b = w.constrained
+        # A component that sweeps the pair plane is not contained.
+        flat = np.concatenate([
+            np.array([all(dv[a - 1] == 0 == dv[b - 1] for dv in dirs) for dirs in t.lattices], bool)[t.lattice]
+            for _, t in tables
+        ])
         bound = (w.epsilon * chart.shrink) ** 2
-        tubes.append((w.constrained, w.center_nums, w.center_den, bound.numerator, bound.denominator))
-
-    @cache  # each component is tested once
-    def inside_removed(comp) -> bool:
-        for (a, b), centers, den, p, q in tubes:
-            if any(dv[a - 1] != 0 or dv[b - 1] != 0 for dv in comp.directions):
-                continue  # component sweeps the pair plane; not contained
-            m = lcm(comp.q, den)
-            s, t, h, bound = m // comp.q, m // den, m // 2, p * m * m
-            cx, cy = comp.w[a - 1] * s + h, comp.w[b - 1] * s + h
-            for x, y in centers:  # (dx² + dy²) / m² <= p/q, each d folded into [-m/2, m/2]
-                if (((cx - x * t) % m - h) ** 2 + ((cy - y * t) % m - h) ** 2) * q <= bound:
-                    return True
-        return False
-
-    for gi in range(1, group.order):
-        for comp in group.fixed_loci[gi]:
-            if chart.kind == "full":
-                return CheckResult(label, False, f"{group.names[gi]} has fixed points")
-            if not inside_removed(comp):
-                return CheckResult(
-                    label,
-                    False,
-                    f"fixed component of {group.names[gi]} at {tuple(str(x) for x in comp.basepoint)} "
-                    "meets the chart",
-                )
-    return CheckResult(label, True, "group acts freely on the chart")
+        big = lcm(m, w.center_den)
+        h, dtype = big // 2, np.int64 if big * big * bound.denominator < 2**63 else object
+        pair = points[:, [a - 1, b - 1]].astype(dtype) * (big // m) + h
+        centers = np.array(w.center_nums, dtype) * (big // w.center_den)
+        # (dx² + dy²) / big² <= p/q, each difference folded into [-big/2, big/2].
+        folded = (pair[:, None, :] - centers[None, :, :]) % big - h
+        near = ((folded * folded).sum(axis=2) * bound.denominator <= bound.numerator * big * big).any(axis=1)
+        inside |= flat & near
+    if inside.all():
+        return CheckResult(label, True, "group acts freely on the chart")
+    row = int(np.argmin(inside))
+    for gi, t in tables:
+        if row < len(t):
+            comp = t[row]
+            return CheckResult(
+                label,
+                False,
+                f"fixed component of {group.names[gi]} at {tuple(str(x) for x in comp.basepoint)} "
+                "meets the chart",
+            )
+        row -= len(t)
 
 
 def verify_f_structure(

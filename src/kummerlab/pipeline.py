@@ -267,9 +267,10 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
             "sphere_ricci_positive": cal.sphere_ricci_positive,
         }
     }
-    prof = curvature.eh_profile()
+    ric, scan, gscan = curvature.stage_scans(glue.ricci_flat_radii, glue.decay_radii, glue.d_values,
+                                             glue.annulus_grid)
     tol = glue.ricci_flat_tol * tolerance_scale
-    sup = float(curvature.frame_norms(prof, glue.ricci_flat_radii)[0].max())
+    sup = float(ric.max())
     section["instanton_ricci"] = {
         "radii": list(glue.ricci_flat_radii),
         "sup_ric": sup,
@@ -277,7 +278,6 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
     }
     report.claim("curvature.instanton_ricci_flat", sup < tol, value=sup, tolerance=tol)
 
-    scan = curvature.decay_scan(prof, glue.decay_radii)
     dev, rm = scan.series["metric_deviation"], scan.series["rm_norm"]
     section["decay"] = {
         "radii": list(glue.decay_radii),
@@ -285,7 +285,6 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
         "rm_norm": {"values": rm.values, "slope": rm.slope, "residual": rm.residual},
     }
 
-    gscan = curvature.glue_ricci_scan(glue.d_values, glue.annulus_grid)
     mu = curvature.mu_report(gscan)
     sup_ric, resc = gscan.series["sup_ric_annulus"], mu.series["rescaled_sup_ric"]
     mus = mu.series["mu_proxy"].values
@@ -367,10 +366,11 @@ _EXPECTED_VALUES = {
 
 def run_expected_stage(spec: ConstructionSpec, report: Report, group):
     exp = spec.expected
-    index = group.element_index
     loci = report.sections["fixed_loci"]["per_element"]
-    rows = [(f"fixed_circles.{name}", loci[group.names[index[name]]] if name in index else None, count)
-            for name, count in exp.get("fixed_circles", {}).items()]
+    rows = []
+    for word, count in exp.get("fixed_circles", {}).items():
+        i = group.word_index(word)
+        rows.append((f"fixed_circles.{word}", None if i is None else loci[group.names[i]], count))
     rows += [(key, observed(report.sections), exp[key])
              for key, observed in _EXPECTED_VALUES.items() if key in exp]
     for key, got, want in rows:

@@ -158,14 +158,19 @@ class GroupTable:
         use from the elements' codes: all are rows over 2N, N = denom."""
         return [fixed_locus(el) for el in self.elements]
 
-    @cached_property
-    def element_index(self) -> dict[str, int]:
-        """Element index by name: the closure's names, then the declared
-        generator names, which resolve by element (a repeated or identity
-        generator has no closure name of its own)."""
-        index = dict(zip(self.names, range(self.order)))
-        index.update(zip(self.generator_names, self.right[0]))
-        return index
+    def word_index(self, word: str) -> int | None:
+        """Index of the element a '*'-product of declared generator names
+        names, its factors composed left to right (e is the identity), or
+        None if a factor is neither.  So every closure name resolves to its
+        own element, and so do other words for it, such as beta*alpha for
+        alpha*beta in an abelian group."""
+        slots = []
+        for factor in word.split("*"):
+            if factor in self.generator_names:
+                slots.append(self.generator_names.index(factor))
+            elif factor != "e":
+                return None
+        return self._walk(0, slots)
 
     @cached_property
     def generator_indices(self) -> list[int]:

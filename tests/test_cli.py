@@ -432,6 +432,44 @@ def test_psi_resolves_declared_generator_names(tmp_path, generator, psi, error):
     assert ("FAIL  covariance[V]  (no covariance rule declared)" in result.output) == bool(error)
 
 
+@pytest.mark.parametrize("word, count, line", [
+    ("beta*alpha", 0, "PASS  expected.fixed_circles.beta*alpha  (value=0; expected=0)"),
+    ("alpha*e*beta", 0, "PASS  expected.fixed_circles.alpha*e*beta  (value=0; expected=0)"),
+    ("gamma*beta*gamma", 16, "PASS  expected.fixed_circles.gamma*beta*gamma  (value=16; expected=16)"),
+    ("beta*alpha", 16, "FAIL  expected.fixed_circles.beta*alpha  (value=0; expected=16)"),
+], ids=["beta*alpha", "alpha*e*beta", "gamma*beta*gamma", "beta*alpha-miscounted"])
+def test_expected_fixed_circles_resolve_any_word(tmp_path, word, count, line):
+    """A fixed_circles word names the product of its factors: beta*alpha and
+    alpha*e*beta are alpha*beta, which fixes no point, and gamma*beta*gamma is
+    beta.  The claim keeps the word as written and states the value it read."""
+    spec = edited_example_a(tmp_path, ("fixed_circles beta 16", f"fixed_circles {word} {count}"))
+    result = CliRunner().invoke(main, ["verify", str(spec)])
+    assert result.exit_code == (0 if line.startswith("PASS") else 1), result.output
+    assert line in result.output.splitlines()
+
+
+def test_psi_words_resolve_by_composing_their_factors(tmp_path):
+    """psi beta*e is psi beta; two words for one element with different
+    signs are a rule error, as two names for one element are."""
+    spec = edited_example_a(tmp_path, ("psi beta - + -", "psi beta*e - + -"))
+    result = CliRunner().invoke(main, ["f-structure", str(spec)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == (GOLDEN / "example-a.f-structure.txt").read_bytes()
+    spec = example_a_with_generator(tmp_path, "", "alpha*beta + + -\npsi beta*alpha - - +")
+    out = tmp_path / "f.json"
+    result = CliRunner().invoke(main, ["--json", str(out), "f-structure", str(spec)])
+    assert result.exit_code == 1, result.output
+    assert json.loads(out.read_text())["f_structure"]["rule_errors"] == [
+        "V: rule gives beta*alpha the value (-1, -1, 1), but its element alpha*beta has (1, 1, -1)"]
+
+
+def test_fixed_locus_element_resolves_any_word():
+    for word, count in (("alpha*e*beta", 0), ("beta*alpha*beta", 16), ("e*e", 1)):
+        result = CliRunner().invoke(main, ["fixed-locus", EXAMPLE_A, "--element", word])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == f"{word}: {count} component(s)"
+
+
 def test_chart_centers_are_torus_points(tmp_path):
     """Centers are read mod 1: an unreduced copy of W_alpha's centers is the same chart."""
     spec = edited_example_a(tmp_path, "centers 0,0 0,3/2 -1/2,0 1/2,1/2")

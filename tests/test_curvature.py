@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from conftest import (
     cutoff_derivative_bounds,
     euler_chart_christoffel_exact,
+    example_spec,
     reference_cartan_coefficients,
     reference_eh_jets,
     reference_euclidean_jets,
@@ -41,6 +44,7 @@ from kummerlab.curvature import (
     _richardson_derivative,
 )
 from kummerlab.jets import Jet
+from kummerlab.specfile import parse_construction
 from test_jets import same_bits
 
 EH_POINT = [3.0, 1.0, 0.7, 0.9]
@@ -403,6 +407,104 @@ def test_decay_scan_matches_per_radius_samples(spec_a):
     for rm, r in zip(scan.series["rm_norm"].values, radii):
         dense = cohomo_curvature(prof, r).rm_norm
         assert abs(rm - dense) <= 2 * math.ulp(dense)  # |Rm| sums its squares in another order
+
+
+SCAN_2048 = Path(__file__).resolve().parent / "data" / "scan-2048.spec"
+
+
+def test_glued_profile_is_the_instanton_on_its_inner_plateau(spec_a):
+    """At cutoff scale max(r, 4) the glued profile equals the instanton
+    profile bit for bit: values, |Ric| and |Rm|, on the bundled radii and
+    on seeded random radii in (1, 10^4]."""
+    rng = np.random.default_rng(16)
+    bundled = [*spec_a.gluing.ricci_flat_radii, *spec_a.gluing.decay_radii]
+    for radii in (np.array(bundled), 1e4 - rng.uniform(0.0, 1e4 - 1.0, 4000)):
+        glued, ale = glued_profile(np.maximum(radii, 4.0)), eh_profile()
+        shaped = lambda x: np.broadcast_to(x, radii.shape)  # noqa: E731
+        assert all(same_bits(shaped(x), shaped(y)) for x, y in zip(glued.values(radii), ale.values(radii)))
+        assert all(same_bits(x, y) for x, y in zip(frame_norms(glued, radii), frame_norms(ale, radii)))
+
+
+def stage_reference(gluing):
+    """The stage's three scans, each in its own passes."""
+    return (frame_norms(eh_profile(), gluing.ricci_flat_radii)[0], decay_scan(eh_profile(), gluing.decay_radii),
+            glue_ricci_scan(gluing.d_values, gluing.annulus_grid))
+
+
+def scan_values(scan):
+    return {k: (s.values, s.slope, s.residual) for k, s in scan.series.items()}
+
+
+@pytest.mark.parametrize("budget", [curvature.PASS_RADII, 1024, 300])
+def test_stage_scans_equal_their_own_passes(spec_a, budget, monkeypatch):
+    """The radii riding in the first glue pass give the instanton's |Ric|
+    and decay scan bit for bit, and the glue scan is unchanged, whatever
+    the pass size."""
+    monkeypatch.setattr(curvature, "PASS_RADII", budget)
+    for gluing in (spec_a.gluing, parse_construction(SCAN_2048).gluing):
+        ric, decay, gscan = curvature.stage_scans(gluing.ricci_flat_radii, gluing.decay_radii,
+                                                  gluing.d_values, gluing.annulus_grid)
+        ref_ric, ref_decay, ref_gscan = stage_reference(gluing)
+        assert same_bits(ric, ref_ric)
+        assert scan_values(decay) == scan_values(ref_decay)
+        assert scan_values(gscan) == scan_values(ref_gscan)
+
+
+@pytest.mark.parametrize("spec, passes", [("example-a", [10 + 2560]), ("scan-2048", [10 + 4096, 4096, 2048])])
+def test_run_all_makes_one_pass_per_glue_pass(spec, passes, spec_a, monkeypatch):
+    """With the calibration cached, a verify's curvature section runs the glue
+    scan's passes and no other: one on example-a, three on the dense spec."""
+    sizes = count_passes(monkeypatch)
+    pipeline.run_all(spec_a if spec == "example-a" else parse_construction(SCAN_2048))
+    assert sizes == passes
+
+
+def exact_fit(xs, ys):
+    """Slope and RMS residual of the least squares of log y on log x, over
+    the float logs as exact rationals."""
+    lx, ly = ([Fraction(math.log(v)) for v in vs] for vs in (xs, ys))
+    n = len(lx)
+    mx, my = sum(lx) / n, sum(ly) / n
+    sxx = sum((x - mx) ** 2 for x in lx)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+    syy = sum((y - my) ** 2 for y in ly)
+    slope = sxy / sxx
+    return float(slope), math.sqrt(float((syy - slope * sxy) / n))
+
+
+def fitted_series():
+    """Every fitted series of the three bundled reports with a gluing block,
+    and seeded noisy power laws."""
+    for spec in (example_spec("example-a.spec"), example_spec("example-b.spec"),
+                 parse_construction(Path(__file__).resolve().parent / "data" / "example-b-four-chart.spec")):
+        _, decay, gscan = stage_reference(spec.gluing)
+        for scan in (decay, gscan, mu_report(gscan)):
+            for s in scan.series.values():
+                if s.slope is not None:
+                    yield scan.parameters, s.values
+    rng = random.Random(1414)
+    for _ in range(40):
+        n = rng.randint(4, 12)
+        xs = [rng.uniform(0.5, 2.0) * 2.0**k for k in range(n)]
+        power, noise = rng.uniform(-8, 2), 10.0 ** rng.uniform(-12, -1)
+        yield xs, [x**power * math.exp(rng.gauss(0.0, noise)) for x in xs]
+
+
+def test_fit_loglog_is_the_exact_least_squares_of_the_float_logs():
+    """The slope and the residual, the two values reports show, agree with
+    the exact rational least squares to 1e-14 relative, and the fit does
+    not move when the points are permuted."""
+    rng = random.Random(7)
+    count = 0
+    for xs, ys in fitted_series():
+        got = fit_loglog(xs, ys)
+        for g, w in zip(got[::2], exact_fit(xs, ys)):
+            assert abs(g - w) <= 1e-14 * abs(w), (xs, ys)
+        order = list(range(len(xs)))
+        rng.shuffle(order)
+        assert fit_loglog([xs[i] for i in order], [ys[i] for i in order]) == got
+        count += 1
+    assert count == 3 * 5 + 40
 
 
 def test_constant_profile_curvature_matches_finite_differences():

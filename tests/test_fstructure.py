@@ -3,6 +3,7 @@ import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ from kummerlab.fstructure import (
     verify_f_structure,
     _overlap_nonempty,
 )
+from kummerlab.specfile import parse_construction
 from kummerlab.torus import AffineIsometry, GroupClosureError, generate_group
 
 HALF = Fraction(1, 2)
@@ -619,6 +621,27 @@ def test_free_action_on_integers_matches_fraction_reference_at_the_tube_boundary
                 if any(group.fixed_loci[1:]):  # a free action passes either way
                     outcomes[push, got.passed] += 1
     # Exactly at the boundary passes at least once; pushed out never passes.
+    assert outcomes[False, True] >= 3 and outcomes[True, True] == 0
+
+
+def test_free_action_beyond_int64_matches_fraction_reference():
+    """Example-a shifted by (1, 3, 5, 7, 11)/2^70 has N = 2^69, so its rows
+    and their squared distances are Python ints (object dtype): the same
+    boundary cases as above, on seeded pairs, against the Fraction reference."""
+    shift = parse_construction(Path(__file__).resolve().parent / "data" / "example-a-shift70.spec")
+    group = generate_group(shift.generators, shift.generator_names)
+    assert group.denom == 2**69 and group.fixed_loci[1].points.dtype == object
+    rng = random.Random(2**69)
+    outcomes = Counter()
+    # Only the pair plane (x2, x3) meets every fixed circle in a point.
+    for pair in [(2, 3), (3, 2)] * 2 + [tuple(rng.sample(range(1, 6), 2)) for _ in range(2)]:
+        epsilon = Fraction(rng.randint(1, 9), rng.choice((1024, 1000, 2187)))
+        shrink = Fraction(rng.randint(1, 6), 7)
+        for push in (False, True):
+            atlas = boundary_atlas(rng, group, pair, epsilon, shrink, push)
+            got = fstructure._check_free_action(atlas[1], group, atlas)
+            assert row(got) == row(reference_free_action(atlas[1], group, atlas))
+            outcomes[push, got.passed] += 1
     assert outcomes[False, True] >= 3 and outcomes[True, True] == 0
 
 

@@ -531,6 +531,25 @@ def test_mul_matches_compose_products(case):
     assert [[table.mul(i, j) for j in everything] for i in everything] == compose_products(table.elements)
 
 
+def test_word_index_composes_the_factors_of_any_word():
+    """Every closure name names its own element; a random word over the
+    generator names and e names the product of its factors, left to right;
+    a word with an undeclared factor names nothing."""
+    rng = random.Random(27)
+    for gens, names in RANDOM_GROUPS:
+        table = generate_group(gens, names, max_order=16)
+        assert [table.word_index(name) for name in table.names] == list(range(table.order))
+        for _ in range(6):
+            word = [rng.choice(names + ["e"]) for _ in range(rng.randint(1, 6))]
+            expected = identity(table.dim)
+            for factor in word:
+                if factor != "e":
+                    expected = compose(expected, gens[names.index(factor)])
+            assert table.elements[table.word_index("*".join(word))] == expected
+        assert table.word_index(f"{names[0]}*zeta") is None
+        assert table.word_index(f"{names[0]}*") is None
+
+
 def test_subgroup_generated_matches_brute_force_closure():
     rng = random.Random(14)
     ratios = set()

@@ -4,9 +4,10 @@ Charts are tubular regions of the torus cut out by a distance constraint
 on one coordinate pair, plus the complement chart of their shrunken union
 and an optional whole-torus chart.  Actions are formal coordinate
 translations; every check here is a rational/symbolic identity, so a PASS
-is a machine-checked statement, never a sampled approximation.  They run on
-integer numerators: a chart's centers over one denominator, translations over
-a multiple of it, and distances compared with the denominators cleared.
+is a machine-checked statement, never a sampled approximation (the overlap
+rows are reported, not checked).  They run on integer numerators: a chart's
+centers over one denominator, translations over a multiple of it, and
+distances compared with the denominators cleared.
 """
 
 from __future__ import annotations
@@ -131,6 +132,22 @@ def _pair_images(g: AffineIsometry, chart: ChartSpec):
     return m, centers, [((s0 * c[i0] + u0) % m, (s1 * c[i1] + u1) % m) for c in centers]
 
 
+def _removed_balls(chart: ChartSpec, atlas) -> list[ChartSpec]:
+    """The ball charts a complement removes, in `of` order; none for a ball or
+    full chart.  ValueError, worded as the parser's, on any other `of` name."""
+    if chart.kind != "complement":
+        return []
+    balls = {c.name: c for c in atlas or () if c.kind == "ball"}
+    if unknown := [n for n in chart.complement_of if n not in balls]:
+        raise ValueError(f"chart {chart.name}: of names no ball chart of the atlas: {', '.join(unknown)}")
+    return [balls[n] for n in chart.complement_of]
+
+
+def _moved_axis(action: TorusActionSymbol, balls: list[ChartSpec]) -> tuple[int, ChartSpec] | None:
+    """(axis, ball): the first acting axis in a ball's constrained pair, or None."""
+    return next(((i, w) for w in balls for i in action.directions if i in w.constrained), None)
+
+
 def check_invariance(chart: ChartSpec, g: AffineIsometry, atlas=None) -> CheckResult:
     """Whether g maps the chart onto itself, as an exact statement.
 
@@ -143,13 +160,9 @@ def check_invariance(chart: ChartSpec, g: AffineIsometry, atlas=None) -> CheckRe
     if chart.kind == "full":
         return CheckResult(label, True, "whole torus")
     if chart.kind == "complement":
-        if atlas is None:
-            return CheckResult(label, False, "complement chart needs its atlas context")
-        by_name = {c.name: c for c in atlas}
-        for ref in chart.complement_of:
-            sub = check_invariance(by_name[ref], g)
-            if not sub.passed:
-                return CheckResult(label, False, f"removed chart {ref} not invariant")
+        for ball in _removed_balls(chart, atlas):
+            if not check_invariance(ball, g).passed:
+                return CheckResult(label, False, f"removed chart {ball.name} not invariant")
         return CheckResult(label, True, "complement of invariant charts")
     mapped = _pair_images(g, chart)
     if mapped is None:
@@ -166,24 +179,12 @@ def check_action_invariance(chart: ChartSpec, action: TorusActionSymbol, atlas=N
     constrained coordinate (their own, or of the removed charts for a
     complement)."""
     label = f"action-invariance[{chart.name}]"
-    if chart.kind == "full":
+    moved = _moved_axis(action, [chart] if chart.kind == "ball" else _removed_balls(chart, atlas))
+    if moved is None:
         return CheckResult(label, True)
-    if chart.kind == "ball":
-        bad = [i for i in action.directions if i in chart.constrained]
-        if bad:
-            return CheckResult(
-                label, False, f"translation along x{bad[0]} moves the constrained coordinate off the centers"
-            )
-        return CheckResult(label, True)
-    by_name = {c.name: c for c in atlas or []}
-    for ref in chart.complement_of:
-        sub = by_name.get(ref)
-        if sub is None:
-            return CheckResult(label, False, f"unknown removed chart {ref}")
-        bad = [i for i in action.directions if i in sub.constrained]
-        if bad:
-            return CheckResult(label, False, f"translation along x{bad[0]} moves removed chart {ref}")
-    return CheckResult(label, True)
+    axis, ball = moved
+    where = "the constrained coordinate off the centers" if ball is chart else f"removed chart {ball.name}"
+    return CheckResult(label, False, f"translation along x{axis} moves {where}")
 
 
 def check_covariance(
@@ -337,16 +338,6 @@ def check_locally_free(action: TorusActionSymbol, chart: ChartSpec) -> tuple[Che
     return CheckResult(label, True, f"orbit dimension {dim}"), dim
 
 
-def actions_commute(a: TorusActionSymbol, b: TorusActionSymbol) -> bool:
-    """Formal translations always commute; kept as an explicit identity check.
-
-    Composing x -> x + s e_i and x -> x + t e_j in both orders gives the
-    same affine map with formal parameters, for any axes i, j.
-    """
-    # (x + s e_i) + t e_j == (x + t e_j) + s e_i as formal sums.
-    return True
-
-
 def _overlap_nonempty(c1: ChartSpec, c2: ChartSpec) -> bool:
     """Whether two charts meet, decided exactly for two ball charts.
 
@@ -391,23 +382,15 @@ def _check_cover(atlas: list[ChartSpec]) -> CheckResult:
 
     By definition the complement chart is the complement of the closed
     shrunken ball union; the cover identity holds exactly iff every closed
-    shrunken ball sits inside its open ball, i.e. shrink < 1 with matching
-    centers.  A full chart covers outright.
+    shrunken ball sits inside its open ball, i.e. shrink < 1 (as ChartSpec
+    enforces) with matching centers.  A full chart covers outright.
     """
     if any(c.kind == "full" for c in atlas):
         return CheckResult("cover", True, "whole-torus chart present")
-    comps = [c for c in atlas if c.kind == "complement"]
-    if not comps:
+    if all(c.kind != "complement" for c in atlas):
         return CheckResult("cover", False, "no complement chart and no full chart")
-    names = {c.name for c in atlas if c.kind == "ball"}
-    for comp in comps:
-        missing = [n for n in comp.complement_of if n not in names]
-        if missing:
-            return CheckResult("cover", False, f"complement references unknown charts {missing}")
-        if not comp.shrink < 1:
-            return CheckResult("cover", False, "shrunken closed balls must sit inside the open balls")
-    covered = set().union(*(set(c.complement_of) for c in comps))
-    uncovered = names - covered
+    removed = {w.name for c in atlas for w in _removed_balls(c, atlas)}
+    uncovered = {c.name for c in atlas if c.kind == "ball"} - removed
     if uncovered:
         return CheckResult("cover", False, f"ball charts {sorted(uncovered)} not accounted for")
     return CheckResult(
@@ -431,20 +414,15 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
     label = f"free-action[{chart.name}]"
     if chart.covering != "group":
         return CheckResult(label, True, "trivial covering")
-    loci = group.fixed_loci
-    if chart.kind == "full":
-        gi = next((gi for gi in range(1, group.order) if loci[gi]), None)
-        if gi is None:
-            return CheckResult(label, True, "group acts freely on the chart")
-        return CheckResult(label, False, f"{group.names[gi]} has fixed points")
-    tables = [(gi, loci[gi]) for gi in range(1, group.order) if loci[gi]]
+    tables = [(gi, t) for gi, t in enumerate(group.fixed_loci) if gi and t]
     if not tables:
         return CheckResult(label, True, "group acts freely on the chart")
+    if chart.kind == "full":
+        return CheckResult(label, False, f"{group.names[tables[0][0]]} has fixed points")
     m = 2 * group.denom
     points = np.concatenate([t.points for _, t in tables])
-    by_name = {c.name: c for c in atlas}
     inside = np.zeros(len(points), bool)
-    for w in (by_name[n] for n in chart.complement_of) if chart.kind == "complement" else ():
+    for w in _removed_balls(chart, atlas):
         a, b = w.constrained
         # A component that sweeps the pair plane is not contained.
         flat = np.concatenate([
@@ -465,11 +443,10 @@ def _check_free_action(chart: ChartSpec, group: GroupTable, atlas: list[ChartSpe
     row = int(np.argmin(inside))
     for gi, t in tables:
         if row < len(t):
-            comp = t[row]
             return CheckResult(
                 label,
                 False,
-                f"fixed component of {group.names[gi]} at {tuple(str(x) for x in comp.basepoint)} "
+                f"fixed component of {group.names[gi]} at {tuple(str(x) for x in t[row].basepoint)} "
                 "meets the chart",
             )
         row -= len(t)
@@ -483,16 +460,20 @@ def verify_f_structure(
     """Run every F-structure condition on the atlas, exactly.
 
     Conditions: (1) cover, (2) covering data well-formed (declared group
-    coverings act freely), (3) per-chart invariance and covariance,
-    (4) lifted actions commute on overlaps.  Also reported: ball-chart
-    disjointness, surgery-compatibility flags, the polarized flag (all
-    local-freeness checks pass) and the rank (minimum orbit dimension).
-    Invariance under the generators is invariance under the group, and the
-    generators come first in index order, so the invariance row tests the
-    generators only and names the same first failing element.
+    coverings act freely), (3) per-chart invariance and covariance.  Also
+    reported: overlap rows, which check nothing (formal translations always
+    commute), ball-chart disjointness, surgery-compatibility flags, the
+    polarized flag (all local-freeness checks pass) and the rank (minimum
+    orbit dimension).  Invariance under the generators is invariance under
+    the group, and the generators come first in index order, so the
+    invariance row tests the generators only and names the same first
+    failing element.  An `of` name that is no ball chart of the atlas
+    raises ValueError before any row is computed.
     """
     if not atlas:
         raise ValueError("empty atlas")
+    for chart in atlas:
+        _removed_balls(chart, atlas)
     rules = rules or {}
     report = FStructureReport()
     checks = report.all_checks
@@ -524,15 +505,9 @@ def verify_f_structure(
     meeting = [
         (c1, c2) for i, c1 in enumerate(atlas) for c2 in atlas[i + 1 :] if _overlap_nonempty(c1, c2)
     ]
+    # Reported, not checked: formal translations commute; orbit inclusion is not tested yet.
     for c1, c2 in meeting:
-        ok = actions_commute(c1.action, c2.action)
-        checks.append(
-            CheckResult(
-                f"overlap[{c1.name}&{c2.name}]",
-                ok,
-                "lifted translation actions commute" if ok else "actions do not commute",
-            )
-        )
+        checks.append(CheckResult(f"overlap[{c1.name}&{c2.name}]", True, "lifted translation actions commute"))
 
     clash = next(((c1, c2) for c1, c2 in meeting if c1.kind == c2.kind == "ball"), None)
     checks.append(
@@ -546,14 +521,14 @@ def verify_f_structure(
     )
 
     for chart in (c for c in atlas if c.kind == "ball"):
-        clash = [i for i in chart.action.directions if i in (chart.constrained or ())]
+        moved = _moved_axis(chart.action, [chart])
         checks.append(
             CheckResult(
                 f"surgery-compatibility[{chart.name}]",
-                not clash,
+                moved is None,
                 "acting coordinates disjoint from the constrained pair"
-                if not clash
-                else f"action moves constrained coordinate x{clash[0]}",
+                if moved is None
+                else f"action moves constrained coordinate x{moved[0]}",
             )
         )
     return report

@@ -340,6 +340,9 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
                 elif kind in ("generator", "chart"):
                     if (kind, name) in headers:
                         fail(lineno, "section", f"repeated {kind} name {name!r}")
+                    if kind == "generator" and (name == "e" or "*" in name):
+                        why = "is reserved for the identity" if name == "e" else "contains '*', the word product"
+                        fail(lineno, "section", f"generator name {name!r} {why}")
                     headers.add((kind, name))
             else:
                 fail(lineno, "section", f"malformed section header {line!r}")

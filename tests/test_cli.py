@@ -577,6 +577,15 @@ def edited_example_a(tmp_path: Path, line) -> Path:
         (("fixed_circles alpha 16", "fixed_circles zeta 16"), ["62 [expected] unknown generator 'zeta' in 'zeta'"]),
         # beta is rejected for its own lines, so psi beta and fixed_circles beta still name it
         (("diag -1 -1 -1 1 -1", "diag 2 -1 -1 1 -1"), [f"12 [generator] {torus.NOT_AN_ISOMETRY}"]),
+        # No word can name a generator called e or one whose name holds '*'.
+        (("[generator beta]", "[generator e]"), ["12 [section] generator name 'e' is reserved for the identity",
+                                                 "58 [psi] unknown generator 'beta' in 'beta'",
+                                                 "63 [expected] unknown generator 'beta' in 'beta'"]),
+        (("[generator gamma]", "[generator beta*gamma]"), [
+            "16 [section] generator name 'beta*gamma' contains '*', the word product",
+            "59 [psi] unknown generator 'gamma' in 'gamma'",
+            "64 [expected] unknown generator 'gamma' in 'gamma'",
+        ]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

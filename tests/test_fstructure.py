@@ -9,6 +9,7 @@ import pytest
 
 from conftest import compose_products, diagonal, identity
 from kummerlab import fstructure
+from kummerlab.cli import bundled_examples
 from kummerlab.fstructure import (
     ChartSpec,
     CheckResult,
@@ -24,7 +25,7 @@ from kummerlab.fstructure import (
     verify_f_structure,
     _overlap_nonempty,
 )
-from kummerlab.specfile import parse_construction
+from kummerlab.specfile import SpecParseError, parse_construction, parse_construction_text
 from kummerlab.torus import AffineIsometry, GroupClosureError, generate_group
 
 HALF = Fraction(1, 2)
@@ -550,32 +551,102 @@ def row(res):
     return (res.name, res.passed, res.detail)
 
 
+def reference_action_invariance(chart, atlas):
+    """The action-invariance row as it was written before the resolver: the
+    ball's own pair, or each removed chart's, looked up by name."""
+    label = f"action-invariance[{chart.name}]"
+    action = chart.action
+    if chart.kind == "full":
+        return CheckResult(label, True)
+    if chart.kind == "ball":
+        bad = [i for i in action.directions if i in chart.constrained]
+        if bad:
+            return CheckResult(
+                label, False, f"translation along x{bad[0]} moves the constrained coordinate off the centers"
+            )
+        return CheckResult(label, True)
+    by_name = {c.name: c for c in atlas}
+    for ref in chart.complement_of:
+        bad = [i for i in action.directions if i in by_name[ref].constrained]
+        if bad:
+            return CheckResult(label, False, f"translation along x{bad[0]} moves removed chart {ref}")
+    return CheckResult(label, True)
+
+
+def reference_cover(atlas):
+    """The cover row on an atlas whose complements name only its ball charts."""
+    if any(c.kind == "full" for c in atlas):
+        return CheckResult("cover", True, "whole-torus chart present")
+    comps = [c for c in atlas if c.kind == "complement"]
+    if not comps:
+        return CheckResult("cover", False, "no complement chart and no full chart")
+    uncovered = {c.name for c in atlas if c.kind == "ball"} - {n for c in comps for n in c.complement_of}
+    if uncovered:
+        return CheckResult("cover", False, f"ball charts {sorted(uncovered)} not accounted for")
+    return CheckResult("cover", True, "closed shrunken balls lie inside the open balls; complement fills the rest")
+
+
+def reference_rows(atlas, group, rules):
+    """Every row verify_f_structure reports, in its order, from the references:
+    overlap rows for every pair of meeting charts (two balls meet by the
+    Fraction reference, any other pair always), each a PASS that checks
+    nothing; disjointness from the same pairs; surgery from each ball's pair."""
+    rows = []
+    for chart in atlas:
+        rows += [reference_invariance(chart, group, atlas), reference_action_invariance(chart, atlas),
+                 reference_covariance(chart, group, rules.get(chart.name))]
+    for chart in atlas:
+        dim = len(chart.action.directions)
+        rows.append(CheckResult(f"locally-free[{chart.name}]", dim > 0, f"orbit dimension {dim}" if dim
+                                else "rank-0 action has no positive-dimensional orbit"))
+    rows.append(reference_cover(atlas))
+    rows += [reference_free_action(chart, group, atlas) for chart in atlas]
+    meeting = [(c1, c2) for i, c1 in enumerate(atlas) for c2 in atlas[i + 1 :]
+               if c1.kind != "ball" or c2.kind != "ball" or reference_overlap(c1, c2)]
+    rows += [CheckResult(f"overlap[{c1.name}&{c2.name}]", True, "lifted translation actions commute")
+             for c1, c2 in meeting]
+    clash = next(((c1, c2) for c1, c2 in meeting if c1.kind == c2.kind == "ball"), None)
+    rows.append(CheckResult("disjointness", clash is None, "pairwise center distance exceeds the radius sum"
+                            if clash is None else f"{clash[0].name} and {clash[1].name} overlap"))
+    for chart in (c for c in atlas if c.kind == "ball"):
+        bad = [i for i in chart.action.directions if i in chart.constrained]
+        rows.append(CheckResult(f"surgery-compatibility[{chart.name}]", not bad,
+                                f"action moves constrained coordinate x{bad[0]}" if bad
+                                else "acting coordinates disjoint from the constrained pair"))
+    return rows
+
+
+def atlas_variants(atlas):
+    """A seeded atlas; without its whole-torus chart, so the complement covers;
+    with a complement that removes only the first ball; its balls alone."""
+    *balls, v, _full = atlas
+    return [atlas, [*balls, v], [*balls, dataclasses.replace(v, complement_of=v.complement_of[:1])], balls]
+
+
 def test_generator_rows_match_all_element_loops(spec_a, spec_b):
+    """Every row of every seeded atlas and its variants against the reference rows."""
     rng = random.Random(2718)
     outcomes = set()
     for group in seeded_groups(spec_a, spec_b):
         for _ in range(6):
             atlas, rules = seeded_atlas(rng, group)
-            rep = verify_f_structure(atlas, group, rules)
-            for k, chart in enumerate(atlas):
-                free = reference_free_action(chart, group, atlas)
-                inv = reference_invariance(chart, group, atlas)
-                cov = reference_covariance(chart, group, rules.get(chart.name))
-                assert row(rows_named(rep, "free-action[")[k]) == row(free)
-                got_inv, got_action, got_cov = rep.all_checks[3 * k : 3 * k + 3]
-                assert row(got_inv) == row(inv)
-                assert row(got_action) == row(check_action_invariance(chart, chart.action, atlas))
-                if cov.detail.startswith("rule is not a homomorphism"):
-                    # Only the witness pair may differ: the rule is checked on generators.
-                    assert (got_cov.passed, got_cov.detail[:27]) == (False, cov.detail[:27])
-                else:
-                    assert row(got_cov) == row(cov)
-                for res in (free, inv, cov):
-                    outcomes.add((res.name.split("[")[0], res.passed, "Psi" in res.detail))
-    # The seeded atlases reach each row kind both passing and failing, and
-    # rules that are and are not homomorphisms.
+            for variant in atlas_variants(atlas):
+                rep = verify_f_structure(variant, group, rules)
+                want = reference_rows(variant, group, rules)
+                assert [got.name for got in rep.all_checks] == [ref.name for ref in want]
+                for got, ref in zip(rep.all_checks, want):
+                    if ref.detail.startswith("rule is not a homomorphism"):
+                        # Only the witness pair may differ: the rule is checked on generators.
+                        assert (got.passed, got.detail[:27]) == (False, ref.detail[:27])
+                    else:
+                        assert row(got) == row(ref)
+                    outcomes.add((ref.name.split("[")[0], ref.passed, "Psi" in ref.detail))
+    # The seeded atlases reach each checking row kind both passing and
+    # failing, and rules that are and are not homomorphisms.
     kinds = {(kind, passed) for kind, passed, _psi in outcomes}
-    assert kinds == {(k, p) for k in ("free-action", "invariance", "covariance") for p in (True, False)}
+    checking = ("invariance", "action-invariance", "covariance", "cover", "free-action", "disjointness",
+                "surgery-compatibility")
+    assert kinds == {(k, p) for k in checking for p in (True, False)} | {("locally-free", True), ("overlap", True)}
     assert ("covariance", False, True) in outcomes and ("covariance", True, False) in outcomes
 
 
@@ -663,3 +734,35 @@ def test_invariance_is_checked_on_generators_only(spec_a, monkeypatch):
     assert set(calls) == {c.name for c in spec_a.atlas}
     assert max(calls.values()) <= len(group.generator_indices) == 4
     assert [c.passed for c in rows_named(rep, "invariance")] == [True] * 4
+
+
+@pytest.mark.parametrize("of, wrong", [
+    ("W_alpha W_beta Zz", "Zz"),  # no chart of that name
+    ("W_alpha T W_beta W_gamma", "T"),  # a full chart
+    ("W_alpha W_beta W_gamma V", "V"),  # a complement chart, here itself
+])
+def test_of_names_of_no_ball_chart_raise_before_any_row(spec_a, group_a, monkeypatch, of, wrong):
+    """verify_f_structure refuses the atlas with the parser's wording for the same spec."""
+    text = Path(bundled_examples()["example-a.spec"]).read_text().replace("of W_alpha W_beta W_gamma", f"of {of}")
+    text += "\n[chart T]\nkind full\naction 1\n"
+    with pytest.raises(SpecParseError) as parsed:
+        parse_construction_text(text)
+    [parser_message] = [f"{fld}: {why}" for _ln, fld, why in parsed.value.errors if fld == "chart V"]
+    assert parser_message == f"chart V: of names no ball chart of the atlas: {wrong}"
+    charts = atlas_by_name(spec_a)
+    atlas = [*spec_a.atlas[:-1], dataclasses.replace(charts["V"], complement_of=tuple(of.split())),
+             ChartSpec("T", TorusActionSymbol((1,)), "full")]
+    rows = []
+    monkeypatch.setattr(fstructure, "CheckResult", lambda *args, **kwargs: rows.append(args))
+    with pytest.raises(ValueError) as refused:
+        verify_f_structure(atlas, group_a, rules_for(spec_a, group_a))
+    assert (str(refused.value), rows) == (parser_message, [])
+
+
+def test_complement_rows_need_the_atlas_they_name(spec_a, group_a):
+    v = atlas_by_name(spec_a)["V"]
+    message = "chart V: of names no ball chart of the atlas: W_alpha, W_beta, W_gamma"
+    for check in (lambda: check_invariance(v, group_a.elements[1]), lambda: check_action_invariance(v, v.action)):
+        with pytest.raises(ValueError) as refused:
+            check()
+        assert str(refused.value) == message

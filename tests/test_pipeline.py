@@ -25,7 +25,7 @@ TRIVIAL_SPEC = """
 version 1
 dimension 5
 
-[generator e]
+[generator t]
 diag 1 1 1 1 1
 translation 0 0 0 0 0
 """

@@ -228,15 +228,21 @@ class RadialProfile:
     domain: tuple[float, float]
 
     def at(self, r) -> tuple[Jet, Jet, Jet]:
-        """Jets of A, B, C at a radius, or entrywise at a 1-D array of radii."""
+        """Jets of A, B, C at a radius, or entrywise at a 1-D array of radii.
+
+        Each guard clears the common case with one reduction per array and
+        builds its mask of bad radii only when that fails.
+        """
         lo, hi = self.domain
-        bad = _first_radius(np.logical_not((lo < r) & (r < hi)), r)
-        if bad is not None:
-            raise ValueError(f"radius {bad} outside the open domain ({lo}, {hi}) of {self.name}")
+        if not (np.min(r, initial=math.inf) > lo and np.max(r, initial=-math.inf) < hi):
+            bad = _first_radius(np.logical_not((lo < r) & (r < hi)), r)
+            if bad is not None:
+                raise ValueError(f"radius {bad} outside the open domain ({lo}, {hi}) of {self.name}")
         a, b, c = self.jets(Jet.seed(r))
-        bad = _first_radius(np.minimum(np.minimum(a.value, b.value), c.value) <= 0.0, r)
-        if bad is not None:
-            raise ValueError(f"profile {self.name} not positive at r={bad}")
+        if not all(np.min(q.value, initial=math.inf) > 0.0 for q in (a, b, c)):
+            bad = _first_radius(np.minimum(np.minimum(a.value, b.value), c.value) <= 0.0, r)
+            if bad is not None:
+                raise ValueError(f"profile {self.name} not positive at r={bad}")
         return a, b, c
 
     def values(self, r):

@@ -38,7 +38,8 @@ import numpy as np
 
 
 def _refuse(bad, exc_type, message: str) -> None:
-    """Raise exc_type(message) if bad holds, naming the first bad array entry."""
+    """Raise exc_type(message) if bad holds, naming the first bad array entry.
+    The guards build bad only once one reduction fails to clear the common case."""
     if isinstance(bad, np.ndarray):
         if bad.any():
             raise exc_type(f"{message} at entry {int(bad.argmax())}")
@@ -106,7 +107,8 @@ class Jet:
 
     def __truediv__(self, other):
         a, b = _operands(self, other)
-        _refuse(b[0] == 0.0, ZeroDivisionError, "jet division by zero value")
+        if not (b[0].all() if isinstance(b[0], np.ndarray) else b[0]):
+            _refuse(b[0] == 0.0, ZeroDivisionError, "jet division by zero value")
         q = [a[0] / b[0]]
         for k in range(1, len(a)):
             q.append((a[k] - _dot(b, q, k, 1, k)) / b[0])
@@ -129,7 +131,8 @@ class Jet:
 
     def sqrt(self) -> "Jet":
         a = self.coeffs
-        _refuse(a[0] <= 0.0, ValueError, "jet sqrt of a nonpositive value")
+        if not (a[0].min(initial=math.inf) > 0.0 if isinstance(a[0], np.ndarray) else a[0] > 0.0):
+            _refuse(a[0] <= 0.0, ValueError, "jet sqrt of a nonpositive value")
         s = [np.sqrt(a[0]) if isinstance(a[0], np.ndarray) else math.sqrt(a[0])]
         twice = 2.0 * s[0]
         for k in range(1, len(a)):
@@ -141,7 +144,8 @@ class Jet:
         a = self.coeffs
         with np.errstate(all="ignore"):  # one kernel on both paths: see the module docstring
             v = np.exp(np.ascontiguousarray(a[0]) if isinstance(a[0], np.ndarray) else a[0])
-        _refuse(np.isinf(v) & np.isfinite(a[0]), OverflowError, "jet exp overflow")
+        if np.isinf(v).any():
+            _refuse(np.isinf(v) & np.isfinite(a[0]), OverflowError, "jet exp overflow")
         e = [v if v.ndim else float(v)]
         d = self.deriv_jet().coeffs  # d[j - 1] = j a[j]
         for k in range(1, len(a)):
@@ -153,9 +157,9 @@ class Jet:
 def _dot(a, b, k: int, lo: int, hi: int):
     """a[lo] b[k-lo] + ... + a[hi] b[k-hi], left to right from the first term
     (built-in sum starts from 0, and from Python 3.12 compensates floats)."""
-    total = a[lo] * b[k - lo]
+    total = a[lo] * b[k - lo]  # a fresh array when either factor is one
     for j in range(lo + 1, hi + 1):
-        total = total + a[j] * b[k - j]
+        total += a[j] * b[k - j]
     return total
 
 

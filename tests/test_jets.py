@@ -205,6 +205,19 @@ def test_array_jet_error_paths_match_scalar():
         Jet.seed(800.0).exp()
 
 
+def test_guards_pass_nan_entries_as_their_masks_do():
+    """A NaN entry is no zero divisor, no nonpositive sqrt argument and no
+    exp overflow; an overflow beside it is still found."""
+    xs = np.array([2.0, math.nan, 3.0])
+    assert np.isnan((Jet.const(1.0) / Jet.seed(xs)).value[1])
+    assert np.isnan(Jet.seed(xs).sqrt().value[1])
+    assert np.isnan(Jet.seed(xs).exp().value[1])
+    with pytest.raises(OverflowError, match="jet exp overflow at entry 2"):
+        Jet.seed(np.array([math.nan, 1.0, 800.0])).exp()
+    with pytest.raises(ValueError, match="jet sqrt of a nonpositive value at entry 2"):
+        Jet.seed(np.array([math.nan, 1.0, 0.0])).sqrt()
+
+
 LARGEST_FINITE_EXP = 709.782712893384  # math.exp of the next float up overflows
 
 

@@ -22,6 +22,7 @@ positive Ricci) and the calibration is recorded for reports.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -35,6 +36,10 @@ from .jets import Jet
 # peak memory grows with its radii (about 190 bytes each); its fixed cost
 # (about 0.3 ms, 30% of a 1.0-ms pass of 4096, 2-core Xeon VM) does not.
 # One pass of 5 x 2048 radii would add 1.9 MiB of peak RSS (see README).
+# Larger passes are also not faster: a pass's freed temporaries above
+# glibc's trim threshold go back to the OS and fault in again on the next
+# pass.  Minor page faults per repeated pass (getrusage): 0.02 at 4096
+# radii, 160 at 6144, 368 at 8192, 476 at 10240, 1056 at 16384.
 # The verify stage's instanton and decay radii (ten on the bundled specs)
 # ride in the first pass on top of its annuli, so its whole curvature
 # section is one pass on the bundled specs and three at 5 x 2048.
@@ -698,6 +703,31 @@ GLUE_COLUMNS = ("r_sup", "sup_ric_annulus", "sup_rm_annulus")
 MU_COLUMNS = ("rescaled_sup_ric", "diam_bound", "mu_proxy")
 
 
+@lru_cache(maxsize=None)
+def _annulus_step(grid_points: int) -> float:
+    """2^(1/(grid_points - 1)), rounded once to a float from a 40-digit
+    decimal power: decimal is pure software, so the float is the same on
+    every platform."""
+    ctx = decimal.Context(prec=40)
+    return float(ctx.power(decimal.Decimal(2), ctx.divide(1, grid_points - 1)))
+
+
+def annulus_ratios(grid_points: int) -> np.ndarray:
+    """The ratios r/d of the geometric grid on an annulus [d, 2d]: q_0 = 1
+    and q_{g-1} = 2 exactly, and in between q_{i+1} = q_i * rho by
+    sequential IEEE multiplication, rho = _annulus_step(g).
+
+    Every step is one correctly rounded multiply, so the grid d * q is the
+    same on every CPU and numpy build; np.geomspace's log10 and power loops
+    are not (numpy's AVX-512 loops round differently from its baseline).
+    """
+    steps = np.full(grid_points, _annulus_step(grid_points))
+    steps[0] = 1.0
+    q = np.multiply.accumulate(steps)
+    q[-1] = 2.0
+    return q
+
+
 def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
     """glue_ricci_scan's result, and the frame norms and the values of A,
     B and C of the glued profile at the riders, radii evaluated in the
@@ -710,10 +740,11 @@ def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
     if any(d < 4 for d in d_values):
         raise ValueError("gluing requires d >= 4")
     per_pass = max(1, PASS_RADII // grid_points)
+    ratios = annulus_ratios(grid_points)
     rows = []
     for start in range(0, len(d_values), per_pass):
         ds = np.array(d_values[start:start + per_pass])
-        grid = np.geomspace(ds, 2.0 * ds, grid_points, axis=1).ravel()
+        grid = np.multiply.outer(ds, ratios).ravel()
         scales = np.repeat(ds, grid_points)
         head = len(riders) if start == 0 else 0
         if head:
@@ -735,20 +766,22 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     """Sup of |Ric| (and |Rm|) of the glued profile over the annulus [d, 2d],
     as the GLUE_COLUMNS.
 
-    The sup is taken on a geometric r-grid per d; the argmax radius (the
-    first one, on ties) is reported alongside.  The grids of consecutive
-    annuli are concatenated, with the cutoff scale carried per radius, and
-    evaluated in one array-jet pass of max(1, PASS_RADII // grid_points)
-    whole annuli, so a pass is never larger than one annulus or PASS_RADII.
+    The sup is taken on the geometric r-grid d * annulus_ratios(grid_points)
+    per d; the argmax radius (the first one, on ties) is reported alongside.
+    The grids of consecutive annuli are concatenated, with the cutoff scale
+    carried per radius, and evaluated in one array-jet pass of max(1,
+    PASS_RADII // grid_points) whole annuli, so a pass is never larger than
+    one annulus or PASS_RADII.
     |Ric| and |Rm| are read in closed form off the Cartan coefficients,
     with no dense frame tensor.  Example-a's scan (five d values, 512 radii
-    each, one pass) takes 0.82-0.91 ms, against 2.6 ms for one pass per
+    each, one pass) takes 0.77-0.80 ms, against 2.6 ms for one pass per
     annulus and 0.56 s for one scalar-jet curvature sample per radius; five
-    d values of 2048 radii (three passes) take 3.1-3.3 ms (2-core Xeon VM).
-    The verify stage runs the same passes with its instanton and decay
-    radii riding in the first (see stage_scans), so its curvature section
-    is one pass per glue-scan pass: example-a's takes 0.96-1.01 ms, where
-    three passes took 1.49-1.57 ms.
+    d values of 2048 radii (three passes) take 2.80-2.90 ms (medians of 300
+    calls, three processes, 2-core Xeon VM; 0.90-0.94 and 3.24-3.35 ms with
+    np.geomspace grids).  The verify stage runs the same passes with its
+    instanton and decay radii riding in the first (see stage_scans), so its
+    curvature section is one pass per glue-scan pass: example-a's takes
+    0.81-0.84 ms, where three passes took 1.49-1.57 ms.
     """
     return _glue_scan(d_values, grid_points, np.zeros(0))[0]
 

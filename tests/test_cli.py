@@ -5,12 +5,16 @@ from __future__ import annotations
 import gc
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import kummerlab
 from kummerlab import pipeline, torus
 from kummerlab.cli import bundled_examples, main
 
@@ -173,6 +177,29 @@ def test_goldens_do_not_depend_on_the_exp_kernel(tmp_path, libm_exp):
     assert scan.read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.csv").read_bytes()
     assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.mu.csv").read_bytes()
     assert libm_exp.calls > 0
+
+
+def test_goldens_hold_without_numpy_avx512_loops(tmp_path):
+    """verify on example-a and the dense scan write their goldens in a fresh
+    process with numpy's X86_V4 (AVX-512) loops disabled, i.e. with the
+    baseline loops a CPU without AVX-512 runs; where numpy picks no X86_V4
+    loop, the setting changes nothing."""
+    src = str(Path(kummerlab.__file__).resolve().parents[1])
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        done = subprocess.run([sys.executable, "-m", "kummerlab.cli", *args], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    report, scan = tmp_path / "report.json", tmp_path / "scan.csv"
+    golden = (GOLDEN / "example-a.verify.txt").read_bytes()
+    assert run("--json", str(report), "verify", EXAMPLE_A) == golden + f"wrote {report}\n".encode()
+    assert report.read_bytes() == (GOLDEN / "example-a.json").read_bytes()
+    run("curvature-scan", SCAN_2048, "--csv", str(scan))
+    assert scan.read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.csv").read_bytes()
+    assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "scan-dense" / "d0-8.5.scan.mu.csv").read_bytes()
 
 
 STAGE_SPECS = pytest.mark.parametrize(

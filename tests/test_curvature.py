@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -24,6 +25,7 @@ from kummerlab.curvature import (
     MetricChart,
     NotPositiveDefinite,
     RadialProfile,
+    annulus_ratios,
     calibration,
     christoffel,
     cohomo_curvature,
@@ -308,7 +310,7 @@ def test_fit_loglog_validation():
 def annulus_sup_reference(d, grid_points):
     """The per-radius scalar-jet loop: one dense curvature sample per radius."""
     prof = glued_profile(d)
-    grid = np.geomspace(d, 2.0 * d, grid_points)
+    grid = d * annulus_ratios(grid_points)
     best_r, best_ric, best_rm = float(grid[0]), -1.0, -1.0
     for r in grid:
         sample = cohomo_curvature(prof, float(r))
@@ -321,10 +323,27 @@ def annulus_sup_reference(d, grid_points):
 def _annulus_sup(d, grid_points):
     """One array pass per annulus, with a scalar cutoff scale: the
     reference for the batched glue scan."""
-    grid = np.geomspace(d, 2.0 * d, grid_points)
+    grid = d * annulus_ratios(grid_points)
     ric, rm = frame_norms(glued_profile(d), grid)
     best = int(np.argmax(ric))
     return float(grid[best]), float(ric[best]), float(rm.max())
+
+
+@pytest.mark.parametrize("grid_points", [2, 3, 64, 512, 2048])
+def test_annulus_ratios_are_the_sequential_products_of_one_decimal_ratio(grid_points):
+    """q_0 = 1 and q_{g-1} = 2 exactly, strictly increasing, and in between
+    the products q_{i+1} = q_i * rho taken one multiply at a time, rho being
+    2^(1/(g-1)) rounded once from a 50-digit decimal power."""
+    ctx = decimal.Context(prec=50)
+    rho = float(ctx.power(decimal.Decimal(2), ctx.divide(1, grid_points - 1)))
+    want = [1.0]
+    for _ in range(grid_points - 2):
+        want.append(want[-1] * rho)
+    want.append(2.0)
+    q = annulus_ratios(grid_points)
+    assert q.tolist() == want
+    assert q[0] == 1.0 and q[-1] == 2.0
+    assert all(a < b for a, b in zip(want, want[1:]))
 
 
 def scan_rows(scan):

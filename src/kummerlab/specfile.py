@@ -331,12 +331,17 @@ def parse_construction_text(text: str, source: str = "<memory>") -> Construction
             body = []
             parts = line[1:-1].split()
             if len(parts) in (1, 2):
-                kind, name = parts[0], parts[-1]
+                kind, name = parts[0], parts[1] if len(parts) == 2 else None
                 section = (kind, name, lineno)
                 if kind in ("gluing", "expected"):
+                    if name is not None:
+                        fail(lineno, "section", f"[{kind}] takes no name, got {name!r}")
                     if kind in headers:
                         fail(lineno, "section", f"repeated section [{kind}]")
                     headers.add(kind)
+                elif kind in ("generator", "chart") and name is None:
+                    # Its lines are still read for their own errors.
+                    fail(lineno, "section", f"[{kind}] needs a name")
                 elif kind in ("generator", "chart"):
                     if (kind, name) in headers:
                         fail(lineno, "section", f"repeated {kind} name {name!r}")

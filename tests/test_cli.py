@@ -613,6 +613,14 @@ def edited_example_a(tmp_path: Path, line) -> Path:
             "59 [psi] unknown generator 'gamma' in 'gamma'",
             "64 [expected] unknown generator 'gamma' in 'gamma'",
         ]),
+        # A generator or chart header names its section; a gluing or expected header takes no name.
+        (("[generator beta]", "[generator]"), ["12 [section] [generator] needs a name",
+                                               "58 [psi] unknown generator 'beta' in 'beta'",
+                                               "63 [expected] unknown generator 'beta' in 'beta'"]),
+        (("[chart W_beta]", "[chart]"), ["35 [section] [chart] needs a name",
+                                         "53 [chart V] of names no ball chart of the atlas: W_beta"]),
+        (("[gluing]", "[gluing extra]"), ["20 [section] [gluing] takes no name, got 'extra'"]),
+        (("[expected]", "[expected more]"), ["61 [section] [expected] takes no name, got 'more'"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

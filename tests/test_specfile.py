@@ -208,3 +208,19 @@ def test_element_words_of_declared_generators_parse():
     lines[61:64] = ["fixed_circles e 0", "fixed_circles beta*alpha 0", "fixed_circles alpha*beta*gamma 0"]
     expected = parse_construction_text("\n".join(lines)).expected["fixed_circles"]
     assert expected == {"e": 0, "beta*alpha": 0, "alpha*beta*gamma": 0}
+
+
+def test_section_headers_name_exactly_the_sections_that_take_names():
+    """[generator] and [chart] need a name, [gluing] and [expected] take
+    none: each wrong header is an error on its own line, where the parser
+    used to read a lone word as both kind and name and drop a name."""
+    text = ("version 1\ndimension 5\n\n[generator]\ndiag 1 -1 -1 1 1\ntranslation 1/2 0 0 0 0\n\n"
+            "[gluing extra]\n\n[expected more]\n\n[chart]\nkind full\n")
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text(text)
+    assert err.value.errors == [
+        (4, "section", "[generator] needs a name"),
+        (8, "section", "[gluing] takes no name, got 'extra'"),
+        (10, "section", "[expected] takes no name, got 'more'"),
+        (12, "section", "[chart] needs a name"),
+    ]

@@ -183,13 +183,12 @@ def census(ctx, spec_path):
 
 @main.command()
 @click.argument("spec_path", type=click.Path())
-@click.option("--square-plus", is_flag=True, help="Recompute squares under e_i^2 = +1.")
 @click.pass_context
-def spin(ctx, spec_path, square_plus):
+def spin(ctx, spec_path):
     """Print the spin lifting obstruction of the generator family."""
     spec = _load(spec_path)
     group, report = _group(ctx, spec), pipeline.Report()
-    pipeline.run_spin_stage(spec, group, report, square_sign=1 if square_plus else -1)
+    pipeline.run_spin_stage(spec, group, report)
     sec = report.sections["spin"]
     if "error" in sec:
         _fail(sec["error"])

@@ -1,9 +1,11 @@
 """Signed basis monomials of the Clifford algebra Cl(n) and spin lifts.
 
-Convention: e_i * e_i = -1 (negative-definite quadratic form).  Pairwise
-commutator signs of monomials do not depend on this choice; squares do,
-so operations that report squares accept a ``square_sign`` argument.
-A linear part is read as its signed-permutation code (perm, signs).
+Convention: e_i * e_i = -1 (negative-definite quadratic form).  A spin
+lift is an even-grade monomial e_I: its square (-1)^{|I|(|I|-1)/2} s^{|I|}
+and its commutator signs (-1)^{|I||J| - |I ∩ J|} with the other lifts do
+not depend on the sign s = e_i * e_i, so no operation takes it as an
+argument.  A linear part is read as its signed-permutation code (perm,
+signs).
 """
 
 from __future__ import annotations
@@ -35,14 +37,12 @@ class CliffordMonomial:
         return ("-" if self.sign < 0 else "") + body
 
 
-def clifford_mul(
-    a: CliffordMonomial, b: CliffordMonomial, square_sign: int = -1
-) -> CliffordMonomial:
+def clifford_mul(a: CliffordMonomial, b: CliffordMonomial) -> CliffordMonomial:
     """Normal-form product of two basis monomials.
 
     The result's index set is the symmetric difference; the sign picks up
     one factor -1 per transposition needed to interleave b into a and one
-    factor ``square_sign`` per index collision (e_i * e_i).
+    factor -1 per index collision (e_i * e_i).
     """
     if a.n != b.n:
         raise ValueError("monomials live in different Clifford algebras")
@@ -54,7 +54,7 @@ def clifford_mul(
         sign *= (-1) ** larger
         if idx in acc:
             acc.remove(idx)
-            sign *= square_sign
+            sign = -sign
         else:
             acc.append(idx)
             acc.sort()
@@ -70,8 +70,8 @@ def commutator_sign(a: CliffordMonomial, b: CliffordMonomial) -> int:
     return ab.sign * ba.sign
 
 
-def monomial_square_sign(a: CliffordMonomial, square_sign: int = -1) -> int:
-    sq = clifford_mul(a, a, square_sign=square_sign)
+def monomial_square_sign(a: CliffordMonomial) -> int:
+    sq = clifford_mul(a, a)
     if sq.indices != ():
         raise AssertionError("square of a monomial must be a scalar")
     return sq.sign
@@ -102,12 +102,11 @@ class ObstructionReport:
     lifts: list[CliffordMonomial]
     commutator_signs: list[list[int]]
     squares: list[int]
-    square_sign: int
     verdict: str
     witness: tuple[int, int] | None
 
 
-def spin_obstruction(generators, square_sign: int = -1) -> ObstructionReport:
+def spin_obstruction(generators) -> ObstructionReport:
     """Commutator/square table for the spin lifts of diagonal involutions,
     each given as its code (perm, signs).
 
@@ -125,11 +124,11 @@ def spin_obstruction(generators, square_sign: int = -1) -> ObstructionReport:
             comm[i][j] = comm[j][i] = s
             if s < 0 and witness is None:
                 witness = (i, j)
-    squares = [monomial_square_sign(lift, square_sign=square_sign) for lift in lifts]
+    squares = [monomial_square_sign(lift) for lift in lifts]
     if witness is None:
         for i, s in enumerate(squares):
             if s < 0:
                 witness = (i, i)
                 break
     verdict = "OBSTRUCTED" if witness is not None else "LIFTABLE"
-    return ObstructionReport(lifts, comm, squares, square_sign, verdict, witness)
+    return ObstructionReport(lifts, comm, squares, verdict, witness)

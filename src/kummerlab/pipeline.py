@@ -182,9 +182,9 @@ def run_pi1_stage(group, report: Report):
     return cert
 
 
-def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: int = -1):
+def run_spin_stage(spec: ConstructionSpec, group, report: Report):
     try:
-        rep = clifford.spin_obstruction([(g.perm, g.signs) for g in spec.generators], square_sign=square_sign)
+        rep = clifford.spin_obstruction([(g.perm, g.signs) for g in spec.generators])
     except ValueError as exc:
         report.sections["spin"] = {"error": str(exc)}
         return
@@ -202,7 +202,7 @@ def run_spin_stage(spec: ConstructionSpec, group, report: Report, square_sign: i
         "lifts": {names[i]: str(lift) for i, lift in enumerate(rep.lifts)},
         "commutator_signs": rep.commutator_signs,
         "squares": rep.squares,
-        "square_convention": f"e_i^2 = {rep.square_sign:+d}",
+        "square_convention": "e_i^2 = -1",
         "verdict": rep.verdict,
     }
     if rep.witness is not None:

@@ -148,12 +148,11 @@ def test_fixed_locus_stdout_matches_golden(spec, stem, code):
 
 
 @pytest.mark.parametrize("spec, stem, code", SPIN_SPECS)
-@pytest.mark.parametrize("flags, suffix", [([], "spin"), (["--square-plus"], "spin-square-plus")],
-                         ids=["default", "square-plus"])
-def test_spin_stdout_matches_golden(spec, stem, code, flags, suffix):
+@pytest.mark.parametrize("flags", [[]], ids=["default"])  # spin has no flags; the id keeps the case names
+def test_spin_stdout_matches_golden(spec, stem, code, flags):
     result = CliRunner().invoke(main, ["spin", spec, *flags])
     assert result.exit_code == 0, result.output
-    assert result.stdout_bytes == (GOLDEN / f"{stem}.{suffix}.txt").read_bytes()
+    assert result.stdout_bytes == (GOLDEN / f"{stem}.spin.txt").read_bytes()
 
 
 def test_curvature_scan_csvs_match_golden(tmp_path):
@@ -348,8 +347,11 @@ def test_spin_command_and_convention_flag():
     assert result.exit_code == 0
     assert "verdict: OBSTRUCTED" in result.output
     assert "e2·e3·e4·e5" in result.output
+    assert "squares (e_i^2 = -1): " in result.output
+    # Squares and commutators of even-grade lifts do not depend on e_i^2: no option selects it.
     plus = CliRunner().invoke(main, ["spin", EXAMPLE_A, "--square-plus"])
-    assert "e_i^2 = +1" in plus.output
+    assert plus.exit_code == 2
+    assert "No such option" in plus.output and "--square-plus" in plus.output
 
 
 def test_betti_command():

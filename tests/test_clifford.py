@@ -117,11 +117,18 @@ def test_spin_obstruction_empty_family():
 
 
 def test_square_convention_flag():
-    # Squares flip by (-1)^k between conventions; commutators never do.
-    m = ((0, 1, 2), (-1, -1, 1))
-    minus = spin_obstruction([m], square_sign=-1)
-    plus = spin_obstruction([m], square_sign=1)
-    k = 2
-    assert minus.squares[0] == plus.squares[0] * (-1) ** k
-    # An anticommuting pair stays obstructed under either convention.
-    assert spin_obstruction([M_ALPHA, M_BETA], square_sign=1).verdict == "OBSTRUCTED"
+    """No convention flag is needed: on every even-grade monomial of Cl(5),
+    the only kind a spin lift is, the naive oracle gives the same square
+    and the same commutator signs under e_i^2 = -1 and e_i^2 = +1, and
+    they are the ones the module computes."""
+    even = [m for m in all_monomials(5) if len(m.indices) % 2 == 0]
+    for a in even:
+        squares = {naive_clifford_product(a.indices, a.indices, square_sign=s)[1] for s in (-1, 1)}
+        assert squares == {monomial_square_sign(a)}
+        for b in even:
+            signs = set()
+            for s in (-1, 1):
+                ab = naive_clifford_product(a.indices, b.indices, square_sign=s)
+                ba = naive_clifford_product(b.indices, a.indices, square_sign=s)
+                signs.add(ab[1] * ba[1])
+            assert signs == {commutator_sign(a, b)}

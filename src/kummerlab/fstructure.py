@@ -46,6 +46,9 @@ class TorusActionSymbol:
         return len(self.directions)
 
 
+COVERINGS = ("trivial", "group")
+
+
 @dataclass(frozen=True)
 class ChartSpec:
     """One chart of the atlas.
@@ -63,7 +66,7 @@ class ChartSpec:
     constrained: tuple[int, int] | None = None
     centers: tuple[tuple[Fraction, Fraction], ...] = ()
     epsilon: Fraction = Fraction(0)
-    covering: str = "trivial"  # "trivial" or "group"
+    covering: str = "trivial"  # one of COVERINGS
     complement_of: tuple[str, ...] = ()
     shrink: Fraction = Fraction(1, 2)
     center_den: int = field(init=False, compare=False, repr=False)
@@ -75,6 +78,8 @@ class ChartSpec:
         nums = tuple(tuple(x.numerator * (den // x.denominator) for x in c) for c in centers)
         if len(set(nums)) != len(nums):
             raise ValueError(f"chart {self.name}: centers repeat mod 1")
+        if self.covering not in COVERINGS:
+            raise ValueError(f"chart {self.name}: covering must be trivial or group, got {self.covering!r}")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "center_den", den)
         object.__setattr__(self, "center_nums", nums)

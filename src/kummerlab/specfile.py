@@ -2,8 +2,13 @@
 
 The format keeps every exact quantity as an integer or "p/q" rational
 string; floating point appears only in the gluing block (scan radii and
-tolerances).  Parsing collects *all* errors with line numbers before
-failing, so a bad file reports everything wrong with it at once.
+tolerances).  Every line is read once, by the reader that the `_KEYS`
+table gives its key, and parsing collects *all* errors with line numbers
+before failing: each field that fails to read reports on its own line, a
+rule that ties a line to other lines (a `psi` or `fixed_circles` name, a
+complement's `of`) on that line, and a rule between the fields of one
+section on its header line, so a bad file reports everything wrong with
+it at once.
 """
 
 from __future__ import annotations
@@ -14,25 +19,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .curvature import _require_geometric, eh_profile
-from .fstructure import ChartSpec, TorusActionSymbol
+from .fstructure import COVERINGS, ChartSpec, TorusActionSymbol
 from .torus import AffineIsometry
 
 SUPPORTED_VERSIONS = (1,)
 MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~1.3 s, ~275 MiB (2-core Xeon VM)
-# The [expected] spin word of each spin verdict, and the words each
-# [expected] field with a word value accepts (abelian in any case).
+# The [expected] spin word of each spin verdict.
 SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
-_EXPECTED_WORDS = {"abelian": ("true", "false"), "spin": tuple(SPIN_WORDS.values()), "pi1": ("PASS", "FAIL")}
-_EXPECTED_INTS = ("orbits", "half_orbits", "b2_resolved", "b3_resolved", "f_rank")
-# The keys of each section kind: those given once, and those given on one
-# line per row.  Any other key, or a repeat of a single key, is an error.
-_SECTION_KEYS = {
-    "generator": ({"diag", "translation"}, {"row"}),
-    "gluing": ({"d_values", "annulus_grid", "decay_radii", "ricci_flat_radii", "ricci_flat_tol"}, set()),
-    "chart": ({"kind", "constrained", "centers", "epsilon", "action", "component_signs", "covering", "of",
-               "shrink"}, {"psi"}),
-    "expected": ({*_EXPECTED_INTS, *_EXPECTED_WORDS}, {"fixed_circles"}),
-}
 
 
 class SpecParseError(ValueError):
@@ -64,15 +57,73 @@ class ConstructionSpec:
     source: str = "<memory>"
 
 
-def _parse_fraction(tok: str) -> Fraction:
+def _fraction(tok: str) -> Fraction:
     try:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {tok!r}") from None
 
 
-def _check_gluing_values(key: str, values: list[float]) -> None:
+def _sign(tok: str) -> int:
+    if tok not in ("+", "+1", "1", "-", "-1"):
+        raise ValueError(f"expected a sign, got {tok!r}")
+    return -1 if tok[0] == "-" else 1
+
+
+# A reader maps (key, the tokens after it, the dimension or None while it is
+# unknown) to the key's value, or raises ValueError with the line's error.
+# _one makes the reader of a key that takes exactly one value from a parser
+# of that value, which maps (key, token) to the value.
+def _one(parse):
+    def read(key, toks, n):
+        if len(toks) != 1:
+            raise ValueError(f"{key} takes one value, got {len(toks)}" if toks else f"{key} needs a value")
+        return parse(key, toks[0])
+    return read
+
+
+def _number(cast, what, ok=lambda value: True):
+    def parse(key, tok):
+        try:
+            if ok(value := cast(tok)):
+                return value
+        except ValueError:
+            pass
+        raise ValueError(f"{key} must be {what}")
+    return parse
+
+
+def _choice(*words, fold=str):
+    def parse(key, tok):
+        if fold(tok) not in words:
+            raise ValueError(f"{key} must be {', '.join(words[:-1])} or {words[-1]}, got {tok!r}")
+        return fold(tok)
+    return parse
+
+
+def _entries(parse, what="entries"):
+    """n values, each read by parse (any number of them while n is unknown)."""
+    def read(key, toks, n):
+        values = tuple(map(parse, toks))
+        if n is not None and len(values) != n:
+            raise ValueError(f"expected {n} {what}")
+        return values
+    return read
+
+
+_INTEGER = _number(int, "an integer")
+
+
+def _version(key, tok):
+    version = _INTEGER(key, tok)
+    if version not in SUPPORTED_VERSIONS:
+        raise ValueError(f"unknown version {version}")
+    return version
+
+
+def _gluing_values(key, toks, n):
     """The domains the curvature stage needs, so that a bad block is an input error."""
+    values = [float(t) for t in toks]
     if not all(math.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     lo, hi = eh_profile().domain
@@ -84,329 +135,262 @@ def _check_gluing_values(key: str, values: list[float]) -> None:
         if not all(lo < r < hi for r in values):
             raise ValueError(f"radii must lie in the open domain ({lo}, {hi}) of the instanton profile")
         _require_geometric(values, "decay scan radii")
-    elif key == "ricci_flat_radii":
-        if not values or not all(lo < r < hi for r in values):
-            raise ValueError(
-                f"at least one radius, each in the open domain ({lo}, {hi}) of the instanton profile"
-            )
+    elif not values or not all(lo < r < hi for r in values):
+        raise ValueError(f"at least one radius, each in the open domain ({lo}, {hi}) of the instanton profile")
+    return values
 
 
-def _parse_signs(tokens: list[str]) -> tuple[int, ...]:
-    out = []
-    for t in tokens:
-        if t in ("+", "+1", "1"):
-            out.append(1)
-        elif t in ("-", "-1"):
-            out.append(-1)
+def _axes(key, toks, n):
+    axes = tuple(map(int, toks))
+    if n is not None and not all(1 <= a <= n for a in axes):
+        raise ValueError(f"{key} axes must lie in 1..{n}")
+    return axes
+
+
+def _constrained(key, toks, n):
+    if len(toks) != 2:
+        raise ValueError(f"constrained takes two axes, got {len(toks)}")
+    a, b = _axes(key, toks, n)
+    if a == b:
+        raise ValueError("constrained pair needs two different axes")
+    return a, b
+
+
+def _centers(key, toks, n):
+    for tok in toks:
+        if tok.count(",") != 1:
+            raise ValueError(f"centers must be x,y pairs, got {tok!r}")
+    return tuple(tuple(map(_fraction, tok.split(","))) for tok in toks)
+
+
+def _psi(key, toks, n):
+    if not toks:
+        raise ValueError("psi needs an element name")
+    return toks[0], tuple(map(_sign, toks[1:]))
+
+
+def _fixed_circles(key, toks, n):
+    if len(toks) != 2:
+        raise ValueError(f"fixed_circles takes a name and a count, got {len(toks)}")
+    return toks[0], _INTEGER("fixed_circles count", toks[1])
+
+
+_FRACTION = _one(lambda key, tok: _fraction(tok))
+_ABELIAN = _choice("true", "false", fold=str.lower)
+# The keys each chart kind takes: component_signs and psi on every kind,
+# because the F-structure rows report on them.
+_ANY_CHART = {"kind", "action", "component_signs", "covering", "psi"}
+_CHART_KEYS = {"ball": _ANY_CHART | {"constrained", "centers", "epsilon"},
+               "complement": _ANY_CHART | {"of", "shrink"}, "full": _ANY_CHART}
+# The reader of every key of each section kind; "top-level" is the lines
+# before the first section.  A row key takes one line per row, any other
+# key one line.
+_KEYS = {
+    "top-level": {
+        "version": _one(_version), "dimension": _one(_number(int, "a positive integer", lambda v: v >= 1)),
+    },
+    "generator": {
+        "diag": _entries(int, "diagonal entries"), "row": _entries(int), "translation": _entries(_fraction),
+    },
+    "gluing": {
+        **dict.fromkeys(("d_values", "decay_radii", "ricci_flat_radii"), _gluing_values),
+        "annulus_grid": _one(_number(int, f"an integer in 2..{MAX_ANNULUS_GRID}",
+                                     lambda v: 2 <= v <= MAX_ANNULUS_GRID)),
+        "ricci_flat_tol": _one(_number(float, "a positive number", lambda v: math.isfinite(v) and v > 0)),
+    },
+    "chart": {
+        "kind": _one(_choice(*_CHART_KEYS)), "constrained": _constrained, "centers": _centers,
+        "epsilon": _FRACTION, "action": _axes, "component_signs": lambda key, toks, n: tuple(map(_sign, toks)),
+        "covering": _one(_choice(*COVERINGS)), "of": lambda key, toks, n: tuple(toks), "shrink": _FRACTION,
+        "psi": _psi,
+    },
+    "expected": {
+        **dict.fromkeys(("orbits", "half_orbits", "b2_resolved", "b3_resolved", "f_rank"), _one(_INTEGER)),
+        "abelian": _one(lambda key, tok: _ABELIAN(key, tok) == "true"),
+        "spin": _one(_choice(*SPIN_WORDS.values())), "pi1": _one(_choice("PASS", "FAIL")),
+        "fixed_circles": _fixed_circles,
+    },
+}
+_ROWS = {"row", "psi", "fixed_circles"}
+
+
+def read_fields(kind: str, body, n: int | None, errors: list):
+    """Read the (line, key, *tokens) lines of a section through its key table.
+
+    An unknown key, a repeat of a key that is not a row key, and a value
+    its reader rejects are each an error on their line.  Returns each key's
+    (line, value), a list of them for a row key, and the set of keys whose
+    value failed to read.
+    """
+    readers, fields, failed = _KEYS[kind], {}, set()
+    for ln, key, *toks in body:
+        if key not in readers:
+            errors.append((ln, kind, f"unknown {kind} field {key!r}"))
+        elif key not in _ROWS and (key in fields or key in failed):
+            errors.append((ln, key, f"repeated key {key!r}" + ("" if kind == "top-level" else f" in [{kind}]")))
         else:
-            raise ValueError(f"expected a sign, got {t!r}")
-    return tuple(out)
+            try:
+                value = readers[key](key, toks, n)
+            except ValueError as exc:
+                # An [expected] value reports under "expected", as the block's rows do.
+                errors.append((ln, "expected" if kind == "expected" else key, str(exc)))
+                failed.add(key)
+                continue
+            if key in _ROWS:
+                fields.setdefault(key, []).append((ln, value))
+            else:
+                fields[key] = (ln, value)
+    return fields, failed
+
+
+def _section(header: str, start: int, headers: set, errors: list):
+    """The (kind, name) of a section header; kind is None when no table reads its lines."""
+    parts = header[1:-1].split()
+    if len(parts) not in (1, 2):
+        errors.append((start, "section", f"malformed section header {header!r}"))
+        return None, None
+    kind, name = (parts + [None])[:2]
+    if kind not in _KEYS or kind == "top-level":
+        errors.append((start, "section", f"unknown section kind {kind!r}"))
+        return None, None
+    if kind in ("gluing", "expected"):
+        if name is not None:
+            errors.append((start, "section", f"[{kind}] takes no name, got {name!r}"))
+        if kind in headers:
+            errors.append((start, "section", f"repeated section [{kind}]"))
+        headers.add(kind)
+    elif name is None:  # its lines are still read for their own errors
+        errors.append((start, "section", f"[{kind}] needs a name"))
+    else:
+        if (kind, name) in headers:
+            errors.append((start, "section", f"repeated {kind} name {name!r}"))
+        if kind == "generator" and (name == "e" or "*" in name):
+            why = "is reserved for the identity" if name == "e" else "contains '*', the word product"
+            errors.append((start, "section", f"generator name {name!r} {why}"))
+        headers.add((kind, name))
+    return kind, name
+
+
+def _generator(start, fields, failed, n, errors) -> AffineIsometry | None:
+    """The isometry of a [generator] section, or None after an error."""
+    given = fields.keys() | failed
+    if {"diag", "row"} <= given:
+        return errors.append((start, "generator", "generator takes a 'diag' or 'row' linear part, not both"))
+    if not {"diag", "row"} & given:
+        return errors.append((start, "generator", "generator needs a 'diag' or 'row' linear part"))
+    if "translation" not in given:
+        return errors.append((start, "translation", "generator needs a translation line"))
+    if failed or n is None:  # a field that failed to read, or the dimension, has its error already
+        return None
+    if "diag" in fields:
+        linear = [[s if i == j else 0 for j in range(n)] for i, s in enumerate(fields["diag"][1])]
+    else:
+        linear = [row for _, row in fields["row"]]
+        if len(linear) != n:
+            return errors.append((start, "row", f"expected {n} rows, got {len(linear)}"))
+    try:
+        return AffineIsometry(tuple(map(tuple, linear)), fields["translation"][1])
+    except ValueError as exc:
+        errors.append((start, "generator", str(exc)))
+
+
+def _chart(name, start, kind, fields, failed, errors) -> ChartSpec | None:
+    """The chart of a [chart] section of a known kind, or None after an error."""
+    wrong = [key for key in fields if key not in _CHART_KEYS[kind]]
+    for key in wrong:
+        errors.append((fields[key][0], key, f"a {kind} chart takes no {key!r}"))
+    if wrong or failed - {"psi"}:
+        return None
+    given = {key: entry[1] for key, entry in fields.items() if key not in _ROWS}
+    try:
+        action = TorusActionSymbol(given.pop("action", ()), given.pop("component_signs", None))
+        return ChartSpec(name, action, kind, complement_of=given.pop("of", ()), **given)
+    except ValueError as exc:
+        errors.append((start, f"chart {name}", str(exc)))
+
+
+def _by_name(rows, fld, what, errors, words) -> dict:
+    """Each row's value under its element word; a repeated word is an error on its row."""
+    table = {}
+    for ln, (word, value) in rows:
+        if word in table:
+            errors.append((ln, fld, f"repeated {what} name {word!r}"))
+        else:
+            table[word] = value
+            words.append((ln, fld, word))
+    return table
 
 
 def parse_construction_text(text: str, source: str = "<memory>") -> ConstructionSpec:
     errors: list[tuple[int, str, str]] = []
-    version: int | None = None
-    dimension: int | None = None
-    generator_names: list[str] = []
-    generators: list[AffineIsometry] = []
-    gluing: GluingParams | None = None
-    atlas: list[ChartSpec] = []
-    psi: dict[str, dict[str, tuple[int, ...]]] = {}
-    expected: dict[str, object] = {}
-
-    references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
-    words: list[tuple[int, str, str]] = []  # (line, field, element word) of psi and fixed_circles rows
-    chart_kinds: dict[str, str] = {}  # declared kind of every [chart] section, valid or not
-    headers: set = set()  # "gluing", "expected" and (kind, name) of the other sections read so far
-    section: tuple[str, str, int] | None = None  # (kind, name, start line)
-    body: list[tuple[int, list[str]]] = []
-
-    def fail(ln: int, fld: str, why: str) -> None:
-        errors.append((ln, fld, why))
-
-    def close_section() -> None:
-        nonlocal gluing
-        if section is None:
-            return
-        kind, name, start = section
-        if kind not in _SECTION_KEYS:
-            return fail(start, "section", f"unknown section kind {kind!r}")
-        single, rows = _SECTION_KEYS[kind]
-        multi: dict[str, list[tuple[int, list[str]]]] = {}  # every line of each key, in order
-        for ln, toks in body:
-            key = toks[0]
-            if key not in single and key not in rows:
-                fail(ln, kind, f"unknown {kind} field {key!r}")
-            elif key in single and key in multi:
-                fail(ln, key, f"repeated key {key!r} in [{kind}]")
-            else:
-                multi.setdefault(key, []).append((ln, toks[1:]))
-        fields = {key: lines[0] for key, lines in multi.items()}
-        if kind == "generator":
-            _close_generator(name, start, fields, multi)
-        elif kind == "gluing":
-            gluing = _close_gluing(start, fields)
-        elif kind == "chart":
-            _close_chart(name, start, fields, multi)
-        else:
-            _close_expected(multi)
-
-    def _close_generator(name, start, fields, multi) -> None:
-        if dimension is None:
-            fail(start, "generator", "dimension must be declared before generators")
-            return
-        n = dimension
-        rows: list[list[int]] | None = None
-        if "diag" in fields and "row" in multi:
-            fail(start, "generator", "generator takes a 'diag' or 'row' linear part, not both")
-            return
-        if "diag" in fields:
-            ln, toks = fields["diag"]
-            try:
-                signs = [int(t) for t in toks]
-                if len(signs) != n:
-                    raise ValueError(f"expected {n} diagonal entries")
-                rows = [[signs[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            except ValueError as exc:
-                fail(ln, "diag", str(exc))
-                return
-        elif "row" in multi:
-            rows = []
-            for ln, toks in multi["row"]:
-                try:
-                    row = [int(t) for t in toks]
-                    if len(row) != n:
-                        raise ValueError(f"expected {n} entries")
-                    rows.append(row)
-                except ValueError as exc:
-                    fail(ln, "row", str(exc))
-                    return
-            if len(rows) != n:
-                fail(start, "row", f"expected {n} rows, got {len(rows)}")
-                return
-        else:
-            fail(start, "generator", "generator needs a 'diag' or 'row' linear part")
-            return
-        if "translation" not in fields:
-            fail(start, "translation", "generator needs a translation line")
-            return
-        ln, toks = fields["translation"]
-        try:
-            trans = [_parse_fraction(t) for t in toks]
-            if len(trans) != n:
-                raise ValueError(f"expected {n} entries")
-        except ValueError as exc:
-            fail(ln, "translation", str(exc))
-            return
-        try:
-            gen = AffineIsometry(tuple(tuple(r) for r in rows), tuple(trans))
-        except ValueError as exc:
-            fail(start, "generator", str(exc))
-            return
-        generator_names.append(name)
-        generators.append(gen)
-
-    def _close_gluing(start, fields) -> GluingParams | None:
-        params = GluingParams()
-        clean = True
-        for key in ("d_values", "decay_radii", "ricci_flat_radii"):
-            if key in fields:
-                ln, toks = fields[key]
-                try:
-                    values = [float(t) for t in toks]
-                    _check_gluing_values(key, values)
-                except ValueError as exc:
-                    fail(ln, key, str(exc))
-                    clean = False
-                    continue
-                setattr(params, key, values)
-        for key, parse, ok, what in (
-            ("annulus_grid", int, lambda v: 2 <= v <= MAX_ANNULUS_GRID,
-             f"an integer in 2..{MAX_ANNULUS_GRID}"),
-            ("ricci_flat_tol", float, lambda v: math.isfinite(v) and v > 0, "a positive number"),
-        ):
-            if key in fields:
-                ln, toks = fields[key]
-                try:
-                    value = parse(toks[0])
-                    if not ok(value):
-                        raise ValueError
-                except (IndexError, ValueError):
-                    fail(ln, key, f"{key} must be {what}")
-                    clean = False
-                    continue
-                setattr(params, key, value)
-        return params if clean else None
-
-    def _axes(fld: str, toks: list[str]) -> tuple[int, ...]:
-        axes = tuple(int(t) for t in toks)
-        if dimension is not None and not all(1 <= a <= dimension for a in axes):
-            raise ValueError(f"{fld} axes must lie in 1..{dimension}")
-        return axes
-
-    def _close_chart(name, start, fields, multi) -> None:
-        chart_kinds[name] = (fields.get("kind", (start, ["ball"]))[1] or ["ball"])[0]
-        for key in ("kind", "epsilon", "covering", "shrink"):
-            if key in fields and not fields[key][1]:
-                return fail(fields[key][0], key, f"{key} needs a value")
-        kind = chart_kinds[name]
-        try:
-            directions = _axes("action", fields["action"][1]) if "action" in fields else ()
-            comp_signs = None
-            if "component_signs" in fields:
-                comp_signs = _parse_signs(fields["component_signs"][1])
-            action = TorusActionSymbol(directions, comp_signs)
-            covering = fields.get("covering", (start, ["trivial"]))[1][0]
-            if kind == "ball":
-                a, b = _axes("constrained", fields["constrained"][1])
-                if a == b:
-                    raise ValueError("constrained pair needs two different axes")
-                centers = []
-                for tok in fields["centers"][1]:
-                    x, y = tok.split(",")
-                    centers.append((_parse_fraction(x), _parse_fraction(y)))
-                eps = _parse_fraction(fields["epsilon"][1][0])
-                chart = ChartSpec(
-                    name, action, "ball", (a, b), tuple(centers), eps, covering
-                )
-            elif kind == "complement":
-                refs = tuple(fields["of"][1])
-                references.append((fields["of"][0], name, refs))
-                shrink = _parse_fraction(fields.get("shrink", (start, ["1/2"]))[1][0])
-                chart = ChartSpec(
-                    name, action, "complement", covering=covering,
-                    complement_of=refs, shrink=shrink,
-                )
-            elif kind == "full":
-                chart = ChartSpec(name, action, "full", covering=covering)
-            else:
-                fail(start, "chart", f"unknown chart kind {kind!r}")
-                return
-        except (KeyError, ValueError) as exc:
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-            fail(start, f"chart {name}", reason)
-            return
-        atlas.append(chart)
-        if "psi" in multi:
-            table = {}
-            for ln, toks in multi["psi"]:
-                try:
-                    signs = _parse_signs(toks[1:])
-                    if len(signs) != action.rank:
-                        raise ValueError(f"expected {action.rank} signs, one per acting direction")
-                    if toks[0] in table:
-                        raise ValueError(f"repeated psi name {toks[0]!r}")
-                    table[toks[0]] = signs
-                    words.append((ln, "psi", toks[0]))
-                except (IndexError, ValueError) as exc:
-                    fail(ln, "psi", str(exc))
-            psi[name] = table
-
-    def _close_expected(multi) -> None:
-        for key, rows in multi.items():
-            for ln, toks in rows:
-                try:
-                    if key == "fixed_circles":
-                        circles = expected.setdefault("fixed_circles", {})
-                        if toks[0] in circles:
-                            raise ValueError(f"repeated fixed_circles name {toks[0]!r}")
-                        circles[toks[0]] = int(toks[1])
-                        words.append((ln, "expected", toks[0]))
-                    elif key in _EXPECTED_INTS:
-                        expected[key] = int(toks[0])
-                    else:
-                        word = toks[0].lower() if key == "abelian" else toks[0]
-                        if word not in _EXPECTED_WORDS[key]:
-                            raise ValueError(f"{key} must be {' or '.join(_EXPECTED_WORDS[key])}, got {toks[0]!r}")
-                        expected[key] = word == "true" if key == "abelian" else word
-                except (IndexError, ValueError) as exc:
-                    fail(ln, "expected", str(exc))
-
+    sections: list[tuple[str | None, int, list]] = [(None, 1, [])]  # (header, line, [(line, key, *tokens)])
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         if line.startswith("[") and line.endswith("]"):
-            close_section()
-            body = []
-            parts = line[1:-1].split()
-            if len(parts) in (1, 2):
-                kind, name = parts[0], parts[1] if len(parts) == 2 else None
-                section = (kind, name, lineno)
-                if kind in ("gluing", "expected"):
-                    if name is not None:
-                        fail(lineno, "section", f"[{kind}] takes no name, got {name!r}")
-                    if kind in headers:
-                        fail(lineno, "section", f"repeated section [{kind}]")
-                    headers.add(kind)
-                elif kind in ("generator", "chart") and name is None:
-                    # Its lines are still read for their own errors.
-                    fail(lineno, "section", f"[{kind}] needs a name")
-                elif kind in ("generator", "chart"):
-                    if (kind, name) in headers:
-                        fail(lineno, "section", f"repeated {kind} name {name!r}")
-                    if kind == "generator" and (name == "e" or "*" in name):
-                        why = "is reserved for the identity" if name == "e" else "contains '*', the word product"
-                        fail(lineno, "section", f"generator name {name!r} {why}")
-                    headers.add((kind, name))
-            else:
-                fail(lineno, "section", f"malformed section header {line!r}")
-                section = None
-            continue
-        toks = line.split()
-        if section is None:
-            if toks[0] == "version":
-                try:
-                    version = int(toks[1])
-                    if version not in SUPPORTED_VERSIONS:
-                        fail(lineno, "version", f"unknown version {version}")
-                except (IndexError, ValueError):
-                    fail(lineno, "version", "version must be an integer")
-            elif toks[0] == "dimension":
-                try:
-                    dimension = int(toks[1])
-                    if dimension < 1:
-                        raise ValueError
-                except (IndexError, ValueError):
-                    fail(lineno, "dimension", "dimension must be a positive integer")
-            else:
-                fail(lineno, toks[0], "unknown top-level key")
-        else:
-            body.append((lineno, toks))
-    close_section()
+            sections.append((line, lineno, []))
+        elif line:
+            sections[-1][2].append((lineno, *line.split()))
 
-    # A ball chart rejected for its own lines is still declared, so it is no error here.
+    top, unread = read_fields("top-level", sections[0][2], None, errors)
+    version, n = (top[key][1] if key in top else None for key in ("version", "dimension"))
+    spec = ConstructionSpec(version, n, [], [], source=source)  # n is None after a bad dimension, reported once
+    references: list[tuple[int, str, tuple[str, ...]]] = []  # complement charts' `of` lines
+    words: list[tuple[int, str, str]] = []  # (line, field, element word) of psi and fixed_circles rows
+    chart_kinds: dict[str, str | None] = {}  # kind of every [chart] section, None when it failed to read
+    headers: set = set()  # "gluing", "expected" and (kind, name) of the other sections read so far
+    for header, start, body in sections[1:]:
+        kind, name = _section(header, start, headers, errors)
+        if kind is None:
+            continue
+        fields, failed = read_fields(kind, body, n, errors)
+        if kind == "generator":
+            generator = _generator(start, fields, failed, n, errors)
+            if generator is not None:
+                spec.generator_names.append(name)
+                spec.generators.append(generator)
+        elif kind == "gluing":
+            spec.gluing = GluingParams(**{key: value for key, (_, value) in fields.items()})
+        elif kind == "chart":
+            chart_kind = None if "kind" in failed else fields.pop("kind", (start, "ball"))[1]
+            chart_kinds[name] = chart_kind
+            if chart_kind == "complement" and "of" in fields:
+                references.append((fields["of"][0], name, fields["of"][1]))
+            chart = None if chart_kind is None else _chart(name, start, chart_kind, fields, failed, errors)
+            if chart is not None:
+                spec.atlas.append(chart)
+                for ln, (_, signs) in fields.get("psi", []):
+                    if len(signs) != chart.action.rank:
+                        errors.append((ln, "psi", f"expected {chart.action.rank} signs, one per acting direction"))
+                if "psi" in fields:
+                    spec.psi[name] = _by_name(fields["psi"], "psi", "psi", errors, words)
+        else:
+            if "fixed_circles" in fields:
+                circles = fields.pop("fixed_circles")
+                spec.expected["fixed_circles"] = _by_name(circles, "expected", "fixed_circles", errors, words)
+            spec.expected.update((key, value) for key, (_, value) in fields.items())
+
+    # A ball chart rejected for its own lines is still declared, and a chart
+    # whose kind failed to read may be one, so neither is an error here.
     for ln, name, refs in references:
-        unknown = [r for r in refs if chart_kinds.get(r) != "ball"]
+        unknown = [r for r in refs if chart_kinds.get(r, "") not in ("ball", None)]
         if unknown:
-            fail(ln, f"chart {name}", f"of names no ball chart of the atlas: {', '.join(unknown)}")
+            errors.append((ln, f"chart {name}", f"of names no ball chart of the atlas: {', '.join(unknown)}"))
     # A word is e or a *-product of declared generator names; a generator
     # rejected for its own lines is still declared.
     declared = {"e"} | {h[1] for h in headers if isinstance(h, tuple) and h[0] == "generator"}
     for ln, fld, word in words:
         unknown = [g for g in word.split("*") if g not in declared]
         if unknown:
-            fail(ln, fld, f"unknown generator {unknown[0]!r} in {word!r}")
+            errors.append((ln, fld, f"unknown generator {unknown[0]!r} in {word!r}"))
 
-    if version is None:
-        errors.insert(0, (1, "version", "missing version line"))
-    if dimension is None:
-        errors.insert(0, (1, "dimension", "missing dimension line"))
-    if not generators and not errors:
+    for key in ("version", "dimension"):
+        if key not in top and key not in unread:
+            errors.insert(0, (1, key, f"missing {key} line"))
+    if not spec.generators and not errors:
         errors.append((1, "generator", "at least one generator required"))
     if errors:
         raise SpecParseError(errors)
-    return ConstructionSpec(
-        version=version,
-        dimension=dimension,
-        generator_names=generator_names,
-        generators=generators,
-        gluing=gluing,
-        atlas=atlas,
-        psi=psi,
-        expected=expected,
-        source=source,
-    )
+    return spec
 
 
 def parse_construction(path) -> ConstructionSpec:

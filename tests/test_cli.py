@@ -556,6 +556,24 @@ REPEATED_EXPECTED = ("f_rank 1", "f_rank 1\n[expected]\norbits 11")
         "psi alpha + - - +",
         "psi alpha",
         ("action 1 4 5", "action 1 4"),
+        "version 1 7",
+        "annulus_grid 512 4096",
+        "epsilon 1/128 1/2",
+        "kind complement ball",
+        "shrink 1/2 3/4",
+        "covering group trivial",
+        "abelian true false",
+        "fixed_circles alpha 16 99",
+        "covering bogus",
+        ("shrink 1/2", "shrink 1/2\nepsilon 1/128\nconstrained 2 3\ncenters 0,0"),
+        ("[chart W_alpha]", "[chart W_alpha]\nof W_beta\nshrink 1/2"),
+        ("dimension 5", "dimension 5\ndimension 3"),
+        "dimension 0",
+        "version x",
+        "orbits",
+        "fixed_circles alpha",
+        "constrained 2 3 4",
+        "centers 0,0 0,1/2 1/2,0 1/2",
     ],
 )
 def test_out_of_domain_spec_values_exit_two(tmp_path, line):
@@ -623,6 +641,28 @@ def edited_example_a(tmp_path: Path, line) -> Path:
                                          "53 [chart V] of names no ball chart of the atlas: W_beta"]),
         (("[gluing]", "[gluing extra]"), ["20 [section] [gluing] takes no name, got 'extra'"]),
         (("[expected]", "[expected more]"), ["61 [section] [expected] takes no name, got 'more'"]),
+        # Each value is read by its key alone, and a failure is reported on its own line under its key.
+        ("version 1 7", ["5 [version] version takes one value, got 2"]),
+        ("covering bogus", ["33 [covering] covering must be trivial or group, got 'bogus'"]),
+        ("fixed_circles alpha 16 99", ["62 [expected] fixed_circles takes a name and a count, got 3"]),
+        ("fixed_circles alpha", ["62 [expected] fixed_circles takes a name and a count, got 1"]),
+        ("orbits", ["66 [expected] orbits needs a value"]),
+        ("constrained 2 3 4", ["28 [constrained] constrained takes two axes, got 3"]),
+        ("constrained 6 7", ["28 [constrained] constrained axes must lie in 1..5"]),
+        ("centers 0,0 0,1/2 1/2,0 1/2", ["29 [centers] centers must be x,y pairs, got '1/2'"]),
+        # A chart key its kind never reads is an error on its own line.
+        (("shrink 1/2", "shrink 1/2\nepsilon 1/128\nconstrained 2 3\ncenters 0,0"), [
+            "55 [epsilon] a complement chart takes no 'epsilon'",
+            "56 [constrained] a complement chart takes no 'constrained'",
+            "57 [centers] a complement chart takes no 'centers'",
+        ]),
+        (("[chart W_alpha]", "[chart W_alpha]\nof W_beta\nshrink 1/2"), ["28 [of] a ball chart takes no 'of'",
+                                                                       "29 [shrink] a ball chart takes no 'shrink'"]),
+        # A top-level key is read once; a bad one is reported once, and no section repeats it.
+        (("dimension 5", "dimension 5\ndimension 3"), ["7 [dimension] repeated key 'dimension'"]),
+        (("version 1", "version 1\nversion 1"), ["6 [version] repeated key 'version'"]),
+        ("dimension 0", ["6 [dimension] dimension must be a positive integer"]),
+        ("version x", ["5 [version] version must be an integer"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):
@@ -630,6 +670,30 @@ def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):
     result = CliRunner().invoke(main, ["verify", str(spec)])
     assert result.exit_code == 2, result.output
     assert result.stderr.splitlines() == [f"error: {spec}:{e}" for e in errors]
+
+
+SINGLE_VALUED = ("version", "dimension", "annulus_grid", "ricci_flat_tol", "kind", "epsilon", "covering", "shrink",
+                 "abelian", "orbits", "half_orbits", "b2_resolved", "b3_resolved", "spin", "pi1", "f_rank")
+# example-a plus a whole-torus chart: their lines hold every single-valued key but b3_resolved.
+WITH_FULL_CHART = Path(EXAMPLE_A).read_text().splitlines() + ["", "[chart T]", "kind full", "action 1"]
+
+
+@pytest.mark.parametrize("ln, key", [
+    pytest.param(ln, line.split()[0], id=f"{ln}-{line.split()[0]}")
+    for ln, line in enumerate(WITH_FULL_CHART, start=1) if line.split()[:1] and line.split()[0] in SINGLE_VALUED
+])
+def test_single_valued_keys_take_exactly_one_value(tmp_path, ln, key):
+    """One more token on a single-valued key's line is an error on that line
+    under that key (under "expected" in the [expected] block)."""
+    lines = list(WITH_FULL_CHART)
+    lines[ln - 1] += " 1"
+    spec = tmp_path / "extra.spec"
+    spec.write_text("\n".join(lines) + "\n")
+    result = CliRunner().invoke(main, ["verify", str(spec)])
+    assert result.exit_code == 2, result.output
+    header = next((line for line in reversed(lines[:ln]) if line.startswith("[")), None)
+    field = "expected" if header == "[expected]" else key
+    assert result.stderr.splitlines() == [f"error: {spec}:{ln} [{field}] {key} takes one value, got 2"]
 
 
 def undecodable_spec(tmp_path: Path) -> str:

@@ -198,6 +198,13 @@ def test_chart_validation():
         TorusActionSymbol((1, 2), (1, -1))
 
 
+def test_chart_covering_is_trivial_or_group():
+    """Any other word used to count as a trivial covering."""
+    for covering in ("bogus", "Group", ""):
+        with pytest.raises(ValueError, match=f"covering must be trivial or group, got {covering!r}"):
+            ChartSpec("T", TorusActionSymbol((1,)), "full", covering=covering)
+
+
 def test_extend_rule_requires_generating_set(group_a):
     with pytest.raises(ValueError, match="generate"):
         extend_rule(group_a, {"alpha": (1,)})

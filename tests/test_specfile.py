@@ -224,3 +224,14 @@ def test_section_headers_name_exactly_the_sections_that_take_names():
         (10, "section", "[expected] takes no name, got 'more'"),
         (12, "section", "[chart] needs a name"),
     ]
+
+
+def test_each_field_of_a_section_reports_its_own_error():
+    """A bad diag does not hide a bad translation: each is an error on its own line."""
+    text = MINIMAL.replace("diag -1 -1", "diag -1").replace("translation 1/2 0", "translation 1/0 0")
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text(text)
+    assert err.value.errors == [
+        (6, "diag", "expected 2 diagonal entries"),
+        (7, "translation", "zero denominator in '1/0'"),
+    ]

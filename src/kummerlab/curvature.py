@@ -14,10 +14,12 @@ Two independent pipelines compute curvature:
   evaluated in closed form from order-2 jets of the radial profiles via the
   Cartan structure equations.
 
-The coframe normalization and the Ricci contraction sign are calibrated
-once against two oracles (flat metric in polar form must be flat; the
-ALE instanton profile must be Ricci-flat; the round sphere must have
-positive Ricci) and the calibration is recorded for reports.
+Both engines use two fixed conventions, recorded in every report by
+calibration(): the half-angle coframe, ds_i = -2 s_j^s_k (cyclic), and
+the Ricci contraction R_{ik} = R^l_{lik}, positive on the round sphere.
+The tests derive both from oracles: the flat metric in polar form must be
+flat and the ALE instanton profile Ricci-flat, and the round sphere's
+Ricci must come out positive.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ from .jets import Jet
 # section is one pass on the bundled specs and three at 5 x 2048.
 PASS_RADII = 2**12
 
+# The structure constant n of the half-angle coframe of the 3-sphere:
+# ds_i = n s_j^s_k (cyclic).  The unit coframe's n = -1 leaves the flat
+# polar profile curved.
+STRUCTURE_CONSTANT = -2.0
+
 # ---------------------------------------------------------------------------
 # Curvature samples
 
@@ -67,8 +74,8 @@ class CurvatureSample:
     bianchi_residual: float
 
 
-def _sample_from_frame_tensor(rm_frame: np.ndarray, ric_sign: int) -> CurvatureSample:
-    ric = ric_sign * np.einsum("llik->ik", rm_frame)
+def _sample_from_frame_tensor(rm_frame: np.ndarray) -> CurvatureSample:
+    ric = np.einsum("llik->ik", rm_frame)
     pair = float(np.max(np.abs(rm_frame - np.einsum("jkli->lijk", rm_frame))))
     bianchi = float(
         np.max(
@@ -162,38 +169,29 @@ def christoffel(chart: MetricChart, x) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
 
 
-def _riemann_tensor(chart: MetricChart, x: np.ndarray) -> np.ndarray:
-    """R^l_{ijk} in the module convention, from differenced Christoffel symbols.
-
-    Shared by riemann() and calibration(), so it must not read the
-    calibration record.
-    """
-    h = chart.steps(x)
-    gamma = christoffel(chart, x)
-    dgamma = np.stack(
-        [_richardson_derivative(lambda p: christoffel(chart, p), x, j, h[j]) for j in range(chart.dim)]
-    )  # dgamma[j, l, i, k] = d_j G^l_{ik}
-    return (
-        -np.einsum("jlik->lijk", dgamma)
-        + np.einsum("iljk->lijk", dgamma)
-        - np.einsum("mik,ljm->lijk", gamma, gamma)
-        + np.einsum("mjk,lim->lijk", gamma, gamma)
-    )
-
-
 def riemann(chart: MetricChart, x, frame: np.ndarray | None = None) -> tuple[np.ndarray, CurvatureSample]:
     """Curvature tensor R^l_{ijk} on the chart plus a frame sample.
 
     The returned array uses the module convention (derivative pair (i, j)
-    first, acted-on index k last); the Ricci contraction R_{ik} = R^l_{lik}
-    is sign-calibrated once against the round-sphere oracle.
+    first, acted-on index k last), from differenced Christoffel symbols;
+    the sample's Ricci tensor is the contraction R_{ik} = R^l_{lik}.
 
     frame, when given, is the coframe matrix (rows are the orthonormal
     covectors in chart coordinates); by default the Cholesky coframe of
     g(x) is used.
     """
     x = np.asarray(x, dtype=float)
-    riem = _riemann_tensor(chart, x)
+    h = chart.steps(x)
+    gamma = christoffel(chart, x)
+    dgamma = np.stack(
+        [_richardson_derivative(lambda p: christoffel(chart, p), x, j, h[j]) for j in range(chart.dim)]
+    )  # dgamma[j, l, i, k] = d_j G^l_{ik}
+    riem = (
+        -np.einsum("jlik->lijk", dgamma)
+        + np.einsum("iljk->lijk", dgamma)
+        - np.einsum("mik,ljm->lijk", gamma, gamma)
+        + np.einsum("mjk,lim->lijk", gamma, gamma)
+    )
     g0 = chart.metric(x)
     lowered = np.einsum("lm,mijk->lijk", g0, riem)
     if frame is None:
@@ -203,8 +201,7 @@ def riemann(chart: MetricChart, x, frame: np.ndarray | None = None) -> tuple[np.
     rm_frame = np.einsum(
         "lijk,la,ib,jc,kd->abcd", lowered, vectors, vectors, vectors, vectors
     )
-    sample = _sample_from_frame_tensor(rm_frame, ric_sign=calibration().contraction_sign)
-    return riem, sample
+    return riem, _sample_from_frame_tensor(rm_frame)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +334,12 @@ def glued_profile(d) -> RadialProfile:
 # Cohomogeneity-one engine (Cartan structure equations, closed form)
 
 
-def _cartan_coefficients(profile: RadialProfile, r, n: float):
+def _cartan_coefficients(profile: RadialProfile, r):
     """The curvature coefficients (E, M, N, P), three of each, of the profile
-    metric with structure constant n, at a radius or at each entry of a
-    1-D array of radii.
+    metric, at a radius or at each entry of a 1-D array of radii.
 
     The coframe is (sqrt(A) dr, sqrt(C) s1, sqrt(C) s2, sqrt(B) s3) with
-    ds1 = n s2^s3 (cyclic).  Connection coefficients follow the standard
+    ds1 = STRUCTURE_CONSTANT s2^s3 (cyclic).  Connection coefficients follow the standard
     diagonal ansatz; curvature 2-forms are assembled exactly from jets.
     a1 = a2 = sqrt(C) makes the first two of each triple (and K1 = K2, c1 =
     c2) equal bit for bit, as their formulas differ only in the order of
@@ -364,7 +360,7 @@ def _cartan_coefficients(profile: RadialProfile, r, n: float):
     del f0, Ai
     sc, sb = (a.truncate(1) for a in legs)
     del legs
-    K = [n * sc / (sc * sb), n * sb / (sc * sc)]  # K1 = K2, K3
+    K = [STRUCTURE_CONSTANT * sc / (sc * sb), STRUCTURE_CONSTANT * sb / (sc * sc)]  # K1 = K2, K3
     c = [(K[0] + K[1] - K[0]) * 0.5, (K[0] + K[0] - K[1]) * 0.5]  # c1 = c2, c3
     Kv = [q.value for q in K]
     cv = [q.value for q in c]
@@ -384,10 +380,9 @@ def _cartan_coefficients(profile: RadialProfile, r, n: float):
     return tuple([q[0], q[0], q[1]] for q in (E, M, N, P))
 
 
-def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarray:
-    """Frame curvature tensor, in the module convention, of the profile
-    metric with structure constant n."""
-    E, M, N, P = _cartan_coefficients(profile, r, n)
+def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
+    """Orthonormal-frame curvature sample of the profile metric at radius r."""
+    E, M, N, P = _cartan_coefficients(profile, r)
     w = np.zeros((4, 4, 4, 4))
 
     def put(a_, b_, c_, d_, val):
@@ -404,15 +399,7 @@ def _cohomo_frame_tensor(profile: RadialProfile, r: float, n: float) -> np.ndarr
     put(3, 1, 0, 2, N[1]); put(3, 1, 3, 1, P[1])
     put(1, 2, 0, 3, N[2]); put(1, 2, 1, 2, P[2])
     # Reindex the Cartan tensor into the module convention (pair first).
-    return np.einsum("lkij->lijk", w)
-
-
-def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
-    """Orthonormal-frame curvature sample of the profile metric at radius r."""
-    cal = calibration()
-    return _sample_from_frame_tensor(
-        _cohomo_frame_tensor(profile, r, cal.structure_constant), ric_sign=cal.contraction_sign
-    )
+    return _sample_from_frame_tensor(np.einsum("lkij->lijk", w))
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +482,7 @@ def euclidean_chart(dim: int) -> MetricChart:
 
 
 # ---------------------------------------------------------------------------
-# Calibration
+# The conventions' record
 
 
 @dataclass(frozen=True)
@@ -504,45 +491,17 @@ class CalibrationRecord:
     coframe_normalization: str
     contraction_sign: int
     sphere_ricci_positive: bool
-    flat_residual: float
-    instanton_ricci_residual: float
 
 
-@lru_cache(maxsize=1)
+# The half-angle coframe, and the contraction R_{ik} = R^l_{lik} with no
+# sign flip, under which the round sphere's Ricci is positive.
+_CALIBRATION = CalibrationRecord(STRUCTURE_CONSTANT, "half-angle", contraction_sign=1, sphere_ricci_positive=True)
+
+
 def calibration() -> CalibrationRecord:
-    """Pin the coframe normalization and the Ricci contraction sign.
-
-    Normalization: among the candidate structure constants (half-angle
-    coframe: ds_i = -2 s_j^s_k; unit coframe: ds_i = -s_j^s_k), keep the
-    one making the flat polar profile flat and the instanton profile
-    Ricci-flat to 1e-6.  Contraction: the round-sphere Ricci must come out
-    positive under R_{ik} = R^l_{lik}; flip the sign otherwise.
-    """
-    flat = euclidean_profile()
-    ale = eh_profile()
-    chosen = None
-    flat_res = math.inf
-    ric_res = math.inf
-    for n in (-2.0, -1.0):
-        fr = float(_frame_norms(flat, (0.7, 2.0, 11.0), n)[1].max())
-        rr = float(_frame_norms(ale, (1.5, 3.0, 9.0), n)[0].max())
-        if fr < 1e-6 and rr < 1e-6:
-            chosen, flat_res, ric_res = n, fr, rr
-            break
-    if chosen is None:
-        raise RuntimeError("coframe calibration failed: no candidate normalization passed")
-
-    ric = np.einsum("llik->ik", _riemann_tensor(sphere_chart(2.0), np.array([1.0, 0.3])))
-    positive = bool(ric[0, 0] > 0 and ric[1, 1] > 0)
-    sign = 1 if positive else -1
-    return CalibrationRecord(
-        structure_constant=chosen,
-        coframe_normalization="half-angle" if chosen == -2.0 else "unit",
-        contraction_sign=sign,
-        sphere_ricci_positive=positive,
-        flat_residual=flat_res,
-        instanton_ricci_residual=ric_res,
-    )
+    """The conventions of both engines, as every report records them;
+    tests/test_curvature.py derives each from its oracle."""
+    return _CALIBRATION
 
 
 # ---------------------------------------------------------------------------
@@ -676,19 +635,14 @@ def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     Closed form from the Cartan coefficients, with no frame tensor: the
     tensor holds each of the 12 coefficients in four entries, and its Ricci
     contraction is diagonal, diag(-E1-E2-E3, -E1+P2+P3, -E2+P1+P3,
-    -E3+P1+P2) up to the contraction sign, summed here in the order of the
-    dense contraction, so |Ric| equals cohomo_curvature's bit for bit; |Rm|
-    sums its squares in another order and may differ in the last bit.  Equal
-    coefficients and Ricci entries are squared once.  A profile constant in
-    r gives float coefficients, broadcast to the radii.
+    -E3+P1+P2), summed here in the order of the dense contraction, so |Ric|
+    equals cohomo_curvature's bit for bit; |Rm| sums its squares in another
+    order and may differ in the last bit.  Equal coefficients and Ricci
+    entries are squared once.  A profile constant in r gives float
+    coefficients, broadcast to the radii.
     """
-    return _frame_norms(profile, radii, calibration().structure_constant)
-
-
-def _frame_norms(profile: RadialProfile, radii, n: float) -> tuple[np.ndarray, np.ndarray]:
-    """frame_norms with the structure constant n given, as calibration() needs."""
     radii = np.asarray(radii, dtype=float)
-    E, M, N, P = _cartan_coefficients(profile, radii, n)
+    E, M, N, P = _cartan_coefficients(profile, radii)
     ric0, ric12, ric3 = -E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[1] - E[2] + P[0]
     sq12 = ric12 * ric12
     ric_norm = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))

@@ -62,6 +62,21 @@ def _fraction(tok: str) -> Fraction:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {tok!r}") from None
+    except ValueError:
+        raise ValueError(f"expected a rational p/q, got {tok!r}") from None
+
+
+def _cast(cast, what):
+    """A parser of one token by cast whose error names what it expected."""
+    def parse(tok):
+        try:
+            return cast(tok)
+        except ValueError:
+            raise ValueError(f"expected {what}, got {tok!r}") from None
+    return parse
+
+
+_int, _float = _cast(int, "an integer"), _cast(float, "a number")
 
 
 def _sign(tok: str) -> int:
@@ -123,7 +138,7 @@ def _version(key, tok):
 
 def _gluing_values(key, toks, n):
     """The domains the curvature stage needs, so that a bad block is an input error."""
-    values = [float(t) for t in toks]
+    values = [_float(t) for t in toks]
     if not all(math.isfinite(v) for v in values):
         raise ValueError("values must be finite")
     lo, hi = eh_profile().domain
@@ -141,7 +156,7 @@ def _gluing_values(key, toks, n):
 
 
 def _axes(key, toks, n):
-    axes = tuple(map(int, toks))
+    axes = tuple(map(_int, toks))
     if n is not None and not all(1 <= a <= n for a in axes):
         raise ValueError(f"{key} axes must lie in 1..{n}")
     return axes
@@ -182,6 +197,7 @@ _ABELIAN = _choice("true", "false", fold=str.lower)
 _ANY_CHART = {"kind", "action", "component_signs", "covering", "psi"}
 _CHART_KEYS = {"ball": _ANY_CHART | {"constrained", "centers", "epsilon"},
                "complement": _ANY_CHART | {"of", "shrink"}, "full": _ANY_CHART}
+_CHART_NEEDS = {"ball": ("constrained", "centers", "epsilon"), "complement": ("of",), "full": ()}
 # The reader of every key of each section kind; "top-level" is the lines
 # before the first section.  A row key takes one line per row, any other
 # key one line.
@@ -190,7 +206,7 @@ _KEYS = {
         "version": _one(_version), "dimension": _one(_number(int, "a positive integer", lambda v: v >= 1)),
     },
     "generator": {
-        "diag": _entries(int, "diagonal entries"), "row": _entries(int), "translation": _entries(_fraction),
+        "diag": _entries(_int, "diagonal entries"), "row": _entries(_int), "translation": _entries(_fraction),
     },
     "gluing": {
         **dict.fromkeys(("d_values", "decay_radii", "ricci_flat_radii"), _gluing_values),
@@ -299,7 +315,10 @@ def _chart(name, start, kind, fields, failed, errors) -> ChartSpec | None:
     wrong = [key for key in fields if key not in _CHART_KEYS[kind]]
     for key in wrong:
         errors.append((fields[key][0], key, f"a {kind} chart takes no {key!r}"))
-    if wrong or failed - {"psi"}:
+    missing = [key for key in _CHART_NEEDS[kind] if key not in fields and key not in failed]
+    for key in missing:
+        errors.append((start, f"chart {name}", f"{kind} chart {name} has no {key} line"))
+    if wrong or missing or failed - {"psi"}:
         return None
     given = {key: entry[1] for key, entry in fields.items() if key not in _ROWS}
     try:

@@ -20,6 +20,7 @@ from conftest import (
 )
 from kummerlab import curvature, pipeline
 from kummerlab.curvature import (
+    CalibrationRecord,
     Cutoff,
     DIAM_BOUND_FORMULA,
     MetricChart,
@@ -52,14 +53,39 @@ from test_jets import same_bits
 EH_POINT = [3.0, 1.0, 0.7, 0.9]
 
 
+def reference_frame_norms(jets, radii, n: float):
+    """|Ric| and |Rm| of the profile with the given jets and structure
+    constant n, from the full-order reference coefficients."""
+    E, M, N, P = reference_cartan_coefficients(jets, np.asarray(radii, dtype=float), n)
+    ric = [-E[0] - E[1] - E[2], -E[0] + P[1] + P[2], -E[1] + P[0] + P[2], -E[2] + P[0] + P[1]]
+    rm2 = 4.0 * sum(q * q for coefficients in (E, M, N, P) for q in coefficients)
+    return np.sqrt(sum(q * q for q in ric)), np.sqrt(rm2)
+
+
 def test_calibration_record():
-    cal = calibration()
-    assert cal.coframe_normalization == "half-angle"
-    assert cal.structure_constant == -2.0
-    assert cal.sphere_ricci_positive
-    assert cal.contraction_sign == 1
-    assert cal.flat_residual < 1e-6
-    assert cal.instanton_ricci_residual < 1e-6
+    """Both conventions, derived from their oracles, are the record's.
+
+    The structure constant is the candidate (half-angle coframe n = -2,
+    unit coframe n = -1) that makes the flat polar profile flat and the
+    instanton profile Ricci-flat to 1e-6; the contraction sign is the one
+    under which the round sphere's Ricci R_{ik} = R^l_{lik} is positive.
+    """
+    passing = [
+        n for n in (-2.0, -1.0)
+        if np.max(reference_frame_norms(reference_euclidean_jets, (0.7, 2.0, 11.0), n)[1]) < 1e-6
+        and np.max(reference_frame_norms(reference_eh_jets, (1.5, 3.0, 9.0), n)[0]) < 1e-6
+    ]
+    assert passing == [-2.0]
+    ric = np.einsum("llik->ik", riemann(sphere_chart(2.0), [1.0, 0.3])[0])
+    positive = bool(ric[0, 0] > 0 and ric[1, 1] > 0)
+    derived = CalibrationRecord(
+        structure_constant=passing[0],
+        coframe_normalization="half-angle",
+        contraction_sign=1 if positive else -1,
+        sphere_ricci_positive=positive,
+    )
+    assert calibration() == derived
+    assert curvature.STRUCTURE_CONSTANT == derived.structure_constant
 
 
 def test_christoffel_euclidean_zero():
@@ -376,13 +402,12 @@ def test_batched_glue_scan_rows_equal_per_annulus_passes_on_every_dense_scan():
 
 def count_passes(monkeypatch):
     """Record the number of radii of every _cartan_coefficients pass."""
-    calibration()  # cached; its scalar samples must not count below
     sizes = []
     original = curvature._cartan_coefficients
 
-    def counted(profile, r, n):
+    def counted(profile, r):
         sizes.append(np.size(r))
-        return original(profile, r, n)
+        return original(profile, r)
 
     monkeypatch.setattr(curvature, "_cartan_coefficients", counted)
     return sizes
@@ -471,11 +496,23 @@ def test_stage_scans_equal_their_own_passes(spec_a, budget, monkeypatch):
 
 @pytest.mark.parametrize("spec, passes", [("example-a", [10 + 2560]), ("scan-2048", [10 + 4096, 4096, 2048])])
 def test_run_all_makes_one_pass_per_glue_pass(spec, passes, spec_a, monkeypatch):
-    """With the calibration cached, a verify's curvature section runs the glue
-    scan's passes and no other: one on example-a, three on the dense spec."""
+    """A verify's curvature section runs the glue scan's passes and no
+    other: one on example-a, three on the dense spec."""
     sizes = count_passes(monkeypatch)
     pipeline.run_all(spec_a if spec == "example-a" else parse_construction(SCAN_2048))
     assert sizes == passes
+
+
+def test_verify_runs_no_finite_difference_code(spec_a, monkeypatch):
+    """The conventions are constants: a verify reaches neither the chart
+    engine's Christoffel symbols nor its curvature tensor."""
+    getattr(calibration, "cache_clear", lambda: None)()  # a cached record would hide a search
+    calls = []
+    for name in ("christoffel", "riemann"):
+        original = getattr(curvature, name)
+        monkeypatch.setattr(curvature, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a))
+    pipeline.run_all(spec_a)
+    assert calls == []
 
 
 def exact_fit(xs, ys):
@@ -643,19 +680,22 @@ TRIMMED_CASES = {
 
 @pytest.mark.parametrize("n", [-2.0, -1.0])
 @pytest.mark.parametrize("case", sorted(TRIMMED_CASES))
-def test_trimmed_pass_equals_full_order_reference(case, n):
+def test_trimmed_pass_equals_full_order_reference(case, n, monkeypatch):
     """E, M, N, P of the pass, each jet truncated to the order read, equal
     the order-2 evaluation bit for bit, signed zeros included, on an array
-    of radii and at each radius alone."""
+    of radii and at each radius alone.  The trimming holds whatever the
+    structure constant: the pass runs with the module's n = -2 and with
+    the unit coframe's n = -1 put in its place."""
+    monkeypatch.setattr(curvature, "STRUCTURE_CONSTANT", n)
     profile, jets, radii = TRIMMED_CASES[case]
     shaped = lambda x: np.broadcast_to(x, radii.shape)  # noqa: E731
-    got = curvature._cartan_coefficients(profile, radii, n)
+    got = curvature._cartan_coefficients(profile, radii)
     for g, w in zip(got, reference_cartan_coefficients(jets, radii, n)):
         assert all(same_bits(shaped(x), shaped(y)) for x, y in zip(g, w))
     if case == "glued-per-radius":
         return  # one scale per radius has no single-radius form
     for r in radii[::7].tolist() + radii[-3:].tolist():
-        got = curvature._cartan_coefficients(profile, r, n)
+        got = curvature._cartan_coefficients(profile, r)
         for g, w in zip(got, reference_cartan_coefficients(jets, r, n)):
             assert all(same_bits(x, y) and type(x) is type(y) for x, y in zip(g, w))
 

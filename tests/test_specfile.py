@@ -235,3 +235,43 @@ def test_each_field_of_a_section_reports_its_own_error():
         (6, "diag", "expected 2 diagonal entries"),
         (7, "translation", "zero denominator in '1/0'"),
     ]
+
+
+@pytest.mark.parametrize(
+    "old, new, error",
+    [
+        ("diag 1 -1 -1 -1 -1", "diag 1 -1 -1 -1 x", (9, "diag", "expected an integer, got 'x'")),
+        ("action 4", "action four", (39, "action", "expected an integer, got 'four'")),
+        ("d_values 10 20 40 80 160", "d_values 10 20 4O 80 160", (21, "d_values", "expected a number, got '4O'")),
+        ("ricci_flat_radii 1.2 2 5 20 50", "ricci_flat_radii 1.2 2 5 2,0 50",
+         (24, "ricci_flat_radii", "expected a number, got '2,0'")),
+        ("translation 0 0 0 1/2 0", "translation 0 0 0 1/two 0",
+         (10, "translation", "expected a rational p/q, got '1/two'")),
+        ("epsilon 1/128", "epsilon 1//128", (30, "epsilon", "expected a rational p/q, got '1//128'")),
+        ("centers 0,0 0,1/2 1/2,0 1/2,1/2", "centers 0,0 0,1/2 1/2,0 1/2,half",
+         (29, "centers", "expected a rational p/q, got 'half'")),
+    ],
+    ids=["diag", "action", "d_values", "ricci_flat_radii", "translation", "epsilon", "centers"],
+)
+def test_bad_numbers_are_named_in_the_spec_terms(old, new, error):
+    """A token that is no integer, number or rational, edited into the
+    first line of example-a that reads old, is its only error."""
+    lines = open(bundled_examples()["example-a.spec"], encoding="utf-8").read().splitlines()
+    lines[lines.index(old)] = new
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text("\n".join(lines))
+    assert err.value.errors == [error]
+
+
+@pytest.mark.parametrize(
+    "key, header, chart",
+    [("constrained", 27, "W_alpha"), ("centers", 27, "W_alpha"), ("epsilon", 27, "W_alpha"), ("of", 51, "V")],
+)
+def test_a_missing_required_chart_key_is_named_on_the_header_line(key, header, chart):
+    """Example-a with the first line of a chart's required key deleted."""
+    lines = open(bundled_examples()["example-a.spec"], encoding="utf-8").read().splitlines()
+    del lines[next(i for i, line in enumerate(lines) if line.split()[:1] == [key])]
+    kind = "complement" if key == "of" else "ball"
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text("\n".join(lines))
+    assert err.value.errors == [(header, f"chart {chart}", f"{kind} chart {chart} has no {key} line")]

@@ -9,17 +9,55 @@ Two independent pipelines compute curvature:
   - G^m_{ik} G^l_{jm} + G^m_{jk} G^l_{im} (antisymmetric derivative pair
   first, acted-on index last);
 
-* a cohomogeneity-one engine for metrics A(r) dr^2 + B(r) s3^2
-  + C(r)(s1^2 + s2^2) over the left-invariant coframe of the 3-sphere,
-  evaluated in closed form from order-2 jets of the radial profiles via the
-  Cartan structure equations.
+* a closed-form array kernel for the cohomogeneity-one metrics
+  A dr^2 + B s3^2 + C (s1^2 + s2^2) over the left-invariant coframe of the
+  3-sphere, written as a perturbation of the flat metric in polar form:
+  A = 1 + a, B = r^2 (1 + b), C = r^2.
 
 Both engines use two fixed conventions, recorded in every report by
-calibration(): the half-angle coframe, ds_i = -2 s_j^s_k (cyclic), and
-the Ricci contraction R_{ik} = R^l_{lik}, positive on the round sphere.
-The tests derive both from oracles: the flat metric in polar form must be
-flat and the ALE instanton profile Ricci-flat, and the round sphere's
-Ricci must come out positive.
+calibration(): the half-angle coframe, ds_i = n s_j^s_k (cyclic) with
+n = -2, and the Ricci contraction R_{ik} = R^l_{lik}, positive on the round
+sphere.  The tests derive both from oracles: the flat metric in polar form
+must be flat and the ALE instanton profile Ricci-flat, and the round
+sphere's Ricci must come out positive.
+
+The kernel.  On the coframe e0 = sqrt(A) dr, e1 = sqrt(C) s1, e2 =
+sqrt(C) s2, e3 = sqrt(B) s3, with legs l1 = l2 = sqrt(C), l3 = sqrt(B),
+the Cartan structure equations of the diagonal ansatz give the connection
+data A_i = l_i' / (sqrt(A) l_i), K_i = n l_i / (l_j l_k) and
+c_i = (K_j + K_k - K_i) / 2, and the curvature 2-forms hold twelve
+coefficients, (i, j, k) cyclic:
+
+    E_i = A_i' / sqrt(A) + A_i^2          M_i = A_i K_i - c_k A_j - c_j A_k
+    N_i = c_i' / sqrt(A) + c_i A_i        P_i = c_i K_i - A_j A_k - c_j c_k
+
+With phi^2 = 1/(1 + a), beta = sqrt(1 + b) (so sqrt(B) = r beta) and
+gamma = beta'/beta = b' / (2 (1 + b)): A_1 = A_2 = phi/r, A_3 = phi (1/r +
+gamma), K_1 = K_2 = n/(r beta), K_3 = n beta/r, c_1 = c_2 = n beta/(2r) and
+c_3 = n/(r beta) - n beta/(2r).  Index 1 and 2 agree, so each quantity has
+two values, written with subscripts 0 (for 1 and 2) and 1 (for 3):
+
+    E0 = phi phi'/r = (phi^2)'/(2r)
+    E1 = (phi^2)'/2 (1/r + gamma) + phi^2 (gamma' + 2 gamma/r + gamma^2)
+    M0 = -n phi beta'/(2r),  M1 = n phi beta'/r,  N0 = -M0,  N1 = -M1
+    P0 = n^2 beta^2/(4 r^2) - phi^2/r^2 - phi^2 gamma/r
+    P1 = (n^2 - 3 n^2 beta^2/4 - phi^2)/r^2
+
+and with n = -2 the flat terms cancel on paper: n^2 beta^2/4 - phi^2 =
+(1 + b) - (1 - a phi^2) and n^2 - 3 n^2 beta^2/4 - phi^2 = a phi^2 - 3b,
+so that
+
+    M0 = phi beta'/r = -M1/2 = -N0 = N1/2
+    P0 = (b + a phi^2)/r^2 - phi^2 gamma/r,  P1 = (a phi^2 - 3b)/r^2
+
+with (phi^2)' = -a' phi^4 and gamma' = b''/(2 (1 + b)) - 2 gamma^2.  Every
+coefficient is a sum of terms at least linear in (a, a', b, b', b''): the
+flat profile gives exactly zero, and on the glued profile's annulus,
+where a and b are of size d^-4, the terms are of the size of |Ric| itself,
+d^-6, and cancel by factors of order one, not by d^4.  The former engine
+summed order-2 jets of A, B and C, terms of size r^-2, and lost about four
+digits per decade of d; it is kept in the tests as the reference, run at
+60 digits as the oracle.
 """
 
 from __future__ import annotations
@@ -32,19 +70,18 @@ from typing import Callable
 
 import numpy as np
 
-from .jets import Jet
 
 # The most radii one glue-scan pass gathers from whole annuli.  A pass's
-# peak memory grows with its radii (about 190 bytes each); its fixed cost
-# (about 0.3 ms, 30% of a 1.0-ms pass of 4096, 2-core Xeon VM) does not.
-# One pass of 5 x 2048 radii would add 1.9 MiB of peak RSS (see README).
-# Larger passes are also not faster: a pass's freed temporaries above
-# glibc's trim threshold go back to the OS and fault in again on the next
-# pass.  Minor page faults per repeated pass (getrusage): 0.02 at 4096
-# radii, 160 at 6144, 368 at 8192, 476 at 10240, 1056 at 16384.
-# The verify stage's instanton and decay radii (ten on the bundled specs)
-# ride in the first pass on top of its annuli, so its whole curvature
-# section is one pass on the bundled specs and three at 5 x 2048.
+# peak memory grows with its radii (about 144 bytes each, tracemalloc); its
+# fixed cost (about 0.07 ms, a pass of 4 radii) does not.  Passes of 4096
+# radii are the cheapest per radius: 102 ns, against 114-122 ns at 2048 and
+# 123-126 ns at 6144 and 8192 (medians of 200 passes, 2-core Xeon VM).
+# Above 4096 a pass's freed temporaries cross glibc's trim threshold, go
+# back to the OS and fault in again on the next pass.  Minor page faults per
+# repeated pass (getrusage): 0 at 4096 radii, 136-148 at 6144, 256 at 8192,
+# 672 at 16384.  The verify stage's instanton and decay radii (ten on the
+# bundled specs) ride in the first pass on top of its annuli, so its whole
+# curvature section is one pass on the bundled specs and three at 5 x 2048.
 PASS_RADII = 2**12
 
 # The structure constant n of the half-angle coframe of the 3-sphere:
@@ -208,181 +245,154 @@ def riemann(chart: MetricChart, x, frame: np.ndarray | None = None) -> tuple[np.
 # Radial profiles
 
 
-def _first_radius(bad, r):
-    """The first radius where bad holds (r itself when scalar), or None."""
-    if not np.any(bad):
-        return None
-    return r if np.ndim(r) == 0 else float(r[np.argmax(bad)])
+def _radii(r) -> np.ndarray:
+    """A radius or a sequence of radii as a 1-D float array."""
+    return np.atleast_1d(np.asarray(r, dtype=float))
+
+
+def _first_radius(bad, r: np.ndarray):
+    """The first radius where bad holds, or None."""
+    return float(r[np.argmax(bad)]) if np.any(bad) else None
 
 
 @dataclass
 class RadialProfile:
-    """Cohomogeneity-one metric data A(r) dr^2 + B(r) s3^2 + C(r)(s1^2+s2^2).
+    """The metric A(r) dr^2 + B(r) s3^2 + C(r)(s1^2 + s2^2) with A = 1 + a,
+    B = r^2 (1 + b) and C = r^2: the flat metric in polar form and its
+    perturbation (a, b).
 
-    jets maps a radius jet to the jets of A, B, C, so their derivatives come
-    out exactly; the open domain is enforced at evaluation time.  The
-    curvature reads A to order 1 and B, C to order 2, so a profile may give
-    A only to order 1.
+    perturbation maps a 1-D array of radii to the arrays (a, a', b, b', b''),
+    all the curvature reads.  The open domain and positivity (a, b > -1) are
+    enforced at evaluation time.
     """
 
     name: str
-    jets: Callable[[Jet], tuple[Jet, Jet, Jet]]
+    perturbation: Callable[[np.ndarray], tuple]
     domain: tuple[float, float]
 
-    def at(self, r) -> tuple[Jet, Jet, Jet]:
-        """Jets of A, B, C at a radius, or entrywise at a 1-D array of radii.
+    def at(self, r: np.ndarray) -> tuple:
+        """(a, a', b, b', b'') at a 1-D array of radii.
 
-        Each guard clears the common case with one reduction per array and
-        builds its mask of bad radii only when that fails.
+        Each guard clears the common case with one reduction and builds its
+        mask of bad radii only when that fails.
         """
         lo, hi = self.domain
         if not (np.min(r, initial=math.inf) > lo and np.max(r, initial=-math.inf) < hi):
             bad = _first_radius(np.logical_not((lo < r) & (r < hi)), r)
             if bad is not None:
                 raise ValueError(f"radius {bad} outside the open domain ({lo}, {hi}) of {self.name}")
-        a, b, c = self.jets(Jet.seed(r))
-        if not all(np.min(q.value, initial=math.inf) > 0.0 for q in (a, b, c)):
-            bad = _first_radius(np.minimum(np.minimum(a.value, b.value), c.value) <= 0.0, r)
+        out = self.perturbation(r)
+        least = np.minimum(out[0], out[2])
+        if not np.min(least, initial=math.inf) > -1.0:
+            bad = _first_radius(least <= -1.0, r)
             if bad is not None:
                 raise ValueError(f"profile {self.name} not positive at r={bad}")
-        return a, b, c
+        return out
 
     def values(self, r):
-        """Values of A, B, C at a radius, or entrywise at a 1-D array of radii."""
-        a, b, c = self.at(r)
-        return a.value, b.value, c.value
+        """A, B, C at a radius, or entrywise at a 1-D array of radii."""
+        rs = _radii(r)
+        a, _, b = self.at(rs)[:3]
+        out = 1.0 + a, rs * rs * (1.0 + b), rs * rs
+        return out if np.ndim(r) else tuple(float(q[0]) for q in out)
 
 
 def euclidean_profile() -> RadialProfile:
-    return RadialProfile("euclidean", lambda r: (Jet.const(1.0),) + (r**2,) * 2, (0.0, math.inf))
+    return RadialProfile("euclidean", lambda r: (np.zeros_like(r),) * 5, (0.0, math.inf))
+
+
+def _instanton(r: np.ndarray) -> tuple:
+    """(a, a', b, b', b'') of the instanton: a = s/(1 - s), b = -s, s = r^-4."""
+    r2 = r * r
+    s = 1.0 / (r2 * r2)
+    ds = -4.0 * s / r
+    rest = 1.0 - s
+    return s / rest, ds / (rest * rest), -s, -ds, -20.0 * s / r2
 
 
 def eh_profile() -> RadialProfile:
     """ALE gravitational-instanton profile: A = 1/(1 - r^-4), B = r^2 (1 - r^-4), C = r^2."""
-
-    def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
-        r2 = r**2
-        drop = 1.0 - 1.0 / (r2 * r * r)  # r^4 = (r^2 r) r, as r ** 4 builds it
-        return 1.0 / drop.truncate(1), r2 * drop, r2
-
-    return RadialProfile("eguchi-hanson", jets, (1.0, math.inf))
+    return RadialProfile("eguchi-hanson", _instanton, (1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
 # Cutoff and gluing
 
 
-def _bump(s: Jet) -> Jet:
-    """exp(-1/s) for s > 0, identically zero otherwise, as a jet of s's order.
+def cutoff(r, d) -> tuple:
+    """The plateau cutoff p = f(2 - x) / (f(2 - x) + f(x - 1)), x = r/d,
+    f(t) = exp(-1/t), and its first two radial derivatives: 1 for r <= d,
+    0 for r >= 2d, smooth in between.
 
-    exp(-1/s) underflows to exactly 0.0 well before s reaches 1e-6, so the
-    entries at or below it are zero jets, masked out of an array jet.
+    With u = 2 - x, v = x - 1, q = 1 - p = f(v)/(f(u) + f(v)) and
+    w = u^-2 + v^-2: dp/dx = -p q w and d2p/dx2 = p q (w^2 (q - p)
+    - 2 (u^-3 - v^-3)).  u and v are clamped at 1e-6, where f underflows
+    to 0.0, so the plateaus hold p = 1 or 0 and zero derivatives exactly,
+    with no mask.  d is one scale, or one scale per radius.
     """
-    plateau = s.value <= 1e-6
-    if np.all(plateau):
-        return Jet.const(0.0)
-    if not np.any(plateau):
-        return (-1.0 / s).exp()
-    safe = Jet((np.where(plateau, 1.0, s.value),) + s.coeffs[1:])
-    return Jet(tuple(np.where(plateau, 0.0, c) for c in (-1.0 / safe).exp().coeffs))
-
-
-@dataclass
-class Cutoff:
-    """Plateau cutoff: 1 for r <= d, 0 for r >= 2d, smooth in between.
-
-    The plateau values are floating-point exact, and its derivatives come
-    out of jets up to the order of the radius jet it is composed with.  d
-    is one scale, or a 1-D array holding one scale per radius of the array
-    the cutoff is evaluated at; each entry equals the cutoff of its own
-    scale bit for bit.
-    """
-
-    d: float | np.ndarray
-
-    def jet(self, r) -> Jet:
-        """Cutoff jet at a radius or an array of radii, or composed with a radius jet."""
-        scaled = (r if isinstance(r, Jet) else Jet.seed(r)) * Jet((1.0 / self.d,))
-        num = _bump(2.0 - scaled)
-        return num / (num + _bump(scaled - 1.0))
+    x = r / d
+    iu = 1.0 / np.maximum(2.0 - x, 1e-6)
+    iv = 1.0 / np.maximum(x - 1.0, 1e-6)
+    fu, fv = np.exp(-iu), np.exp(-iv)
+    total = fu + fv
+    p, q = fu / total, fv / total
+    pq = p * q
+    iu2, iv2 = iu * iu, iv * iv
+    w = iu2 + iv2
+    dp = -pq * w
+    d2p = pq * (w * w * (q - p) - 2.0 * (iu2 * iu - iv2 * iv))
+    return p, dp / d, d2p / (d * d)
 
 
 def glued_profile(d) -> RadialProfile:
-    """Interpolation rho_d * (instanton profile) + (1 - rho_d) * (flat profile).
+    """Interpolation p * (instanton profile) + (1 - p) * (flat profile), p the cutoff of scale d.
 
-    Component-wise: A = rho/(1-r^-4) + (1-rho), B = r^2 (rho (1-r^-4) +
-    (1-rho)), C = r^2.  Equal to the instanton profile bitwise for r <= d
-    and to (1, r^2, r^2) bitwise for r >= 2d, because the cutoff plateaus
-    are exact.  d is one scale or, as for Cutoff, one scale per radius.
+    The perturbation is the cutoff times the instanton's: a = p s/(1 - s),
+    b = -p s.  Equal to the instanton profile bitwise for r <= d and to the
+    flat profile for r >= 2d, because the cutoff plateaus are exact.  d is
+    one scale or, as for cutoff, one scale per radius.
     """
     if np.any(np.asarray(d) < 4):
         raise ValueError("gluing requires d >= 4 so the bolt sits inside the plateau")
     if isinstance(d, np.ndarray):
-        cut, name = Cutoff(d=d), f"glued(d={d.min():g}..{d.max():g})"
+        name = f"glued(d={d.min():g}..{d.max():g})"
     else:
-        cut, name = Cutoff(d=float(d)), f"glued(d={d:g})"
+        d = float(d)
+        name = f"glued(d={d:g})"
 
-    def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
-        p, r2 = cut.jet(r), r**2
-        drop, flat = 1.0 - 1.0 / (r2 * r * r), 1.0 - p
-        return p.truncate(1) / drop.truncate(1) + flat.truncate(1), r2 * (p * drop + flat), r2
+    def perturbation(r):
+        p, dp, d2p = cutoff(r, d)
+        a, da, b, db, d2b = _instanton(r)
+        return p * a, dp * a + p * da, p * b, dp * b + p * db, d2p * b + 2.0 * dp * db + p * d2b
 
-    return RadialProfile(name, jets, (1.0, math.inf))
+    return RadialProfile(name, perturbation, (1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
-# Cohomogeneity-one engine (Cartan structure equations, closed form)
+# The curvature kernel
 
 
-def _cartan_coefficients(profile: RadialProfile, r):
-    """The curvature coefficients (E, M, N, P), three of each, of the profile
-    metric, at a radius or at each entry of a 1-D array of radii.
-
-    The coframe is (sqrt(A) dr, sqrt(C) s1, sqrt(C) s2, sqrt(B) s3) with
-    ds1 = STRUCTURE_CONSTANT s2^s3 (cyclic).  Connection coefficients follow the standard
-    diagonal ansatz; curvature 2-forms are assembled exactly from jets.
-    a1 = a2 = sqrt(C) makes the first two of each triple (and K1 = K2, c1 =
-    c2) equal bit for bit, as their formulas differ only in the order of
-    commuting operands: each is computed once.  A, f0 = sqrt(A) and the legs
-    feeding K are carried to order 1, all that is read of them.
-    """
-    Aj, Bj, Cj = profile.at(r)
-    f0 = Aj.truncate(1).sqrt()
-    legs = Cj.sqrt(), Bj.sqrt()  # a1 = a2, a3
-    # An array jet holds three arrays of the grid's length: drop each jet
-    # once the coefficients read below are taken, to keep the peak small.
-    del Aj, Bj, Cj
-
-    Ai = [a.deriv_jet() / (f0 * a) for a in legs]
-    f0v = f0.value
-    Av = [q.value for q in Ai]
-    dA = [q.derivative(1) for q in Ai]
-    del f0, Ai
-    sc, sb = (a.truncate(1) for a in legs)
-    del legs
-    K = [STRUCTURE_CONSTANT * sc / (sc * sb), STRUCTURE_CONSTANT * sb / (sc * sc)]  # K1 = K2, K3
-    c = [(K[0] + K[1] - K[0]) * 0.5, (K[0] + K[0] - K[1]) * 0.5]  # c1 = c2, c3
-    Kv = [q.value for q in K]
-    cv = [q.value for q in c]
-    dc = [q.derivative(1) for q in c]
-    del sc, sb, K, c
-
-    E = [dA[i] / f0v + Av[i] ** 2 for i in range(2)]
-    M = [
-        Av[0] * Kv[0] - cv[1] * Av[0] - cv[0] * Av[1],
-        Av[1] * Kv[1] - cv[0] * Av[0] - cv[0] * Av[0],
-    ]
-    N = [dc[i] / f0v + cv[i] * Av[i] for i in range(2)]
-    P = [
-        cv[0] * Kv[0] - Av[0] * Av[1] - cv[0] * cv[1],
-        cv[1] * Kv[1] - Av[0] * Av[0] - cv[0] * cv[0],
-    ]
-    return tuple([q[0], q[0], q[1]] for q in (E, M, N, P))
+def _kernel(profile: RadialProfile, r: np.ndarray) -> tuple:
+    """The curvature coefficients (E0, E1, M0, P0, P1) of the profile at a
+    1-D array of radii, and its a and b there (see the module docstring)."""
+    a, da, b, db, d2b = profile.at(r)
+    phi2 = 1.0 / (1.0 + a)
+    beta2 = 1.0 + b
+    gamma = 0.5 * db / beta2
+    dphi2 = -da * phi2 * phi2
+    dgamma = 0.5 * d2b / beta2 - 2.0 * gamma * gamma
+    ir = 1.0 / r
+    e0 = 0.5 * dphi2 * ir
+    e1 = 0.5 * dphi2 * (ir + gamma) + phi2 * (dgamma + gamma * (2.0 * ir + gamma))
+    m0 = np.sqrt(phi2 * beta2) * gamma * ir
+    p0 = (b + a * phi2) * ir * ir - phi2 * gamma * ir
+    p1 = (a * phi2 - 3.0 * b) * ir * ir
+    return (e0, e1, m0, p0, p1), a, b
 
 
-def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
-    """Orthonormal-frame curvature sample of the profile metric at radius r."""
-    E, M, N, P = _cartan_coefficients(profile, r)
+def _sample_from_coefficients(E, M, N, P) -> CurvatureSample:
+    """The frame sample of the curvature 2-forms Omega_{ab} = 1/2 W_{abcd}
+    e^c ^ e^d with the coefficient triples E, M, N, P."""
     w = np.zeros((4, 4, 4, 4))
 
     def put(a_, b_, c_, d_, val):
@@ -391,7 +401,6 @@ def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
         w[b_, a_, c_, d_] = -val
         w[b_, a_, d_, c_] = val
 
-    # Curvature 2-forms Omega_{ab} = 1/2 W_{abcd} e^c ^ e^d:
     put(1, 0, 0, 1, E[0]); put(1, 0, 2, 3, M[0])
     put(2, 0, 0, 2, E[1]); put(2, 0, 3, 1, M[1])
     put(3, 0, 0, 3, E[2]); put(3, 0, 1, 2, M[2])
@@ -400,6 +409,13 @@ def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
     put(1, 2, 0, 3, N[2]); put(1, 2, 1, 2, P[2])
     # Reindex the Cartan tensor into the module convention (pair first).
     return _sample_from_frame_tensor(np.einsum("lkij->lijk", w))
+
+
+def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
+    """Orthonormal-frame curvature sample of the profile metric at radius r."""
+    (e0, e1, m0, p0, p1), _, _ = _kernel(profile, _radii(r))
+    e0, e1, m0, p0, p1 = (float(q[0]) for q in (e0, e1, m0, p0, p1))
+    return _sample_from_coefficients([e0, e0, e1], [m0, m0, -2.0 * m0], [-m0, -m0, 2.0 * m0], [p0, p0, p1])
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +567,7 @@ def fit_loglog(xs, ys) -> tuple[float, float, float] | None:
     on the math.log values, each an integer over a power of two, so every
     sum is an exact integer: with D_uv = n Σuv - Σu Σv, the slope is
     D_xy / D_xx and the residual sqrt((D_xx D_yy - D_xy²) / (n² D_xx)), each
-    rounded once.  The residual is much smaller than the logs (4e-10
+    rounded once.  The residual can be much smaller than the logs (9e-16
     against values near 20 on the instanton's |Rm|), so float sums, even
     math.fsum's, lose most of its digits to cancellation.
     """
@@ -586,29 +602,10 @@ def _decay_radii(radii) -> list[float]:
     return radii
 
 
-def _norms_and_values(profile: RadialProfile, radii: np.ndarray, head: int):
-    """frame_norms of the profile at radii, and the lists of the values of
-    A, B and C at the first head radii, read off the same pass."""
-    values = []
-
-    def jets(r: Jet) -> tuple[Jet, Jet, Jet]:
-        out = profile.jets(r)
-        # A component constant in r (the flat profile's A) has a float value.
-        values.extend(np.broadcast_to(q.value, radii.shape)[:head].tolist() for q in out)
-        return out
-
-    return (*frame_norms(RadialProfile(profile.name, jets, profile.domain), radii), values)
-
-
-def _decay_result(radii: list[float], values, rm: np.ndarray) -> ScanResult:
-    """decay_scan's result from the values of A, B, C and |Rm| at its radii."""
-    # r**2 on a float, as on the scalar path: an array squares as r*r.
-    devs = [
-        max(abs(ai - 1.0), abs(bi / r**2 - 1.0), abs(ci / r**2 - 1.0))
-        for r, ai, bi, ci in zip(radii, *values)
-    ]
+def _decay_result(radii: list[float], a, b, rm: np.ndarray) -> ScanResult:
+    """decay_scan's result from a, b and |Rm| at its radii."""
     out = ScanResult(radii)
-    out.add("metric_deviation", devs)
+    out.add("metric_deviation", np.maximum(np.abs(a), np.abs(b)).tolist())
     out.add("rm_norm", rm.tolist())
     return out
 
@@ -617,38 +614,40 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     """Deviation from the flat profile and |Rm| along a geometric radius grid.
 
     Deviation is measured in the flat-profile orthonormal coframe, where
-    the metric components are (A, C/r^2, C/r^2, B/r^2) against 1.  Both are
-    read off one array pass of the closed-form norms (0.25-0.34 ms on five
-    radii, 2-core Xeon VM).  The verify stage takes the instanton's decay
-    scan off its glue scan's first pass instead, with no pass of its own
-    (see stage_scans).
+    the metric components are (A, C/r^2, C/r^2, B/r^2) against 1: it is
+    max(|a|, |b|), read off the perturbation.  Both are read off one
+    kernel pass (0.08 ms on five radii, 2-core Xeon VM).  The verify stage
+    takes the instanton's decay scan off its glue scan's first pass
+    instead, with no pass of its own (see stage_scans).
     """
     radii = _decay_radii(radii)
-    _, rm, values = _norms_and_values(profile, np.array(radii), len(radii))
-    return _decay_result(radii, values, rm)
+    r = np.array(radii)
+    coefficients, a, b = _kernel(profile, r)
+    return _decay_result(radii, a, b, _norms(r, *coefficients)[1])
+
+
+def _norms(r, e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """|Ric| and |Rm| from the kernel's coefficients.
+
+    The Ricci contraction is diagonal, diag(-2 E0 - E1, P1 - E0 + P0 (twice),
+    P0 - E1 + P0), summed in the order of the dense contraction, so |Ric|
+    equals cohomo_curvature's bit for bit; |Rm|^2 is four times the sum of
+    the squares of the twelve coefficients (E0, E0, E1), (M0, M0, -2 M0),
+    (-M0, -M0, 2 M0), (P0, P0, P1), and may differ from the dense sum in
+    the last bit.
+    """
+    ric0, ric12, ric3 = -e0 - e0 - e1, p1 - e0 + p0, p0 - e1 + p0
+    sq12 = ric12 * ric12
+    ric = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))
+    rm = 2.0 * np.sqrt(2.0 * (e0 * e0 + p0 * p0) + e1 * e1 + p1 * p1 + 12.0 * (m0 * m0))
+    return ric, rm
 
 
 def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     """|Ric| and |Rm| of the profile metric at each of a 1-D sequence of
-    radii, in one array-jet pass.
-
-    Closed form from the Cartan coefficients, with no frame tensor: the
-    tensor holds each of the 12 coefficients in four entries, and its Ricci
-    contraction is diagonal, diag(-E1-E2-E3, -E1+P2+P3, -E2+P1+P3,
-    -E3+P1+P2), summed here in the order of the dense contraction, so |Ric|
-    equals cohomo_curvature's bit for bit; |Rm| sums its squares in another
-    order and may differ in the last bit.  Equal coefficients and Ricci
-    entries are squared once.  A profile constant in r gives float
-    coefficients, broadcast to the radii.
-    """
-    radii = np.asarray(radii, dtype=float)
-    E, M, N, P = _cartan_coefficients(profile, radii)
-    ric0, ric12, ric3 = -E[0] - E[1] - E[2], P[2] - E[0] + P[1], P[1] - E[2] + P[0]
-    sq12 = ric12 * ric12
-    ric_norm = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))
-    squares = [sq for q in (E, M, N, P) for sq in (q[0] * q[0],) * 2 + (q[2] * q[2],)]
-    rm_norm = np.sqrt(4.0 * sum(squares[1:], squares[0]))
-    return np.full(radii.shape, ric_norm), np.full(radii.shape, rm_norm)
+    radii, in one kernel pass, with no frame tensor."""
+    r = _radii(radii)
+    return _norms(r, *_kernel(profile, r)[0])
 
 
 # The columns of the two curvature tables, after d: the report's rows and
@@ -683,11 +682,11 @@ def annulus_ratios(grid_points: int) -> np.ndarray:
 
 
 def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
-    """glue_ricci_scan's result, and the frame norms and the values of A,
-    B and C of the glued profile at the riders, radii evaluated in the
-    first pass ahead of its annuli with cutoff scale max(r, 4).  There the
-    glued profile is the instanton's, bit for bit: r <= 4 or r is its own
-    scale, so the cutoff is on its plateau at 1 with zero derivatives.
+    """glue_ricci_scan's result, and |Ric|, |Rm|, a and b of the glued
+    profile at the riders, radii evaluated in the first pass ahead of its
+    annuli with cutoff scale max(r, 4).  There the glued profile is the
+    instanton's, bit for bit: r <= 4 or r is its own scale, so the cutoff
+    is on its plateau at 1 with zero derivatives.
     """
     d_values = [float(d) for d in d_values]
     _require_geometric(d_values, "gluing scan d values")
@@ -703,9 +702,10 @@ def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
         head = len(riders) if start == 0 else 0
         if head:
             grid, scales = np.concatenate([riders, grid]), np.concatenate([np.maximum(riders, 4.0), scales])
-        ric, rm, values = _norms_and_values(glued_profile(scales), grid, head)
+        coefficients, a, b = _kernel(glued_profile(scales), grid)
+        ric, rm = _norms(grid, *coefficients)
         if start == 0:
-            ridden = ric[:head], rm[:head], values
+            ridden = ric[:head], rm[:head], a[:head], b[:head]
         for lo in range(head, len(grid), grid_points):
             annulus = slice(lo, lo + grid_points)
             best = lo + int(np.argmax(ric[annulus]))
@@ -723,19 +723,16 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
     The sup is taken on the geometric r-grid d * annulus_ratios(grid_points)
     per d; the argmax radius (the first one, on ties) is reported alongside.
     The grids of consecutive annuli are concatenated, with the cutoff scale
-    carried per radius, and evaluated in one array-jet pass of max(1,
+    carried per radius, and evaluated in one kernel pass of max(1,
     PASS_RADII // grid_points) whole annuli, so a pass is never larger than
-    one annulus or PASS_RADII.
-    |Ric| and |Rm| are read in closed form off the Cartan coefficients,
-    with no dense frame tensor.  Example-a's scan (five d values, 512 radii
-    each, one pass) takes 0.77-0.80 ms, against 2.6 ms for one pass per
-    annulus and 0.56 s for one scalar-jet curvature sample per radius; five
-    d values of 2048 radii (three passes) take 2.80-2.90 ms (medians of 300
-    calls, three processes, 2-core Xeon VM; 0.90-0.94 and 3.24-3.35 ms with
-    np.geomspace grids).  The verify stage runs the same passes with its
-    instanton and decay radii riding in the first (see stage_scans), so its
-    curvature section is one pass per glue-scan pass: example-a's takes
-    0.81-0.84 ms, where three passes took 1.49-1.57 ms.
+    one annulus or PASS_RADII.  |Ric| and |Rm| are read in closed form off
+    the kernel's coefficients, with no dense frame tensor.  Example-a's scan
+    (five d values, 512 radii each, one pass) takes 0.33-0.36 ms and five d
+    values of 2048 radii (three passes) 1.16-1.24 ms (medians of 300 calls,
+    three processes, 2-core Xeon VM).  The verify stage runs the same passes
+    with its instanton and decay radii riding in the first (see
+    stage_scans), so its curvature section is one pass per glue-scan pass:
+    example-a's takes 0.38-0.41 ms.
     """
     return _glue_scan(d_values, grid_points, np.zeros(0))[0]
 
@@ -750,8 +747,8 @@ def stage_scans(ricci_flat_radii, decay_radii, d_values, grid_points: int):
     """
     decay = _decay_radii(decay_radii)
     k = len(ricci_flat_radii)
-    gscan, (ric, rm, values) = _glue_scan(d_values, grid_points, np.array([*ricci_flat_radii, *decay], float))
-    return ric[:k], _decay_result(decay, [v[k:] for v in values], rm[k:]), gscan
+    gscan, (ric, rm, a, b) = _glue_scan(d_values, grid_points, np.array([*ricci_flat_radii, *decay], float))
+    return ric[:k], _decay_result(decay, a[k:], b[k:], rm[k:]), gscan
 
 
 DIAM_BOUND_FORMULA = "diam_bound(d) = 1 + 2*(2d + 2)/(20d)"

@@ -288,12 +288,16 @@ def run_curvature_stage(spec: ConstructionSpec, report: Report, tolerance_scale:
     mu = curvature.mu_report(gscan)
     sup_ric, resc = gscan.series["sup_ric_annulus"], mu.series["rescaled_sup_ric"]
     mus = mu.series["mu_proxy"].values
+    d_max = gscan.parameters[-1]
     section["gluing"] = {
         "d_values": list(glue.d_values),
         "annulus_grid": glue.annulus_grid,
         "rows": gscan.rows(curvature.GLUE_COLUMNS),
         "sup_ric_slope": sup_ric.slope,
         "sup_ric_residual": sup_ric.residual,
+        # d^6 sup|Ric| and r_sup/d tend to constants as d grows; reported at the largest d.
+        "leading_order": {"d": d_max, "d6_sup_ric": d_max**6 * sup_ric.values[-1],
+                          "r_sup_over_d": gscan.series["r_sup"].values[-1] / d_max},
     }
     section["mu"] = {
         "rows": mu.rows(curvature.MU_COLUMNS),

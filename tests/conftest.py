@@ -12,21 +12,23 @@ averaging projector, and report JSON through the standard library's encoder.
 from __future__ import annotations
 
 from fractions import Fraction
+import decimal
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kummerlab import jets
+from jets import Jet
+from kummerlab import curvature
 from kummerlab.cli import bundled_examples
 from kummerlab.clifford import CliffordMonomial
-from kummerlab.curvature import Cutoff, RadialProfile
+from kummerlab.curvature import RadialProfile
 from kummerlab.forms import form_basis, induced_action
 from kummerlab.intlinalg import smith_normal_form, unimodular_inverse
-from kummerlab.jets import Jet
 from kummerlab.specfile import parse_construction
 from kummerlab.torus import AffineIsometry, FixedComponent, GroupTable, generate_group
 
@@ -79,14 +81,15 @@ class _LibmExpNumpy:
 
 @pytest.fixture
 def libm_exp(monkeypatch):
-    """Jet.exp on libm's kernel instead of the one numpy's CPU dispatch picks.
+    """The curvature kernel's exp on libm's kernel instead of the one
+    numpy's CPU dispatch picks.
 
     numpy's baseline float64 exp loop calls libm; its X86_V4 (AVX-512) loop
     differs from libm in the last bit on some arguments.  With this fixture
     a test sees the libm bits wherever numpy picks the X86_V4 loop.
     """
     patched = _LibmExpNumpy()
-    monkeypatch.setattr(jets, "np", patched)
+    monkeypatch.setattr(curvature, "np", patched)
     return patched
 
 
@@ -403,14 +406,15 @@ def random_involution(rng, n: int, denominators=(2, 4)) -> AffineIsometry:
 def euler_chart_christoffel_exact(profile: RadialProfile, x) -> np.ndarray:
     """Christoffel symbols of the Euler chart from analytic derivatives.
 
-    Radial derivatives come from profile jets and angular derivatives from
-    the explicit trigonometric dependence; no finite differencing, so this
-    is an independent oracle for the chart engine.
+    Radial derivatives come from the profile's perturbation (A = 1 + a,
+    B = r^2 (1 + b), C = r^2) and angular derivatives from the explicit
+    trigonometric dependence; no finite differencing, so this is an
+    independent oracle for the chart engine.
     """
     r_, th = float(x[0]), float(x[1])
-    Aj, Bj, Cj = profile.at(r_)
-    a, b, c = Aj.value, Bj.value, Cj.value
-    da, db, dc = Aj.derivative(1), Bj.derivative(1), Cj.derivative(1)
+    pa, pda, pb, pdb, _ = (float(q[0]) for q in profile.at(np.array([r_])))
+    a, b, c = 1.0 + pa, r_ * r_ * (1.0 + pb), r_ * r_
+    da, db, dc = pda, 2.0 * r_ * (1.0 + pb) + r_ * r_ * pdb, 2.0 * r_
     st, ct = math.sin(th), math.cos(th)
 
     g = np.zeros((4, 4))
@@ -434,63 +438,74 @@ def euler_chart_christoffel_exact(profile: RadialProfile, x) -> np.ndarray:
     return 0.5 * np.einsum("kl,ijl->kij", ginv, sym)
 
 
-def scale_profile(profile: RadialProfile, c2: float, name: str | None = None) -> RadialProfile:
-    """Profile of the metric multiplied by the constant factor c2."""
-    return RadialProfile(
-        name=name or f"{profile.name}*{c2}",
-        jets=lambda r: tuple(q * c2 for q in profile.jets(r)),
-        domain=profile.domain,
-    )
+def scale_profile(profile: RadialProfile, c: float, name: str | None = None) -> RadialProfile:
+    """The metric multiplied by c^2, in the radius rho = c r: A stays,
+    c^2 B(r) = rho^2 (1 + b) and c^2 C(r) = rho^2, so the perturbation is
+    a(rho / c), b(rho / c) with its derivatives divided by c and c^2."""
+
+    def perturbation(rho):
+        a, da, b, db, d2b = profile.perturbation(rho / c)
+        return a, da / c, b, db / c, d2b / (c * c)
+
+    lo, hi = profile.domain
+    return RadialProfile(name or f"{profile.name}*{c}", perturbation, (lo * c, hi * c))
 
 
-def cutoff_derivative_bounds(cut: Cutoff, samples: int = 2048) -> dict[int, float]:
-    """Measured constants c_m = sup |D^m rho_d| * d^m over the ramp, m = 1..4."""
-    jet = cut.jet(Jet((np.linspace(cut.d, 2.0 * cut.d, samples), 1.0, 0.0, 0.0, 0.0)))
-    return {m: float(np.max(np.abs(jet.derivative(m)))) * cut.d**m for m in range(1, 5)}
+def cutoff_derivative_bounds(d: float, samples: int = 2048) -> dict[int, float]:
+    """Measured constants c_m = sup |D^m rho_d| * d^m over the ramp, m = 1..4,
+    from the reference cutoff's order-4 jet."""
+    jet = reference_cutoff(Jet((np.linspace(d, 2.0 * d, samples), 1.0, 0.0, 0.0, 0.0)), d)
+    return {m: float(np.max(np.abs(jet.derivative(m)))) * d**m for m in range(1, 5)}
 
 
 # ---------------------------------------------------------------------------
-# Full-order reference for the curvature pass: every jet carried to order 2,
-# the bump masking every coefficient, and each profile written as a single
-# expression, as the pass computed them before it truncated each jet to the
-# order its consumer reads.
+# The reference engine for the curvature kernel: every profile written as
+# jets of A, B and C, carried to order 2 through the Cartan structure
+# equations of the general diagonal ansatz, in float (Jet) or at
+# DECIMAL_DIGITS digits (DecimalJet, the oracle).  It is how the library
+# computed curvature before its closed-form kernel.
 
 
-def reference_bump(s: Jet) -> Jet:
+def reference_bump(s):
     plateau = s.value <= 1e-6
     if np.all(plateau):
-        return Jet.const(0.0)
+        return type(s)((0.0,))
     if not np.any(plateau):
         return (-1.0 / s).exp()
     safe = Jet(tuple(np.where(plateau, 1.0, c) for c in s.coeffs))
     return Jet(tuple(np.where(plateau, 0.0, c) for c in (-1.0 / safe).exp().coeffs))
 
 
-def reference_eh_jets(r: Jet):
-    drop, r2 = 1.0 - r ** (-4), r**2
+def reference_cutoff(r, d):
+    """The cutoff as a jet: exp(-1/(2 - x)) / (exp(-1/(2 - x)) + exp(-1/(x - 1))), x = r/d."""
+    scaled = r / type(r)((d,))
+    num = reference_bump(2.0 - scaled)
+    return num / (num + reference_bump(scaled - 1.0))
+
+
+def reference_eh_jets(r):
+    drop, r2 = 1.0 - r ** (-4), r * r
     return 1.0 / drop, r2 * drop, r2
 
 
 def reference_glued_jets(d):
     """The glued profile's jets at one scale, or at one scale per radius."""
 
-    def jets(r: Jet):
-        scaled = r * Jet((1.0 / d,))
-        num = reference_bump(2.0 - scaled)
-        p = num / (num + reference_bump(scaled - 1.0))
-        drop, r2 = 1.0 - r ** (-4), r**2
+    def jets(r):
+        p = reference_cutoff(r, d)
+        drop, r2 = 1.0 - r ** (-4), r * r
         return p / drop + (1.0 - p), r2 * (p * drop + (1.0 - p)), r2
 
     return jets
 
 
-def reference_euclidean_jets(r: Jet):
-    return Jet.const(1.0), r**2, r**2
+def reference_euclidean_jets(r):
+    return type(r)((1.0,)), r * r, r * r
 
 
-def reference_cartan_coefficients(jets, r, n: float):
+def reference_cartan_coefficients(jets, r, n: float, seed=Jet.seed):
     """(E, M, N, P) of the profile with the given jets, all at order 2."""
-    Aj, Bj, Cj = jets(Jet.seed(r))
+    Aj, Bj, Cj = jets(seed(r))
     f0 = Aj.sqrt()
     sc = Cj.sqrt()
     a = [sc, sc, Bj.sqrt()]
@@ -503,7 +518,7 @@ def reference_cartan_coefficients(jets, r, n: float):
     Kv = [q.value for q in K]
     cv = [q.value for q in c]
     dc = [q.derivative(1) for q in c]
-    E = [dA[i] / f0v + Av[i] ** 2 for i in range(3)]
+    E = [dA[i] / f0v + Av[i] * Av[i] for i in range(3)]
     M = [
         Av[0] * Kv[0] - cv[2] * Av[1] - cv[1] * Av[2],
         Av[1] * Kv[1] - cv[2] * Av[0] - cv[0] * Av[2],
@@ -516,6 +531,136 @@ def reference_cartan_coefficients(jets, r, n: float):
         cv[2] * Kv[2] - Av[0] * Av[1] - cv[0] * cv[1],
     ]
     return E, M, N, P
+
+
+def reference_squared_norms(E, M, N, P):
+    """|Ric|^2 and |Rm|^2 from the coefficient triples, whatever their number type."""
+    ric = [-E[0] - E[1] - E[2], -E[0] + P[1] + P[2], -E[1] + P[0] + P[2], -E[2] + P[0] + P[1]]
+    return sum(q * q for q in ric), 4 * sum(q * q for coefficients in (E, M, N, P) for q in coefficients)
+
+
+DECIMAL_DIGITS = 60
+
+
+def _dec(x) -> decimal.Decimal:
+    return x if isinstance(x, decimal.Decimal) else decimal.Decimal(x)  # exact for floats
+
+
+class DecimalJet:
+    """Jet's truncated Taylor arithmetic on Decimal coefficients, one point
+    at a time: floats enter exactly, and every operation rounds to the
+    current decimal context (DECIMAL_DIGITS digits in oracle_frame_norms)."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(map(_dec, coeffs))
+
+    @staticmethod
+    def seed(x) -> "DecimalJet":
+        return DecimalJet((x, 1, 0))
+
+    @property
+    def value(self):
+        return self.coeffs[0]
+
+    def derivative(self, m: int):
+        if m and len(self.coeffs) == 1:
+            return decimal.Decimal(0)
+        return self.coeffs[m] * math.factorial(m)
+
+    def deriv_jet(self) -> "DecimalJet":
+        c = self.coeffs
+        return DecimalJet([k * c[k] for k in range(1, len(c))] or [0])
+
+    def _pair(self, other):
+        y = other.coeffs if isinstance(other, DecimalJet) else (_dec(other),)
+        x = self.coeffs
+        n = max(len(x), len(y)) if 1 in (len(x), len(y)) else min(len(x), len(y))
+        pad = lambda c: (c + (decimal.Decimal(0),) * n)[:n]  # noqa: E731
+        return pad(x), pad(y)
+
+    def __add__(self, other):
+        return DecimalJet(a + b for a, b in zip(*self._pair(other)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DecimalJet(-a for a in self.coeffs)
+
+    def __sub__(self, other):
+        return DecimalJet(a - b for a, b in zip(*self._pair(other)))
+
+    def __rsub__(self, other):
+        return DecimalJet(b - a for a, b in zip(*self._pair(other)))
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        return DecimalJet(sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(len(a)))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        q = []
+        for k in range(len(a)):
+            q.append((a[k] - sum(b[j] * q[k - j] for j in range(1, k + 1))) / b[0])
+        return DecimalJet(q)
+
+    def __rtruediv__(self, other):
+        return DecimalJet((other,)) / self
+
+    def __pow__(self, exponent: int):
+        if exponent < 0:
+            return 1 / self ** (-exponent)
+        out = DecimalJet((1,))
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+    def sqrt(self) -> "DecimalJet":
+        a = self.coeffs
+        s = [a[0].sqrt()]
+        for k in range(1, len(a)):
+            s.append((a[k] - sum(s[j] * s[k - j] for j in range(1, k))) / (2 * s[0]))
+        return DecimalJet(s)
+
+    def exp(self) -> "DecimalJet":
+        a = self.coeffs
+        e = [a[0].exp()]
+        for k in range(1, len(a)):
+            e.append(sum(j * a[j] * e[k - j] for j in range(1, k + 1)) / k)
+        return DecimalJet(e)
+
+
+def oracle_coefficients(jets, r: float) -> list[float]:
+    """The twelve coefficients (E, M, N, P) of the profile with the given
+    reference jets at the float radius r, at DECIMAL_DIGITS digits, each
+    rounded once to a float."""
+    with decimal.localcontext(decimal.Context(prec=DECIMAL_DIGITS)):
+        triples = reference_cartan_coefficients(jets, r, -2, seed=DecimalJet.seed)
+        return [float(q) for triple in triples for q in triple]
+
+
+def oracle_frame_norms(jets, r: float) -> tuple[float, float]:
+    """|Ric| and |Rm| of the profile with the given reference jets at the
+    float radius r, through the reference engine at DECIMAL_DIGITS digits,
+    rounded once to floats."""
+    with decimal.localcontext(decimal.Context(prec=DECIMAL_DIGITS)):
+        ric2, rm2 = reference_squared_norms(*reference_cartan_coefficients(jets, r, -2, seed=DecimalJet.seed))
+        return float(ric2.sqrt()), float(rm2.sqrt())
+
+
+@dataclass
+class JetProfile:
+    """A profile given by jets of A, B and C, outside the C = r^2 family
+    the library's profiles belong to: enough of RadialProfile for the
+    Euler chart and coframe."""
+
+    name: str
+    jets: object
+    domain: tuple = (0.0, math.inf)
+
+    def values(self, r: float):
+        return tuple(float(q.value) for q in self.jets(Jet.seed(r)))
 
 
 # ---------------------------------------------------------------------------

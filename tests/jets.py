@@ -1,16 +1,15 @@
-"""Truncated Taylor arithmetic in one variable.
+"""Truncated Taylor arithmetic in one variable: the float arithmetic of
+the tests' reference curvature engine (conftest.reference_cartan_coefficients),
+which reads the radial derivatives of any profile A, B, C off jets.
 
 A Jet stores the Taylor coefficients (f, f', f''/2!, ...) of a scalar
 function at a point; its order is their number less one.  Arithmetic on
-jets propagates derivatives exactly (to machine rounding), which keeps the
-radial curvature formulas free of finite-difference noise even deep in the
-power-law decay tails.  A coefficient depends only on coefficients of the
-same or lower order, so a lower-order jet holds the leading coefficients
-of a higher-order one bit for bit.  A constant is a one-coefficient jet,
-padded with zeros before it meets a longer jet; two longer jets meet at
-the lower order, and a derivative is one order lower.  The curvature pass
-relies on this: it truncates each jet to the order its consumer reads, and
-gets the same bits as the full-order evaluation it replaces.
+jets propagates derivatives exactly (to machine rounding), with no
+finite-difference noise.  A coefficient depends only on coefficients of
+the same or lower order, so a lower-order jet holds the leading
+coefficients of a higher-order one bit for bit.  A constant is a
+one-coefficient jet, padded with zeros before it meets a longer jet; two
+longer jets meet at the lower order, and a derivative is one order lower.
 
 A coefficient is a float or a 1-D numpy array, all arrays of one jet (and
 of the jets it meets) having the same length: an array jet carries one

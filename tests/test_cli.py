@@ -163,8 +163,9 @@ def test_curvature_scan_csvs_match_golden(tmp_path):
 
 
 def test_goldens_do_not_depend_on_the_exp_kernel(tmp_path, libm_exp):
-    """verify and the dense scan write their goldens with Jet.exp on libm's
-    kernel too, not only on the one numpy dispatches to on this CPU."""
+    """verify and the dense scan write their goldens with the curvature
+    kernel's exp on libm's kernel too, not only on the one numpy dispatches
+    to on this CPU."""
     report, scan = tmp_path / "report.json", tmp_path / "scan.csv"
     verify = CliRunner().invoke(main, ["--json", str(report), "verify", EXAMPLE_A])
     assert verify.exit_code == 0, verify.output

@@ -9,19 +9,24 @@ import numpy as np
 import pytest
 
 from conftest import (
+    JetProfile,
     cutoff_derivative_bounds,
     euler_chart_christoffel_exact,
     example_spec,
+    oracle_coefficients,
+    oracle_frame_norms,
     reference_cartan_coefficients,
+    reference_cutoff,
     reference_eh_jets,
     reference_euclidean_jets,
     reference_glued_jets,
+    reference_squared_norms,
     scale_profile,
 )
+from jets import Jet
 from kummerlab import curvature, pipeline
 from kummerlab.curvature import (
     CalibrationRecord,
-    Cutoff,
     DIAM_BOUND_FORMULA,
     MetricChart,
     NotPositiveDefinite,
@@ -30,6 +35,7 @@ from kummerlab.curvature import (
     calibration,
     christoffel,
     cohomo_curvature,
+    cutoff,
     decay_scan,
     diam_bound,
     eh_profile,
@@ -46,7 +52,6 @@ from kummerlab.curvature import (
     sphere_chart,
     _richardson_derivative,
 )
-from kummerlab.jets import Jet
 from kummerlab.specfile import parse_construction
 from test_jets import same_bits
 
@@ -56,10 +61,8 @@ EH_POINT = [3.0, 1.0, 0.7, 0.9]
 def reference_frame_norms(jets, radii, n: float):
     """|Ric| and |Rm| of the profile with the given jets and structure
     constant n, from the full-order reference coefficients."""
-    E, M, N, P = reference_cartan_coefficients(jets, np.asarray(radii, dtype=float), n)
-    ric = [-E[0] - E[1] - E[2], -E[0] + P[1] + P[2], -E[1] + P[0] + P[2], -E[2] + P[0] + P[1]]
-    rm2 = 4.0 * sum(q * q for coefficients in (E, M, N, P) for q in coefficients)
-    return np.sqrt(sum(q * q for q in ric)), np.sqrt(rm2)
+    ric2, rm2 = reference_squared_norms(*reference_cartan_coefficients(jets, np.asarray(radii, dtype=float), n))
+    return np.sqrt(ric2), np.sqrt(rm2)
 
 
 def test_calibration_record():
@@ -162,10 +165,9 @@ def test_eh_profile_ricci_flat():
 
 
 def test_cutoff_plateaus_and_monotone():
-    cut = Cutoff(7.0)
-    assert cut.jet(3.5).value == 1.0
-    assert cut.jet(21.0).value == 0.0
-    values = [cut.jet(float(r)).value for r in np.linspace(7.0, 14.0, 100)]
+    plateaus = cutoff(np.array([3.5, 7.0, 14.0, 21.0]), 7.0)
+    assert [q.tolist() for q in plateaus] == [[1.0, 1.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4]
+    values = cutoff(np.linspace(7.0, 14.0, 100), 7.0)[0].tolist()
     assert all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
     assert 0.0 <= min(values) and max(values) <= 1.0
 
@@ -173,11 +175,10 @@ def test_cutoff_plateaus_and_monotone():
 def test_cutoff_derivative_bound_scales():
     sups = []
     for d in (10.0, 40.0, 160.0):
-        cut = Cutoff(d)
         rs = np.linspace(d, 2 * d, 400)
-        sups.append(max(abs(cut.jet(float(r)).derivative(1)) for r in rs) * d)
+        sups.append(float(np.max(np.abs(cutoff(rs, d)[1]))) * d)
     assert max(sups) / min(sups) < 1.01
-    bounds = cutoff_derivative_bounds(Cutoff(5.0), samples=256)
+    bounds = cutoff_derivative_bounds(5.0, samples=256)
     assert set(bounds) == {1, 2, 3, 4}
     assert all(v > 0 for v in bounds.values())
 
@@ -189,6 +190,9 @@ def test_glued_profile_plateau_exactness():
     assert prof.values(d / 2) == ale.values(d / 2)
     r = 3 * d
     assert prof.values(r) == (1.0, r * r, r * r)
+    beyond = 2 * d * np.sort(1.0 + np.random.default_rng(2).exponential(3.0, 200))
+    assert all(same_bits(x, y) for x, y in zip(frame_norms(prof, beyond), frame_norms(euclidean_profile(), beyond)))
+    assert all(np.array_equal(x, y) for x, y in zip(prof.values(beyond), euclidean_profile().values(beyond)))
 
 
 def test_glued_profile_positivity_dense():
@@ -291,18 +295,20 @@ def test_ricci_scaling_law():
     # Ricci as a (0,2) tensor is scale invariant; its frame norm scales by
     # 1/c^2.  Checked on the glued profile inside the ramp, where Ricci
     # is genuinely nonzero.
+    # The metric times c^2 is a profile of the radius rho = c r (scale_profile).
     prof = glued_profile(10.0)
     r = 12.5
     base = cohomo_curvature(prof, r)
     x = [r, 1.0, 0.7, 0.9]
     cof = euler_coframe(prof, x)
     ric_coord = cof.T @ base.ricci_frame @ cof
-    for c2 in (0.25, 9.0):
-        scaled_prof = scale_profile(prof, c2)
-        scaled = cohomo_curvature(scaled_prof, r)
-        assert abs(scaled.ric_norm - base.ric_norm / c2) / (base.ric_norm / c2) < 1e-8
-        cof_scaled = euler_coframe(scaled_prof, x)
-        ric_coord_scaled = cof_scaled.T @ scaled.ricci_frame @ cof_scaled
+    for c in (0.5, 3.0):
+        scaled_prof = scale_profile(prof, c)
+        scaled = cohomo_curvature(scaled_prof, c * r)
+        assert abs(scaled.ric_norm - base.ric_norm / c**2) / (base.ric_norm / c**2) < 1e-8
+        cof_scaled = euler_coframe(scaled_prof, [c * r, *x[1:]])
+        drho = np.diag([c, 1.0, 1.0, 1.0])  # d rho = c dr: back to the chart of r
+        ric_coord_scaled = drho @ cof_scaled.T @ scaled.ricci_frame @ cof_scaled @ drho
         assert np.max(np.abs(ric_coord_scaled - ric_coord)) / np.max(np.abs(ric_coord)) < 1e-8
 
 
@@ -330,7 +336,7 @@ def test_fit_loglog_validation():
 
 
 # ---------------------------------------------------------------------------
-# The array-jet annulus scan against the per-radius scalar reference.
+# The batched annulus scan against the per-radius scalar reference.
 
 
 def annulus_sup_reference(d, grid_points):
@@ -401,15 +407,15 @@ def test_batched_glue_scan_rows_equal_per_annulus_passes_on_every_dense_scan():
 
 
 def count_passes(monkeypatch):
-    """Record the number of radii of every _cartan_coefficients pass."""
+    """Record the number of radii of every kernel pass."""
     sizes = []
-    original = curvature._cartan_coefficients
+    original = curvature._kernel
 
     def counted(profile, r):
         sizes.append(np.size(r))
         return original(profile, r)
 
-    monkeypatch.setattr(curvature, "_cartan_coefficients", counted)
+    monkeypatch.setattr(curvature, "_kernel", counted)
     return sizes
 
 
@@ -445,8 +451,8 @@ def test_decay_scan_matches_per_radius_samples(spec_a):
     scan = decay_scan(prof, radii)
     devs = []
     for r in radii:
-        a, b, c = prof.values(r)
-        devs.append(max(abs(a - 1.0), abs(b / r**2 - 1.0), abs(c / r**2 - 1.0)))
+        a, _, b = prof.perturbation(np.array([r]))[:3]
+        devs.append(max(abs(float(a[0])), abs(float(b[0]))))
     assert scan.series["metric_deviation"].values == devs
     for rm, r in zip(scan.series["rm_norm"].values, radii):
         dense = cohomo_curvature(prof, r).rm_norm
@@ -563,25 +569,37 @@ def test_fit_loglog_is_the_exact_least_squares_of_the_float_logs():
     assert count == 3 * 5 + 40
 
 
+CYLINDER_JETS = lambda r: (Jet.const(1.0), Jet.const(4.0), Jet.const(9.0))  # noqa: E731
+# No component linear in r or its square: sqrt(C) has a second derivative.
+BENT_JETS = lambda r: (1.0 + 1.0 / r, r * r * r / (r + 1.0), r * r + r)  # noqa: E731
+
+
+def assert_reference_matches_finite_differences(jets, radii):
+    """The reference engine's frame tensor of a profile outside the C = r^2
+    family agrees with the finite-difference chart oracle."""
+    prof = JetProfile("reference", jets)
+    chart = euler_chart(prof)
+    for r in radii:
+        x = [r, 1.0, 0.7, 0.9]
+        _, fd = riemann(chart, x, frame=euler_coframe(prof, x))
+        ref = curvature._sample_from_coefficients(*reference_cartan_coefficients(jets, r, -2.0))
+        scale = np.max(np.abs(ref.riemann_frame))
+        assert scale > 0.01  # curved
+        assert np.max(np.abs(fd.riemann_frame - ref.riemann_frame)) < 1e-6 * scale
+        assert abs(ref.ric_norm - fd.ric_norm) < 1e-6 * scale and abs(ref.rm_norm - fd.rm_norm) < 1e-6 * scale
+
+
 def test_constant_profile_curvature_matches_finite_differences():
     """A, B, C constant in r: a line times a Berger sphere.  Every jet is a
-    constant, so every Cartan coefficient is a float; both engines still
-    agree with the finite-difference chart oracle, and frame_norms returns
-    one entry per radius."""
-    prof = RadialProfile("cyl", lambda r: (Jet.const(1.0), Jet.const(4.0), Jet.const(9.0)), (0.0, math.inf))
-    chart = euler_chart(prof)
-    radii = np.array([1.5, 3.0, 7.0])
-    ric, rm = frame_norms(prof, radii)
-    assert ric.shape == rm.shape == radii.shape
-    for i, r in enumerate(radii):
-        x = [float(r), 1.0, 0.7, 0.9]
-        _, fd = riemann(chart, x, frame=euler_coframe(prof, x))
-        cartan = cohomo_curvature(prof, float(r))
-        scale = np.max(np.abs(cartan.riemann_frame))
-        assert scale > 0.1  # the Berger sphere is curved
-        assert np.max(np.abs(fd.riemann_frame - cartan.riemann_frame)) < 1e-6 * scale
-        assert ric[i] == cartan.ric_norm and abs(ric[i] - fd.ric_norm) < 1e-6 * scale
-        assert abs(rm[i] - fd.rm_norm) < 1e-6 * scale
+    constant, so every reference coefficient is a float, and the reference
+    engine agrees with the finite-difference chart oracle."""
+    assert_reference_matches_finite_differences(CYLINDER_JETS, [1.5, 3.0, 7.0])
+
+
+def test_bent_profile_reference_matches_finite_differences():
+    """A profile whose every component has a second derivative: the
+    reference engine agrees with the finite-difference chart oracle."""
+    assert_reference_matches_finite_differences(BENT_JETS, [1.5, 3.0, 7.0])
 
 
 @pytest.mark.parametrize(
@@ -604,7 +622,9 @@ def test_frame_norms_name_the_bad_radius():
         frame_norms(eh_profile(), radii)
     with pytest.raises(ValueError, match=r"radius 0\.5 outside the open domain"):
         cohomo_curvature(eh_profile(), 0.5)
-    negative = RadialProfile("dented", lambda r: (Jet.const(1.0), 7.0 - r, r**2), (0.0, math.inf))
+    # B = 7 - r: b = 7/r^2 - 1/r - 1.
+    dent = lambda r: (0.0 * r, 0.0 * r, 7.0 / r**2 - 1.0 / r - 1.0, -14.0 / r**3 + 1.0 / r**2, 42.0 / r**4 - 2.0 / r**3)  # noqa: E731
+    negative = RadialProfile("dented", dent, (0.0, math.inf))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
         frame_norms(negative, np.array([1.0, 6.5, 7.5, 8.0]))
     with pytest.raises(ValueError, match=r"not positive at r=7\.5"):
@@ -629,13 +649,13 @@ def test_glue_scan_packs_whole_annuli_into_passes(grid_points, passes, monkeypat
 
 def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
     calls = []
-    original = curvature.Cutoff.jet
+    original = curvature.cutoff
 
-    def counted(self, r):
-        calls.append(self.d)
-        return original(self, r)
+    def counted(r, d):
+        calls.append(d)
+        return original(r, d)
 
-    monkeypatch.setattr(curvature.Cutoff, "jet", counted)
+    monkeypatch.setattr(curvature, "cutoff", counted)
     glue_ricci_scan([10, 20, 40, 80, 160], grid_points=64)
     assert len(calls) == 1
     assert calls[0].tolist() == np.repeat([10.0, 20.0, 40.0, 80.0, 160.0], 64).tolist()
@@ -645,7 +665,7 @@ def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The trimmed pass against the full-order reference, bit for bit.
+# The kernel against the reference engine at 60 digits.
 
 
 def _edge_radii(d):
@@ -653,51 +673,90 @@ def _edge_radii(d):
     return np.concatenate([np.geomspace(1.05, 4.0 * d, 97), [d, 2.0 * d, 1.5 * d]])
 
 
-CYLINDER_JETS = lambda r: (Jet.const(1.0), Jet.const(4.0), Jet.const(9.0))  # noqa: E731
-# No component linear in r or its square: sqrt(C) has a second derivative.
-BENT_JETS = lambda r: (1.0 + 1.0 / r, r * r * r / (r + 1.0), r * r + r)  # noqa: E731
 SCALES = np.repeat([4.0, 6.5, 10.0, 33.3], 25)
-TRIMMED_CASES = {
-    "eguchi-hanson": (eh_profile(), reference_eh_jets, _edge_radii(10.0)),
-    "euclidean": (euclidean_profile(), reference_euclidean_jets, _edge_radii(10.0)),
-    "cylinder": (RadialProfile("cyl", CYLINDER_JETS, (0, math.inf)), CYLINDER_JETS, _edge_radii(10.0)),
-    "bent": (RadialProfile("bent", BENT_JETS, (0, math.inf)), BENT_JETS, _edge_radii(10.0)),
+KERNEL_CASES = {
+    "eguchi-hanson": (eh_profile(), lambda i: reference_eh_jets, _edge_radii(10.0)),
+    "euclidean": (euclidean_profile(), lambda i: reference_euclidean_jets, _edge_radii(10.0)),
     **{
-        f"glued-{d:g}": (glued_profile(d), reference_glued_jets(d), _edge_radii(d))
+        f"glued-{d:g}": (glued_profile(d), lambda i, d=d: reference_glued_jets(d), _edge_radii(d))
         for d in (4.0, 6.5, 10.0, 33.3)
     },
     # One scale per radius: each block of 25 radii holds d, 2d, both plateaus and the ramp.
     "glued-per-radius": (
         glued_profile(SCALES),
-        reference_glued_jets(SCALES),
+        lambda i: reference_glued_jets(float(SCALES[i])),
         SCALES * np.tile(np.r_[0.5, 0.99, 1.0, np.linspace(1.05, 1.95, 19), 2.0, 2.01, 3.0], 4),
     ),
-    # Every radius on one plateau: the bumps' all-zero and never-zero paths.
-    "glued-inner-plateau": (glued_profile(10.0), reference_glued_jets(10.0), np.linspace(1.5, 10.0, 9)),
-    "glued-outer-plateau": (glued_profile(10.0), reference_glued_jets(10.0), np.linspace(20.0, 90.0, 9)),
+    # Every radius on one plateau.
+    "glued-inner-plateau": (glued_profile(10.0), lambda i: reference_glued_jets(10.0), np.linspace(1.5, 10.0, 9)),
+    "glued-outer-plateau": (glued_profile(10.0), lambda i: reference_glued_jets(10.0), np.linspace(20.0, 90.0, 9)),
 }
 
 
-@pytest.mark.parametrize("n", [-2.0, -1.0])
-@pytest.mark.parametrize("case", sorted(TRIMMED_CASES))
-def test_trimmed_pass_equals_full_order_reference(case, n, monkeypatch):
-    """E, M, N, P of the pass, each jet truncated to the order read, equal
-    the order-2 evaluation bit for bit, signed zeros included, on an array
-    of radii and at each radius alone.  The trimming holds whatever the
-    structure constant: the pass runs with the module's n = -2 and with
-    the unit coframe's n = -1 put in its place."""
-    monkeypatch.setattr(curvature, "STRUCTURE_CONSTANT", n)
-    profile, jets, radii = TRIMMED_CASES[case]
-    shaped = lambda x: np.broadcast_to(x, radii.shape)  # noqa: E731
-    got = curvature._cartan_coefficients(profile, radii)
-    for g, w in zip(got, reference_cartan_coefficients(jets, radii, n)):
-        assert all(same_bits(shaped(x), shaped(y)) for x, y in zip(g, w))
-    if case == "glued-per-radius":
-        return  # one scale per radius has no single-radius form
-    for r in radii[::7].tolist() + radii[-3:].tolist():
-        got = curvature._cartan_coefficients(profile, r)
-        for g, w in zip(got, reference_cartan_coefficients(jets, r, n)):
-            assert all(same_bits(x, y) and type(x) is type(y) for x, y in zip(g, w))
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_matches_the_reference_engine(case):
+    """The twelve Cartan coefficients of the kernel, (E0, E0, E1), (M0, M0,
+    -2 M0), (-M0, -M0, 2 M0), (P0, P0, P1), agree with the reference
+    engine's, run at 60 digits on the same float radii, within 1e-13 of the
+    largest coefficient at each radius.  The reference's flat terms of size
+    r^-2 cancel to about 1e-60 r^-2 there, hence the 1e-40 r^-2 floor."""
+    profile, jets, radii = KERNEL_CASES[case]
+    (e0, e1, m0, p0, p1), _, _ = curvature._kernel(profile, radii)
+    for i, r in enumerate(radii.tolist()):
+        got = [e0[i], e0[i], e1[i], m0[i], m0[i], -2.0 * m0[i], -m0[i], -m0[i], 2.0 * m0[i], p0[i], p0[i], p1[i]]
+        want = oracle_coefficients(jets(i), r)
+        tol = 1e-13 * max(map(abs, want)) + 1e-40 / r**2
+        assert all(abs(g - w) <= tol for g, w in zip(got, want)), (r, got, want)
+
+
+def test_cutoff_matches_the_reference_jet():
+    """The closed-form p, p' and p'' equal the reference cutoff's order-2 jet
+    to 1e-13 of each one's sup over the ramp, and exactly on the plateaus."""
+    for d in (4.0, 10.0, 33.3):
+        r = d * np.concatenate([np.linspace(0.3, 1.0, 8), np.linspace(1.0, 2.0, 401), np.linspace(2.0, 5.0, 8)])
+        got = cutoff(r, d)
+        want = reference_cutoff(Jet.seed(r), d)
+        for m, g in enumerate(got):
+            w = np.broadcast_to(want.derivative(m), r.shape)
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), (d, m)
+            plateau = (r <= d) | (r >= 2 * d)
+            assert np.array_equal(g[plateau], w[plateau]), (d, m)
+
+
+def test_leading_order_constant_holds_across_large_d():
+    """d^6 sup|Ric| over the annulus is one constant to 1e-9 relative for
+    d = 2^10 ... 2^14, at one r_sup/d: the remainder is O(d^-4), and the
+    kernel's rounding error is a fixed fraction of |Ric| at every d."""
+    ds = [2.0**k for k in range(10, 15)]
+    scan = glue_ricci_scan(ds, 512)
+    scaled = [d**6 * s for d, s in zip(ds, scan.series["sup_ric_annulus"].values)]
+    assert max(scaled) / min(scaled) - 1.0 <= 1e-9, scaled
+    assert len({r / d for r, d in zip(scan.series["r_sup"].values, ds)}) == 1
+    assert 2.8 < scaled[-1] < 2.83
+
+
+def gate_annuli():
+    """(d, grid) of every annulus the gate checks: both bundled specs, the
+    49 dense scans and d = 2^10 ... 2^14 on 512 radii."""
+    for spec in (example_spec("example-a.spec"), example_spec("example-b.spec")):
+        yield from ((d, spec.gluing.annulus_grid) for d in spec.gluing.d_values)
+    yield from ((k / 4 * 2**j, 2048) for k in range(16, 65) for j in range(5))
+    yield from ((2.0**k, 512) for k in range(10, 15))
+
+
+def test_kernel_agrees_with_the_60_digit_oracle_on_every_scanned_annulus():
+    """Pointwise |Ric| and |Rm| of the glued profile equal the reference
+    engine's at 60 digits within 1e-12 of their sup over the annulus, at
+    the argmax of |Ric| and three seeded radii of each annulus's grid."""
+    rng = np.random.default_rng(19)
+    for d, grid_points in gate_annuli():
+        grid = d * annulus_ratios(grid_points)
+        ric, rm = frame_norms(glued_profile(d), grid)
+        picks = [int(np.argmax(ric)), *rng.integers(0, grid_points, 3).tolist()]
+        for i in picks:
+            want_ric, want_rm = oracle_frame_norms(reference_glued_jets(d), float(grid[i]))
+            assert abs(ric[i] - want_ric) <= 1e-12 * ric.max(), (d, grid[i])
+            assert abs(rm[i] - want_rm) <= 1e-12 * rm.max(), (d, grid[i])
 
 
 GOLDEN_SCANS = Path(__file__).resolve().parent / "data" / "golden" / "scan-dense"
@@ -706,12 +765,12 @@ GOLDEN_SCANS = Path(__file__).resolve().parent / "data" / "golden" / "scan-dense
 def test_every_dense_scan_csv_matches_golden(tmp_path):
     """Both CSV tables of all 49 dense scans the benchmark draws from (d0 = k/4,
     k = 16..64, d = d0 * 2^j, j = 0..4, 2048 radii each: three passes of 2, 2
-    and 1 annuli), pinned from the full-order pass."""
+    and 1 annuli), pinned from the kernel."""
     assert_dense_scan_csvs_match_golden(tmp_path)
 
 
 def test_dense_scan_csvs_match_golden_with_libm_exp(tmp_path, libm_exp):
-    """The 49 dense scans write the same CSVs with Jet.exp on libm's kernel."""
+    """The 49 dense scans write the same CSVs with the kernel's exp on libm's kernel."""
     assert_dense_scan_csvs_match_golden(tmp_path)
     assert libm_exp.calls > 0
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kummerlab.jets import Jet
+from jets import Jet
 
 
 def fd_derivative(f, x, m, h=1e-3):

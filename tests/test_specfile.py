@@ -275,3 +275,17 @@ def test_a_missing_required_chart_key_is_named_on_the_header_line(key, header, c
     with pytest.raises(SpecParseError) as err:
         parse_construction_text("\n".join(lines))
     assert err.value.errors == [(header, f"chart {chart}", f"{kind} chart {chart} has no {key} line")]
+
+
+@pytest.mark.parametrize(
+    "key, line, error",
+    [("centers", 29, "centers needs at least one x,y pair"), ("of", 53, "of needs at least one chart name")],
+)
+def test_an_empty_chart_list_is_an_error_on_its_own_line(key, line, error):
+    """Example-a with the first line of a chart's list key emptied: the
+    error is on that line, and the chart's header reports nothing."""
+    lines = open(bundled_examples()["example-a.spec"], encoding="utf-8").read().splitlines()
+    lines[line - 1] = key
+    with pytest.raises(SpecParseError) as err:
+        parse_construction_text("\n".join(lines))
+    assert err.value.errors == [(line, key, error)]

@@ -602,6 +602,25 @@ def test_bent_profile_reference_matches_finite_differences():
     assert_reference_matches_finite_differences(BENT_JETS, [1.5, 3.0, 7.0])
 
 
+def test_cylinder_reference_is_one_berger_sphere_across_the_edge_radii():
+    """A = 1, B = 4, C = 9: the cylinder over the Berger sphere with axes
+    3, 3, 2 has the same curvature at every radius.  With n = -2, K = (-1,
+    -1, -4/9) and c = (-2/9, -2/9, -7/9), so E = M = N = 0 and P = (4/81,
+    4/81, 8/27).  The reference engine gives these on the array of edge
+    radii and at each radius alone, bit for bit the same."""
+    radii = _edge_radii(10.0)
+    want = [[0.0] * 3, [0.0] * 3, [0.0] * 3, [4 / 81, 4 / 81, 8 / 27]]
+    shaped = lambda x: np.broadcast_to(x, radii.shape)  # noqa: E731
+    got = reference_cartan_coefficients(CYLINDER_JETS, radii, -2.0)
+    for g, w in zip(got, want):
+        for x, y in zip(g, w):
+            assert np.all(np.abs(shaped(x) - y) <= 1e-15), (x, y)
+    for r in radii.tolist():
+        alone = reference_cartan_coefficients(CYLINDER_JETS, r, -2.0)
+        for g, a in zip(got, alone):
+            assert all(same_bits(shaped(x), shaped(y)) for x, y in zip(g, a))
+
+
 @pytest.mark.parametrize(
     "prof", [eh_profile(), glued_profile(10.0), glued_profile(6.5), euclidean_profile()],
     ids=lambda p: p.name,

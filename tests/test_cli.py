@@ -32,6 +32,9 @@ SHIFT70 = str(Path(__file__).resolve().parent / "data" / "example-a-shift70.spec
 QUARTER_TURN = str(Path(__file__).resolve().parent / "data" / "quarter-turn.spec")
 # The benchmark's dense scan at seed 1: five annuli of 2048 radii from d = 8.5.
 SCAN_2048 = str(Path(__file__).resolve().parent / "data" / "scan-2048.spec")
+# Five annuli of 2048 radii whose d values differ by factors of 3: no two
+# annuli share their r/d grid bit for bit, so each evaluates its own cutoff.
+SCAN_RATIO3 = str(Path(__file__).resolve().parent / "data" / "scan-ratio3.spec")
 
 
 def trimmed_spec(tmp_path: Path) -> str:
@@ -160,6 +163,13 @@ def test_curvature_scan_csvs_match_golden(tmp_path):
     assert result.exit_code == 0, result.output
     assert (tmp_path / "scan.csv").read_bytes() == (GOLDEN / "example-a.scan.csv").read_bytes()
     assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "example-a.scan.mu.csv").read_bytes()
+
+
+def test_ratio3_scan_csvs_match_golden(tmp_path):
+    result = CliRunner().invoke(main, ["curvature-scan", SCAN_RATIO3, "--csv", str(tmp_path / "scan.csv")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "scan.csv").read_bytes() == (GOLDEN / "scan-ratio3.scan.csv").read_bytes()
+    assert (tmp_path / "scan.mu.csv").read_bytes() == (GOLDEN / "scan-ratio3.scan.mu.csv").read_bytes()
 
 
 def test_goldens_do_not_depend_on_the_exp_kernel(tmp_path, libm_exp):

@@ -224,6 +224,13 @@ def betti(ctx, spec_path):
         _echo(f"resolved: b2 = {res['b2']}, b3 = {res['b3']}, euler = {res['euler']}")
 
 
+def _slope(series: curvature.ScanSeries) -> str:
+    """A fitted slope to four places, or n/a where the fit is undefined: a
+    sup that is not positive, as on annuli whose grid sits on the cutoff's
+    plateaus."""
+    return "n/a" if series.slope is None else f"{series.slope:.4f}"
+
+
 @main.command("curvature-scan")
 @click.argument("spec_path", type=click.Path())
 @click.option("--csv", "csv_path", type=click.Path(), required=True,
@@ -240,10 +247,8 @@ def curvature_scan(ctx, spec_path, csv_path):
         files = pipeline.write_scan_csv(gscan, mu, csv_path)
     except OSError as exc:
         _io_fail("write", exc.filename, exc)
-    _echo(
-        f"sup|Ric| slope {gscan.series['sup_ric_annulus'].slope:.4f}, "
-        f"rescaled slope {mu.series['rescaled_sup_ric'].slope:.4f}"
-    )
+    _echo(f"sup|Ric| slope {_slope(gscan.series['sup_ric_annulus'])}, "
+          f"rescaled slope {_slope(mu.series['rescaled_sup_ric'])}")
     for f in files:
         _echo(f"wrote {f}")
 

@@ -24,6 +24,11 @@ from .torus import AffineIsometry
 
 SUPPORTED_VERSIONS = (1,)
 MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~0.25 s, ~295 MiB peak RSS (2-core Xeon VM)
+# The largest d value or radius of a gluing block.  The curvature there is
+# of size r^-6 and the kernel sums its squares, which leave the normal
+# doubles past about 10^25 (d^6 sup|Ric| drifts, then sup|Ric| reads 0.0);
+# at 2^64 they are near 10^-231, and d^6 sup|Ric| is constant to 1e-9.
+MAX_SCAN_RADIUS = 2.0**64
 # The [expected] spin word of each spin verdict.
 SPIN_WORDS = {"OBSTRUCTED": "nonspin", "LIFTABLE": "no-obstruction"}
 
@@ -141,6 +146,8 @@ def _gluing_values(key, toks, n):
     values = [_float(t) for t in toks]
     if not all(math.isfinite(v) for v in values):
         raise ValueError("values must be finite")
+    if any(v > MAX_SCAN_RADIUS for v in values):
+        raise ValueError("values must be at most 2^64")
     lo, hi = eh_profile().domain
     if key == "d_values":
         if any(d < 4 for d in values):

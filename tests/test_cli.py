@@ -404,6 +404,18 @@ def test_curvature_scan_csvs_keep_every_digit_of_d(tmp_path):
         assert [row.split(",")[0] for row in rows] == d_values
 
 
+def test_curvature_scan_prints_an_undefined_slope_as_na(tmp_path):
+    """example-a on two radii per annulus, d and 2d, both on the cutoff's
+    plateaus: every sup|Ric| is 0.0 or rounding noise, so no slope fits."""
+    spec = edited_example_a(tmp_path, "annulus_grid 2")
+    result = CliRunner().invoke(main, ["curvature-scan", str(spec), "--csv", str(tmp_path / "s.csv")])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.stdout.splitlines() == ["sup|Ric| slope n/a, rescaled slope n/a",
+                                          f"wrote {tmp_path / 's.csv'}", f"wrote {tmp_path / 's.mu.csv'}"]
+    assert len((tmp_path / "s.mu.csv").read_text().splitlines()) == 6
+
+
 def test_curvature_scan_requires_gluing(tmp_path):
     result = CliRunner().invoke(
         main, ["curvature-scan", bare_spec(tmp_path), "--csv", str(tmp_path / "x.csv")]
@@ -674,6 +686,10 @@ def edited_example_a(tmp_path: Path, line) -> Path:
         (("version 1", "version 1\nversion 1"), ["6 [version] repeated key 'version'"]),
         ("dimension 0", ["6 [dimension] dimension must be a positive integer"]),
         ("version x", ["5 [version] version must be an integer"]),
+        # A d value or radius past 2^64 (1.8e19), where the curvature's squares leave the normal doubles.
+        ("d_values 2.5e18 5e18 1e19 2e19", ["21 [d_values] values must be at most 2^64"]),
+        ("decay_radii 2.5e18 5e18 1e19 2e19", ["23 [decay_radii] values must be at most 2^64"]),
+        ("ricci_flat_radii 1.2 2e19", ["24 [ricci_flat_radii] values must be at most 2^64"]),
     ],
 )
 def test_spec_errors_name_only_their_own_lines(tmp_path, edit, errors):

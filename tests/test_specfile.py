@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kummerlab.cli import bundled_examples
-from kummerlab.specfile import SpecParseError, parse_construction_text
+from kummerlab.specfile import MAX_SCAN_RADIUS, SpecParseError, parse_construction_text
 
 HALF = Fraction(1, 2)
 
@@ -261,6 +261,20 @@ def test_bad_numbers_are_named_in_the_spec_terms(old, new, error):
     with pytest.raises(SpecParseError) as err:
         parse_construction_text("\n".join(lines))
     assert err.value.errors == [error]
+
+
+def test_gluing_values_reach_the_scan_bound():
+    """d values and radii up to MAX_SCAN_RADIUS = 2^64 parse; one past it is
+    an error (tests/test_cli.py)."""
+    text = open(bundled_examples()["example-a.spec"], encoding="utf-8").read()
+    powers = " ".join(str(2**k) for k in range(60, 65))
+    for old, new in (("d_values 10 20 40 80 160", f"d_values {powers}"),
+                     ("decay_radii 10 20 40 80 160", f"decay_radii {powers}"),
+                     ("ricci_flat_radii 1.2 2 5 20 50", f"ricci_flat_radii 1.2 {2**64}")):
+        text = text.replace(old, new)
+    gluing = parse_construction_text(text).gluing
+    assert gluing.d_values == gluing.decay_radii == [2.0**k for k in range(60, 65)]
+    assert gluing.ricci_flat_radii[-1] == MAX_SCAN_RADIUS == 2.0**64
 
 
 @pytest.mark.parametrize(

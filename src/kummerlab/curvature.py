@@ -301,13 +301,39 @@ def euclidean_profile() -> RadialProfile:
     return RadialProfile("euclidean", lambda r: (np.zeros_like(r),) * 5, (0.0, math.inf))
 
 
-def _instanton(r: np.ndarray) -> tuple:
-    """(a, a', b, b', b'') of the instanton: a = s/(1 - s), b = -s, s = r^-4."""
-    r2 = r * r
-    s = 1.0 / (r2 * r2)
-    ds = -4.0 * s / r
-    rest = 1.0 - s
-    return s / rest, ds / (rest * rest), -s, -ds, -20.0 * s / r2
+def _work(k: int, shape) -> list[np.ndarray]:
+    """k fresh float arrays of the given shape, the work arrays that the
+    in-place formulas below write into.
+
+    Separate arrays, not the rows of one block: a row of PASS_RADII radii
+    is 32 KiB, under glibc's 128-KiB mmap threshold, while blocks of several
+    rows were mapped afresh on every pass (284 minor page faults per 5 x
+    2048 glue scan, against 0 to 80 with separate arrays; getrusage).
+    """
+    return [np.empty(shape) for _ in range(k)]
+
+
+def _instanton(r: np.ndarray) -> list[np.ndarray]:
+    """(a, a', b, b', b'') of the instanton, a = s/(1 - s), b = -s with
+    s = r^-4, in five fresh arrays."""
+    out = _work(5, np.shape(r))
+    a, da, b, db, d2b = out
+    # r2 = r r; s = 1 / (r2 r2); s' = (-4 s) / r; b'' = (-20 s) / r2
+    np.multiply(r, r, out=d2b)
+    np.multiply(d2b, d2b, out=b)
+    np.divide(1.0, b, out=b)
+    np.multiply(-4.0, b, out=db)
+    np.divide(db, r, out=db)
+    np.multiply(-20.0, b, out=da)
+    np.divide(da, d2b, out=d2b)
+    # rest = 1 - s; a' = s' / (rest rest); a = s / rest; b = -s; b' = -s'
+    np.subtract(1.0, b, out=a)
+    np.multiply(a, a, out=da)
+    np.divide(db, da, out=da)
+    np.divide(b, a, out=a)
+    np.negative(b, out=b)
+    np.negative(db, out=db)
+    return out
 
 
 def eh_profile() -> RadialProfile:
@@ -322,26 +348,86 @@ def eh_profile() -> RadialProfile:
 def cutoff(r, d) -> tuple:
     """The plateau cutoff p = f(2 - x) / (f(2 - x) + f(x - 1)), x = r/d,
     f(t) = exp(-1/t), and its first two radial derivatives: 1 for r <= d,
-    0 for r >= 2d, smooth in between.
+    0 for r >= 2d, smooth in between.  d is one scale, or one scale per
+    radius.  The derivatives are _cutoff_row's at x divided by d and d^2.
+    """
+    p, dp, d2p = _cutoff_row(r / d)
+    np.divide(dp, d, out=dp)
+    np.divide(d2p, d * d, out=d2p)
+    return p, dp, d2p
+
+
+def _cutoff_row(x: np.ndarray) -> list[np.ndarray]:
+    """p, dp/dx and d2p/dx2 of the cutoff at an array of x = r/d, the first
+    three of seven fresh work arrays.
 
     With u = 2 - x, v = x - 1, q = 1 - p = f(v)/(f(u) + f(v)) and
     w = u^-2 + v^-2: dp/dx = -p q w and d2p/dx2 = p q (w^2 (q - p)
     - 2 (u^-3 - v^-3)).  u and v are clamped at 1e-6, where f underflows
     to 0.0, so the plateaus hold p = 1 or 0 and zero derivatives exactly,
-    with no mask.  d is one scale, or one scale per radius.
+    with no mask.
     """
-    x = r / d
-    iu = 1.0 / np.maximum(2.0 - x, 1e-6)
-    iv = 1.0 / np.maximum(x - 1.0, 1e-6)
-    fu, fv = np.exp(-iu), np.exp(-iv)
-    total = fu + fv
-    p, q = fu / total, fv / total
-    pq = p * q
-    iu2, iv2 = iu * iu, iv * iv
-    w = iu2 + iv2
-    dp = -pq * w
-    d2p = pq * (w * w * (q - p) - 2.0 * (iu2 * iu - iv2 * iv))
-    return p, dp / d, d2p / (d * d)
+    work = _work(7, np.shape(x))
+    p, dp, d2p, iu, iv, q, t = work
+    # iu = 1 / max(2 - x, 1e-6); iv = 1 / max(x - 1, 1e-6)
+    np.subtract(2.0, x, out=iu)
+    np.maximum(iu, 1e-6, out=iu)
+    np.divide(1.0, iu, out=iu)
+    np.subtract(x, 1.0, out=iv)
+    np.maximum(iv, 1e-6, out=iv)
+    np.divide(1.0, iv, out=iv)
+    # total = exp(-iu) + exp(-iv); p = exp(-iu) / total; q = exp(-iv) / total; pq = p q
+    np.negative(iu, out=p)
+    np.exp(p, out=p)
+    np.negative(iv, out=q)
+    np.exp(q, out=q)
+    np.add(p, q, out=t)
+    np.divide(p, t, out=p)
+    np.divide(q, t, out=q)
+    np.multiply(p, q, out=d2p)
+    # w = iu iu + iv iv; c = 2 (iu iu iu - iv iv iv)
+    np.multiply(iu, iu, out=dp)
+    np.multiply(dp, iu, out=iu)
+    np.multiply(iv, iv, out=t)
+    np.multiply(t, iv, out=iv)
+    np.add(dp, t, out=dp)
+    np.subtract(iu, iv, out=iu)
+    np.multiply(2.0, iu, out=iu)
+    # d2p/dx2 = pq (w w (q - p) - c); dp/dx = (-pq) w
+    np.subtract(q, p, out=q)
+    np.multiply(dp, dp, out=t)
+    np.multiply(t, q, out=t)
+    np.subtract(t, iu, out=t)
+    np.negative(d2p, out=q)
+    np.multiply(d2p, t, out=d2p)
+    np.multiply(q, dp, out=dp)
+    return work[:3]
+
+
+def _glued(r: np.ndarray, p, dp, d2p) -> list[np.ndarray]:
+    """The glued perturbation at radii r from the cutoff's p, p' and p''
+    there: p times the instanton's (a, a', b, b', b''), with the product
+    rule, in _instanton(r)'s arrays."""
+    out = _instanton(r)
+    a, da, b, db, d2b = out
+    t, u = _work(2, np.shape(r))
+    # b'' = p'' b + (2 p') b' + p b''; b' = p' b + p b'; b = p b
+    np.multiply(d2p, b, out=t)
+    np.multiply(2.0, dp, out=u)
+    np.multiply(u, db, out=u)
+    np.add(t, u, out=t)
+    np.multiply(p, d2b, out=d2b)
+    np.add(t, d2b, out=d2b)
+    np.multiply(dp, b, out=t)
+    np.multiply(p, db, out=db)
+    np.add(t, db, out=db)
+    np.multiply(p, b, out=b)
+    # a' = p' a + p a'; a = p a
+    np.multiply(dp, a, out=t)
+    np.multiply(p, da, out=da)
+    np.add(t, da, out=da)
+    np.multiply(p, a, out=a)
+    return out
 
 
 def glued_profile(d) -> RadialProfile:
@@ -359,13 +445,7 @@ def glued_profile(d) -> RadialProfile:
     else:
         d = float(d)
         name = f"glued(d={d:g})"
-
-    def perturbation(r):
-        p, dp, d2p = cutoff(r, d)
-        a, da, b, db, d2b = _instanton(r)
-        return p * a, dp * a + p * da, p * b, dp * b + p * db, d2p * b + 2.0 * dp * db + p * d2b
-
-    return RadialProfile(name, perturbation, (1.0, math.inf))
+    return RadialProfile(name, lambda r: _glued(r, *cutoff(r, d)), (1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +454,55 @@ def glued_profile(d) -> RadialProfile:
 
 def _kernel(profile: RadialProfile, r: np.ndarray) -> tuple:
     """The curvature coefficients (E0, E1, M0, P0, P1) of the profile at a
-    1-D array of radii, and its a and b there (see the module docstring)."""
+    1-D array of radii, five of eleven fresh work arrays, and its a and b
+    there (see the module docstring)."""
     a, da, b, db, d2b = profile.at(r)
-    phi2 = 1.0 / (1.0 + a)
-    beta2 = 1.0 + b
-    gamma = 0.5 * db / beta2
-    dphi2 = -da * phi2 * phi2
-    dgamma = 0.5 * d2b / beta2 - 2.0 * gamma * gamma
-    ir = 1.0 / r
-    e0 = 0.5 * dphi2 * ir
-    e1 = 0.5 * dphi2 * (ir + gamma) + phi2 * (dgamma + gamma * (2.0 * ir + gamma))
-    m0 = np.sqrt(phi2 * beta2) * gamma * ir
-    p0 = (b + a * phi2) * ir * ir - phi2 * gamma * ir
-    p1 = (a * phi2 - 3.0 * b) * ir * ir
+    work = _work(11, np.shape(r))
+    e0, e1, m0, p0, p1, phi2, beta2, gamma, ir, t, u = work
+    # phi2 = 1 / (1 + a); beta2 = 1 + b; gamma = (0.5 b') / beta2; ir = 1 / r
+    np.add(1.0, a, out=phi2)
+    np.divide(1.0, phi2, out=phi2)
+    np.add(1.0, b, out=beta2)
+    np.multiply(0.5, db, out=gamma)
+    np.divide(gamma, beta2, out=gamma)
+    np.divide(1.0, r, out=ir)
+    # h = 0.5 (((-a') phi2) phi2), half of (phi^2)'; E0 = h ir; E1 = h (ir + gamma) + ...
+    np.negative(da, out=t)
+    np.multiply(t, phi2, out=t)
+    np.multiply(t, phi2, out=t)
+    np.multiply(0.5, t, out=t)
+    np.multiply(t, ir, out=e0)
+    np.add(ir, gamma, out=e1)
+    np.multiply(t, e1, out=e1)
+    # ... + phi2 (gamma' + gamma ((2 ir) + gamma)), gamma' = (0.5 b'') / beta2 - (2 gamma) gamma
+    np.multiply(0.5, d2b, out=t)
+    np.divide(t, beta2, out=t)
+    np.multiply(2.0, gamma, out=u)
+    np.multiply(u, gamma, out=u)
+    np.subtract(t, u, out=t)
+    np.multiply(2.0, ir, out=u)
+    np.add(u, gamma, out=u)
+    np.multiply(gamma, u, out=u)
+    np.add(t, u, out=u)
+    np.multiply(phi2, u, out=u)
+    np.add(e1, u, out=e1)
+    # M0 = (sqrt(phi2 beta2) gamma) ir
+    np.multiply(phi2, beta2, out=m0)
+    np.sqrt(m0, out=m0)
+    np.multiply(m0, gamma, out=m0)
+    np.multiply(m0, ir, out=m0)
+    # P0 = ((b + a phi2) ir) ir - (phi2 gamma) ir; P1 = ((a phi2 - 3 b) ir) ir
+    np.multiply(a, phi2, out=p1)
+    np.add(b, p1, out=p0)
+    np.multiply(p0, ir, out=p0)
+    np.multiply(p0, ir, out=p0)
+    np.multiply(phi2, gamma, out=t)
+    np.multiply(t, ir, out=t)
+    np.subtract(p0, t, out=p0)
+    np.multiply(3.0, b, out=t)
+    np.subtract(p1, t, out=p1)
+    np.multiply(p1, ir, out=p1)
+    np.multiply(p1, ir, out=p1)
     return (e0, e1, m0, p0, p1), a, b
 
 
@@ -623,31 +739,65 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     radii = _decay_radii(radii)
     r = np.array(radii)
     coefficients, a, b = _kernel(profile, r)
-    return _decay_result(radii, a, b, _norms(r, *coefficients)[1])
+    return _decay_result(radii, a, b, _rm(_norms(*coefficients)[1]))
 
 
-def _norms(r, e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
-    """|Ric| and |Rm| from the kernel's coefficients.
+def _norms(e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """|Ric| and |Rm|^2 / 4 from the kernel's coefficients, two of four
+    fresh work arrays.
 
     The Ricci contraction is diagonal, diag(-2 E0 - E1, P1 - E0 + P0 (twice),
     P0 - E1 + P0), summed in the order of the dense contraction, so |Ric|
-    equals cohomo_curvature's bit for bit; |Rm|^2 is four times the sum of
-    the squares of the twelve coefficients (E0, E0, E1), (M0, M0, -2 M0),
-    (-M0, -M0, 2 M0), (P0, P0, P1), and may differ from the dense sum in
-    the last bit.
+    equals cohomo_curvature's bit for bit; |Rm|^2 / 4 is the sum of the
+    squares of the twelve coefficients (E0, E0, E1), (M0, M0, -2 M0),
+    (-M0, -M0, 2 M0), (P0, P0, P1), and |Rm| = 2 sqrt of it (_rm) may differ
+    from the dense sum in the last bit.  A scan's sup of |Rm| is 2 sqrt of
+    the sup of this sum: sqrt and doubling are monotone and correctly
+    rounded, so it equals the sup of |Rm| bit for bit.
     """
-    ric0, ric12, ric3 = -e0 - e0 - e1, p1 - e0 + p0, p0 - e1 + p0
-    sq12 = ric12 * ric12
-    ric = np.sqrt((ric0 * ric0 + sq12) + (sq12 + ric3 * ric3))
-    rm = 2.0 * np.sqrt(2.0 * (e0 * e0 + p0 * p0) + e1 * e1 + p1 * p1 + 12.0 * (m0 * m0))
-    return ric, rm
+    work = _work(4, np.shape(e0))
+    ric, rm4, t, u = work
+    # sq12 = ((P1 - E0) + P0)^2; |Ric| = sqrt((ric0^2 + sq12) + (sq12 + ric3^2)),
+    # ric0 = ((-E0) - E0) - E1, ric3 = (P0 - E1) + P0
+    np.negative(e0, out=t)
+    np.subtract(t, e0, out=t)
+    np.subtract(t, e1, out=t)
+    np.multiply(t, t, out=t)
+    np.subtract(p1, e0, out=u)
+    np.add(u, p0, out=u)
+    np.multiply(u, u, out=u)
+    np.add(t, u, out=ric)
+    np.subtract(p0, e1, out=t)
+    np.add(t, p0, out=t)
+    np.multiply(t, t, out=t)
+    np.add(u, t, out=u)
+    np.add(ric, u, out=ric)
+    np.sqrt(ric, out=ric)
+    # |Rm|^2 / 4 = 2 (E0 E0 + P0 P0) + E1 E1 + P1 P1 + 12 (M0 M0)
+    np.multiply(e0, e0, out=rm4)
+    np.multiply(p0, p0, out=t)
+    np.add(rm4, t, out=rm4)
+    np.multiply(2.0, rm4, out=rm4)
+    np.multiply(e1, e1, out=t)
+    np.add(rm4, t, out=rm4)
+    np.multiply(p1, p1, out=t)
+    np.add(rm4, t, out=rm4)
+    np.multiply(m0, m0, out=t)
+    np.multiply(12.0, t, out=t)
+    np.add(rm4, t, out=rm4)
+    return ric, rm4
+
+
+def _rm(rm4: np.ndarray) -> np.ndarray:
+    """|Rm| = 2 sqrt(|Rm|^2 / 4), in place."""
+    return np.multiply(2.0, np.sqrt(rm4, out=rm4), out=rm4)
 
 
 def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     """|Ric| and |Rm| of the profile metric at each of a 1-D sequence of
     radii, in one kernel pass, with no frame tensor."""
-    r = _radii(radii)
-    return _norms(r, *_kernel(profile, r)[0])
+    ric, rm4 = _norms(*_kernel(profile, _radii(radii))[0])
+    return ric, _rm(rm4)
 
 
 # The columns of the two curvature tables, after d: the report's rows and
@@ -694,22 +844,36 @@ def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
         raise ValueError("gluing requires d >= 4")
     per_pass = max(1, PASS_RADII // grid_points)
     ratios = annulus_ratios(grid_points)
+    cut_rows = {}  # mantissa of d -> _cutoff_row of its r/d row
     rows = []
     for start in range(0, len(d_values), per_pass):
-        ds = np.array(d_values[start:start + per_pass])
-        grid = np.multiply.outer(ds, ratios).ravel()
-        scales = np.repeat(ds, grid_points)
+        ds = d_values[start:start + per_pass]
         head = len(riders) if start == 0 else 0
+        grid = np.empty(head + len(ds) * grid_points)
+        cut = _work(3, len(grid))  # p, p', p''
         if head:
-            grid, scales = np.concatenate([riders, grid]), np.concatenate([np.maximum(riders, 4.0), scales])
-        coefficients, a, b = _kernel(glued_profile(scales), grid)
-        ric, rm = _norms(grid, *coefficients)
+            grid[:head] = riders
+            for row, values in zip(cut, cutoff(riders, np.maximum(riders, 4.0))):
+                row[:head] = values
+        for lo, d in zip(range(head, len(grid), grid_points), ds):
+            annulus = slice(lo, lo + grid_points)
+            r = np.multiply(d, ratios, out=grid[annulus])
+            key = math.frexp(d)[0]
+            if key not in cut_rows:
+                cut_rows[key] = _cutoff_row(r / d)
+            p, dp, d2p = cut_rows[key]
+            cut[0][annulus] = p
+            np.divide(dp, d, out=cut[1][annulus])
+            np.divide(d2p, d * d, out=cut[2][annulus])
+        name = f"glued(d={min(ds):g}..{max(ds):g})"
+        coefficients, a, b = _kernel(RadialProfile(name, lambda r: _glued(r, *cut), (1.0, math.inf)), grid)
+        ric, rm4 = _norms(*coefficients)
         if start == 0:
-            ridden = ric[:head], rm[:head], a[:head], b[:head]
+            ridden = ric[:head], _rm(rm4[:head]), a[:head], b[:head]
         for lo in range(head, len(grid), grid_points):
             annulus = slice(lo, lo + grid_points)
             best = lo + int(np.argmax(ric[annulus]))
-            rows.append((float(grid[best]), float(ric[best]), float(rm[annulus].max())))
+            rows.append((float(grid[best]), float(ric[best]), 2.0 * math.sqrt(rm4[annulus].max())))
     out = ScanResult(d_values)
     for column, values, fit in zip(GLUE_COLUMNS, zip(*rows), (False, True, False)):
         out.add(column, values, fit=fit)

@@ -52,7 +52,7 @@ from kummerlab.curvature import (
     sphere_chart,
     _richardson_derivative,
 )
-from kummerlab.specfile import parse_construction
+from kummerlab.specfile import MAX_SCAN_RADIUS, parse_construction
 from test_jets import same_bits
 
 EH_POINT = [3.0, 1.0, 0.7, 0.9]
@@ -666,21 +666,52 @@ def test_glue_scan_packs_whole_annuli_into_passes(grid_points, passes, monkeypat
     assert sizes == passes
 
 
-def test_glued_profile_evaluates_the_cutoff_once_per_pass(monkeypatch):
-    calls = []
+def count_cutoff_rows(monkeypatch):
+    """Record the length of every array of x = r/d the cutoff is evaluated on."""
+    sizes = []
+    original = curvature._cutoff_row
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return original(x)
+
+    monkeypatch.setattr(curvature, "_cutoff_row", counted)
+    return sizes
+
+
+def test_glue_scan_evaluates_the_cutoff_once_per_distinct_row(spec_a, monkeypatch):
+    """One cutoff evaluation per distinct r/d row: one 512-radius row for the
+    bundled scan, whose d values differ by powers of two, one row per
+    annulus for d values in ratio 3, and a row of their own for the radii
+    riding in the verify stage's first pass.  A glued profile evaluates the
+    cutoff on its radii at its own scale."""
+    rows = count_cutoff_rows(monkeypatch)
+    glue_ricci_scan([10, 20, 40, 80, 160], grid_points=512)
+    assert rows == [512]
+    rows.clear()
+    glue_ricci_scan([5, 15, 45, 135, 405], grid_points=2048)
+    assert rows == [2048] * 5
+    rows.clear()
+    gluing = spec_a.gluing
+    curvature.stage_scans(gluing.ricci_flat_radii, gluing.decay_radii, gluing.d_values, gluing.annulus_grid)
+    assert rows == [10, 512]
+    rows.clear()
+    scales = []
     original = curvature.cutoff
-
-    def counted(r, d):
-        calls.append(d)
-        return original(r, d)
-
-    monkeypatch.setattr(curvature, "cutoff", counted)
-    glue_ricci_scan([10, 20, 40, 80, 160], grid_points=64)
-    assert len(calls) == 1
-    assert calls[0].tolist() == np.repeat([10.0, 20.0, 40.0, 80.0, 160.0], 64).tolist()
-    calls.clear()
+    monkeypatch.setattr(curvature, "cutoff", lambda r, d: scales.append(d) or original(r, d))
     cohomo_curvature(glued_profile(10.0), 13.0)
-    assert calls == [10.0]
+    assert rows == [1] and scales == [10.0]
+
+
+def test_power_of_two_annuli_share_their_r_over_d_row():
+    """fl(2^k d q) / (2^k d) = fl(d q) / d: the r/d rows of the annuli
+    d0 * 2^j, j = 0..4, are bitwise equal for all 49 dense d0, and the rows
+    of d values in ratio 3 are not."""
+    q = annulus_ratios(2048)
+    for k in range(16, 65):
+        rows = [(d * q) / d for d in (k / 4 * 2**j for j in range(5))]
+        assert all(same_bits(rows[0], row) for row in rows[1:]), k
+    assert not np.array_equal((5.0 * q) / 5.0, (15.0 * q) / 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +782,18 @@ def test_leading_order_constant_holds_across_large_d():
     scaled = [d**6 * s for d, s in zip(ds, scan.series["sup_ric_annulus"].values)]
     assert max(scaled) / min(scaled) - 1.0 <= 1e-9, scaled
     assert len({r / d for r, d in zip(scan.series["r_sup"].values, ds)}) == 1
+    assert 2.8 < scaled[-1] < 2.83
+
+
+def test_leading_order_constant_holds_up_to_the_largest_scale():
+    """d^6 sup|Ric| is one constant to 1e-9 relative for d = 2^60 ... 2^64,
+    the largest d value a spec may give: every squared term stays a normal
+    double there."""
+    ds = [2.0**k for k in range(60, 65)]
+    assert ds[-1] == MAX_SCAN_RADIUS
+    scan = glue_ricci_scan(ds, 512)
+    scaled = [d**6 * s for d, s in zip(ds, scan.series["sup_ric_annulus"].values)]
+    assert max(scaled) / min(scaled) - 1.0 <= 1e-9, scaled
     assert 2.8 < scaled[-1] < 2.83
 
 

@@ -58,6 +58,15 @@ d^-6, and cancel by factors of order one, not by d^4.  The former engine
 summed order-2 jets of A, B and C, terms of size r^-2, and lost about four
 digits per decade of d; it is kept in the tests as the reference, run at
 60 digits as the oracle.
+
+The kernel, its norms and the perturbations they read evaluate their
+formulas in place: each writes into a few fresh work arrays with ufunc
+out= arguments, with the same IEEE operations on the same operands in
+the same order as the formulas as written, so a value does not depend on
+the temporaries it avoids.  The glue scan evaluates the cutoff once per
+distinct row x = r/d of an annulus grid r = d q: annuli whose d differ
+by a power of two share it bit for bit, since binary scaling is exact
+away from overflow, fl(2^k d q) / (2^k d) = fl(d q) / d.
 """
 
 from __future__ import annotations
@@ -277,14 +286,14 @@ class RadialProfile:
         mask of bad radii only when that fails.
         """
         lo, hi = self.domain
-        if not (np.min(r, initial=math.inf) > lo and np.max(r, initial=-math.inf) < hi):
+        if not (np.minimum.reduce(r, initial=math.inf) > lo and np.maximum.reduce(r, initial=-math.inf) < hi):
             bad = _first_radius(np.logical_not((lo < r) & (r < hi)), r)
             if bad is not None:
                 raise ValueError(f"radius {bad} outside the open domain ({lo}, {hi}) of {self.name}")
         out = self.perturbation(r)
-        least = np.minimum(out[0], out[2])
-        if not np.min(least, initial=math.inf) > -1.0:
-            bad = _first_radius(least <= -1.0, r)
+        a, b = out[0], out[2]
+        if not min(np.minimum.reduce(a, initial=math.inf), np.minimum.reduce(b, initial=math.inf)) > -1.0:
+            bad = _first_radius((a <= -1.0) | (b <= -1.0), r)
             if bad is not None:
                 raise ValueError(f"profile {self.name} not positive at r={bad}")
         return out
@@ -466,11 +475,11 @@ def _kernel(profile: RadialProfile, r: np.ndarray) -> tuple:
     np.multiply(0.5, db, out=gamma)
     np.divide(gamma, beta2, out=gamma)
     np.divide(1.0, r, out=ir)
-    # h = 0.5 (((-a') phi2) phi2), half of (phi^2)'; E0 = h ir; E1 = h (ir + gamma) + ...
-    np.negative(da, out=t)
+    # h = 0.5 (((-a') phi2) phi2), half of (phi^2)', as (-0.5) ((a' phi2) phi2): a
+    # sign moves between factors exactly; E0 = h ir; E1 = h (ir + gamma) + ...
+    np.multiply(da, phi2, out=t)
     np.multiply(t, phi2, out=t)
-    np.multiply(t, phi2, out=t)
-    np.multiply(0.5, t, out=t)
+    np.multiply(-0.5, t, out=t)
     np.multiply(t, ir, out=e0)
     np.add(ir, gamma, out=e1)
     np.multiply(t, e1, out=e1)
@@ -758,10 +767,9 @@ def _norms(e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     work = _work(4, np.shape(e0))
     ric, rm4, t, u = work
     # sq12 = ((P1 - E0) + P0)^2; |Ric| = sqrt((ric0^2 + sq12) + (sq12 + ric3^2)),
-    # ric0 = ((-E0) - E0) - E1, ric3 = (P0 - E1) + P0
-    np.negative(e0, out=t)
-    np.subtract(t, e0, out=t)
-    np.subtract(t, e1, out=t)
+    # ric3 = (P0 - E1) + P0 and ric0 = ((-E0) - E0) - E1 = -((E0 + E0) + E1) exactly
+    np.add(e0, e0, out=t)
+    np.add(t, e1, out=t)
     np.multiply(t, t, out=t)
     np.subtract(p1, e0, out=u)
     np.add(u, p0, out=u)

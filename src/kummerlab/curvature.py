@@ -61,12 +61,14 @@ digits per decade of d; it is kept in the tests as the reference, run at
 
 The kernel, its norms and the perturbations they read evaluate their
 formulas in place: each writes into a few fresh work arrays with ufunc
-out= arguments, with the same IEEE operations on the same operands in
-the same order as the formulas as written, so a value does not depend on
-the temporaries it avoids.  The glue scan evaluates the cutoff once per
-distinct row x = r/d of an annulus grid r = d q: annuli whose d differ
-by a power of two share it bit for bit, since binary scaling is exact
-away from overflow, fl(2^k d q) / (2^k d) = fl(d q) / d.
+out= arguments instead of making one temporary per operation.  Each
+rounding is the one the formula as written makes, on the same operands in
+the same order (a sign moves between factors only where negation is
+exact), so every value keeps its bits.  The glue scan evaluates the
+cutoff once per distinct row x = r/d of its annulus grids r = d q:
+annuli whose d differ by a power of two share the row bit for bit, since
+scaling by 2^k is exact away from overflow, fl(2^k d q) / (2^k d) =
+fl(d q) / d.
 """
 
 from __future__ import annotations
@@ -310,44 +312,35 @@ def euclidean_profile() -> RadialProfile:
     return RadialProfile("euclidean", lambda r: (np.zeros_like(r),) * 5, (0.0, math.inf))
 
 
-def _work(k: int, shape) -> list[np.ndarray]:
-    """k fresh float arrays of the given shape, the work arrays that the
-    in-place formulas below write into.
+def _work(k: int, shape) -> np.ndarray:
+    """k fresh float rows of the given shape, as one array.
 
-    Separate arrays, not the rows of one block: a row of PASS_RADII radii
-    is 32 KiB, under glibc's 128-KiB mmap threshold, while blocks of several
-    rows were mapped afresh on every pass (284 minor page faults per 5 x
-    2048 glue scan, against 0 to 80 with separate arrays; getrusage).
+    The in-place formulas below take such an array, write their results
+    into its first rows and use the rest as scratch.
     """
-    return [np.empty(shape) for _ in range(k)]
+    return np.empty((k, *shape))
 
 
-def _instanton(r: np.ndarray) -> list[np.ndarray]:
+def _instanton(r: np.ndarray, work: np.ndarray) -> np.ndarray:
     """(a, a', b, b', b'') of the instanton, a = s/(1 - s), b = -s with
-    s = r^-4, in five fresh arrays."""
-    out = _work(5, np.shape(r))
+    s = r^-4, in the five rows of work."""
+    out = work[:5]
     a, da, b, db, d2b = out
-    # r2 = r r; s = 1 / (r2 r2); s' = (-4 s) / r; b'' = (-20 s) / r2
-    np.multiply(r, r, out=d2b)
-    np.multiply(d2b, d2b, out=b)
-    np.divide(1.0, b, out=b)
-    np.multiply(-4.0, b, out=db)
-    np.divide(db, r, out=db)
-    np.multiply(-20.0, b, out=da)
-    np.divide(da, d2b, out=d2b)
-    # rest = 1 - s; a' = s' / (rest rest); a = s / rest; b = -s; b' = -s'
-    np.subtract(1.0, b, out=a)
-    np.multiply(a, a, out=da)
-    np.divide(db, da, out=da)
-    np.divide(b, a, out=a)
-    np.negative(b, out=b)
-    np.negative(db, out=db)
+    r2 = np.multiply(r, r, out=d2b)
+    s = np.divide(1.0, np.multiply(r2, r2, out=b), out=b)
+    ds = np.divide(np.multiply(-4.0, s, out=db), r, out=db)
+    np.divide(np.multiply(-20.0, s, out=da), r2, out=d2b)  # b'' = (-20 s) / r2
+    rest = np.subtract(1.0, s, out=a)
+    np.divide(ds, np.multiply(rest, rest, out=da), out=da)  # a' = s' / (rest rest)
+    np.divide(s, rest, out=a)
+    np.negative(s, out=b)
+    np.negative(ds, out=db)
     return out
 
 
 def eh_profile() -> RadialProfile:
     """ALE gravitational-instanton profile: A = 1/(1 - r^-4), B = r^2 (1 - r^-4), C = r^2."""
-    return RadialProfile("eguchi-hanson", _instanton, (1.0, math.inf))
+    return RadialProfile("eguchi-hanson", lambda r: _instanton(r, _work(5, np.shape(r))), (1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +353,15 @@ def cutoff(r, d) -> tuple:
     0 for r >= 2d, smooth in between.  d is one scale, or one scale per
     radius.  The derivatives are _cutoff_row's at x divided by d and d^2.
     """
-    p, dp, d2p = _cutoff_row(r / d)
+    p, dp, d2p = _cutoff_row(r / d, _work(7, np.shape(r)))
     np.divide(dp, d, out=dp)
     np.divide(d2p, d * d, out=d2p)
     return p, dp, d2p
 
 
-def _cutoff_row(x: np.ndarray) -> list[np.ndarray]:
-    """p, dp/dx and d2p/dx2 of the cutoff at an array of x = r/d, the first
-    three of seven fresh work arrays.
+def _cutoff_row(x: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """p, dp/dx and d2p/dx2 of the cutoff at an array of x = r/d, in the
+    first three of the seven rows of work.
 
     With u = 2 - x, v = x - 1, q = 1 - p = f(v)/(f(u) + f(v)) and
     w = u^-2 + v^-2: dp/dx = -p q w and d2p/dx2 = p q (w^2 (q - p)
@@ -376,65 +369,36 @@ def _cutoff_row(x: np.ndarray) -> list[np.ndarray]:
     to 0.0, so the plateaus hold p = 1 or 0 and zero derivatives exactly,
     with no mask.
     """
-    work = _work(7, np.shape(x))
-    p, dp, d2p, iu, iv, q, t = work
-    # iu = 1 / max(2 - x, 1e-6); iv = 1 / max(x - 1, 1e-6)
-    np.subtract(2.0, x, out=iu)
-    np.maximum(iu, 1e-6, out=iu)
-    np.divide(1.0, iu, out=iu)
-    np.subtract(x, 1.0, out=iv)
-    np.maximum(iv, 1e-6, out=iv)
-    np.divide(1.0, iv, out=iv)
-    # total = exp(-iu) + exp(-iv); p = exp(-iu) / total; q = exp(-iv) / total; pq = p q
-    np.negative(iu, out=p)
-    np.exp(p, out=p)
-    np.negative(iv, out=q)
-    np.exp(q, out=q)
-    np.add(p, q, out=t)
-    np.divide(p, t, out=p)
-    np.divide(q, t, out=q)
-    np.multiply(p, q, out=d2p)
-    # w = iu iu + iv iv; c = 2 (iu iu iu - iv iv iv)
-    np.multiply(iu, iu, out=dp)
-    np.multiply(dp, iu, out=iu)
-    np.multiply(iv, iv, out=t)
-    np.multiply(t, iv, out=iv)
-    np.add(dp, t, out=dp)
-    np.subtract(iu, iv, out=iu)
-    np.multiply(2.0, iu, out=iu)
-    # d2p/dx2 = pq (w w (q - p) - c); dp/dx = (-pq) w
-    np.subtract(q, p, out=q)
-    np.multiply(dp, dp, out=t)
-    np.multiply(t, q, out=t)
-    np.subtract(t, iu, out=t)
-    np.negative(d2p, out=q)
-    np.multiply(d2p, t, out=d2p)
-    np.multiply(q, dp, out=dp)
+    p, dp, d2p, iu, iv, q, t = work[:7]
+    np.divide(1.0, np.maximum(np.subtract(2.0, x, out=iu), 1e-6, out=iu), out=iu)
+    np.divide(1.0, np.maximum(np.subtract(x, 1.0, out=iv), 1e-6, out=iv), out=iv)
+    total = np.add(np.exp(np.negative(iu, out=p), out=p), np.exp(np.negative(iv, out=q), out=q), out=t)
+    np.divide(p, total, out=p)
+    np.divide(q, total, out=q)
+    pq = np.multiply(p, q, out=d2p)
+    iu2, iv2 = np.multiply(iu, iu, out=dp), np.multiply(iv, iv, out=t)
+    c = np.subtract(np.multiply(iu2, iu, out=iu), np.multiply(iv2, iv, out=iv), out=iu)
+    np.multiply(2.0, c, out=c)  # c = 2 (iu iu iu - iv iv iv)
+    w = np.add(iu2, iv2, out=dp)
+    np.subtract(np.multiply(np.multiply(w, w, out=t), np.subtract(q, p, out=q), out=t), c, out=t)
+    npq = np.negative(pq, out=q)
+    np.multiply(pq, t, out=d2p)  # pq (w w (q - p) - c)
+    np.multiply(npq, w, out=dp)  # (-pq) w
     return work[:3]
 
 
-def _glued(r: np.ndarray, p, dp, d2p) -> list[np.ndarray]:
+def _glued(r: np.ndarray, p, dp, d2p, work: np.ndarray) -> np.ndarray:
     """The glued perturbation at radii r from the cutoff's p, p' and p''
     there: p times the instanton's (a, a', b, b', b''), with the product
-    rule, in _instanton(r)'s arrays."""
-    out = _instanton(r)
+    rule, in the first five of the seven rows of work."""
+    out = _instanton(r, work)
     a, da, b, db, d2b = out
-    t, u = _work(2, np.shape(r))
-    # b'' = p'' b + (2 p') b' + p b''; b' = p' b + p b'; b = p b
-    np.multiply(d2p, b, out=t)
-    np.multiply(2.0, dp, out=u)
-    np.multiply(u, db, out=u)
-    np.add(t, u, out=t)
-    np.multiply(p, d2b, out=d2b)
-    np.add(t, d2b, out=d2b)
-    np.multiply(dp, b, out=t)
-    np.multiply(p, db, out=db)
-    np.add(t, db, out=db)
+    t, u = work[5:7]
+    np.add(np.multiply(d2p, b, out=t), np.multiply(np.multiply(2.0, dp, out=u), db, out=u), out=t)
+    np.add(t, np.multiply(p, d2b, out=d2b), out=d2b)  # b'' = (p'' b + (2 p') b') + p b''
+    np.add(np.multiply(dp, b, out=t), np.multiply(p, db, out=db), out=db)
     np.multiply(p, b, out=b)
-    # a' = p' a + p a'; a = p a
-    np.multiply(dp, a, out=t)
-    np.multiply(p, da, out=da)
-    np.add(t, da, out=da)
+    np.add(np.multiply(dp, a, out=t), np.multiply(p, da, out=da), out=da)
     np.multiply(p, a, out=a)
     return out
 
@@ -454,64 +418,40 @@ def glued_profile(d) -> RadialProfile:
     else:
         d = float(d)
         name = f"glued(d={d:g})"
-    return RadialProfile(name, lambda r: _glued(r, *cutoff(r, d)), (1.0, math.inf))
+    return RadialProfile(name, lambda r: _glued(r, *cutoff(r, d), _work(7, np.shape(r))), (1.0, math.inf))
 
 
 # ---------------------------------------------------------------------------
 # The curvature kernel
 
 
-def _kernel(profile: RadialProfile, r: np.ndarray) -> tuple:
+def _kernel(profile: RadialProfile, r: np.ndarray, work: np.ndarray) -> tuple:
     """The curvature coefficients (E0, E1, M0, P0, P1) of the profile at a
-    1-D array of radii, five of eleven fresh work arrays, and its a and b
-    there (see the module docstring)."""
+    1-D array of radii, in the first five of the eleven rows of work, and
+    its a and b there (see the module docstring)."""
     a, da, b, db, d2b = profile.at(r)
-    work = _work(11, np.shape(r))
-    e0, e1, m0, p0, p1, phi2, beta2, gamma, ir, t, u = work
-    # phi2 = 1 / (1 + a); beta2 = 1 + b; gamma = (0.5 b') / beta2; ir = 1 / r
-    np.add(1.0, a, out=phi2)
-    np.divide(1.0, phi2, out=phi2)
+    e0, e1, m0, p0, p1, phi2, beta2, gamma, ir, t, u = work[:11]
+    np.divide(1.0, np.add(1.0, a, out=phi2), out=phi2)
     np.add(1.0, b, out=beta2)
-    np.multiply(0.5, db, out=gamma)
-    np.divide(gamma, beta2, out=gamma)
+    np.divide(np.multiply(0.5, db, out=gamma), beta2, out=gamma)
     np.divide(1.0, r, out=ir)
-    # h = 0.5 (((-a') phi2) phi2), half of (phi^2)', as (-0.5) ((a' phi2) phi2): a
-    # sign moves between factors exactly; E0 = h ir; E1 = h (ir + gamma) + ...
-    np.multiply(da, phi2, out=t)
-    np.multiply(t, phi2, out=t)
-    np.multiply(-0.5, t, out=t)
-    np.multiply(t, ir, out=e0)
-    np.add(ir, gamma, out=e1)
-    np.multiply(t, e1, out=e1)
-    # ... + phi2 (gamma' + gamma ((2 ir) + gamma)), gamma' = (0.5 b'') / beta2 - (2 gamma) gamma
-    np.multiply(0.5, d2b, out=t)
-    np.divide(t, beta2, out=t)
-    np.multiply(2.0, gamma, out=u)
-    np.multiply(u, gamma, out=u)
-    np.subtract(t, u, out=t)
-    np.multiply(2.0, ir, out=u)
-    np.add(u, gamma, out=u)
-    np.multiply(gamma, u, out=u)
-    np.add(t, u, out=u)
-    np.multiply(phi2, u, out=u)
-    np.add(e1, u, out=e1)
-    # M0 = (sqrt(phi2 beta2) gamma) ir
-    np.multiply(phi2, beta2, out=m0)
-    np.sqrt(m0, out=m0)
-    np.multiply(m0, gamma, out=m0)
-    np.multiply(m0, ir, out=m0)
+    # h = 0.5 (((-a') phi2) phi2), half of (phi^2)', as (-0.5) ((a' phi2) phi2):
+    # a negation is exact, so the sign moves between factors with no rounding.
+    h = np.multiply(-0.5, np.multiply(np.multiply(da, phi2, out=t), phi2, out=t), out=t)
+    np.multiply(h, ir, out=e0)
+    np.multiply(h, np.add(ir, gamma, out=e1), out=e1)
+    # E1 = h (ir + gamma) + phi2 (gamma' + gamma ((2 ir) + gamma)),
+    # gamma' = (0.5 b'') / beta2 - (2 gamma) gamma
+    dgamma = np.subtract(np.divide(np.multiply(0.5, d2b, out=t), beta2, out=t),
+                         np.multiply(np.multiply(2.0, gamma, out=u), gamma, out=u), out=t)
+    np.multiply(gamma, np.add(np.multiply(2.0, ir, out=u), gamma, out=u), out=u)
+    np.add(e1, np.multiply(phi2, np.add(dgamma, u, out=u), out=u), out=e1)
+    np.multiply(np.multiply(np.sqrt(np.multiply(phi2, beta2, out=m0), out=m0), gamma, out=m0), ir, out=m0)
     # P0 = ((b + a phi2) ir) ir - (phi2 gamma) ir; P1 = ((a phi2 - 3 b) ir) ir
-    np.multiply(a, phi2, out=p1)
-    np.add(b, p1, out=p0)
-    np.multiply(p0, ir, out=p0)
-    np.multiply(p0, ir, out=p0)
-    np.multiply(phi2, gamma, out=t)
-    np.multiply(t, ir, out=t)
-    np.subtract(p0, t, out=p0)
-    np.multiply(3.0, b, out=t)
-    np.subtract(p1, t, out=p1)
-    np.multiply(p1, ir, out=p1)
-    np.multiply(p1, ir, out=p1)
+    aphi2 = np.multiply(a, phi2, out=p1)
+    np.multiply(np.multiply(np.add(b, aphi2, out=p0), ir, out=p0), ir, out=p0)
+    np.subtract(p0, np.multiply(np.multiply(phi2, gamma, out=t), ir, out=t), out=p0)
+    np.multiply(np.multiply(np.subtract(aphi2, np.multiply(3.0, b, out=t), out=p1), ir, out=p1), ir, out=p1)
     return (e0, e1, m0, p0, p1), a, b
 
 
@@ -538,7 +478,8 @@ def _sample_from_coefficients(E, M, N, P) -> CurvatureSample:
 
 def cohomo_curvature(profile: RadialProfile, r: float) -> CurvatureSample:
     """Orthonormal-frame curvature sample of the profile metric at radius r."""
-    (e0, e1, m0, p0, p1), _, _ = _kernel(profile, _radii(r))
+    rs = _radii(r)
+    (e0, e1, m0, p0, p1), _, _ = _kernel(profile, rs, _work(11, rs.shape))
     e0, e1, m0, p0, p1 = (float(q[0]) for q in (e0, e1, m0, p0, p1))
     return _sample_from_coefficients([e0, e0, e1], [m0, m0, -2.0 * m0], [-m0, -m0, 2.0 * m0], [p0, p0, p1])
 
@@ -747,13 +688,13 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     """
     radii = _decay_radii(radii)
     r = np.array(radii)
-    coefficients, a, b = _kernel(profile, r)
-    return _decay_result(radii, a, b, _rm(_norms(*coefficients)[1]))
+    coefficients, a, b = _kernel(profile, r, _work(11, r.shape))
+    return _decay_result(radii, a, b, _rm(_norms(*coefficients, _work(4, r.shape))[1]))
 
 
-def _norms(e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
-    """|Ric| and |Rm|^2 / 4 from the kernel's coefficients, two of four
-    fresh work arrays.
+def _norms(e0, e1, m0, p0, p1, work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|Ric| and |Rm|^2 / 4 from the kernel's coefficients, in the first two
+    of the four rows of work.
 
     The Ricci contraction is diagonal, diag(-2 E0 - E1, P1 - E0 + P0 (twice),
     P0 - E1 + P0), summed in the order of the dense contraction, so |Ric|
@@ -764,35 +705,19 @@ def _norms(e0, e1, m0, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     the sup of this sum: sqrt and doubling are monotone and correctly
     rounded, so it equals the sup of |Rm| bit for bit.
     """
-    work = _work(4, np.shape(e0))
-    ric, rm4, t, u = work
-    # sq12 = ((P1 - E0) + P0)^2; |Ric| = sqrt((ric0^2 + sq12) + (sq12 + ric3^2)),
+    ric, rm4, t, u = work[:4]
+    # |Ric| = sqrt((ric0^2 + sq12) + (sq12 + ric3^2)), with ric12 = (P1 - E0) + P0,
     # ric3 = (P0 - E1) + P0 and ric0 = ((-E0) - E0) - E1 = -((E0 + E0) + E1) exactly
-    np.add(e0, e0, out=t)
-    np.add(t, e1, out=t)
-    np.multiply(t, t, out=t)
-    np.subtract(p1, e0, out=u)
-    np.add(u, p0, out=u)
-    np.multiply(u, u, out=u)
-    np.add(t, u, out=ric)
-    np.subtract(p0, e1, out=t)
-    np.add(t, p0, out=t)
-    np.multiply(t, t, out=t)
-    np.add(u, t, out=u)
-    np.add(ric, u, out=ric)
-    np.sqrt(ric, out=ric)
-    # |Rm|^2 / 4 = 2 (E0 E0 + P0 P0) + E1 E1 + P1 P1 + 12 (M0 M0)
-    np.multiply(e0, e0, out=rm4)
-    np.multiply(p0, p0, out=t)
-    np.add(rm4, t, out=rm4)
-    np.multiply(2.0, rm4, out=rm4)
-    np.multiply(e1, e1, out=t)
-    np.add(rm4, t, out=rm4)
-    np.multiply(p1, p1, out=t)
-    np.add(rm4, t, out=rm4)
-    np.multiply(m0, m0, out=t)
-    np.multiply(12.0, t, out=t)
-    np.add(rm4, t, out=rm4)
+    sq12 = np.multiply(np.add(np.subtract(p1, e0, out=u), p0, out=u), u, out=u)
+    np.multiply(np.add(np.add(e0, e0, out=t), e1, out=t), t, out=t)
+    np.add(t, sq12, out=ric)
+    np.multiply(np.add(np.subtract(p0, e1, out=t), p0, out=t), t, out=t)
+    np.sqrt(np.add(ric, np.add(sq12, t, out=u), out=ric), out=ric)
+    # |Rm|^2 / 4 = ((2 (E0 E0 + P0 P0) + E1 E1) + P1 P1) + 12 (M0 M0)
+    np.multiply(2.0, np.add(np.multiply(e0, e0, out=rm4), np.multiply(p0, p0, out=t), out=rm4), out=rm4)
+    np.add(rm4, np.multiply(e1, e1, out=t), out=rm4)
+    np.add(rm4, np.multiply(p1, p1, out=t), out=rm4)
+    np.add(rm4, np.multiply(12.0, np.multiply(m0, m0, out=t), out=t), out=rm4)
     return ric, rm4
 
 
@@ -804,7 +729,8 @@ def _rm(rm4: np.ndarray) -> np.ndarray:
 def frame_norms(profile: RadialProfile, radii) -> tuple[np.ndarray, np.ndarray]:
     """|Ric| and |Rm| of the profile metric at each of a 1-D sequence of
     radii, in one kernel pass, with no frame tensor."""
-    ric, rm4 = _norms(*_kernel(profile, _radii(radii))[0])
+    r = _radii(radii)
+    ric, rm4 = _norms(*_kernel(profile, r, _work(11, r.shape))[0], _work(4, r.shape))
     return ric, _rm(rm4)
 
 
@@ -839,12 +765,53 @@ def annulus_ratios(grid_points: int) -> np.ndarray:
     return q
 
 
+def _glue_pass(ds, ratios, cut_rows, riders):
+    """One glue-scan pass over the annuli d * ratios, d in ds, with the
+    riders ahead of them: (r_sup, sup|Ric|, sup|Rm|) per annulus, and
+    copies of |Ric|, |Rm|, a and b at the riders.
+
+    Every array of the pass is a row of one work array, freed on return:
+    blocks of several rows go through mmap until one is freed, which lifts
+    glibc's mmap and trim thresholds above a pass's size, so a repeated
+    pass finds its memory mapped (0 minor page faults per 5 x 2048 scan,
+    against 68-80 with a fresh array per row; getrusage).
+    """
+    g, head = len(ratios), len(riders)
+    n = head + len(ds) * g
+    work = _work(26, (n,))
+    grid, cut, perturbation, coefficients, norms = work[0], work[1:4], work[4:11], work[11:22], work[22:]
+    if head:
+        grid[:head] = riders
+        cut[:, :head] = cutoff(riders, np.maximum(riders, 4.0))
+    for lo, d in zip(range(head, n, g), ds):
+        annulus = slice(lo, lo + g)
+        r = np.multiply(d, ratios, out=grid[annulus])
+        key = math.frexp(d)[0]
+        if key not in cut_rows:
+            cut_rows[key] = _cutoff_row(r / d, _work(7, (g,)))
+        p, dp, d2p = cut_rows[key]
+        cut[0, annulus] = p
+        np.divide(dp, d, out=cut[1, annulus])
+        np.divide(d2p, d * d, out=cut[2, annulus])
+    profile = RadialProfile(f"glued(d={min(ds):g}..{max(ds):g})",
+                            lambda r: _glued(r, *cut, perturbation), (1.0, math.inf))
+    (e0, e1, m0, p0, p1), a, b = _kernel(profile, grid, coefficients)
+    ric, rm4 = _norms(e0, e1, m0, p0, p1, norms)
+    rows = []
+    for lo in range(head, n, g):
+        annulus = slice(lo, lo + g)
+        best = lo + int(np.argmax(ric[annulus]))
+        rows.append((float(grid[best]), float(ric[best]), 2.0 * math.sqrt(rm4[annulus].max())))
+    return rows, (ric[:head].copy(), _rm(rm4[:head].copy()), a[:head].copy(), b[:head].copy())
+
+
 def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
     """glue_ricci_scan's result, and |Ric|, |Rm|, a and b of the glued
     profile at the riders, radii evaluated in the first pass ahead of its
-    annuli with cutoff scale max(r, 4).  There the glued profile is the
-    instanton's, bit for bit: r <= 4 or r is its own scale, so the cutoff
-    is on its plateau at 1 with zero derivatives.
+    annuli with cutoff scale max(r, 4) and a cutoff row of their own.
+    There the glued profile is the instanton's, bit for bit: r <= 4 or r
+    is its own scale, so the cutoff is on its plateau at 1 with zero
+    derivatives.
     """
     d_values = [float(d) for d in d_values]
     _require_geometric(d_values, "gluing scan d values")
@@ -852,36 +819,14 @@ def _glue_scan(d_values, grid_points: int, riders: np.ndarray):
         raise ValueError("gluing requires d >= 4")
     per_pass = max(1, PASS_RADII // grid_points)
     ratios = annulus_ratios(grid_points)
-    cut_rows = {}  # mantissa of d -> _cutoff_row of its r/d row
+    cut_rows = {}  # mantissa of d -> _cutoff_row of its r/d row, shared by d * 2^k
     rows = []
     for start in range(0, len(d_values), per_pass):
-        ds = d_values[start:start + per_pass]
-        head = len(riders) if start == 0 else 0
-        grid = np.empty(head + len(ds) * grid_points)
-        cut = _work(3, len(grid))  # p, p', p''
-        if head:
-            grid[:head] = riders
-            for row, values in zip(cut, cutoff(riders, np.maximum(riders, 4.0))):
-                row[:head] = values
-        for lo, d in zip(range(head, len(grid), grid_points), ds):
-            annulus = slice(lo, lo + grid_points)
-            r = np.multiply(d, ratios, out=grid[annulus])
-            key = math.frexp(d)[0]
-            if key not in cut_rows:
-                cut_rows[key] = _cutoff_row(r / d)
-            p, dp, d2p = cut_rows[key]
-            cut[0][annulus] = p
-            np.divide(dp, d, out=cut[1][annulus])
-            np.divide(d2p, d * d, out=cut[2][annulus])
-        name = f"glued(d={min(ds):g}..{max(ds):g})"
-        coefficients, a, b = _kernel(RadialProfile(name, lambda r: _glued(r, *cut), (1.0, math.inf)), grid)
-        ric, rm4 = _norms(*coefficients)
+        annuli, ridden_here = _glue_pass(d_values[start:start + per_pass], ratios, cut_rows,
+                                         riders if start == 0 else riders[:0])
+        rows += annuli
         if start == 0:
-            ridden = ric[:head], _rm(rm4[:head]), a[:head], b[:head]
-        for lo in range(head, len(grid), grid_points):
-            annulus = slice(lo, lo + grid_points)
-            best = lo + int(np.argmax(ric[annulus]))
-            rows.append((float(grid[best]), float(ric[best]), 2.0 * math.sqrt(rm4[annulus].max())))
+            ridden = ridden_here
     out = ScanResult(d_values)
     for column, values, fit in zip(GLUE_COLUMNS, zip(*rows), (False, True, False)):
         out.add(column, values, fit=fit)

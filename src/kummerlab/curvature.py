@@ -315,8 +315,9 @@ def euclidean_profile() -> RadialProfile:
 def _work(k: int, shape) -> np.ndarray:
     """k fresh float rows of the given shape, as one array.
 
-    The in-place formulas below take such an array, write their results
-    into its first rows and use the rest as scratch.
+    The in-place formulas below take such an array, or a list of such
+    rows, write their results into its first rows and use the rest as
+    scratch.
     """
     return np.empty((k, *shape))
 
@@ -770,16 +771,22 @@ def _glue_pass(ds, ratios, cut_rows, riders):
     riders ahead of them: (r_sup, sup|Ric|, sup|Rm|) per annulus, and
     copies of |Ric|, |Rm|, a and b at the riders.
 
-    Every array of the pass is a row of one work array, freed on return:
-    blocks of several rows go through mmap until one is freed, which lifts
-    glibc's mmap and trim thresholds above a pass's size, so a repeated
-    pass finds its memory mapped (0 minor page faults per 5 x 2048 scan,
-    against 68-80 with a fresh array per row; getrusage).
+    Every array of the pass is one of the 17 rows of one work array,
+    freed on return: the grid, the perturbation (a, a', b, b', b''), and
+    the kernel's five coefficients and six scratch rows.  The kernel reads
+    the perturbation before it first writes its scratch rows, so the
+    cutoff's p, p', p'' and the product rule's two temporaries live there
+    until then, and the norms after.  A block of several rows goes through
+    mmap until one is freed, which lifts glibc's mmap and trim thresholds
+    above a pass's size, so a repeated pass finds its memory mapped (0
+    minor page faults per 5 x 2048 scan, against 68-80 with a fresh array
+    per row; getrusage).
     """
     g, head = len(ratios), len(riders)
     n = head + len(ds) * g
-    work = _work(26, (n,))
-    grid, cut, perturbation, coefficients, norms = work[0], work[1:4], work[4:11], work[11:22], work[22:]
+    work = _work(17, (n,))
+    grid, perturbation, scratch = work[0], work[1:6], work[11:]
+    cut = scratch[:3]
     if head:
         grid[:head] = riders
         cut[:, :head] = cutoff(riders, np.maximum(riders, 4.0))
@@ -794,9 +801,9 @@ def _glue_pass(ds, ratios, cut_rows, riders):
         np.divide(dp, d, out=cut[1, annulus])
         np.divide(d2p, d * d, out=cut[2, annulus])
     profile = RadialProfile(f"glued(d={min(ds):g}..{max(ds):g})",
-                            lambda r: _glued(r, *cut, perturbation), (1.0, math.inf))
-    (e0, e1, m0, p0, p1), a, b = _kernel(profile, grid, coefficients)
-    ric, rm4 = _norms(e0, e1, m0, p0, p1, norms)
+                            lambda r: _glued(r, *cut, [*perturbation, *scratch[3:5]]), (1.0, math.inf))
+    (e0, e1, m0, p0, p1), a, b = _kernel(profile, grid, work[6:])
+    ric, rm4 = _norms(e0, e1, m0, p0, p1, scratch)
     rows = []
     for lo in range(head, n, g):
         annulus = slice(lo, lo + g)

@@ -60,8 +60,9 @@ digits per decade of d; it is kept in the tests as the reference, run at
 60 digits as the oracle.
 
 The kernel, its norms and the perturbations they read evaluate their
-formulas in place: each writes into a few fresh work arrays with ufunc
-out= arguments instead of making one temporary per operation.  Each
+formulas in place: each writes into the rows of a work array its caller
+passes, with ufunc out= arguments, instead of making one temporary per
+operation (a glue-scan pass uses one work array of 17 rows).  Each
 rounding is the one the formula as written makes, on the same operands in
 the same order (a sign moves between factors only where negation is
 exact), so every value keeps its bits.  The glue scan evaluates the
@@ -83,16 +84,16 @@ import numpy as np
 
 
 # The most radii one glue-scan pass gathers from whole annuli.  A pass's
-# peak memory grows with its radii (about 144 bytes each, tracemalloc); its
-# fixed cost (about 0.07 ms, a pass of 4 radii) does not.  Passes of 4096
-# radii are the cheapest per radius: 102 ns, against 114-122 ns at 2048 and
-# 123-126 ns at 6144 and 8192 (medians of 200 passes, 2-core Xeon VM).
-# Above 4096 a pass's freed temporaries cross glibc's trim threshold, go
-# back to the OS and fault in again on the next pass.  Minor page faults per
-# repeated pass (getrusage): 0 at 4096 radii, 136-148 at 6144, 256 at 8192,
-# 672 at 16384.  The verify stage's instanton and decay radii (ten on the
-# bundled specs) ride in the first pass on top of its annuli, so its whole
-# curvature section is one pass on the bundled specs and three at 5 x 2048.
+# work array holds 17 rows of its radii (traced peak about 155 bytes a
+# radius); its fixed cost (about 0.09 ms, a pass of 4 radii) does not grow
+# with them.  Per radius, a repeated pass costs 159 ns at 1024 radii, 93 at
+# 2048, 64 at 4096, 55 at 6144, 51 at 8192 and 47 at 16384 (medians of
+# passes of two annuli, 2-core Xeon VM), with no page faults at any size
+# (see _glue_pass).  4096 keeps a pass's work array near half a MiB; larger
+# passes would still save about a fifth per radius.  The verify stage's
+# instanton and decay radii (ten on the bundled specs) ride in the first
+# pass on top of its annuli, so its whole curvature section is one pass on
+# the bundled specs and three at 5 x 2048.
 PASS_RADII = 2**12
 
 # The structure constant n of the half-angle coframe of the 3-sphere:
@@ -683,7 +684,7 @@ def decay_scan(profile: RadialProfile, radii) -> ScanResult:
     Deviation is measured in the flat-profile orthonormal coframe, where
     the metric components are (A, C/r^2, C/r^2, B/r^2) against 1: it is
     max(|a|, |b|), read off the perturbation.  Both are read off one
-    kernel pass (0.08 ms on five radii, 2-core Xeon VM).  The verify stage
+    kernel pass (0.09 ms on five radii, 2-core Xeon VM).  The verify stage
     takes the instanton's decay scan off its glue scan's first pass
     instead, with no pass of its own (see stage_scans).
     """
@@ -846,17 +847,18 @@ def glue_ricci_scan(d_values, grid_points: int = 512) -> ScanResult:
 
     The sup is taken on the geometric r-grid d * annulus_ratios(grid_points)
     per d; the argmax radius (the first one, on ties) is reported alongside.
-    The grids of consecutive annuli are concatenated, with the cutoff scale
-    carried per radius, and evaluated in one kernel pass of max(1,
-    PASS_RADII // grid_points) whole annuli, so a pass is never larger than
-    one annulus or PASS_RADII.  |Ric| and |Rm| are read in closed form off
-    the kernel's coefficients, with no dense frame tensor.  Example-a's scan
-    (five d values, 512 radii each, one pass) takes 0.33-0.36 ms and five d
-    values of 2048 radii (three passes) 1.16-1.24 ms (medians of 300 calls,
-    three processes, 2-core Xeon VM).  The verify stage runs the same passes
-    with its instanton and decay radii riding in the first (see
-    stage_scans), so its curvature section is one pass per glue-scan pass:
-    example-a's takes 0.38-0.41 ms.
+    The grids of consecutive annuli are concatenated and evaluated in one
+    kernel pass of max(1, PASS_RADII // grid_points) whole annuli, so a
+    pass is never larger than one annulus or PASS_RADII.  The cutoff is
+    evaluated once per distinct r/d row, once in all when the d values
+    differ by powers of two, and divided by d and d^2 per annulus.  |Ric|
+    and |Rm|^2 / 4 are read in closed form off the kernel's coefficients,
+    with no dense frame tensor, and an annulus takes 2 sqrt of its largest
+    |Rm|^2 / 4.  Example-a's scan (five d values, 512 radii each, one pass)
+    takes 0.32-0.33 ms and five d values of 2048 radii (three passes)
+    0.95 ms, against 0.41-0.44 and 1.35-1.48 ms with a temporary array per
+    operation (in-process medians of 600 calls alternating with that code,
+    2-core Xeon VM).
     """
     return _glue_scan(d_values, grid_points, np.zeros(0))[0]
 
@@ -866,8 +868,10 @@ def stage_scans(ricci_flat_radii, decay_radii, d_values, grid_points: int):
     ricci_flat_radii, decay_scan(eh_profile(), decay_radii) and
     glue_ricci_scan(d_values, grid_points), each equal to its own pass bit
     for bit.  The first two ride in the glue scan's first pass, with cutoff
-    scale max(r, 4), where the glued profile is the instanton's, so the
-    section costs the glue scan's passes only.
+    scale max(r, 4) and a cutoff row of their own, where the glued profile
+    is the instanton's, so the section costs the glue scan's passes only:
+    0.38-0.42 ms on example-a, against 0.44-0.51 ms with a temporary array
+    per operation.
     """
     decay = _decay_radii(decay_radii)
     k = len(ricci_flat_radii)

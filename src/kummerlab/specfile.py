@@ -23,7 +23,7 @@ from .fstructure import COVERINGS, ChartSpec, TorusActionSymbol
 from .torus import AffineIsometry
 
 SUPPORTED_VERSIONS = (1,)
-MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~0.25 s, ~295 MiB peak RSS (2-core Xeon VM)
+MAX_ANNULUS_GRID = 2**20  # one scan pass at this size: ~0.2 s, ~238 MiB peak RSS (2-core Xeon VM)
 # The largest d value or radius of a gluing block.  The curvature there is
 # of size r^-6 and the kernel sums its squares, which leave the normal
 # doubles past about 10^25 (d^6 sup|Ric| drifts, then sup|Ric| reads 0.0);
